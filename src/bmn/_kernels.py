@@ -5,9 +5,13 @@ Fisher-Yates draws, so batch results are bit-for-bit equal whichever one
 runs. Set BMN_NO_NUMBA=1 to force the Python fallback even when numba is
 installed; benchmarks/bench_kernels.py compares the two.
 
+Loop-detecting play (`play_match_loops`) runs Brent's cycle detector
+inside the Python core's trick loop on either backend: it saves one state
+at a time and finds the exact transient with a second lockstep pass.
+
 Card coding: 0 is an ordinary card, 1..9 are special ranks. Players are
-coded 0 (A) and 1 (B). Match status codes: 0 = terminated, 2 = trick budget
-exhausted.
+coded 0 (A) and 1 (B). Match status codes: 0 = terminated, 1 = looped,
+2 = trick budget exhausted.
 """
 
 from __future__ import annotations
@@ -39,12 +43,22 @@ def backend() -> str:
 # ---------------------------------------------------------------------------
 
 
-def _py_match(deck_a, deck_b, leader, max_tricks):
-    """Play one match without loop detection; returns (status, winner, tricks)."""
-    decks = (deque(deck_a), deque(deck_b))
-    cur = leader
+def _py_run(decks, cur, n, watch=None):
+    """Play up to `n` tricks in place; the one trick loop of the Python core.
+
+    `decks` is a list of two deques, `cur` the player leading the next
+    trick. Returns (status, player, tricks played): status 0 means the
+    match ended and `player` won it; 2 means `n` tricks were played and
+    `player` leads the next one. With `watch = (leader, deque_a, deque_b)`
+    the run also stops with status 1 at the first trick boundary whose
+    state equals `watch`; the decks are compared only when the leader and
+    the deck sizes already match.
+    """
+    if watch is not None:
+        w_cur, w_a, w_b = watch
+        w_len = len(w_a)
     tricks = 0
-    while tricks < max_tricks:
+    while tricks < n:
         pending = 0
         challenger = 0
         pile = []
@@ -73,7 +87,93 @@ def _py_match(deck_a, deck_b, leader, max_tricks):
         if not decks[1 - winner]:
             return 0, winner, tricks
         cur = winner
+        if watch is not None:
+            if (cur == w_cur and len(decks[0]) == w_len
+                    and decks[0] == w_a and decks[1] == w_b):
+                return 1, cur, tricks
+    return 2, cur, tricks
+
+
+def _py_match(deck_a, deck_b, leader, max_tricks):
+    """Play one match without loop detection; returns (status, winner, tricks)."""
+    status, player, tricks = _py_run([deque(deck_a), deque(deck_b)], leader,
+                                     max_tricks)
+    if status == 0:
+        return 0, player, tricks
     return 2, -1, tricks
+
+
+def _py_transient(deck_a, deck_b, leader, period, max_transient):
+    """Exact transient of a match known to cycle with `period`, or None.
+
+    Two copies of the match run in lockstep, `period` tricks apart; the
+    first trick count at which their states agree is the transient. Gives
+    None once the transient would exceed `max_transient`.
+    """
+    behind = [deque(deck_a), deque(deck_b)]
+    ahead = [deque(deck_a), deque(deck_b)]
+    _, c_ahead, _ = _py_run(ahead, leader, period)
+    c_behind = leader
+    transient = 0
+    while c_behind != c_ahead or behind != ahead:
+        if transient == max_transient:
+            return None
+        _, c_behind, _ = _py_run(behind, c_behind, 1)
+        _, c_ahead, _ = _py_run(ahead, c_ahead, 1)
+        transient += 1
+    return transient
+
+
+#: Tricks in Brent's first block. Each block saves one state and makes one
+#: call into the trick loop; most matches end within a few dozen tricks,
+#: so blocks of 1, 2, 4, ... tricks would cost more than the tricks do.
+_BRENT_FIRST_BLOCK = 16
+
+
+def play_match_loops(deck_a, deck_b, leader, max_tricks):
+    """Play one match with Brent cycle detection in O(1) saved states.
+
+    This is the entry for either backend: it always runs the Python core.
+    Returns (status, a, b): (0, winner, tricks) if the match ends within
+    `max_tricks`; (1, transient, period) if the trick-boundary states
+    cycle with transient + period <= `max_tricks`; otherwise
+    (2, -1, max_tricks).
+
+    Brent's algorithm (R. P. Brent, BIT 20, 1980), with blocks of
+    f * 2**k tricks (f = _BRENT_FIRST_BLOCK): block k saves the state after
+    s = f * (2**k - 1) tricks and compares it with each of the next f * 2**k
+    states. A cycle therefore shows at trick s + period in the first block
+    with s >= transient and f * 2**k >= period. For transient + period <=
+    max_tricks that block has f * 2**k <= last, the least f * 2**j >=
+    max_tricks + f - 1, so play runs to trick max_tricks + last - f at most
+    before deciding against the cap.
+    """
+    first = _BRENT_FIRST_BLOCK
+    last = first
+    while last < max_tricks + first - 1:
+        last *= 2
+    limit = max_tricks + last - first
+    decks = [deque(deck_a), deque(deck_b)]
+    cur = leader
+    tricks = 0
+    block = first
+    while tricks < limit:
+        saved = (cur, deque(decks[0]), deque(decks[1]))
+        status, cur, played = _py_run(decks, cur, min(block, limit - tricks), saved)
+        tricks += played
+        if status == 0:
+            if tricks <= max_tricks:
+                return 0, cur, tricks
+            break
+        if status == 1:
+            if played <= max_tricks:
+                transient = _py_transient(deck_a, deck_b, leader, played,
+                                          max_tricks - played)
+                if transient is not None:
+                    return 1, transient, played
+            break
+        block *= 2
+    return 2, -1, max_tricks
 
 
 def _py_batch(lo, hi, n_total, max_rank, seed, max_tricks, durations, winners):
@@ -84,9 +184,10 @@ def _py_batch(lo, hi, n_total, max_rank, seed, max_tricks, durations, winners):
         rng = SplitMix64(stream_state(seed, idx))
         cards = base.copy()
         rng.shuffle(cards)
-        status, winner, tricks = _py_match(cards[:half], cards[half:], 0, max_tricks)
+        status, player, tricks = _py_run([deque(cards[:half]), deque(cards[half:])],
+                                         0, max_tricks)
         durations[idx - lo] = tricks
-        winners[idx - lo] = winner if status == 0 else -1
+        winners[idx - lo] = player if status == 0 else -1
 
 
 # ---------------------------------------------------------------------------

@@ -129,7 +129,7 @@ def trace_match(initial: GameState,
     trick boundary (record 0 describes the initial state)."""
     if not initial.playable:
         raise engine.UnplayableStateError("initial state must be playable")
-    outcome, states = engine._trace_states(initial, max_tricks, keep_states=True)
+    outcome, states = engine._trace_states(initial, max_tricks)
     records = [record_for(i, s) for i, s in enumerate(states)]
     return records, outcome
 

@@ -91,14 +91,13 @@ def cmd_play(args) -> int:
 
 def _stats_text(config, summary, fit) -> str:
     lines = [
-        "# bmn stats v1",
+        "# bmn stats v2",
         f"version = {__version__}",
         f"setting = {config.settings}",
         f"matches = {config.matches}",
         f"seed = {config.seed}",
         f"max_tricks = {config.max_tricks}",
         f"detect_loops = {str(config.detect_loops).lower()}",
-        f"workers = {config.workers}",
         "",
         "[summary]",
         summary.to_text(),
@@ -181,11 +180,12 @@ def cmd_loops(args) -> int:
 
 
 def cmd_backward(args) -> int:
+    # validates --depth and --max-nodes once, for both modes
+    config = backward.BackwardSearchConfig(max_depth=args.depth,
+                                           max_nodes=args.max_nodes)
     settings = Settings.parse(args.setting)
     state = _parse_state(args, settings)
     if args.find_balanced:
-        config = backward.BackwardSearchConfig(max_depth=args.depth,
-                                               max_nodes=args.max_nodes)
         for found in backward.backward_search([state], config):
             print(f"leader={found.leader} deck_a={format_deck(found.deck_a)} "
                   f"deck_b={format_deck(found.deck_b)}")
@@ -193,12 +193,12 @@ def cmd_backward(args) -> int:
     # plain listing of the predecessor tree up to the requested depth
     seen = {engine.canonical_encoding(state)}
     frontier = [state]
-    for _ in range(args.depth):
+    for _ in range(config.max_depth):
         nxt = []
         for s in frontier:
             for cand in backward.enumerate_predecessors(s):
                 key = engine.canonical_encoding(cand.state)
-                if key in seen or len(seen) >= args.max_nodes:
+                if key in seen or len(seen) >= config.max_nodes:
                     continue
                 seen.add(key)
                 nxt.append(cand.state)
@@ -220,18 +220,31 @@ def _findings_line(settings, state, report) -> str:
             f"transient={report.transient} period={report.period}")
 
 
+def _read_seed_decks(path, settings) -> list:
+    """Seed states from a seed-decks file; errors name the file and line."""
+    with open(path) as fh:
+        lines = fh.readlines()
+    seeds = []
+    for number, line in enumerate(lines, start=1):
+        fields = line.split()
+        if not fields or fields[0].startswith("#"):
+            continue
+        if len(fields) != 2:
+            raise ValueError(f"{path}:{number}: expected 'DECKA DECKB', "
+                             f"got {line.strip()!r}")
+        try:
+            deck_a, deck_b = (parse_deck(f, settings) for f in fields)
+        except DeckParseError as exc:
+            raise ValueError(f"{path}:{number}: {exc}") from exc
+        seeds.append(GameState(deck_a, deck_b, PLAYER_A))
+    return seeds
+
+
 def cmd_factory(args) -> int:
     settings = Settings.parse(args.setting)
     seeds = []
     if args.seed_decks:
-        with open(args.seed_decks) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                a_str, b_str = line.split()
-                seeds.append(GameState(parse_deck(a_str, settings),
-                                       parse_deck(b_str, settings), PLAYER_A))
+        seeds = _read_seed_decks(args.seed_decks, settings)
     elif args.seed_deck_a or args.seed_deck_b:
         if not (args.seed_deck_a and args.seed_deck_b):
             return _fail("--seed-deck-a and --seed-deck-b go together")
@@ -354,6 +367,8 @@ def main(argv=None) -> int:
     except DeckParseError as exc:
         return _fail(str(exc))
     except ValueError as exc:
+        return _fail(str(exc))
+    except OSError as exc:  # unreadable input or unwritable output path
         return _fail(str(exc))
 
 

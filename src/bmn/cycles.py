@@ -71,7 +71,7 @@ def verify_loop(initial: GameState,
     Raises NotALoopError if the match terminates and UndecidedError if the
     trick budget runs out first.
     """
-    outcome, states = engine._trace_states(initial, max_tricks, keep_states=True)
+    outcome, states = engine._trace_states(initial, max_tricks)
     if isinstance(outcome, Terminated):
         raise NotALoopError(outcome)
     if not isinstance(outcome, Looped):

@@ -236,13 +236,12 @@ def play_trick(state: GameState) -> TrickResult:
     return TrickResult(next_state, winner, tuple(pile), len(pile), terminal)
 
 
-def _trace_states(initial: GameState, max_tricks: int, keep_states: bool):
-    """Iterate tricks with recurrence detection on canonical encodings.
+def _trace_states(initial: GameState, max_tricks: int):
+    """Iterate tricks, keeping every state, with recurrence detection.
 
     Returns (outcome, states) where states[i] is the state after trick i
     (states[0] is the initial state). For a Looped outcome the repeated
     state is not appended again; for Terminated the final state is included.
-    With keep_states=False only the initial state is retained.
     """
     seen = {canonical_encoding(initial): 0}
     states = [initial]
@@ -253,16 +252,14 @@ def _trace_states(initial: GameState, max_tricks: int, keep_states: bool):
         tricks += 1
         state = result.next_state
         if result.terminal:
-            if keep_states:
-                states.append(state)
+            states.append(state)
             return Terminated(result.winner, tricks), states
         key = canonical_encoding(state)
         first = seen.get(key)
         if first is not None:
             return Looped(first, tricks - first), states
         seen[key] = tricks
-        if keep_states:
-            states.append(state)
+        states.append(state)
     return BudgetExceeded(tricks), states
 
 
@@ -270,20 +267,25 @@ def play_match(initial: GameState, max_tricks: int = DEFAULT_MATCH_TRICKS,
                detect_loops: bool = True) -> MatchOutcome:
     """Run a full match from `initial`.
 
-    With detect_loops, every trick-boundary state is indexed by its
-    canonical encoding and the first recurrence yields
-    Looped(transient=first occurrence, period=gap). Without it, the match
-    runs on the fast kernel and can only end Terminated or BudgetExceeded.
+    With detect_loops, the first recurrence of a trick-boundary state
+    yields Looped(transient=its first occurrence, period=gap), provided
+    transient + period <= max_tricks. Detection runs inside the match
+    kernel with Brent's algorithm and keeps O(1) states. Without it, the
+    match can only end Terminated or BudgetExceeded.
     """
     if not initial.playable:
         raise UnplayableStateError("initial state must have two nonempty decks")
     if max_tricks < 1:
         raise ValueError("max_tricks must be >= 1")
+    leader = _PLAYER_CODE[initial.leader]
     if detect_loops:
-        outcome, _ = _trace_states(initial, max_tricks, keep_states=False)
-        return outcome
-    status, winner, tricks = _kernels.play_match_raw(
-        initial.deck_a, initial.deck_b, _PLAYER_CODE[initial.leader], max_tricks)
+        status, a, b = _kernels.play_match_loops(
+            initial.deck_a, initial.deck_b, leader, max_tricks)
+        if status == 1:
+            return Looped(a, b)
+    else:
+        status, a, b = _kernels.play_match_raw(
+            initial.deck_a, initial.deck_b, leader, max_tricks)
     if status == 0:
-        return Terminated(PLAYER_A if winner == 0 else PLAYER_B, tricks)
-    return BudgetExceeded(tricks)
+        return Terminated(PLAYER_A if a == 0 else PLAYER_B, b)
+    return BudgetExceeded(b)

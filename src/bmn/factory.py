@@ -228,16 +228,14 @@ def _fits_deficits(fragment: tuple, deficits: dict) -> bool:
     return all(deficits.get(card, 0) >= used for card, used in need.items())
 
 
-def generate_sequences(strategy: str, pattern: str, deficits: dict,
-                       rng: SplitMix64 | None = None) -> list:
+def generate_sequences(strategy: str, pattern: str, deficits: dict) -> list:
     """Candidate insertion fragments for one exploration round.
 
     Fragments follow the pattern's templates with special slots filled in
     the strategy's priority order, restricted to deficient types with
     multiplicity (nothing in excess is ever inserted, so a successful
     insertion always raises the compositional score by the fragment length).
-    The rng argument is accepted for interface symmetry; fragment order is
-    fully determined by strategy and pattern.
+    Fragment order is fully determined by strategy and pattern.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -382,7 +380,7 @@ def run_factory(config: FactoryConfig) -> FactoryResult:
         pattern = patterns[rng.below(len(patterns))]
         bias = rng.below(3)  # 0: deck A, 1: deck B, 2: alternate
         deficits = missing(cp.deck_a, cp.deck_b, settings)
-        fragments = generate_sequences(strategy, pattern, deficits, rng)
+        fragments = generate_sequences(strategy, pattern, deficits)
 
         grown = _try_insertions(cp, fragments, bias, settings, cap, rng, tests)
         new_depth = cp.depth + 1

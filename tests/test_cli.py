@@ -3,6 +3,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from conftest import BALANCED_12_1, GOLDEN_MATCHES, INF_52_4
 
 PLAY_420 = GOLDEN_MATCHES[0]
@@ -75,6 +77,21 @@ def test_play_writes_trace_files(tmp_path):
     assert pos.read_text().splitlines()[0] == "trick,positions_a,positions_b"
 
 
+def test_play_unwritable_output_paths_exit_1(tmp_path):
+    _, a, b, _, _ = PLAY_420
+    base = ("play", "--setting", "40,3", "--deck-a", a, "--deck-b", b)
+    missing_dir = tmp_path / "no" / "such" / "dir"
+    out = run_cli(*base, "--trace", str(missing_dir / "t.csv"))
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
+    assert "t.csv" in out.stderr
+    out = run_cli(*base, "--trace", str(tmp_path / "t.csv"),
+                  "--positions", str(missing_dir / "p.csv"))
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
+    assert "p.csv" in out.stderr
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -85,10 +102,13 @@ def test_simulate_outputs_are_byte_identical(tmp_path):
     f1, h1 = tmp_path / "s1.txt", tmp_path / "h1.csv"
     f2, h2 = tmp_path / "s2.txt", tmp_path / "h2.csv"
     assert run_cli(*args, "--out", str(f1), "--hist", str(h1)).returncode == 0
-    assert run_cli(*args, "--out", str(f2), "--hist", str(h2)).returncode == 0
+    # a second run with another worker count writes the same bytes
+    assert run_cli(*args, "--workers", "2",
+                   "--out", str(f2), "--hist", str(h2)).returncode == 0
     assert f1.read_bytes() == f2.read_bytes()
     assert h1.read_bytes() == h2.read_bytes()
     text = f1.read_text()
+    assert text.startswith("# bmn stats v2\n")
     assert "setting = 12,1" in text and "seed = 7" in text
     assert "[summary]" in text
     assert h1.read_text().splitlines()[0] == "tricks,count"
@@ -163,6 +183,18 @@ def test_backward_depth_zero_find_balanced_echoes_seed():
     assert out.stdout.strip() == f"leader=A deck_a={a} deck_b={b}"
 
 
+@pytest.mark.parametrize("mode", [(), ("--find-balanced",)], ids=["list", "find-balanced"])
+@pytest.mark.parametrize("flag,value,name", [("--depth", "-3", "max_depth"),
+                                             ("--max-nodes", "0", "max_nodes")])
+def test_backward_rejects_bad_limits_in_both_modes(mode, flag, value, name):
+    a, b = BALANCED_12_1[0]
+    out = run_cli("backward", "--setting", "12,1", "--deck-a", a, "--deck-b", b,
+                  flag, value, *mode)
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: ") and name in out.stderr
+
+
 # ---------------------------------------------------------------------------
 # factory
 # ---------------------------------------------------------------------------
@@ -203,3 +235,23 @@ def test_factory_seed_decks_file(tmp_path):
                   "--rng-seed", "11", "--seed-decks", str(seeds))
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("complete setting=24,1 ")
+
+
+def test_factory_missing_seed_decks_file_exits_1(tmp_path):
+    missing = tmp_path / "absent.txt"
+    out = run_cli("factory", "--setting", "12,1", "--budget", "10",
+                  "--seed-decks", str(missing))
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
+    assert "absent.txt" in out.stderr
+
+
+@pytest.mark.parametrize("bad_line", ["[1CC]", "[1CC] [C1C] [C]", "[1CC] [C1X]"])
+def test_factory_malformed_seed_line_names_file_and_line(tmp_path, bad_line):
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text(f"# seeds\n[1CC] [C1C]\n\n{bad_line}\n")
+    out = run_cli("factory", "--setting", "12,1", "--budget", "10",
+                  "--seed-decks", str(seeds))
+    assert out.returncode == 1
+    assert out.stderr.startswith(f"error: {seeds}:4: ")
+    assert "unpack" not in out.stderr and "Traceback" not in out.stderr

@@ -1,0 +1,122 @@
+"""Loop-detecting play against the dict-of-states reference detector.
+
+`engine.play_match(detect_loops=True)` runs Brent's algorithm inside the
+match kernel. Its outcome must equal the reference's at every trick cap:
+Looped(transient, period) iff transient + period <= cap, Terminated iff
+the match ends within the cap, BudgetExceeded(cap) otherwise.
+"""
+
+import random
+import tracemalloc
+
+import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
+
+from bmn.engine import PLAYER_A, PLAYER_B, GameState, Looped, play_match, play_trick
+from conftest import (
+    BALANCED_12_1,
+    BALANCED_28_1,
+    BALANCED_28_3,
+    BLOCKS,
+    GOLDEN_MATCHES,
+    INF_40_1,
+    INF_52_4,
+    NONTERMINATING,
+    random_playable_state,
+    state,
+)
+from loop_oracle import dict_play_match
+
+PUBLISHED_LOOPS = ([INF_40_1, INF_52_4, BALANCED_28_1] + BLOCKS + BALANCED_12_1
+                   + BALANCED_28_3
+                   + [pair for pairs in NONTERMINATING.values() for pair in pairs])
+
+
+def assert_agrees(s: GameState, caps=(1, 2, 3, 7, 3000)):
+    """Same outcome as the reference at `caps`, and around a loop's end."""
+    full = dict_play_match(s, max(caps))
+    caps = set(caps)
+    if isinstance(full, Looped):
+        end = full.transient + full.period
+        caps |= {c for c in (end - 1, end, end + 1) if c >= 1}
+    for cap in sorted(caps):
+        assert play_match(s, cap) == dict_play_match(s, cap), (s, cap)
+    return full
+
+
+@hyp_settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.sampled_from([6, 8, 12, 16]),
+       st.integers(min_value=1, max_value=3))
+def test_random_small_states_agree(seed, max_cards, max_rank):
+    # random_playable_state picks either player to lead
+    rng = random.Random(seed)
+    assert_agrees(random_playable_state(rng, max_cards=max_cards, max_rank=max_rank))
+
+
+@hyp_settings(max_examples=150, deadline=None)
+@given(st.sampled_from(PUBLISHED_LOOPS),
+       st.sampled_from([PLAYER_A, PLAYER_B]),
+       st.integers(min_value=0, max_value=40))
+def test_states_along_published_matches_agree(pair, leader, walk):
+    """Start `walk` tricks into a published configuration: a shorter or
+    zero transient, and a leader that changes with the trick winner."""
+    s = state(*pair, leader=leader)
+    for _ in range(walk):
+        result = play_trick(s)
+        if result.terminal:
+            break
+        s = result.next_state
+    assert_agrees(s)
+
+
+def test_random_states_include_loops_for_both_leaders():
+    """The random-state generator does reach loops, led by either player."""
+    rng = random.Random(2024)
+    leaders = set()
+    for _ in range(4000):
+        s = random_playable_state(rng, max_cards=12, max_rank=1)
+        if isinstance(assert_agrees(s, caps=(3000,)), Looped):
+            leaders.add(s.leader)
+    assert leaders == {PLAYER_A, PLAYER_B}
+
+
+@pytest.mark.parametrize("pair", PUBLISHED_LOOPS)
+@pytest.mark.parametrize("leader", [PLAYER_A, PLAYER_B])
+def test_published_loops_agree_at_every_boundary_cap(pair, leader):
+    assert_agrees(state(*pair, leader=leader), caps=(1, 100_000))
+
+
+def test_published_loops_give_known_outcomes():
+    assert play_match(state(*INF_52_4)) == Looped(transient=4, period=62)
+    assert play_match(state(*INF_40_1)) == Looped(transient=1, period=20)
+    # Brent sees this loop only after the cap; the cap decides, not the detector
+    assert play_match(state(*INF_52_4), 66) == Looped(transient=4, period=62)
+    assert play_match(state(*INF_52_4), 65) == dict_play_match(state(*INF_52_4), 65)
+
+
+@pytest.mark.parametrize("golden", GOLDEN_MATCHES, ids=lambda g: f"{g[0]}-{g[4]}")
+def test_golden_matches_agree(golden):
+    _, a, b, _, tricks = golden
+    s = state(a, b)
+    for cap in (tricks - 1, tricks, 1_000_000):
+        assert play_match(s, cap) == dict_play_match(s, cap)
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_loop_detection_holds_constant_memory():
+    loop = state(*INF_40_1)
+    _, a, b, _, _ = GOLDEN_MATCHES[3]  # 1164 tricks
+    long_match = state(a, b)
+    bound = 32_000  # a few saved decks; the reference needs ~180 kB here
+    assert _peak_bytes(lambda: play_match(loop, max_tricks=10 ** 6)) < bound
+    assert _peak_bytes(lambda: play_match(long_match, max_tricks=10 ** 6)) < bound
+    assert _peak_bytes(lambda: dict_play_match(long_match, 10 ** 6)) > 4 * bound
