@@ -1,9 +1,8 @@
 """Counter-based splitmix64 streams shared by the simulator and search code.
 
 Per-match streams are derived from a (seed, index) pair, so any single match
-can be reproduced in isolation and batch results never depend on worker
-scheduling. The jitted kernels re-implement the same arithmetic; parity is
-pinned by tests.
+can be reproduced in isolation and batch results never depend on how a
+batch is split.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ class SplitMix64:
         return (self.next_u64() >> 11) * 2.0 ** -53
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates, draw-for-draw identical to the kernels."""
+        """In-place Fisher-Yates; the one shuffle behind every deal."""
         for i in range(len(items) - 1, 0, -1):
             j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]

@@ -127,6 +127,38 @@ def enumerate_predecessors(target: GameState) -> list:
     return out
 
 
+def discover(seed_states, config: BackwardSearchConfig):
+    """Yield (depth, state) for each state of a breadth-first backward search.
+
+    Every distinct seed comes first, at depth 0. Each later level holds the
+    predecessors of the level before it that were not seen yet, in
+    discovery order. Expansion stops at config.max_depth, or as soon as
+    config.max_nodes states (seeds included) are known.
+    """
+    visited = set()
+    level = []
+    for state in seed_states:
+        key = canonical_encoding(state)
+        if key not in visited:
+            visited.add(key)
+            level.append(state)
+            yield 0, state
+    depth = 0
+    while level and depth < config.max_depth and len(visited) < config.max_nodes:
+        depth += 1
+        previous, level = level, []
+        for state in previous:
+            for cand in enumerate_predecessors(state):
+                key = canonical_encoding(cand.state)
+                if key in visited:
+                    continue
+                visited.add(key)
+                level.append(cand.state)
+                yield depth, cand.state
+                if len(visited) >= config.max_nodes:
+                    return
+
+
 def backward_search(seed_states, config: BackwardSearchConfig) -> list:
     """Breadth-first predecessor expansion collecting balanced states.
 
@@ -135,45 +167,17 @@ def backward_search(seed_states, config: BackwardSearchConfig) -> list:
     the first hit. Exhausting depth or the node budget without a hit is a
     normal empty result.
     """
-    visited = set()
-    frontier = []
     balanced = []
     balanced_seen = set()
-
-    def consider(state) -> bool:
+    for _, state in discover(seed_states, config):
         if len(state.deck_a) != len(state.deck_b):
-            return False
+            continue
         std = standardize(state)
         key = canonical_encoding(std)
         if key in balanced_seen:
-            return False
+            continue
         balanced_seen.add(key)
         balanced.append(std)
-        return True
-
-    for state in seed_states:
-        key = canonical_encoding(state)
-        if key in visited:
-            continue
-        visited.add(key)
-        frontier.append(state)
-        if consider(state) and config.stop_on_balanced:
-            return balanced
-
-    depth = 0
-    while frontier and depth < config.max_depth and len(visited) < config.max_nodes:
-        depth += 1
-        next_frontier = []
-        for state in frontier:
-            for cand in enumerate_predecessors(state):
-                key = canonical_encoding(cand.state)
-                if key in visited:
-                    continue
-                if len(visited) >= config.max_nodes:
-                    return balanced
-                visited.add(key)
-                next_frontier.append(cand.state)
-                if consider(cand.state) and config.stop_on_balanced:
-                    return balanced
-        frontier = next_frontier
+        if config.stop_on_balanced:
+            break
     return balanced

@@ -91,13 +91,12 @@ def cmd_play(args) -> int:
 
 def _stats_text(config, summary, fit) -> str:
     lines = [
-        "# bmn stats v2",
+        "# bmn stats v3",
         f"version = {__version__}",
         f"setting = {config.settings}",
         f"matches = {config.matches}",
         f"seed = {config.seed}",
         f"max_tricks = {config.max_tricks}",
-        f"detect_loops = {str(config.detect_loops).lower()}",
         "",
         "[summary]",
         summary.to_text(),
@@ -126,7 +125,6 @@ def cmd_simulate(args) -> int:
     settings = Settings.parse(args.setting)
     config = simulator.SimConfig(settings=settings, matches=args.matches,
                                  seed=args.seed, max_tricks=args.max_tricks,
-                                 detect_loops=args.detect_loops,
                                  workers=args.workers)
     summary = simulator.run_batch(config)
     fit = None
@@ -191,21 +189,10 @@ def cmd_backward(args) -> int:
                   f"deck_b={format_deck(found.deck_b)}")
         return 0
     # plain listing of the predecessor tree up to the requested depth
-    seen = {engine.canonical_encoding(state)}
-    frontier = [state]
-    for _ in range(config.max_depth):
-        nxt = []
-        for s in frontier:
-            for cand in backward.enumerate_predecessors(s):
-                key = engine.canonical_encoding(cand.state)
-                if key in seen or len(seen) >= config.max_nodes:
-                    continue
-                seen.add(key)
-                nxt.append(cand.state)
-                print(f"leader={cand.state.leader} "
-                      f"deck_a={format_deck(cand.state.deck_a)} "
-                      f"deck_b={format_deck(cand.state.deck_b)}")
-        frontier = nxt
+    for depth, found in backward.discover([state], config):
+        if depth > 0:
+            print(f"leader={found.leader} deck_a={format_deck(found.deck_a)} "
+                  f"deck_b={format_deck(found.deck_b)}")
     return 0
 
 
@@ -316,10 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--setting", required=True)
     p.add_argument("--matches", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="changes no result; the batch runs in one process")
     p.add_argument("--max-tricks", type=int, default=engine.DEFAULT_BATCH_TRICKS)
-    p.add_argument("--detect-loops", action="store_true",
-                   help="per-match loop detection (slow; off by default)")
     p.add_argument("--out", help="write the stats file here (default stdout)")
     p.add_argument("--hist", help="write the histogram CSV here")
     p.add_argument("--fit", metavar="LO,HI",

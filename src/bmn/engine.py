@@ -49,11 +49,8 @@ class Settings:
 
     n_total: int
     max_rank: int
-    suits: int = 4
 
     def __post_init__(self):
-        if self.suits != 4:
-            raise ValueError("only four-suited decks are supported")
         if self.n_total < 2 or self.n_total % 2 != 0:
             raise ValueError(f"n_total must be even and >= 2, got {self.n_total}")
         if not 1 <= self.max_rank <= 9:
@@ -237,30 +234,25 @@ def play_trick(state: GameState) -> TrickResult:
 
 
 def _trace_states(initial: GameState, max_tricks: int):
-    """Iterate tricks, keeping every state, with recurrence detection.
+    """Play a match as play_match does and keep every state it visits.
 
     Returns (outcome, states) where states[i] is the state after trick i
-    (states[0] is the initial state). For a Looped outcome the repeated
-    state is not appended again; for Terminated the final state is included.
+    (states[0] is the initial state). The outcome comes from the match
+    kernel; play_trick then replays exactly the states it covers. For a
+    Looped outcome the repeated state is not appended again; for
+    Terminated the final state is included.
     """
-    seen = {canonical_encoding(initial): 0}
+    outcome = play_match(initial, max_tricks)
+    if isinstance(outcome, Looped):
+        tricks = outcome.transient + outcome.period - 1
+    elif isinstance(outcome, Terminated):
+        tricks = outcome.tricks
+    else:
+        tricks = outcome.tricks_played
     states = [initial]
-    state = initial
-    tricks = 0
-    while tricks < max_tricks:
-        result = play_trick(state)
-        tricks += 1
-        state = result.next_state
-        if result.terminal:
-            states.append(state)
-            return Terminated(result.winner, tricks), states
-        key = canonical_encoding(state)
-        first = seen.get(key)
-        if first is not None:
-            return Looped(first, tricks - first), states
-        seen[key] = tricks
-        states.append(state)
-    return BudgetExceeded(tricks), states
+    for _ in range(tricks):
+        states.append(play_trick(states[-1]).next_state)
+    return outcome, states
 
 
 def play_match(initial: GameState, max_tricks: int = DEFAULT_MATCH_TRICKS,

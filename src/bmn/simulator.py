@@ -13,13 +13,15 @@ from .engine import PLAYER_A, GameState, Settings
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Batch parameters. Match i always draws from the (seed, i) stream."""
+    """Batch parameters. Match i always draws from the (seed, i) stream.
+
+    `workers` cannot change a result; the batch runs in one process.
+    """
 
     settings: Settings
     matches: int
     seed: int = 0
     max_tricks: int = engine.DEFAULT_BATCH_TRICKS
-    detect_loops: bool = False
     workers: int = 1
 
     def __post_init__(self):
@@ -54,21 +56,13 @@ def match_state(config: SimConfig, index: int) -> GameState:
 def run_batch(config: SimConfig) -> stats.DurationSummary:
     """Play config.matches independent matches and summarize the durations.
 
-    Results are bitwise identical for any worker count and either kernel
-    backend. With detect_loops=False (the default) matches run on the fast
-    kernel; any match that hits the trick budget is replayed individually
-    with loop detection so loops and genuinely over-budget matches are
-    reported apart.
+    Matches run on the raw batch kernel. Any match that hits the trick
+    budget is replayed with loop detection, so loops and genuinely
+    over-budget matches are reported apart. Results are bitwise identical
+    for any worker count.
     """
-    if config.detect_loops:
-        return stats.summarize(
-            engine.play_match(match_state(config, i), config.max_tricks,
-                              detect_loops=True)
-            for i in range(config.matches))
-
     durations, winners = _kernels.simulate_batch(
-        config.matches, config.settings.n_total, config.settings.max_rank,
-        config.seed, config.max_tricks, config.workers)
+        config.matches, full_deck(config.settings), config.seed, config.max_tricks)
 
     histogram: dict[int, int] = {}
     term = winners >= 0

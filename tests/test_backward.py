@@ -111,6 +111,38 @@ def test_backward_search_node_budget_is_a_normal_empty_return():
     assert backward_search([target], config) == []
 
 
+def test_discover_walks_levels_and_stops_at_the_node_budget(monkeypatch):
+    target = state("[CCCCCCC21C]", "[1C]")
+    found = list(backward.discover([target], BackwardSearchConfig(max_depth=3)))
+    assert found[0] == (0, target)
+    assert [d for d, _ in found] == sorted(d for d, _ in found)
+    levels = {}
+    for depth, s in found:
+        levels.setdefault(depth, set()).add(s)
+    assert sorted(levels) == [0, 1, 2, 3]
+    for depth in (1, 2, 3):
+        for s in levels[depth]:
+            assert play_trick(s).next_state in levels[depth - 1]
+
+    calls = []
+    real = backward.enumerate_predecessors
+    monkeypatch.setattr(backward, "enumerate_predecessors",
+                        lambda s: calls.append(s) or real(s))
+    # the 14th state is the first predecessor of the 5th, mid-level
+    cut = list(backward.discover([target], BackwardSearchConfig(max_depth=3,
+                                                                max_nodes=14)))
+    assert cut == found[:14]
+    # no state is expanded after the budget is spent
+    assert calls[-1] == play_trick(cut[-1][1]).next_state
+
+
+def test_discover_keeps_every_seed_even_over_budget():
+    seeds = [state(*pair) for pair in (("[1CC]", "[C1C]"), ("[C1C]", "[1CC]"),
+                                       ("[CC1]", "[1CC]"))]
+    config = BackwardSearchConfig(max_depth=3, max_nodes=2)
+    assert list(backward.discover(seeds + seeds, config)) == [(0, s) for s in seeds]
+
+
 def test_balanced_states_feed_the_52_4_loop():
     # balanced pre-loop states exist within a few backward steps
     report = cycles.verify_loop(state(*INF_52_4))

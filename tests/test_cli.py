@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
-from conftest import BALANCED_12_1, GOLDEN_MATCHES, INF_52_4
+from bmn import backward, cli
+from bmn.engine import canonical_encoding, format_deck
+from conftest import BALANCED_12_1, GOLDEN_MATCHES, INF_52_4, state
 
 PLAY_420 = GOLDEN_MATCHES[0]
 
@@ -108,7 +110,8 @@ def test_simulate_outputs_are_byte_identical(tmp_path):
     assert f1.read_bytes() == f2.read_bytes()
     assert h1.read_bytes() == h2.read_bytes()
     text = f1.read_text()
-    assert text.startswith("# bmn stats v2\n")
+    assert text.startswith("# bmn stats v3\n")
+    assert "detect_loops" not in text
     assert "setting = 12,1" in text and "seed = 7" in text
     assert "[summary]" in text
     assert h1.read_text().splitlines()[0] == "tricks,count"
@@ -181,6 +184,41 @@ def test_backward_depth_zero_find_balanced_echoes_seed():
                   "--deck-b", b, "--depth", "0", "--find-balanced")
     assert out.returncode == 0
     assert out.stdout.strip() == f"leader=A deck_a={a} deck_b={b}"
+
+
+def _reference_listing(target, depth, max_nodes):
+    """Listing lines of a level-by-level predecessor walk that stops adding
+    states once `max_nodes` (the target included) are known."""
+    seen = {canonical_encoding(target)}
+    frontier, lines = [target], []
+    for _ in range(depth):
+        nxt = []
+        for s in frontier:
+            for cand in backward.enumerate_predecessors(s):
+                key = canonical_encoding(cand.state)
+                if key in seen or len(seen) >= max_nodes:
+                    continue
+                seen.add(key)
+                nxt.append(cand.state)
+                lines.append(f"leader={cand.state.leader} "
+                             f"deck_a={format_deck(cand.state.deck_a)} "
+                             f"deck_b={format_deck(cand.state.deck_b)}")
+        frontier = nxt
+    return lines
+
+
+@pytest.mark.parametrize("max_nodes", [1, 2, 10, 47, 1_000_000])
+def test_backward_listing_lines_and_node_budget(capsys, max_nodes):
+    a, b = "[CCCCCCC21C]", "[1C]"
+    full = _reference_listing(state(a, b), 3, 1_000_000)
+    assert len(full) == 46
+    rc = cli.main(["backward", "--setting", "12,2", "--deck-a", a, "--deck-b", b,
+                   "--depth", "3", "--max-nodes", str(max_nodes)])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == _reference_listing(state(a, b), 3, max_nodes)
+    # the budget counts the target, so N nodes list N - 1 states
+    assert lines == full[:max_nodes - 1]
 
 
 @pytest.mark.parametrize("mode", [(), ("--find-balanced",)], ids=["list", "find-balanced"])

@@ -4,6 +4,8 @@
 match kernel. Its outcome must equal the reference's at every trick cap:
 Looped(transient, period) iff transient + period <= cap, Terminated iff
 the match ends within the cap, BudgetExceeded(cap) otherwise.
+`engine._trace_states` takes its outcome from the kernel and must keep
+the same states the reference keeps.
 """
 
 import random
@@ -12,7 +14,15 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from bmn.engine import PLAYER_A, PLAYER_B, GameState, Looped, play_match, play_trick
+from bmn.engine import (
+    PLAYER_A,
+    PLAYER_B,
+    GameState,
+    Looped,
+    _trace_states,
+    play_match,
+    play_trick,
+)
 from conftest import (
     BALANCED_12_1,
     BALANCED_28_1,
@@ -25,7 +35,7 @@ from conftest import (
     random_playable_state,
     state,
 )
-from loop_oracle import dict_play_match
+from loop_oracle import dict_play_match, dict_trace_states
 
 PUBLISHED_LOOPS = ([INF_40_1, INF_52_4, BALANCED_28_1] + BLOCKS + BALANCED_12_1
                    + BALANCED_28_3
@@ -103,6 +113,30 @@ def test_golden_matches_agree(golden):
         assert play_match(s, cap) == dict_play_match(s, cap)
 
 
+@pytest.mark.parametrize("pair", PUBLISHED_LOOPS)
+@pytest.mark.parametrize("leader", [PLAYER_A, PLAYER_B])
+def test_trace_states_agree_on_published_loops(pair, leader):
+    s = state(*pair, leader=leader)
+    for cap in (1, 5, 66, 100_000):
+        assert _trace_states(s, cap) == dict_trace_states(s, cap), cap
+
+
+@hyp_settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.sampled_from([1, 2, 7, 3000]))
+def test_trace_states_agree_on_random_states(seed, cap):
+    s = random_playable_state(random.Random(seed), max_cards=12, max_rank=2)
+    assert _trace_states(s, cap) == dict_trace_states(s, cap)
+
+
+@pytest.mark.parametrize("golden", GOLDEN_MATCHES, ids=lambda g: f"{g[0]}-{g[4]}")
+def test_trace_states_agree_on_golden_matches(golden):
+    _, a, b, _, tricks = golden
+    s = state(a, b)
+    for cap in (tricks - 1, tricks):
+        assert _trace_states(s, cap) == dict_trace_states(s, cap)
+
+
 def _peak_bytes(fn):
     tracemalloc.start()
     try:
@@ -116,7 +150,7 @@ def test_loop_detection_holds_constant_memory():
     loop = state(*INF_40_1)
     _, a, b, _, _ = GOLDEN_MATCHES[3]  # 1164 tricks
     long_match = state(a, b)
-    bound = 32_000  # a few saved decks; the reference needs ~180 kB here
+    bound = 32_000  # a few saved decks; the reference needs ~870 kB here
     assert _peak_bytes(lambda: play_match(loop, max_tricks=10 ** 6)) < bound
     assert _peak_bytes(lambda: play_match(long_match, max_tricks=10 ** 6)) < bound
     assert _peak_bytes(lambda: dict_play_match(long_match, 10 ** 6)) > 4 * bound

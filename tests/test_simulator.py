@@ -77,17 +77,17 @@ def test_run_batch_workers_do_not_change_results():
 
 
 def test_run_batch_detect_loops_agrees_with_fast_path():
-    # (12,1) has only 495 distinct deals and some of them cycle, so both
-    # code paths (per-match detection vs kernel + re-analysis) must agree
-    slow = SimConfig(settings=Settings(12, 1), matches=800, seed=3,
-                     detect_loops=True)
-    fast = SimConfig(settings=Settings(12, 1), matches=800, seed=3,
-                     detect_loops=False)
-    s_slow = run_batch(slow)
-    s_fast = run_batch(fast)
-    assert s_slow == s_fast
-    assert s_slow.loop_count > 0
-    assert s_slow.budget_exceeded_count == 0
+    # (12,1) has only 495 distinct deals and some of them cycle: the kernel
+    # plus the replay of over-budget matches must report what loop-detecting
+    # play of every match reports, loops and over-budget matches included
+    for cap in (1, 3, 10, 100_000):
+        cfg = SimConfig(settings=Settings(12, 1), matches=800, seed=3, max_tricks=cap)
+        expected = stats.summarize(
+            play_match(match_state(cfg, i), cap, detect_loops=True)
+            for i in range(cfg.matches))
+        assert run_batch(cfg) == expected, cap
+    assert expected.loop_count > 0
+    assert expected.budget_exceeded_count == 0
 
 
 def test_run_batch_small_setting_statistics():
