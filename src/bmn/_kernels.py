@@ -5,7 +5,9 @@ trick budget; loop-checking play (`play_match_loops`) runs Brent's cycle
 detector on the same loop, saving one state at a time and finding the
 exact transient with a second lockstep pass. A batch draws match i's deal
 from the (seed, i) splitmix64 stream, so its results do not depend on how
-the batch is split.
+the batch is split. It deals blocks of up to `_DEAL_BLOCK` matches in
+lockstep with numpy `uint64` arithmetic (`deal_block`), bit-identical to
+`SplitMix64.shuffle` of each stream, and plays them one by one.
 
 Card coding: 0 is an ordinary card, 1..9 are special ranks. Players are
 coded 0 (A) and 1 (B). Match status codes: 0 = terminated, 1 = looped,
@@ -18,7 +20,7 @@ from collections import deque
 
 import numpy as np
 
-from ._rng import SplitMix64, stream_state
+from ._rng import _MIX1, _MIX2, GOLDEN, MASK64
 
 
 def backend() -> str:
@@ -167,8 +169,55 @@ def play_match_loops(deck_a, deck_b, leader, max_tricks):
 play_match_raw = _py_match
 
 
-def simulate_batch(n_matches, deck, seed, max_tricks):
-    """Deal and play `n_matches` independent matches without loop detection.
+_U64 = np.uint64
+
+#: Matches dealt together. The block, not the batch, bounds the deal's
+#: memory. A (40,3) block of 1024 deals in about 7 ms on a 2-core Xeon,
+#: some 15 % of the time its matches take to play.
+_DEAL_BLOCK = 1024
+
+
+def _fmix64_rows(z):
+    """`_rng.fmix64` of every element of a uint64 array (a new array)."""
+    z = z ^ (z >> _U64(30))
+    z *= _U64(_MIX1)
+    z ^= z >> _U64(27)
+    z *= _U64(_MIX2)
+    return z ^ (z >> _U64(31))
+
+
+def deal_block(deck, seed, start, count):
+    """Shuffle `count` copies of `deck` at once, one splitmix64 stream per row.
+
+    Row k is bit for bit `deck` after `SplitMix64.for_stream(seed, start + k)
+    .shuffle`: all streams take each Fisher-Yates step together, and in
+    `below`'s masked rejection only the rows whose draw was rejected draw
+    again. Returns a (count, len(deck)) uint8 array.
+    """
+    index = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    state = _fmix64_rows(_U64(seed & MASK64) ^ _fmix64_rows(index))
+    cards = np.tile(np.asarray(deck, dtype=np.uint8), (count, 1))
+    rows = np.arange(count)
+    for i in range(len(deck) - 1, 0, -1):
+        n = i + 1
+        mask = _U64((1 << i.bit_length()) - 1)
+        state += _U64(GOLDEN)
+        j = _fmix64_rows(state) & mask
+        redraw = np.flatnonzero(j >= n)
+        while redraw.size:
+            s = state[redraw] + _U64(GOLDEN)
+            state[redraw] = s
+            r = _fmix64_rows(s) & mask
+            j[redraw] = r
+            redraw = redraw[r >= n]
+        top = cards[:, i].copy()
+        cards[:, i] = cards[rows, j]
+        cards[rows, j] = top
+    return cards
+
+
+def simulate_batch(n_matches, deck, seed, max_tricks, start=0):
+    """Deal and play matches start .. start + n_matches - 1 without loop detection.
 
     Match i shuffles a copy of `deck` (the full multiset in canonical order)
     with the (seed, i) stream and gives each player half. Returns
@@ -179,12 +228,13 @@ def simulate_batch(n_matches, deck, seed, max_tricks):
         raise ValueError("max_tricks too large for the batch kernel")
     durations = np.empty(n_matches, dtype=np.int32)
     winners = np.empty(n_matches, dtype=np.int8)
-    base = list(deck)
-    half = len(base) // 2
-    for idx in range(n_matches):
-        cards = base.copy()
-        SplitMix64(stream_state(seed, idx)).shuffle(cards)
-        _, winner, tricks = _py_match(cards[:half], cards[half:], 0, max_tricks)
-        durations[idx] = tricks
-        winners[idx] = winner
+    half = len(deck) // 2
+    for lo in range(0, n_matches, _DEAL_BLOCK):
+        cards = deal_block(deck, seed, start + lo,
+                           min(_DEAL_BLOCK, n_matches - lo))
+        halves = zip(cards[:, :half].tolist(), cards[:, half:].tolist())
+        for idx, (deck_a, deck_b) in enumerate(halves, lo):
+            _, winner, tricks = _py_match(deck_a, deck_b, 0, max_tricks)
+            durations[idx] = tricks
+            winners[idx] = winner
     return durations, winners

@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matches", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1,
-                   help="changes no result; the batch runs in one process")
+                   help="play the batch on up to N processes; changes no result")
     p.add_argument("--max-tricks", type=int, default=engine.DEFAULT_BATCH_TRICKS)
     p.add_argument("--out", help="write the stats file here (default stdout)")
     p.add_argument("--hist", help="write the histogram CSV here")

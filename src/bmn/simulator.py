@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +16,9 @@ from .engine import PLAYER_A, GameState, Settings
 class SimConfig:
     """Batch parameters. Match i always draws from the (seed, i) stream.
 
-    `workers` cannot change a result; the batch runs in one process.
+    The batch is dealt in lockstep blocks and played on up to `workers`
+    processes, each taking a contiguous range of match indices; no worker
+    count changes a result.
     """
 
     settings: Settings
@@ -53,16 +56,51 @@ def match_state(config: SimConfig, index: int) -> GameState:
     return deal(config.settings, SplitMix64.for_stream(config.seed, index))
 
 
+def pool_size(workers: int, matches: int) -> int:
+    """Processes a batch runs on: never more than its matches or the cores."""
+    return min(workers, matches, os.cpu_count() or 1)
+
+
+def _play_range(lo: int, hi: int, deck: list, seed: int, max_tricks: int):
+    """Worker task: the batch kernel over match indices lo .. hi - 1.
+
+    The pool sends it by name and it looks the kernel up when called, so
+    the kernel may be wrapped at run time (say, by a tracer).
+    """
+    return _kernels.simulate_batch(hi - lo, deck, seed, max_tricks, lo)
+
+
+def _play_all(config: SimConfig):
+    """(durations, winners) of every match, in index order."""
+    deck = full_deck(config.settings)
+    procs = pool_size(config.workers, config.matches)
+    if procs == 1:
+        return _play_range(0, config.matches, deck, config.seed, config.max_tricks)
+    # Imported here so that `import bmn` does not pay for the pool. Workers
+    # are forked: they need nothing but the loaded package, and a fresh
+    # interpreter per worker would cost more than a small batch plays.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    bounds = [config.matches * k // procs for k in range(procs + 1)]
+    with ProcessPoolExecutor(procs, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = [pool.submit(_play_range, lo, hi, deck, config.seed, config.max_tricks)
+                   for lo, hi in zip(bounds, bounds[1:])]
+        parts = [future.result() for future in futures]
+    return (np.concatenate([d for d, _ in parts]),
+            np.concatenate([w for _, w in parts]))
+
+
 def run_batch(config: SimConfig) -> stats.DurationSummary:
     """Play config.matches independent matches and summarize the durations.
 
-    Matches run on the raw batch kernel. Any match that hits the trick
-    budget is replayed with loop detection, so loops and genuinely
+    Matches run on the raw batch kernel, split into contiguous index ranges
+    over up to config.workers processes. Any match that hits the trick
+    budget is replayed here with loop detection, so loops and genuinely
     over-budget matches are reported apart. Results are bitwise identical
     for any worker count.
     """
-    durations, winners = _kernels.simulate_batch(
-        config.matches, full_deck(config.settings), config.seed, config.max_tricks)
+    durations, winners = _play_all(config)
 
     histogram: dict[int, int] = {}
     term = winners >= 0

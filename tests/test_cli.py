@@ -102,13 +102,14 @@ def test_play_unwritable_output_paths_exit_1(tmp_path):
 def test_simulate_outputs_are_byte_identical(tmp_path):
     args = ("simulate", "--setting", "12,1", "--matches", "300", "--seed", "7")
     f1, h1 = tmp_path / "s1.txt", tmp_path / "h1.csv"
-    f2, h2 = tmp_path / "s2.txt", tmp_path / "h2.csv"
     assert run_cli(*args, "--out", str(f1), "--hist", str(h1)).returncode == 0
-    # a second run with another worker count writes the same bytes
-    assert run_cli(*args, "--workers", "2",
-                   "--out", str(f2), "--hist", str(h2)).returncode == 0
-    assert f1.read_bytes() == f2.read_bytes()
-    assert h1.read_bytes() == h2.read_bytes()
+    # runs with other worker counts write the same bytes
+    for workers in ("2", "3"):
+        f2, h2 = tmp_path / f"s{workers}.txt", tmp_path / f"h{workers}.csv"
+        assert run_cli(*args, "--workers", workers,
+                       "--out", str(f2), "--hist", str(h2)).returncode == 0
+        assert f1.read_bytes() == f2.read_bytes()
+        assert h1.read_bytes() == h2.read_bytes()
     text = f1.read_text()
     assert text.startswith("# bmn stats v3\n")
     assert "detect_loops" not in text

@@ -1,8 +1,11 @@
 """Simulator tests: deal uniformity, reproducibility, batch aggregation."""
 
+import math
+import os
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bmn import simulator, stats
@@ -74,6 +77,48 @@ def test_run_batch_workers_do_not_change_results():
     base = SimConfig(settings=Settings(40, 3), matches=2000, seed=11, workers=1)
     multi = SimConfig(settings=Settings(40, 3), matches=2000, seed=11, workers=2)
     assert run_batch(base) == run_batch(multi)
+
+
+@pytest.mark.parametrize("setting, matches, cap", [
+    ((40, 3), 1, 10 ** 6),    # fewer matches than workers
+    ((40, 3), 2, 10 ** 6),
+    ((40, 3), 3, 10 ** 6),
+    ((12, 1), 2001, 50),      # odd count; over-budget matches replayed as loops
+])
+def test_worker_ranges_concatenate_in_index_order(monkeypatch, setting, matches, cap):
+    # three cores, so that three workers really run three ranges
+    monkeypatch.setattr(simulator.os, "cpu_count", lambda: 3)
+    configs = [SimConfig(settings=Settings(*setting), matches=matches, seed=5,
+                         max_tricks=cap, workers=w) for w in (1, 2, 3)]
+    durations, winners = simulator._play_all(configs[0])
+    summary = run_batch(configs[0])
+    assert summary.matches == matches and not math.isnan(summary.mean)
+    for cfg in configs[1:]:
+        d, w = simulator._play_all(cfg)
+        assert np.array_equal(d, durations) and np.array_equal(w, winners)
+        assert run_batch(cfg) == summary
+
+
+def test_run_batch_plays_in_worker_processes(monkeypatch):
+    monkeypatch.setattr(simulator.os, "cpu_count", lambda: 2)
+    before = os.times()
+    run_batch(SimConfig(settings=Settings(40, 3), matches=4000, seed=2, workers=2))
+    after = os.times()
+    # the pool's processes have exited and been waited for
+    assert (after.children_user + after.children_system
+            > before.children_user + before.children_system)
+
+
+def test_pool_size_caps_at_matches_and_cores(monkeypatch):
+    # computed only: no pool is started here
+    monkeypatch.setattr(simulator.os, "cpu_count", lambda: 8)
+    assert simulator.pool_size(1, 100) == 1
+    assert simulator.pool_size(3, 100) == 3
+    assert simulator.pool_size(10 ** 6, 100) == 8
+    assert simulator.pool_size(10 ** 6, 5) == 5
+    assert simulator.pool_size(2, 1) == 1
+    monkeypatch.setattr(simulator.os, "cpu_count", lambda: None)
+    assert simulator.pool_size(4, 100) == 1
 
 
 def test_run_batch_detect_loops_agrees_with_fast_path():
