@@ -1,13 +1,15 @@
 """The match kernels: the one trick loop, raw and loop-checking play, batches.
 
-Every match the package plays runs through `_py_run`. Raw play stops at a
-trick budget; loop-checking play (`play_match_loops`) runs Brent's cycle
-detector on the same loop, saving one state at a time and finding the
-exact transient with a second lockstep pass. A batch draws match i's deal
-from the (seed, i) splitmix64 stream, so its results do not depend on how
-the batch is split. It deals blocks of up to `_DEAL_BLOCK` matches in
-lockstep with numpy `uint64` arithmetic (`deal_block`), bit-identical to
-`SplitMix64.shuffle` of each stream, and plays them one by one.
+Every trick the package plays runs through `_py_run`: whole matches,
+single tricks (`engine.play_trick`) and state walks (`engine.walk`). Raw
+play stops at a trick budget; loop-checking play (`play_match_loops`) runs
+Brent's cycle detector on the same loop, saving one state at a time and
+finding the exact transient with a second lockstep pass. A batch draws
+match i's deal from the (seed, i) splitmix64 stream, so its results do not
+depend on how the batch is split. It deals blocks of up to `_DEAL_BLOCK`
+matches in lockstep with numpy `uint64` arithmetic (`deal_block`),
+bit-identical to `SplitMix64.shuffle` of each stream, and plays them one
+by one.
 
 Card coding: 0 is an ordinary card, 1..9 are special ranks. Players are
 coded 0 (A) and 1 (B). Match status codes: 0 = terminated, 1 = looped,
@@ -32,9 +34,10 @@ def _py_run(decks, cur, n, watch=None):
     """Play up to `n` tricks in place; the package's one trick loop.
 
     `decks` is a list of two deques, `cur` the player leading the next
-    trick. Returns (status, player, tricks played): status 0 means the
-    match ended and `player` won it; 2 means `n` tricks were played and
-    `player` leads the next one. With `watch = (leader, deque_a, deque_b)`
+    trick. Returns (status, player, tricks played, pile): status 0 means
+    the match ended and `player` won it; 2 means `n` tricks were played and
+    `player` leads the next one. `pile` lists the cards of the last trick
+    played, in play order. With `watch = (leader, deque_a, deque_b)`
     the run also stops with status 1 at the first trick boundary whose
     state equals `watch`; the decks are compared only when the leader and
     the deck sizes already match.
@@ -43,6 +46,7 @@ def _py_run(decks, cur, n, watch=None):
         w_cur, w_a, w_b = watch
         w_len = len(w_a)
     tricks = 0
+    pile = []
     while tricks < n:
         pending = 0
         challenger = 0
@@ -70,13 +74,13 @@ def _py_run(decks, cur, n, watch=None):
         decks[winner].extend(pile)
         tricks += 1
         if not decks[1 - winner]:
-            return 0, winner, tricks
+            return 0, winner, tricks, pile
         cur = winner
         if watch is not None:
             if (cur == w_cur and len(decks[0]) == w_len
                     and decks[0] == w_a and decks[1] == w_b):
-                return 1, cur, tricks
-    return 2, cur, tricks
+                return 1, cur, tricks, pile
+    return 2, cur, tricks, pile
 
 
 def _py_match(deck_a, deck_b, leader, max_tricks):
@@ -84,8 +88,8 @@ def _py_match(deck_a, deck_b, leader, max_tricks):
 
     The winner is -1 unless status is 0.
     """
-    status, player, tricks = _py_run([deque(deck_a), deque(deck_b)], leader,
-                                     max_tricks)
+    status, player, tricks, _ = _py_run([deque(deck_a), deque(deck_b)], leader,
+                                        max_tricks)
     if status == 0:
         return 0, player, tricks
     return 2, -1, tricks
@@ -100,14 +104,14 @@ def _py_transient(deck_a, deck_b, leader, period, max_transient):
     """
     behind = [deque(deck_a), deque(deck_b)]
     ahead = [deque(deck_a), deque(deck_b)]
-    _, c_ahead, _ = _py_run(ahead, leader, period)
+    _, c_ahead, _, _ = _py_run(ahead, leader, period)
     c_behind = leader
     transient = 0
     while c_behind != c_ahead or behind != ahead:
         if transient == max_transient:
             return None
-        _, c_behind, _ = _py_run(behind, c_behind, 1)
-        _, c_ahead, _ = _py_run(ahead, c_ahead, 1)
+        _, c_behind, _, _ = _py_run(behind, c_behind, 1)
+        _, c_ahead, _, _ = _py_run(ahead, c_ahead, 1)
         transient += 1
     return transient
 
@@ -148,7 +152,7 @@ def play_match_loops(deck_a, deck_b, leader, max_tricks):
     block = first
     while tricks < limit:
         saved = (cur, deque(decks[0]), deque(decks[1]))
-        status, cur, played = _py_run(decks, cur, min(block, limit - tricks), saved)
+        status, cur, played, _ = _py_run(decks, cur, min(block, limit - tricks), saved)
         tricks += played
         if status == 0:
             if tricks <= max_tricks:

@@ -126,11 +126,20 @@ def trace_match(initial: GameState,
                 max_tricks: int = engine.DEFAULT_MATCH_TRICKS
                 ) -> tuple[list, MatchOutcome]:
     """Play a match with loop detection, recording one TrickRecord per
-    trick boundary (record 0 describes the initial state)."""
-    if not initial.playable:
-        raise engine.UnplayableStateError("initial state must be playable")
-    outcome, states = engine._trace_states(initial, max_tricks)
-    records = [record_for(i, s) for i, s in enumerate(states)]
+    trick boundary (record 0 describes the initial state).
+
+    The outcome comes from the match kernel; a walk then replays exactly
+    the states it covers. A loop's repeated state is not recorded again;
+    a terminated match's final state is.
+    """
+    outcome = engine.play_match(initial, max_tricks)
+    if isinstance(outcome, engine.Looped):
+        tricks = outcome.transient + outcome.period - 1
+    elif isinstance(outcome, engine.Terminated):
+        tricks = outcome.tricks
+    else:
+        tricks = outcome.tricks_played
+    records = [record_for(i, s) for i, s in enumerate(engine.walk(initial, tricks))]
     return records, outcome
 
 

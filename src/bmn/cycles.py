@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from . import engine
 from .engine import (
@@ -12,9 +13,7 @@ from .engine import (
     Looped,
     Settings,
     Terminated,
-    canonical_encoding,
     format_deck,
-    play_trick,
 )
 
 
@@ -68,27 +67,26 @@ def verify_loop(initial: GameState,
                 max_tricks: int = engine.DEFAULT_MATCH_TRICKS) -> LoopReport:
     """Detect a cycle from `initial` and re-verify it by direct replay.
 
-    Raises NotALoopError if the match terminates and UndecidedError if the
-    trick budget runs out first.
+    The replay keeps only the `period` states of the cycle. Raises
+    NotALoopError if the match terminates and UndecidedError if the trick
+    budget runs out first.
     """
-    outcome, states = engine._trace_states(initial, max_tricks)
+    outcome = engine.play_match(initial, max_tricks)
     if isinstance(outcome, Terminated):
         raise NotALoopError(outcome)
     if not isinstance(outcome, Looped):
         raise UndecidedError(f"no recurrence within {max_tricks} tricks")
-    loop_states = tuple(states[outcome.transient:outcome.transient + outcome.period])
+    start, period = outcome.transient, outcome.period
+    states = engine.walk(initial, start + period)
+    loop_states = tuple(islice(states, start, start + period))
     # independent re-check: one full period of play returns to the entry state
-    walk = loop_states[0]
-    for i in range(outcome.period):
-        walk = play_trick(walk).next_state
-        expected = loop_states[(i + 1) % outcome.period]
-        if walk != expected:
-            raise RuntimeError("loop replay diverged from the recorded cycle")
+    if next(states) != loop_states[0]:
+        raise RuntimeError("loop replay diverged from the recorded cycle")
     balanced = tuple(
-        (outcome.transient + i, standardize(s))
+        (start + i, standardize(s))
         for i, s in enumerate(loop_states)
         if len(s.deck_a) == len(s.deck_b))
-    return LoopReport(transient=outcome.transient, period=outcome.period,
+    return LoopReport(transient=start, period=period,
                       states_in_loop=loop_states, balanced_entries=balanced)
 
 
@@ -103,9 +101,8 @@ def scan_balanced_entries(report: LoopReport, settings: Settings) -> tuple:
     for _, state in report.balanced_entries:
         if len(state.deck_a) != settings.half or len(state.deck_b) != settings.half:
             continue
-        key = canonical_encoding(state)
-        if key in seen:
+        if state in seen:
             continue
-        seen.add(key)
+        seen.add(state)
         out.append(state)
     return tuple(out)

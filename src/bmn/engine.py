@@ -4,7 +4,10 @@ Cards carry only a rank: 0 is an ordinary card (written ``C``), ranks 1..9
 are special cards that force the opponent to answer with up to that many
 cards. Suits never matter for the dynamics and are not modeled. Decks are
 plain tuples with index 0 on top; states are immutable values, so every
-operation here is pure and safe to share between threads.
+operation here is pure and safe to share between threads. A state's
+identity is its value: equal `GameState`s are the same state, and they
+serve directly as set and dict keys. Every trick is played by the match
+kernel's one trick loop, `_kernels._py_run`.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from . import _kernels
 PLAYER_A = "A"
 PLAYER_B = "B"
 _PLAYER_CODE = {PLAYER_A: 0, PLAYER_B: 1}
+_PLAYERS = (PLAYER_A, PLAYER_B)
 
 #: Trick budget for single-match play (loop detection on by default).
 DEFAULT_MATCH_TRICKS = 1_000_000
@@ -176,15 +180,6 @@ def format_deck(deck: Deck) -> str:
     return "[" + "".join("C" if c == 0 else str(c) for c in deck) + "]"
 
 
-def canonical_encoding(state: GameState) -> bytes:
-    """Stable injective byte encoding of a state (index key for recurrence).
-
-    Card values are 0..9, so 0xff separates the decks unambiguously.
-    """
-    return (bytes((_PLAYER_CODE[state.leader],))
-            + bytes(state.deck_a) + b"\xff" + bytes(state.deck_b))
-
-
 # ---------------------------------------------------------------------------
 # Trick and match execution
 # ---------------------------------------------------------------------------
@@ -204,55 +199,25 @@ def play_trick(state: GameState) -> TrickResult:
     """
     if not state.playable:
         raise UnplayableStateError("both decks must be nonempty to play a trick")
-    decks = {PLAYER_A: deque(state.deck_a), PLAYER_B: deque(state.deck_b)}
-    pile: list[int] = []
-    current = state.leader
-    challenger = current
-    pending = 0
-    while True:
-        deck = decks[current]
-        if not deck:
-            winner = other_player(current)
-            break
-        card = deck.popleft()
-        pile.append(card)
-        if card > 0:
-            challenger = current
-            pending = card
-            current = other_player(current)
-        elif pending > 0:
-            pending -= 1
-            if pending == 0:
-                winner = challenger
-                break
-        else:
-            current = other_player(current)
-    decks[winner].extend(pile)
-    next_state = GameState(tuple(decks[PLAYER_A]), tuple(decks[PLAYER_B]), winner)
-    terminal = len(decks[other_player(winner)]) == 0
-    return TrickResult(next_state, winner, tuple(pile), len(pile), terminal)
+    decks = [deque(state.deck_a), deque(state.deck_b)]
+    status, player, _, pile = _kernels._py_run(decks, _PLAYER_CODE[state.leader], 1)
+    winner = _PLAYERS[player]
+    next_state = GameState(tuple(decks[0]), tuple(decks[1]), winner)
+    return TrickResult(next_state, winner, tuple(pile), len(pile), status == 0)
 
 
-def _trace_states(initial: GameState, max_tricks: int):
-    """Play a match as play_match does and keep every state it visits.
+def walk(initial: GameState, tricks: int):
+    """Yield `initial`, then the state after each of the next `tricks` tricks.
 
-    Returns (outcome, states) where states[i] is the state after trick i
-    (states[0] is the initial state). The outcome comes from the match
-    kernel; play_trick then replays exactly the states it covers. For a
-    Looped outcome the repeated state is not appended again; for
-    Terminated the final state is included.
+    The walk keeps no states of its own. `tricks` must not run past the
+    end of the match (a terminal state is yielded, never played from).
     """
-    outcome = play_match(initial, max_tricks)
-    if isinstance(outcome, Looped):
-        tricks = outcome.transient + outcome.period - 1
-    elif isinstance(outcome, Terminated):
-        tricks = outcome.tricks
-    else:
-        tricks = outcome.tricks_played
-    states = [initial]
+    decks = [deque(initial.deck_a), deque(initial.deck_b)]
+    cur = _PLAYER_CODE[initial.leader]
+    yield initial
     for _ in range(tricks):
-        states.append(play_trick(states[-1]).next_state)
-    return outcome, states
+        _, cur, _, _ = _kernels._py_run(decks, cur, 1)
+        yield GameState(tuple(decks[0]), tuple(decks[1]), _PLAYERS[cur])
 
 
 def play_match(initial: GameState, max_tricks: int = DEFAULT_MATCH_TRICKS,
@@ -279,5 +244,5 @@ def play_match(initial: GameState, max_tricks: int = DEFAULT_MATCH_TRICKS,
         status, a, b = _kernels.play_match_raw(
             initial.deck_a, initial.deck_b, leader, max_tricks)
     if status == 0:
-        return Terminated(PLAYER_A if a == 0 else PLAYER_B, b)
+        return Terminated(_PLAYERS[a], b)
     return BudgetExceeded(b)

@@ -10,12 +10,12 @@ escapes and occasional restarts to leave dead ends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import engine
 from ._rng import SplitMix64
-from .cycles import LoopReport, NotALoopError, UndecidedError, verify_loop
+from .cycles import LoopReport, verify_loop
 from .engine import PLAYER_A, Deck, GameState, Looped, Settings
 
 STRATEGIES = (
@@ -56,6 +56,9 @@ STRATEGY_PATTERNS = {
 
 _MAX_FRAGMENTS = 12     # fragments tried per round
 _MAX_POSITIONS = 40     # insertion points sampled per fragment
+_RESTART_INTERVAL = 50  # rounds between restart draws
+_RESTART_PROBABILITY = 0.2
+_ESCAPE_THRESHOLD = 5   # fruitless rounds on one checkpoint before escaping
 _DEFAULT_SEED_A = (1, 0, 0)
 _DEFAULT_SEED_B = (0, 1, 0)
 
@@ -87,9 +90,6 @@ class FactoryConfig:
     budget: int                       # exploration rounds
     rng_seed: int = 0
     checkpoint_capacity: int = 1500
-    restart_interval: int = 50
-    restart_probability: float = 0.2
-    escape_threshold: int = 5
     nontermination_trick_cap: int = engine.DEFAULT_BATCH_TRICKS
 
     def __post_init__(self):
@@ -138,22 +138,13 @@ def score(deck_a: Deck, deck_b: Deck, settings: Settings) -> int:
 
 
 def test_nontermination(state: GameState,
-                        trick_cap: int = engine.DEFAULT_BATCH_TRICKS,
-                        collect_report: bool = False):
-    """(looping, report): True only for a proven cycle within trick_cap.
+                        trick_cap: int = engine.DEFAULT_BATCH_TRICKS) -> bool:
+    """True only for a proven cycle within trick_cap.
 
     Hitting the budget counts as False, so every positive answer is backed
-    by an actual recurrence. With collect_report the verified LoopReport is
-    returned alongside.
+    by an actual recurrence.
     """
-    if collect_report:
-        try:
-            report = verify_loop(state, trick_cap)
-        except (NotALoopError, UndecidedError):
-            return False, None
-        return True, report
-    outcome = engine.play_match(state, trick_cap, detect_loops=True)
-    return isinstance(outcome, Looped), None
+    return isinstance(engine.play_match(state, trick_cap), Looped)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +262,7 @@ def _select(store: list, rng: SplitMix64, escape: bool) -> Checkpoint:
 
 
 def _try_insertions(cp: Checkpoint, fragments: list, bias: int,
-                    settings: Settings, trick_cap: int, rng: SplitMix64,
+                    trick_cap: int, rng: SplitMix64,
                     counter: list) -> Optional[tuple]:
     """First (deck_a, deck_b) insertion that keeps the match non-terminating."""
     for f_idx, frag in enumerate(fragments):
@@ -284,13 +275,12 @@ def _try_insertions(cp: Checkpoint, fragments: list, bias: int,
             da = new_deck if into_a else cp.deck_a
             db = cp.deck_b if into_a else new_deck
             counter[0] += 1
-            looping, _ = test_nontermination(GameState(da, db, PLAYER_A), trick_cap)
-            if looping:
+            if test_nontermination(GameState(da, db, PLAYER_A), trick_cap):
                 return da, db
     return None
 
 
-def _try_corrections(cp: Checkpoint, deficits: dict, settings: Settings,
+def _try_corrections(cp: Checkpoint, deficits: dict,
                      trick_cap: int, rng: SplitMix64,
                      counter: list) -> Optional[tuple]:
     """Remove or retype one excess card, keeping non-termination."""
@@ -314,8 +304,7 @@ def _try_corrections(cp: Checkpoint, deficits: dict, settings: Settings,
             continue  # never empty a deck
         da, db = decks_with(which, shorter)
         counter[0] += 1
-        looping, _ = test_nontermination(GameState(da, db, PLAYER_A), trick_cap)
-        if looping:
+        if test_nontermination(GameState(da, db, PLAYER_A), trick_cap):
             return da, db
     for which, i in spots:
         deck = cp.deck_a if which == 0 else cp.deck_b
@@ -323,8 +312,7 @@ def _try_corrections(cp: Checkpoint, deficits: dict, settings: Settings,
             swapped = deck[:i] + (rank,) + deck[i + 1:]
             da, db = decks_with(which, swapped)
             counter[0] += 1
-            looping, _ = test_nontermination(GameState(da, db, PLAYER_A), trick_cap)
-            if looping:
+            if test_nontermination(GameState(da, db, PLAYER_A), trick_cap):
                 return da, db
     return None
 
@@ -342,8 +330,7 @@ def run_factory(config: FactoryConfig) -> FactoryResult:
     settings = config.settings
     cap = config.nontermination_trick_cap
     seed = config.seed_state
-    looping, _ = test_nontermination(seed, cap)
-    if not looping:
+    if not test_nontermination(seed, cap):
         raise SeedNotLoopingError("seed configuration does not cycle")
 
     rng = SplitMix64.for_stream(config.rng_seed, 0)
@@ -363,14 +350,14 @@ def run_factory(config: FactoryConfig) -> FactoryResult:
     rounds = 0
     while rounds < config.budget:
         rounds += 1
-        if (rounds % config.restart_interval == 0
-                and rng.random() < config.restart_probability):
+        if (rounds % _RESTART_INTERVAL == 0
+                and rng.random() < _RESTART_PROBABILITY):
             age_counter += 1
             store = [fresh_seed_cp(age_counter)]
             last_selected_age = -1
             stuck = 0
 
-        escape = stuck >= config.escape_threshold
+        escape = stuck >= _ESCAPE_THRESHOLD
         cp = _select(store, rng, escape)
         if escape:
             stuck = 0
@@ -382,11 +369,11 @@ def run_factory(config: FactoryConfig) -> FactoryResult:
         deficits = missing(cp.deck_a, cp.deck_b, settings)
         fragments = generate_sequences(strategy, pattern, deficits)
 
-        grown = _try_insertions(cp, fragments, bias, settings, cap, rng, tests)
+        grown = _try_insertions(cp, fragments, bias, cap, rng, tests)
         new_depth = cp.depth + 1
         if grown is None:
             if any(d < 0 for d in deficits.values()):
-                grown = _try_corrections(cp, deficits, settings, cap, rng, tests)
+                grown = _try_corrections(cp, deficits, cap, rng, tests)
                 new_depth = cp.depth  # depth counts insertions only
 
         if grown is None:

@@ -72,18 +72,21 @@ class DurationSummary:
 
     All numeric statistics cover terminated matches only; looped and
     over-budget matches are counted separately. Mode ties break toward the
-    smaller trick count.
+    smaller trick count. With no terminated match, min_tricks, max_tricks
+    and mode are 0 and the five float statistics are None (written as nan
+    by to_text); None, unlike nan, equals itself, so equal batches give
+    equal summaries.
     """
 
     matches: int
     min_tricks: int
     max_tricks: int
     mode: int
-    mean: float
-    std_dev: float
-    variance_to_mean: float
-    wins_a_pct: float
-    wins_b_pct: float
+    mean: float | None
+    std_dev: float | None
+    variance_to_mean: float | None
+    wins_a_pct: float | None
+    wins_b_pct: float | None
     histogram: dict = field(repr=False)
     loop_count: int = 0
     budget_exceeded_count: int = 0
@@ -102,13 +105,18 @@ class DurationSummary:
             f"min_tricks = {self.min_tricks}",
             f"max_tricks = {self.max_tricks}",
             f"mode = {self.mode}",
-            f"mean = {self.mean!r}",
-            f"std_dev = {self.std_dev!r}",
-            f"variance_to_mean = {self.variance_to_mean!r}",
-            f"wins_a_pct = {self.wins_a_pct!r}",
-            f"wins_b_pct = {self.wins_b_pct!r}",
+            f"mean = {_float_text(self.mean)}",
+            f"std_dev = {_float_text(self.std_dev)}",
+            f"variance_to_mean = {_float_text(self.variance_to_mean)}",
+            f"wins_a_pct = {_float_text(self.wins_a_pct)}",
+            f"wins_b_pct = {_float_text(self.wins_b_pct)}",
         ]
         return "\n".join(lines)
+
+
+def _float_text(x: float | None) -> str:
+    """Full-precision repr of a statistic; an undefined one is nan."""
+    return "nan" if x is None else repr(x)
 
 
 def summarize_counts(histogram: dict, wins_a: int, wins_b: int,
@@ -123,8 +131,7 @@ def summarize_counts(histogram: dict, wins_a: int, wins_b: int,
     if matches == 0:
         raise ValueError("no outcomes to summarize")
     if terminated == 0:
-        nan = float("nan")
-        return DurationSummary(matches, 0, 0, 0, nan, nan, nan, nan, nan,
+        return DurationSummary(matches, 0, 0, 0, None, None, None, None, None,
                                dict(histogram), loop_count, budget_exceeded_count)
     sx = sum(n * c for n, c in histogram.items())
     sx2 = sum(n * n * c for n, c in histogram.items())

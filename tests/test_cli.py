@@ -1,20 +1,21 @@
 """CLI tests: run the real entry point in a subprocess."""
 
+import os
 import subprocess
 import sys
 
 import pytest
 
 from bmn import backward, cli
-from bmn.engine import canonical_encoding, format_deck
+from bmn.engine import format_deck
 from conftest import BALANCED_12_1, GOLDEN_MATCHES, INF_52_4, state
 
 PLAY_420 = GOLDEN_MATCHES[0]
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, env=None):
     return subprocess.run([sys.executable, "-m", "bmn", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd, env=env)
 
 
 def test_help_and_version():
@@ -187,19 +188,35 @@ def test_backward_depth_zero_find_balanced_echoes_seed():
     assert out.stdout.strip() == f"leader=A deck_a={a} deck_b={b}"
 
 
+@pytest.mark.parametrize("args", [
+    ("backward", "--setting", "12,2", "--deck-a", "[CCCCCCC21C]", "--deck-b", "[1C]",
+     "--depth", "4"),
+    ("backward", "--setting", "12,1", "--deck-a", "[CCCC1C]", "--deck-b", "[11CC1C]",
+     "--leader", "B", "--depth", "2", "--find-balanced"),
+    ("loops", "scan", "--setting", "12,1", "--deck-a", "[C1C1CC1CC]", "--deck-b", "[C1C]"),
+], ids=["listing", "find-balanced", "scan"])
+def test_state_sets_do_not_depend_on_the_hash_seed(args):
+    # state sets are keyed by GameState, whose hash covers the leader
+    # string, and string hashes change with PYTHONHASHSEED
+    outs = [run_cli(*args, env={**os.environ, "PYTHONHASHSEED": seed})
+            for seed in ("0", "1")]
+    assert all(out.returncode == 0 for out in outs)
+    assert len(outs[0].stdout.splitlines()) > 1
+    assert outs[0].stdout == outs[1].stdout
+
+
 def _reference_listing(target, depth, max_nodes):
     """Listing lines of a level-by-level predecessor walk that stops adding
     states once `max_nodes` (the target included) are known."""
-    seen = {canonical_encoding(target)}
+    seen = {target}
     frontier, lines = [target], []
     for _ in range(depth):
         nxt = []
         for s in frontier:
             for cand in backward.enumerate_predecessors(s):
-                key = canonical_encoding(cand.state)
-                if key in seen or len(seen) >= max_nodes:
+                if cand.state in seen or len(seen) >= max_nodes:
                     continue
-                seen.add(key)
+                seen.add(cand.state)
                 nxt.append(cand.state)
                 lines.append(f"leader={cand.state.leader} "
                              f"deck_a={format_deck(cand.state.deck_a)} "

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from bmn import cycles
+from bmn import cycles, engine
 from bmn.engine import (
     PLAYER_A,
     PLAYER_B,
@@ -23,6 +23,14 @@ from conftest import (
     random_playable_state,
     state,
 )
+
+
+@pytest.mark.parametrize("transient, period", [(4, 61), (4, 63), (3, 62)])
+def test_verify_loop_rejects_a_cycle_that_does_not_close(monkeypatch, transient, period):
+    # the replay checks the detector: a wrong cycle does not close on itself
+    monkeypatch.setattr(engine, "play_match", lambda s, cap: Looped(transient, period))
+    with pytest.raises(RuntimeError):
+        cycles.verify_loop(state(*INF_52_4))
 
 
 def test_verify_loop_block_configuration():

@@ -6,6 +6,7 @@ import pytest
 
 from bmn import factory
 from bmn._rng import SplitMix64
+from bmn.cycles import verify_loop
 from bmn.engine import GameState, Settings, format_deck
 from bmn.factory import (
     PATTERNS,
@@ -55,21 +56,18 @@ def test_score_examples():
 
 @pytest.mark.parametrize("deck_a,deck_b", BLOCKS)
 def test_block_configurations_cycle(deck_a, deck_b):
-    looping, report = check_nontermination(state(deck_a, deck_b),
-                                          collect_report=True)
-    assert looping
-    assert report.period == 2
+    s = state(deck_a, deck_b)
+    assert check_nontermination(s)
+    assert verify_loop(s).period == 2
 
 
 def test_all_ordinary_decks_terminate():
-    looping, report = check_nontermination(state("[C]", "[C]"))
-    assert not looping and report is None
+    assert not check_nontermination(state("[C]", "[C]"))
 
 
 def test_budget_exhaustion_counts_as_not_looping():
     _, a, b, _, _ = GOLDEN_MATCHES[0]
-    looping, _ = check_nontermination(state(a, b), trick_cap=100)
-    assert not looping
+    assert not check_nontermination(state(a, b), trick_cap=100)
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +134,7 @@ def test_factory_completes_12_1():
     assert score(result.complete.deck_a, result.complete.deck_b,
                  Settings(12, 1)) == 12
     assert result.report.period >= 1
-    looping, _ = check_nontermination(result.complete)
-    assert looping
+    assert check_nontermination(result.complete)
 
 
 def test_factory_is_deterministic():
@@ -193,8 +190,7 @@ def test_factory_reports_best_partial_when_target_has_no_loops():
     result = run_factory(config)
     assert not result.success
     assert 12 <= result.best.score < 16
-    looping, _ = check_nontermination(result.best.state)
-    assert looping
+    assert check_nontermination(result.best.state)
 
 
 def test_factory_config_validation():

@@ -1,4 +1,4 @@
-"""Match kernels and RNG: raw play against one-trick stepping, the lockstep
+"""Match kernels and RNG: raw play against reference-trick stepping, the lockstep
 deal against the scalar shuffle, batch slicing and memory."""
 
 import random
@@ -10,9 +10,10 @@ import pytest
 
 from bmn import _kernels
 from bmn._rng import SplitMix64, fmix64, stream_state
-from bmn.engine import PLAYER_A, Settings, play_trick
+from bmn.engine import PLAYER_A, Settings
 from bmn.simulator import full_deck
 from conftest import random_playable_state
+from loop_oracle import reference_trick
 
 
 def test_backend_name():
@@ -58,9 +59,9 @@ def test_stream_states_differ_by_index():
 
 
 def _stepped(s, max_tricks):
-    """(status, winner, tricks) of raw play, one engine.play_trick at a time."""
+    """(status, winner, tricks) of raw play, one reference trick at a time."""
     for tricks in range(1, max_tricks + 1):
-        result = play_trick(s)
+        result = reference_trick(s)
         if result.terminal:
             return 0, 0 if result.winner == PLAYER_A else 1, tricks
         s = result.next_state

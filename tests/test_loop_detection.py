@@ -4,8 +4,9 @@
 match kernel. Its outcome must equal the reference's at every trick cap:
 Looped(transient, period) iff transient + period <= cap, Terminated iff
 the match ends within the cap, BudgetExceeded(cap) otherwise.
-`engine._trace_states` takes its outcome from the kernel and must keep
-the same states the reference keeps.
+`cycles.verify_loop` and `analyzer.trace_match` take their outcome from the
+kernel and replay states with `engine.walk`; they must see the same states
+the reference keeps, while holding only the loop or the trace records.
 """
 
 import random
@@ -14,12 +15,15 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
+from bmn.analyzer import record_for, trace_match
+from bmn.cycles import NotALoopError, UndecidedError, verify_loop
 from bmn.engine import (
     PLAYER_A,
     PLAYER_B,
+    BudgetExceeded,
     GameState,
     Looped,
-    _trace_states,
+    Terminated,
     play_match,
     play_trick,
 )
@@ -113,12 +117,28 @@ def test_golden_matches_agree(golden):
         assert play_match(s, cap) == dict_play_match(s, cap)
 
 
+def assert_traces_agree(s: GameState, cap: int):
+    """trace_match and verify_loop see the states the reference keeps."""
+    outcome, states = dict_trace_states(s, cap)
+    records, traced = trace_match(s, cap)
+    assert traced == outcome, cap
+    assert records == [record_for(i, x) for i, x in enumerate(states)], cap
+    if isinstance(outcome, Looped):
+        report = verify_loop(s, cap)
+        assert (report.transient, report.period) == (outcome.transient, outcome.period)
+        assert report.states_in_loop == tuple(states[outcome.transient:]), cap
+    else:
+        expected = {Terminated: NotALoopError, BudgetExceeded: UndecidedError}
+        with pytest.raises(expected[type(outcome)]):
+            verify_loop(s, cap)
+
+
 @pytest.mark.parametrize("pair", PUBLISHED_LOOPS)
 @pytest.mark.parametrize("leader", [PLAYER_A, PLAYER_B])
 def test_trace_states_agree_on_published_loops(pair, leader):
     s = state(*pair, leader=leader)
     for cap in (1, 5, 66, 100_000):
-        assert _trace_states(s, cap) == dict_trace_states(s, cap), cap
+        assert_traces_agree(s, cap)
 
 
 @hyp_settings(max_examples=100, deadline=None)
@@ -126,7 +146,7 @@ def test_trace_states_agree_on_published_loops(pair, leader):
        st.sampled_from([1, 2, 7, 3000]))
 def test_trace_states_agree_on_random_states(seed, cap):
     s = random_playable_state(random.Random(seed), max_cards=12, max_rank=2)
-    assert _trace_states(s, cap) == dict_trace_states(s, cap)
+    assert_traces_agree(s, cap)
 
 
 @pytest.mark.parametrize("golden", GOLDEN_MATCHES, ids=lambda g: f"{g[0]}-{g[4]}")
@@ -134,7 +154,7 @@ def test_trace_states_agree_on_golden_matches(golden):
     _, a, b, _, tricks = golden
     s = state(a, b)
     for cap in (tricks - 1, tricks):
-        assert _trace_states(s, cap) == dict_trace_states(s, cap)
+        assert_traces_agree(s, cap)
 
 
 def _peak_bytes(fn):
@@ -154,3 +174,12 @@ def test_loop_detection_holds_constant_memory():
     assert _peak_bytes(lambda: play_match(loop, max_tricks=10 ** 6)) < bound
     assert _peak_bytes(lambda: play_match(long_match, max_tricks=10 ** 6)) < bound
     assert _peak_bytes(lambda: dict_play_match(long_match, 10 ** 6)) > 4 * bound
+
+
+def test_trace_match_holds_records_not_states():
+    # records alone take about 0.6 MB here; holding every state as well
+    # took 1.29 MB
+    _, a, b, _, tricks = GOLDEN_MATCHES[3]  # 1164 tricks
+    records = []
+    assert _peak_bytes(lambda: records.extend(trace_match(state(a, b))[0])) < 900_000
+    assert len(records) == tricks + 1

@@ -79,6 +79,19 @@ def test_run_batch_workers_do_not_change_results():
     assert run_batch(base) == run_batch(multi)
 
 
+def test_batches_without_a_terminated_match_compare_equal(monkeypatch):
+    # no match ends within 3 tricks, so the float statistics are undefined;
+    # they must still compare equal across runs and worker counts
+    monkeypatch.setattr(simulator.os, "cpu_count", lambda: 2)
+    one, two = (SimConfig(settings=Settings(12, 1), matches=3, seed=3,
+                          max_tricks=3, workers=w) for w in (1, 2))
+    summary = run_batch(one)
+    assert summary.terminated == 0
+    assert run_batch(one) == summary
+    assert run_batch(two) == summary
+    assert "mean = nan" in summary.to_text().splitlines()
+
+
 @pytest.mark.parametrize("setting, matches, cap", [
     ((40, 3), 1, 10 ** 6),    # fewer matches than workers
     ((40, 3), 2, 10 ** 6),
