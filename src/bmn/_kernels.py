@@ -1,15 +1,15 @@
-"""The match kernels: the one trick loop, raw and loop-checking play, batches.
+"""The match kernels: the one trick loop, the one match function, batches.
 
 Every trick the package plays runs through `_py_run`: whole matches,
-single tricks (`engine.play_trick`) and state walks (`engine.walk`). Raw
-play stops at a trick budget; loop-checking play (`play_match_loops`) runs
-Brent's cycle detector on the same loop, saving one state at a time and
-finding the exact transient with a second lockstep pass. A batch draws
-match i's deal from the (seed, i) splitmix64 stream, so its results do not
-depend on how the batch is split. It deals blocks of up to `_DEAL_BLOCK`
-matches in lockstep with numpy `uint64` arithmetic (`deal_block`),
-bit-identical to `SplitMix64.shuffle` of each stream, and plays them one
-by one.
+single tricks (`engine.play_trick`) and state walks (`engine.walk`). Every
+match is played by `play_match_loops`, which runs Brent's cycle detector
+on that loop, saving one state at a time and finding the exact transient
+with a second lockstep pass; it tells a terminated match, a loop and a
+match over the trick budget apart. A batch draws match i's deal from the
+(seed, i) splitmix64 stream, so its results do not depend on how the batch
+is split. It deals blocks of up to `_DEAL_BLOCK` matches in lockstep with
+numpy `uint64` arithmetic (`deal_block`), bit-identical to
+`SplitMix64.shuffle` of each stream, and plays them one by one.
 
 Card coding: 0 is an ordinary card, 1..9 are special ranks. Players are
 coded 0 (A) and 1 (B). Match status codes: 0 = terminated, 1 = looped,
@@ -83,18 +83,6 @@ def _py_run(decks, cur, n, watch=None):
     return 2, cur, tricks, pile
 
 
-def _py_match(deck_a, deck_b, leader, max_tricks):
-    """Play one match without loop detection; returns (status, winner, tricks).
-
-    The winner is -1 unless status is 0.
-    """
-    status, player, tricks, _ = _py_run([deque(deck_a), deque(deck_b)], leader,
-                                        max_tricks)
-    if status == 0:
-        return 0, player, tricks
-    return 2, -1, tricks
-
-
 def _py_transient(deck_a, deck_b, leader, period, max_transient):
     """Exact transient of a match known to cycle with `period`, or None.
 
@@ -116,12 +104,15 @@ def _py_transient(deck_a, deck_b, leader, period, max_transient):
     return transient
 
 
-#: Tricks in Brent's first block. Each block copies the decks and makes one
-#: call into the trick loop, and short matches dominate loop-checking play:
-#: of the 112k insertion tests of perfbench's factory_small, 80 % end within
-#: 16 tricks (median 8). There, over 10 alternating pairs of runs, 16 gave
-#: 1.20x the matches/s of plain Brent (first block 1) and won every pair.
-_BRENT_FIRST_BLOCK = 16
+#: Tricks in Brent's first block, played with no state saved or watched;
+#: a loop with transient 0 is found in the second block. Short matches
+#: dominate batches and loop-checking play, and this block costs them
+#: nothing. Medians of 9 interleaved rounds (2-core Xeon): per-match time
+#: on 10k (40,3) deals, against unwatched play to the cap, was 1.16x at
+#: 16, 0.98x at 32, 0.97x at 64 and 0.94x at 128; a factory run of (20,2)
+#: seeds 1-8 and (28,1) seeds 1-2 took 1.19, 1.14, 1.12 and 1.12 s.
+#: Repeats showed no steady difference between 64 and 128; 256 was slower.
+_BRENT_FIRST_BLOCK = 64
 
 
 def play_match_loops(deck_a, deck_b, leader, max_tricks):
@@ -130,26 +121,32 @@ def play_match_loops(deck_a, deck_b, leader, max_tricks):
     Returns (status, a, b): (0, winner, tricks) if the match ends within
     `max_tricks`; (1, transient, period) if the trick-boundary states
     cycle with transient + period <= `max_tricks`; otherwise
-    (2, -1, max_tricks).
+    (2, -1, max_tricks). This is the package's only match function.
 
     Brent's algorithm (R. P. Brent, BIT 20, 1980), with blocks of
-    f * 2**k tricks (f = _BRENT_FIRST_BLOCK): block k saves the state after
+    f * 2**k tricks (f = _BRENT_FIRST_BLOCK). Block 0, the first f tricks,
+    is played unwatched. Block k >= 1 saves the state after
     s = f * (2**k - 1) tricks and compares it with each of the next f * 2**k
     states. A cycle therefore shows at trick s + period in the first block
-    with s >= transient and f * 2**k >= period. For transient + period <=
-    max_tricks that block has f * 2**k <= last, the least f * 2**j >=
-    max_tricks + f - 1, so play runs to trick max_tricks + last - f at most
-    before deciding against the cap.
+    k >= 1 with s >= transient and f * 2**k >= period. Let transient +
+    period <= max_tricks. If that is block 1, play finds the cycle by trick
+    f + period <= max_tricks + f. If it is a later block, the block before
+    failed one of the two tests, so f * 2**(k-1) < max_tricks + f - 1 and
+    f * 2**k <= last, the least f * 2**j >= max_tricks + f - 1; play finds
+    the cycle by trick last - f + period < max_tricks + last. Play
+    therefore runs to trick max_tricks + last at most before deciding
+    against the cap.
     """
+    decks = [deque(deck_a), deque(deck_b)]
     first = _BRENT_FIRST_BLOCK
+    status, cur, tricks, _ = _py_run(decks, leader, first)
+    if status == 0:
+        return (0, cur, tricks) if tricks <= max_tricks else (2, -1, max_tricks)
     last = first
     while last < max_tricks + first - 1:
         last *= 2
-    limit = max_tricks + last - first
-    decks = [deque(deck_a), deque(deck_b)]
-    cur = leader
-    tricks = 0
-    block = first
+    limit = max_tricks + last
+    block = 2 * first
     while tricks < limit:
         saved = (cur, deque(decks[0]), deque(decks[1]))
         status, cur, played, _ = _py_run(decks, cur, min(block, limit - tricks), saved)
@@ -167,10 +164,6 @@ def play_match_loops(deck_a, deck_b, leader, max_tricks):
             break
         block *= 2
     return 2, -1, max_tricks
-
-
-#: Raw play of one match: (status, winner, tricks).
-play_match_raw = _py_match
 
 
 _U64 = np.uint64
@@ -221,12 +214,14 @@ def deal_block(deck, seed, start, count):
 
 
 def simulate_batch(n_matches, deck, seed, max_tricks, start=0):
-    """Deal and play matches start .. start + n_matches - 1 without loop detection.
+    """Deal and play matches start .. start + n_matches - 1.
 
     Match i shuffles a copy of `deck` (the full multiset in canonical order)
-    with the (seed, i) stream and gives each player half. Returns
-    (durations int32, winners int8) with winner -1 marking matches that hit
-    the trick budget.
+    with the (seed, i) stream, gives each player half and is played by
+    `play_match_loops` with A leading. Returns (durations int32, winners
+    int8): winners[i] is 0 or 1 for the winner of a terminated match, -1 for
+    a loop and -2 for a match over the trick budget; durations[i] is its
+    trick count, its period or `max_tricks`, respectively.
     """
     if max_tricks >= 2 ** 31:
         raise ValueError("max_tricks too large for the batch kernel")
@@ -238,7 +233,7 @@ def simulate_batch(n_matches, deck, seed, max_tricks, start=0):
                            min(_DEAL_BLOCK, n_matches - lo))
         halves = zip(cards[:, :half].tolist(), cards[:, half:].tolist())
         for idx, (deck_a, deck_b) in enumerate(halves, lo):
-            _, winner, tricks = _py_match(deck_a, deck_b, 0, max_tricks)
-            durations[idx] = tricks
-            winners[idx] = winner
+            status, a, b = play_match_loops(deck_a, deck_b, 0, max_tricks)
+            winners[idx] = a if status == 0 else -status
+            durations[idx] = b
     return durations, winners

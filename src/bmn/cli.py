@@ -79,7 +79,7 @@ def cmd_play(args) -> int:
         if args.positions:
             analyzer.write_positions_csv(records, args.positions)
     else:
-        outcome = engine.play_match(state, args.max_tricks, detect_loops=True)
+        outcome = engine.play_match(state, args.max_tricks)
     print(_outcome_line(outcome))
     return 0
 
@@ -126,15 +126,16 @@ def cmd_simulate(args) -> int:
     config = simulator.SimConfig(settings=settings, matches=args.matches,
                                  seed=args.seed, max_tricks=args.max_tricks,
                                  workers=args.workers)
-    summary = simulator.run_batch(config)
-    fit = None
     if args.fit:
         try:
             lo_str, hi_str = args.fit.split(",")
             lo, hi = int(lo_str), int(hi_str)
         except ValueError:
             return _fail(f"--fit expects LO,HI, got {args.fit!r}")
-        fit = stats.fit_exponential(summary.histogram, lo, hi)
+        if lo >= hi:
+            return _fail(f"--fit needs LO < HI, got {args.fit!r}")
+    summary = simulator.run_batch(config)
+    fit = stats.fit_exponential(summary.histogram, lo, hi) if args.fit else None
     text = _stats_text(config, summary, fit)
     if args.out:
         with open(args.out, "w") as fh:

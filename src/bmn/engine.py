@@ -23,9 +23,9 @@ PLAYER_B = "B"
 _PLAYER_CODE = {PLAYER_A: 0, PLAYER_B: 1}
 _PLAYERS = (PLAYER_A, PLAYER_B)
 
-#: Trick budget for single-match play (loop detection on by default).
+#: Trick budget for single-match play (`play`, `play_match`).
 DEFAULT_MATCH_TRICKS = 1_000_000
-#: Trick budget for batch simulation (loop detection off by default).
+#: Trick budget for batch simulation and for the loop and factory searches.
 DEFAULT_BATCH_TRICKS = 100_000
 
 Card = int
@@ -224,25 +224,21 @@ def play_match(initial: GameState, max_tricks: int = DEFAULT_MATCH_TRICKS,
                detect_loops: bool = True) -> MatchOutcome:
     """Run a full match from `initial`.
 
-    With detect_loops, the first recurrence of a trick-boundary state
-    yields Looped(transient=its first occurrence, period=gap), provided
-    transient + period <= max_tricks. Detection runs inside the match
-    kernel with Brent's algorithm and keeps O(1) states. Without it, the
-    match can only end Terminated or BudgetExceeded.
+    The first recurrence of a trick-boundary state yields
+    Looped(transient=its first occurrence, period=gap), provided transient +
+    period <= max_tricks. Detection runs inside the match kernel with
+    Brent's algorithm and keeps O(1) states. With detect_loops=False a loop
+    is reported as BudgetExceeded(max_tricks), as play that never looks for
+    loops would end it; the match is played the same way.
     """
     if not initial.playable:
         raise UnplayableStateError("initial state must have two nonempty decks")
     if max_tricks < 1:
         raise ValueError("max_tricks must be >= 1")
-    leader = _PLAYER_CODE[initial.leader]
-    if detect_loops:
-        status, a, b = _kernels.play_match_loops(
-            initial.deck_a, initial.deck_b, leader, max_tricks)
-        if status == 1:
-            return Looped(a, b)
-    else:
-        status, a, b = _kernels.play_match_raw(
-            initial.deck_a, initial.deck_b, leader, max_tricks)
+    status, a, b = _kernels.play_match_loops(
+        initial.deck_a, initial.deck_b, _PLAYER_CODE[initial.leader], max_tricks)
     if status == 0:
         return Terminated(_PLAYERS[a], b)
-    return BudgetExceeded(b)
+    if status == 1 and detect_loops:
+        return Looped(a, b)
+    return BudgetExceeded(max_tricks)

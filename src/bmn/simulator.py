@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, engine, stats
+from . import _kernels, stats
 from ._rng import SplitMix64
-from .engine import PLAYER_A, GameState, Settings
+from .engine import DEFAULT_BATCH_TRICKS, PLAYER_A, GameState, Settings
 
 
 @dataclass(frozen=True)
@@ -18,13 +18,15 @@ class SimConfig:
 
     The batch is dealt in lockstep blocks and played on up to `workers`
     processes, each taking a contiguous range of match indices; no worker
-    count changes a result.
+    count changes a result. Every match is played with loop detection: it
+    terminates, loops with transient + period <= `max_tricks`, or exceeds
+    the budget.
     """
 
     settings: Settings
     matches: int
     seed: int = 0
-    max_tricks: int = engine.DEFAULT_BATCH_TRICKS
+    max_tricks: int = DEFAULT_BATCH_TRICKS
     workers: int = 1
 
     def __post_init__(self):
@@ -92,31 +94,20 @@ def _play_all(config: SimConfig):
 
 
 def run_batch(config: SimConfig) -> stats.DurationSummary:
-    """Play config.matches independent matches and summarize the durations.
+    """Play config.matches independent matches and summarize the outcomes.
 
-    Matches run on the raw batch kernel, split into contiguous index ranges
-    over up to config.workers processes. Any match that hits the trick
-    budget is replayed here with loop detection, so loops and genuinely
-    over-budget matches are reported apart. Results are bitwise identical
-    for any worker count.
+    Matches run on the batch kernel, which detects loops, split into
+    contiguous index ranges over up to config.workers processes; this only
+    counts its codes. A loop counts when transient + period <=
+    config.max_tricks, so loops and genuinely over-budget matches are
+    reported apart. Results are bitwise identical for any worker count.
     """
     durations, winners = _play_all(config)
-
     histogram: dict[int, int] = {}
     term = winners >= 0
     if term.any():
         counts = np.bincount(durations[term])
         histogram = {int(n): int(c) for n, c in enumerate(counts) if c > 0}
-    wins_a = int(np.count_nonzero(winners == 0))
-    wins_b = int(np.count_nonzero(winners == 1))
-
-    loop_count = 0
-    budget_count = 0
-    for idx in np.nonzero(winners == -1)[0]:
-        outcome = engine.play_match(match_state(config, int(idx)),
-                                    config.max_tricks, detect_loops=True)
-        if isinstance(outcome, engine.Looped):
-            loop_count += 1
-        else:
-            budget_count += 1
-    return stats.summarize_counts(histogram, wins_a, wins_b, loop_count, budget_count)
+    # winner codes -2 (over budget), -1 (looped), 0 (A won), 1 (B won)
+    budget, loops, wins_a, wins_b = map(int, np.bincount(winners + 2, minlength=4))
+    return stats.summarize_counts(histogram, wins_a, wins_b, loops, budget)

@@ -134,6 +134,18 @@ def test_simulate_bad_fit_flag():
     assert out.returncode == 1
 
 
+@pytest.mark.parametrize("fit", ["abc", "100,10", "10,10"])
+def test_simulate_checks_fit_before_playing(monkeypatch, capsys, fit):
+    def played(config):
+        raise AssertionError("the batch was played")
+
+    monkeypatch.setattr(cli.simulator, "run_batch", played)
+    rc = cli.main(["simulate", "--setting", "40,3", "--matches", "20000",
+                   "--fit", fit])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # loops
 # ---------------------------------------------------------------------------

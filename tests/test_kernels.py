@@ -1,4 +1,4 @@
-"""Match kernels and RNG: raw play against reference-trick stepping, the lockstep
+"""Match kernels and RNG: play against reference-trick stepping, the lockstep
 deal against the scalar shuffle, batch slicing and memory."""
 
 import random
@@ -10,7 +10,7 @@ import pytest
 
 from bmn import _kernels
 from bmn._rng import SplitMix64, fmix64, stream_state
-from bmn.engine import PLAYER_A, Settings
+from bmn.engine import PLAYER_A, PLAYER_B, BudgetExceeded, Settings, Terminated, play_match
 from bmn.simulator import full_deck
 from conftest import random_playable_state
 from loop_oracle import reference_trick
@@ -59,27 +59,26 @@ def test_stream_states_differ_by_index():
 
 
 def _stepped(s, max_tricks):
-    """(status, winner, tricks) of raw play, one reference trick at a time."""
+    """Outcome of play that never looks for loops, one reference trick at a time."""
     for tricks in range(1, max_tricks + 1):
         result = reference_trick(s)
         if result.terminal:
-            return 0, 0 if result.winner == PLAYER_A else 1, tricks
+            return Terminated(result.winner, tricks)
         s = result.next_state
-    return 2, -1, max_tricks
+    return BudgetExceeded(max_tricks)
 
 
-def test_py_match_agrees_with_engine_stepping():
+def test_play_match_without_loops_agrees_with_stepping():
     rng = random.Random(5)
-    statuses = Counter()
+    outcomes = set()
     for _ in range(300):
         s = random_playable_state(rng, max_cards=20, max_rank=3)
-        code = 0 if s.leader == PLAYER_A else 1
         for cap in (1, 7, 500):
-            got = _kernels._py_match(s.deck_a, s.deck_b, code, cap)
+            got = play_match(s, cap, detect_loops=False)
             assert got == _stepped(s, cap), (s, cap)
-            statuses[got[0], got[1]] += 1
+            outcomes.add(getattr(got, "winner", "over budget"))
     # both winners and over-budget matches occur
-    assert set(statuses) == {(0, 0), (0, 1), (2, -1)}
+    assert outcomes == {PLAYER_A, PLAYER_B, "over budget"}
 
 
 # ---------------------------------------------------------------------------
@@ -142,13 +141,16 @@ def test_simulate_batch_is_index_sliced():
         ds, ws = _kernels.simulate_batch(n, deck, 7, cap, start)
         assert np.array_equal(d[start:start + n], ds), (n, start)
         assert np.array_equal(w[start:start + n], ws), (n, start)
-    # each match is its own scalar deal played alone
+    # each match is its own scalar deal played alone; the winners code
+    # loops as -1 and over-budget matches as -2
     for i in (0, block - 1, block, block + 1, 2 * block):
         cards = deck.copy()
         SplitMix64.for_stream(7, i).shuffle(cards)
-        _, winner, tricks = _kernels._py_match(cards[:6], cards[6:], 0, cap)
-        assert (d[i], w[i]) == (tricks, winner), i
+        status, a, b = _kernels.play_match_loops(cards[:6], cards[6:], 0, cap)
+        assert (d[i], w[i]) == (b, a if status == 0 else -status), i
     assert (w == -1).any() and (w >= 0).any()
+    _, w = _kernels.simulate_batch(50, deck, 7, 3)
+    assert (w == -2).any()
 
 
 def _peak_bytes(fn):

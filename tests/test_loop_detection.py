@@ -15,6 +15,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
+from bmn import _kernels
 from bmn.analyzer import record_for, trace_match
 from bmn.cycles import NotALoopError, UndecidedError, verify_loop
 from bmn.engine import (
@@ -24,8 +25,10 @@ from bmn.engine import (
     GameState,
     Looped,
     Terminated,
+    other_player,
     play_match,
     play_trick,
+    walk,
 )
 from conftest import (
     BALANCED_12_1,
@@ -107,6 +110,47 @@ def test_published_loops_give_known_outcomes():
     # Brent sees this loop only after the cap; the cap decides, not the detector
     assert play_match(state(*INF_52_4), 66) == Looped(transient=4, period=62)
     assert play_match(state(*INF_52_4), 65) == dict_play_match(state(*INF_52_4), 65)
+
+
+FIRST = _kernels._BRENT_FIRST_BLOCK
+FIRST_BLOCK_CAPS = (FIRST - 1, FIRST, FIRST + 1, 2 * FIRST, 2 * FIRST + 1)
+
+
+def _first_block_cases():
+    """States decided near the edges of Brent's unwatched first block, each
+    led by either player: the states along the published loops' transients
+    and their cycles' first 16, and golden matches a few tricks either side
+    of each cap from their end."""
+    cases = set()
+    for pair in PUBLISHED_LOOPS:
+        start = state(*pair)
+        outcome = dict_play_match(start, 100_000)
+        cases.update(walk(start, outcome.transient + min(outcome.period, 16) - 1))
+    for _, a, b, _, tricks in GOLDEN_MATCHES:
+        for left in {c + d for c in FIRST_BLOCK_CAPS for d in (-1, 0, 1)}:
+            *_, s = walk(state(a, b), tricks - left)
+            cases.add(s)
+    cases |= {GameState(s.deck_a, s.deck_b, other_player(s.leader)) for s in cases}
+    return sorted(cases, key=repr)
+
+
+def test_first_block_edges_agree():
+    loops_from_zero = set()
+    ends_at_first = False
+    for s in _first_block_cases():
+        for cap in FIRST_BLOCK_CAPS:
+            expected = dict_play_match(s, cap)
+            assert play_match(s, cap) == expected, (s, cap)
+            if isinstance(expected, Looped) and expected.transient == 0:
+                loops_from_zero.add((s.leader, expected.period <= FIRST))
+            if isinstance(expected, Terminated) and expected.tricks == FIRST:
+                ends_at_first = True
+    # loops the first block holds whole, and loops longer than it, entered
+    # at trick 0 with either player leading
+    assert loops_from_zero == {(leader, whole) for leader in (PLAYER_A, PLAYER_B)
+                               for whole in (True, False)}
+    # a match that ends at the first block's last trick, past cap FIRST - 1
+    assert ends_at_first
 
 
 @pytest.mark.parametrize("golden", GOLDEN_MATCHES, ids=lambda g: f"{g[0]}-{g[4]}")

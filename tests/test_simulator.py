@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bmn import simulator, stats
+from bmn import engine, simulator, stats
 from bmn._rng import SplitMix64
 from bmn.engine import PLAYER_A, Settings, Terminated, play_match
 from bmn.simulator import SimConfig, deal, match_state, run_batch
@@ -146,6 +146,20 @@ def test_run_batch_detect_loops_agrees_with_fast_path():
         assert run_batch(cfg) == expected, cap
     assert expected.loop_count > 0
     assert expected.budget_exceeded_count == 0
+
+
+def test_run_batch_replays_no_match(monkeypatch):
+    # loops are decided in the batch kernel: run_batch neither re-deals a
+    # match nor plays one through the engine
+    def replayed(*args, **kwargs):
+        raise AssertionError("run_batch replayed a match")
+
+    monkeypatch.setattr(simulator, "match_state", replayed)
+    monkeypatch.setattr(engine, "play_match", replayed)
+    summary = run_batch(SimConfig(settings=Settings(12, 1), matches=2000, seed=7,
+                                  max_tricks=10 ** 5))
+    assert summary.loop_count > 0
+    assert summary.budget_exceeded_count == 0
 
 
 def test_run_batch_small_setting_statistics():
