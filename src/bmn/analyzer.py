@@ -10,6 +10,7 @@ runs are the two spacing measures tracked along a match.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -122,46 +123,52 @@ def record_for(trick: int, state: GameState) -> TrickRecord:
     )
 
 
-def trace_match(initial: GameState,
-                max_tricks: int = engine.DEFAULT_MATCH_TRICKS
-                ) -> tuple[list, MatchOutcome]:
-    """Play a match with loop detection, recording one TrickRecord per
-    trick boundary (record 0 describes the initial state).
+def trace_records(initial: GameState, outcome: MatchOutcome):
+    """Yield one TrickRecord per trick boundary of the match from `initial`
+    that ended in `outcome` (record 0 describes the initial state).
 
-    The outcome comes from the match kernel; a walk then replays exactly
-    the states it covers. A loop's repeated state is not recorded again;
-    a terminated match's final state is.
+    A walk replays exactly the states the outcome covers, holding none of
+    them. A loop's repeated state is not recorded again; a terminated
+    match's final state is.
     """
-    outcome = engine.play_match(initial, max_tricks)
     if isinstance(outcome, engine.Looped):
         tricks = outcome.transient + outcome.period - 1
     elif isinstance(outcome, engine.Terminated):
         tricks = outcome.tricks
     else:
         tricks = outcome.tricks_played
-    records = [record_for(i, s) for i, s in enumerate(engine.walk(initial, tricks))]
-    return records, outcome
+    for i, s in enumerate(engine.walk(initial, tricks)):
+        yield record_for(i, s)
+
+
+def trace_match(initial: GameState,
+                max_tricks: int = engine.DEFAULT_MATCH_TRICKS
+                ) -> tuple[list, MatchOutcome]:
+    """Play a match with loop detection and list its `trace_records`."""
+    outcome = engine.play_match(initial, max_tricks)
+    return list(trace_records(initial, outcome)), outcome
 
 
 def _fmt(x: float) -> str:
     return format(x, ".12g")
 
 
-def write_trace_csv(records, path) -> None:
-    """Trace CSV, one row per trick boundary."""
-    with open(path, "w") as fh:
+def write_trace_csv(records, path, positions_path=None) -> None:
+    """Trace CSV, one row per trick boundary, and optionally its companion
+    positions CSV (semicolon-joined special positions per player).
+
+    Both files are written in one pass, so `records` may be a generator.
+    """
+    with open(path, "w") as fh, \
+            (open(positions_path, "w") if positions_path else nullcontext()) as pos:
         fh.write(TRACE_HEADER + "\n")
+        if pos:
+            pos.write(POSITIONS_HEADER + "\n")
         for r in records:
             fh.write(f"{r.trick},{r.size_a},{r.size_b},{r.specials_a},{r.specials_b},"
                      f"{_fmt(r.sep_a)},{_fmt(r.sep_b)},"
                      f"{_fmt(r.entropy_a)},{_fmt(r.entropy_b)}\n")
-
-
-def write_positions_csv(records, path) -> None:
-    """Companion file: semicolon-joined special positions per player."""
-    with open(path, "w") as fh:
-        fh.write(POSITIONS_HEADER + "\n")
-        for r in records:
-            pa = ";".join(str(p) for p in r.positions_a)
-            pb = ";".join(str(p) for p in r.positions_b)
-            fh.write(f"{r.trick},{pa},{pb}\n")
+            if pos:
+                pa = ";".join(str(p) for p in r.positions_a)
+                pb = ";".join(str(p) for p in r.positions_b)
+                pos.write(f"{r.trick},{pa},{pb}\n")

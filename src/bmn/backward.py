@@ -94,9 +94,7 @@ def enumerate_predecessors(target: GameState) -> list:
     (both decks nonempty) are produced. Deduplicated, discovery order.
     """
     winner = target.leader
-    loser = other_player(winner)
     wdeck = target.deck_of(winner)
-    ldeck = target.deck_of(loser)
     out = []
     seen = set()
     for plen in range(2, len(wdeck) + 1):

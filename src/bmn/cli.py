@@ -46,8 +46,7 @@ def _fail(message: str, code: int = USAGE_ERROR) -> int:
 def _parse_state(args, settings) -> GameState:
     deck_a = parse_deck(args.deck_a, settings)
     deck_b = parse_deck(args.deck_b, settings)
-    leader = getattr(args, "leader", PLAYER_A)
-    return GameState(deck_a, deck_b, leader)
+    return GameState(deck_a, deck_b, args.leader)
 
 
 def _outcome_line(outcome) -> str:
@@ -73,13 +72,10 @@ def cmd_play(args) -> int:
         off = {r: d for r, d in deficits.items() if d != 0}
         return _fail(f"decks do not form a complete {settings} composition "
                      f"(deficits {off}); use --allow-partial to play anyway")
+    outcome = engine.play_match(state, args.max_tricks)
     if args.trace:
-        records, outcome = analyzer.trace_match(state, args.max_tricks)
-        analyzer.write_trace_csv(records, args.trace)
-        if args.positions:
-            analyzer.write_positions_csv(records, args.positions)
-    else:
-        outcome = engine.play_match(state, args.max_tricks)
+        analyzer.write_trace_csv(analyzer.trace_records(state, outcome),
+                                 args.trace, args.positions)
     print(_outcome_line(outcome))
     return 0
 
@@ -276,11 +272,11 @@ def cmd_factory(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_deck_args(p, leader_default=PLAYER_A):
+def _add_deck_args(p):
     p.add_argument("--deck-a", required=True, help="player A's deck string")
     p.add_argument("--deck-b", required=True, help="player B's deck string")
     p.add_argument("--leader", choices=[PLAYER_A, PLAYER_B],
-                   default=leader_default, help="who flips first")
+                   default=PLAYER_A, help="who flips first")
 
 
 def build_parser() -> argparse.ArgumentParser:

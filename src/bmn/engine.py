@@ -119,7 +119,6 @@ class TrickResult:
     next_state: GameState
     winner: str
     pile_in_play_order: Deck
-    moves: int
     terminal: bool  # loser's deck is empty after the trick
 
 
@@ -203,7 +202,7 @@ def play_trick(state: GameState) -> TrickResult:
     status, player, _, pile = _kernels._py_run(decks, _PLAYER_CODE[state.leader], 1)
     winner = _PLAYERS[player]
     next_state = GameState(tuple(decks[0]), tuple(decks[1]), winner)
-    return TrickResult(next_state, winner, tuple(pile), len(pile), status == 0)
+    return TrickResult(next_state, winner, tuple(pile), status == 0)
 
 
 def walk(initial: GameState, tricks: int):

@@ -3,14 +3,18 @@
 Starting from a small pair of decks that provably never terminates, the
 search inserts card fragments one at a time, keeping only insertions that
 preserve non-termination, until the combined decks reach the exact (N, R)
-composition. Verified intermediate configurations are kept as checkpoints;
-selection prefers the highest compositional score with pseudo-random
-escapes and occasional restarts to leave dead ends.
+composition. A seed holding more cards of some type than the composition
+allows is repaired along the way: when no insertion keeps the loop, an
+excess card is removed or retyped to a deficient rank instead. Verified
+intermediate configurations are kept as checkpoints; selection prefers the
+highest compositional score with pseudo-random escapes and occasional
+restarts to leave dead ends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from . import engine
@@ -59,6 +63,7 @@ _MAX_POSITIONS = 40     # insertion points sampled per fragment
 _RESTART_INTERVAL = 50  # rounds between restart draws
 _RESTART_PROBABILITY = 0.2
 _ESCAPE_THRESHOLD = 5   # fruitless rounds on one checkpoint before escaping
+_CHECKPOINT_CAPACITY = 1500
 _DEFAULT_SEED_A = (1, 0, 0)
 _DEFAULT_SEED_B = (0, 1, 0)
 
@@ -75,7 +80,6 @@ class Checkpoint:
     deck_b: Deck
     depth: int          # successful insertions since the seed
     score: int
-    strategy_id: str
     age: int            # creation counter, monotonically increasing
 
     @property
@@ -89,14 +93,11 @@ class FactoryConfig:
     seed_state: GameState
     budget: int                       # exploration rounds
     rng_seed: int = 0
-    checkpoint_capacity: int = 1500
     nontermination_trick_cap: int = engine.DEFAULT_BATCH_TRICKS
 
     def __post_init__(self):
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
-        if self.checkpoint_capacity < 1:
-            raise ValueError("checkpoint_capacity must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -160,9 +161,7 @@ def _rank_priority(strategy: str, deficits: dict) -> list:
     if strategy == "balanced-fill":
         # largest relative deficit first (target is 4 per special rank)
         return sorted(ranks, key=lambda r: (-deficits[r] / 4, r))
-    if strategy == "rank1-blocks":
-        return ([1] if 1 in ranks else []) + [r for r in ranks if r != 1]
-    return ranks
+    return ranks  # ascending, so rank1-blocks already puts rank 1 first
 
 
 def _pattern_fragments(pattern: str, ranks: list) -> list:
@@ -226,22 +225,18 @@ def generate_sequences(strategy: str, pattern: str, deficits: dict) -> list:
     the strategy's priority order, restricted to deficient types with
     multiplicity (nothing in excess is ever inserted, so a successful
     insertion always raises the compositional score by the fragment length).
-    Fragment order is fully determined by strategy and pattern.
+    Fragment order is fully determined by strategy and pattern. The ranks
+    are distinct, so no template repeats a fragment; none is longer than
+    10 cards.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     ranks = _rank_priority(strategy, deficits)
     frags = [f for f in _pattern_fragments(pattern, ranks)
-             if len(f) <= 10 and _fits_deficits(f, deficits)]
+             if _fits_deficits(f, deficits)]
     if strategy == "ordinaries-first":
         frags.sort(key=lambda f: (any(c > 0 for c in f),))  # all-C fragments first
-    seen = set()
-    unique = []
-    for f in frags:
-        if f not in seen:
-            seen.add(f)
-            unique.append(f)
-    return unique[:_MAX_FRAGMENTS]
+    return frags[:_MAX_FRAGMENTS]
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +244,8 @@ def generate_sequences(strategy: str, pattern: str, deficits: dict) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _evict(store: list, capacity: int) -> None:
-    while len(store) > capacity:
+def _evict(store: list) -> None:
+    while len(store) > _CHECKPOINT_CAPACITY:
         victim = min(store, key=lambda cp: (cp.score, cp.age))
         store.remove(victim)
 
@@ -261,10 +256,11 @@ def _select(store: list, rng: SplitMix64, escape: bool) -> Checkpoint:
     return max(store, key=lambda cp: (cp.score, cp.depth, cp.age))
 
 
-def _try_insertions(cp: Checkpoint, fragments: list, bias: int,
-                    trick_cap: int, rng: SplitMix64,
-                    counter: list) -> Optional[tuple]:
-    """First (deck_a, deck_b) insertion that keeps the match non-terminating."""
+def _insertions(cp: Checkpoint, fragments: list, bias: int, rng: SplitMix64):
+    """(deck_a, deck_b) candidates with one fragment inserted, in test order.
+
+    The insertion points are shuffled per fragment, when it is reached.
+    """
     for f_idx, frag in enumerate(fragments):
         into_a = bias == 0 or (bias == 2 and f_idx % 2 == 0)
         deck = cp.deck_a if into_a else cp.deck_b
@@ -272,59 +268,38 @@ def _try_insertions(cp: Checkpoint, fragments: list, bias: int,
         rng.shuffle(positions)
         for pos in positions[:_MAX_POSITIONS]:
             new_deck = deck[:pos] + frag + deck[pos:]
-            da = new_deck if into_a else cp.deck_a
-            db = cp.deck_b if into_a else new_deck
-            counter[0] += 1
-            if test_nontermination(GameState(da, db, PLAYER_A), trick_cap):
-                return da, db
-    return None
+            yield (new_deck, cp.deck_b) if into_a else (cp.deck_a, new_deck)
 
 
-def _try_corrections(cp: Checkpoint, deficits: dict,
-                     trick_cap: int, rng: SplitMix64,
-                     counter: list) -> Optional[tuple]:
-    """Remove or retype one excess card, keeping non-termination."""
-    spots = [(which, i)
-             for which, deck in ((0, cp.deck_a), (1, cp.deck_b))
-             for i, card in enumerate(deck)
-             if deficits.get(card, 0) < 0]
-    if not spots:
-        return None
+def _corrections(cp: Checkpoint, deficits: dict, rng: SplitMix64):
+    """Candidates with one excess card removed, then with one retyped.
+
+    The excess spots are shuffled when the generator is first advanced.
+    """
+    decks = (cp.deck_a, cp.deck_b)
+    spots = [(which, i) for which, deck in enumerate(decks)
+             for i, card in enumerate(deck) if deficits.get(card, 0) < 0]
     rng.shuffle(spots)
     spots = spots[:_MAX_POSITIONS]
     deficient = sorted(r for r, d in deficits.items() if d > 0)
-
-    def decks_with(which, deck):
-        return (deck, cp.deck_b) if which == 0 else (cp.deck_a, deck)
-
-    for which, i in spots:
-        deck = cp.deck_a if which == 0 else cp.deck_b
-        shorter = deck[:i] + deck[i + 1:]
-        if not shorter:
-            continue  # never empty a deck
-        da, db = decks_with(which, shorter)
-        counter[0] += 1
-        if test_nontermination(GameState(da, db, PLAYER_A), trick_cap):
-            return da, db
-    for which, i in spots:
-        deck = cp.deck_a if which == 0 else cp.deck_b
-        for rank in deficient:
-            swapped = deck[:i] + (rank,) + deck[i + 1:]
-            da, db = decks_with(which, swapped)
-            counter[0] += 1
-            if test_nontermination(GameState(da, db, PLAYER_A), trick_cap):
-                return da, db
-    return None
+    removals = [(spot, ()) for spot in spots]
+    retypes = [(spot, (rank,)) for spot in spots for rank in deficient]
+    for (which, i), card in removals + retypes:
+        deck = decks[which]
+        if card or len(deck) > 1:  # never empty a deck
+            deck = deck[:i] + card + deck[i + 1:]
+            yield (deck, decks[1]) if which == 0 else (decks[0], deck)
 
 
 def run_factory(config: FactoryConfig) -> FactoryResult:
     """Grow the seed toward a complete non-terminating (N, R) configuration.
 
-    One round is: pick a checkpoint, pick a strategy/pattern/bias, and try
+    One round is: pick a checkpoint, pick a strategy/pattern/bias, and test
     the generated fragments at sampled positions until one insertion keeps
-    the match looping. Stops at a composition-complete configuration (with
-    its verified LoopReport) or when the round budget runs out, in which
-    case the highest-scoring checkpoint found is reported. Fully
+    the match looping; if none does and the checkpoint holds excess cards,
+    test its corrections next. Stops at a composition-complete configuration
+    (with its verified LoopReport) or when the round budget runs out, in
+    which case the highest-scoring checkpoint found is reported. Fully
     deterministic given the config.
     """
     settings = config.settings
@@ -334,12 +309,12 @@ def run_factory(config: FactoryConfig) -> FactoryResult:
         raise SeedNotLoopingError("seed configuration does not cycle")
 
     rng = SplitMix64.for_stream(config.rng_seed, 0)
-    tests = [0]
+    tests = 0
 
     def fresh_seed_cp(age):
         return Checkpoint(seed.deck_a, seed.deck_b, depth=0,
                           score=score(seed.deck_a, seed.deck_b, settings),
-                          strategy_id="seed", age=age)
+                          age=age)
 
     age_counter = 0
     store = [fresh_seed_cp(age_counter)]
@@ -369,38 +344,36 @@ def run_factory(config: FactoryConfig) -> FactoryResult:
         deficits = missing(cp.deck_a, cp.deck_b, settings)
         fragments = generate_sequences(strategy, pattern, deficits)
 
-        grown = _try_insertions(cp, fragments, bias, cap, rng, tests)
-        new_depth = cp.depth + 1
-        if grown is None:
-            if any(d < 0 for d in deficits.values()):
-                grown = _try_corrections(cp, deficits, cap, rng, tests)
-                new_depth = cp.depth  # depth counts insertions only
-
-        if grown is None:
-            if cp.age == last_selected_age:
-                stuck += 1
-            else:
-                stuck = 1
+        candidates = _insertions(cp, fragments, bias, rng)
+        if any(d < 0 for d in deficits.values()):
+            candidates = chain(candidates, _corrections(cp, deficits, rng))
+        for da, db in candidates:
+            tests += 1
+            grown = GameState(da, db, PLAYER_A)
+            if test_nontermination(grown, cap):
+                break
+        else:
+            stuck = stuck + 1 if cp.age == last_selected_age else 1
             last_selected_age = cp.age
             continue
 
-        da, db = grown
         age_counter += 1
-        new_cp = Checkpoint(da, db, depth=new_depth,
-                            score=score(da, db, settings),
-                            strategy_id=strategy, age=age_counter)
+        # depth counts insertions only, the one move that adds cards
+        new_cp = Checkpoint(da, db,
+                            depth=cp.depth + (grown.n_cards > cp.state.n_cards),
+                            score=score(da, db, settings), age=age_counter)
         store.append(new_cp)
-        _evict(store, config.checkpoint_capacity)
+        _evict(store)
         stuck = 0
         last_selected_age = -1
         if new_cp.score > best.score or (new_cp.score == best.score
                                          and new_cp.depth > best.depth):
             best = new_cp
         if new_cp.score == settings.n_total:
-            report = verify_loop(new_cp.state, cap)
-            return FactoryResult(complete=new_cp.state, report=report,
+            report = verify_loop(grown, cap)
+            return FactoryResult(complete=grown, report=report,
                                  best=new_cp, rounds_used=rounds,
-                                 tests_run=tests[0])
+                                 tests_run=tests)
 
     return FactoryResult(complete=None, report=None, best=best,
-                         rounds_used=rounds, tests_run=tests[0])
+                         rounds_used=rounds, tests_run=tests)

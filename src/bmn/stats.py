@@ -194,20 +194,22 @@ class ExponentialFit:
     p_geometric: float  # 1 - exp(-lam)
 
 
-def fit_exponential(histogram: dict, n_lo: int, n_hi: int,
-                    min_count: int = 5) -> ExponentialFit:
+_FIT_MIN_COUNT = 5
+
+
+def fit_exponential(histogram: dict, n_lo: int, n_hi: int) -> ExponentialFit:
     """Unweighted least squares on (n, ln frequency) over [n_lo, n_hi].
 
-    Bins with fewer than `min_count` matches are dropped so the log does not
-    amplify pure sampling noise.
+    Bins with fewer than `_FIT_MIN_COUNT` matches are dropped so the log
+    does not amplify pure sampling noise.
     """
     if n_lo >= n_hi:
         raise ValueError("need n_lo < n_hi")
     pts = sorted((n, c) for n, c in histogram.items()
-                 if n_lo <= n <= n_hi and c >= min_count)
+                 if n_lo <= n <= n_hi and c >= _FIT_MIN_COUNT)
     if len(pts) < 2:
         raise InsufficientDataError(
-            f"need >= 2 bins with count >= {min_count} in [{n_lo}, {n_hi}]")
+            f"need >= 2 bins with count >= {_FIT_MIN_COUNT} in [{n_lo}, {n_hi}]")
     x = np.array([n for n, _ in pts], dtype=float)
     y = np.log([c for _, c in pts])
     slope, intercept = np.polyfit(x, y, 1)
@@ -235,13 +237,16 @@ def geometric_tail(lam: float, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def chi_square_gof(observed: Sequence[int], expected: Sequence[float],
-                   min_expected: float = 5.0) -> tuple[float, int, float]:
+_GOF_MIN_EXPECTED = 5.0
+
+
+def chi_square_gof(observed: Sequence[int],
+                   expected: Sequence[float]) -> tuple[float, int, float]:
     """Chi-square goodness-of-fit with tail pooling.
 
     `observed` are counts per category, `expected` the matching expected
     counts (same total). Categories are pooled from both ends inward until
-    every remaining bin has expected count >= min_expected. Returns
+    every remaining bin has expected count >= `_GOF_MIN_EXPECTED`. Returns
     (statistic, degrees of freedom, p-value).
     """
     from scipy.stats import chi2
@@ -251,11 +256,11 @@ def chi_square_gof(observed: Sequence[int], expected: Sequence[float],
     if len(obs) != len(exp):
         raise ValueError("observed and expected must have equal length")
     lo, hi = 0, len(exp)
-    while hi - lo > 1 and exp[lo] < min_expected:
+    while hi - lo > 1 and exp[lo] < _GOF_MIN_EXPECTED:
         exp[lo + 1] += exp[lo]
         obs[lo + 1] += obs[lo]
         lo += 1
-    while hi - lo > 1 and exp[hi - 1] < min_expected:
+    while hi - lo > 1 and exp[hi - 1] < _GOF_MIN_EXPECTED:
         exp[hi - 2] += exp[hi - 1]
         obs[hi - 2] += obs[hi - 1]
         hi -= 1

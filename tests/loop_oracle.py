@@ -57,7 +57,7 @@ def reference_trick(state: GameState) -> TrickResult:
     decks[winner].extend(pile)
     next_state = GameState(tuple(decks[PLAYER_A]), tuple(decks[PLAYER_B]), winner)
     terminal = len(decks[other_player(winner)]) == 0
-    return TrickResult(next_state, winner, tuple(pile), len(pile), terminal)
+    return TrickResult(next_state, winner, tuple(pile), terminal)
 
 
 def dict_trace_states(initial: GameState, max_tricks: int):

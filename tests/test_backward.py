@@ -38,7 +38,7 @@ def test_candidates_forward_simulate_to_target():
             replay = play_trick(cand.state)
             assert replay.next_state == result.next_state
             assert not replay.terminal
-            assert replay.moves == cand.pile_length
+            assert len(replay.pile_in_play_order) == cand.pile_length
 
 
 def test_true_predecessor_is_always_enumerated():

@@ -98,7 +98,7 @@ def test_trick_special_lead():
     assert result.winner == PLAYER_A
     assert result.next_state == state("[CCCCCCC21C]", "[1C]")
     assert result.pile_in_play_order == (1, 0)
-    assert result.moves == 2
+    assert len(result.pile_in_play_order) == 2
     assert not result.terminal
 
 
@@ -172,7 +172,7 @@ def test_winner_deck_is_suffix_plus_pile(seed):
     result = play_trick(s)
     pre = s.deck_of(result.winner)
     post = result.next_state.deck_of(result.winner)
-    played = len(pre) + result.moves - len(post)
+    played = len(pre) + len(result.pile_in_play_order) - len(post)
     assert post == pre[played:] + result.pile_in_play_order
 
 

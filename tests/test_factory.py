@@ -104,10 +104,12 @@ def test_fragments_respect_deficit_multiplicity():
     deficits = {0: 2, 1: 1, 2: 4}
     for strategy in STRATEGIES:
         for pattern in STRATEGY_PATTERNS[strategy]:
-            for frag in generate_sequences(strategy, pattern, deficits):
+            frags = generate_sequences(strategy, pattern, deficits)
+            for frag in frags:
                 used = Counter(frag)
                 assert all(used[t] <= deficits.get(t, 0) for t in used)
                 assert len(frag) <= 10
+            assert len(set(frags)) == len(frags)
 
 
 def test_every_pattern_is_reachable():
@@ -163,10 +165,11 @@ def test_factory_rejects_terminating_seed():
         run_factory(config)
 
 
-def test_factory_works_with_capacity_one():
+def test_factory_works_with_capacity_one(monkeypatch):
+    monkeypatch.setattr(factory, "_CHECKPOINT_CAPACITY", 1)
     config = FactoryConfig(settings=Settings(12, 1),
                            seed_state=default_seed_state(),
-                           budget=50_000, rng_seed=3, checkpoint_capacity=1)
+                           budget=50_000, rng_seed=3)
     result = run_factory(config)
     assert result.best.score >= 6
 
@@ -193,10 +196,21 @@ def test_factory_reports_best_partial_when_target_has_no_loops():
     assert check_nontermination(result.best.state)
 
 
+def test_factory_corrects_excess_cards():
+    # six 1s where (20,1) holds four: insertions never add an excess card,
+    # so only a removal or retype can bring the rank-1 excess down
+    seed = state("[1CC1CC1CC]", "[C1CC1CC1C]")
+    s = Settings(20, 1)
+    assert missing(seed.deck_a, seed.deck_b, s)[1] == -2
+    config = FactoryConfig(settings=s, seed_state=seed, budget=300, rng_seed=2)
+    result = run_factory(config)
+    best = result.best
+    assert missing(best.deck_a, best.deck_b, s)[1] > -2
+    assert best.score > score(seed.deck_a, seed.deck_b, s)
+    assert check_nontermination(best.state)
+
+
 def test_factory_config_validation():
     with pytest.raises(ValueError):
         FactoryConfig(settings=Settings(12, 1), seed_state=default_seed_state(),
                       budget=0)
-    with pytest.raises(ValueError):
-        FactoryConfig(settings=Settings(12, 1), seed_state=default_seed_state(),
-                      budget=1, checkpoint_capacity=0)
