@@ -1,0 +1,226 @@
+/* The match kernel in C, line for line the pure-Python one in _kernels.py.
+ *
+ * bmn_play_loops is play_match_loops: _py_run's trick loop on ring-buffer
+ * decks, Brent's cycle detector with the same first block and trick limit,
+ * and _py_transient's lockstep pass. bmn_simulate is simulate_batch: the
+ * splitmix64 Fisher-Yates deal of SplitMix64.shuffle (masked rejection as
+ * in `below`), then play_match_loops with A leading. Results are bit for
+ * bit the Python ones. _kernels compiles this file with `cc -O2 -shared
+ * -fPIC` and calls it through ctypes; it uses no Python API.
+ */
+#include <stdint.h>
+#include <string.h>
+
+#define MAX_CARDS 1024 /* cards in play; a power of two, the rings' size */
+#define FIRST_BLOCK 64 /* _BRENT_FIRST_BLOCK */
+#define GOLDEN 0x9E3779B97F4A7C15ULL
+
+typedef struct {
+    uint8_t card[2][MAX_CARDS]; /* deck p is card[p][head[p]], ... */
+    uint32_t head[2], len[2];
+    uint32_t mask;              /* ring index mask: a power of two minus one */
+    int cur;                    /* the player leading the next trick */
+} game_t;
+
+static void load(game_t *g, const uint8_t *a, uint32_t na, const uint8_t *b,
+                 uint32_t nb, int leader)
+{
+    uint32_t ring = 1;
+    while (ring < na + nb)
+        ring *= 2;
+    g->mask = ring - 1;
+    memcpy(g->card[0], a, na);
+    memcpy(g->card[1], b, nb);
+    g->head[0] = g->head[1] = 0;
+    g->len[0] = na;
+    g->len[1] = nb;
+    g->cur = leader;
+}
+
+static int same(const game_t *x, const game_t *y)
+{
+    if (x->cur != y->cur || x->len[0] != y->len[0])
+        return 0;
+    for (int p = 0; p < 2; p++)
+        for (uint32_t i = 0; i < x->len[p]; i++)
+            if (x->card[p][(x->head[p] + i) & x->mask]
+                    != y->card[p][(y->head[p] + i) & y->mask])
+                return 0;
+    return 1;
+}
+
+/* _py_run: play up to n tricks; status 0 = ended (g->cur won), 1 = reached
+ * the state `watch` at a trick boundary, 2 = played n tricks. */
+static int run(game_t *g, int64_t n, const game_t *watch, int64_t *played)
+{
+    uint8_t pile[MAX_CARDS];
+    uint32_t mask = g->mask;
+    int cur = g->cur;
+    int64_t tricks = 0;
+    while (tricks < n) {
+        int pending = 0, challenger = 0, winner;
+        uint32_t np = 0;
+        for (;;) {
+            if (g->len[cur] == 0) {
+                /* required to flip from an empty deck: the other player wins */
+                winner = 1 - cur;
+                break;
+            }
+            uint8_t card = g->card[cur][g->head[cur]];
+            g->head[cur] = (g->head[cur] + 1) & mask;
+            g->len[cur]--;
+            pile[np++] = card;
+            if (card > 0) {
+                challenger = cur;
+                pending = card;
+                cur = 1 - cur;
+            } else if (pending > 0) {
+                if (--pending == 0) {
+                    winner = challenger;
+                    break;
+                }
+            } else {
+                cur = 1 - cur;
+            }
+        }
+        uint32_t tail = g->head[winner] + g->len[winner];
+        for (uint32_t i = 0; i < np; i++)
+            g->card[winner][(tail + i) & mask] = pile[i];
+        g->len[winner] += np;
+        tricks++;
+        cur = winner;
+        g->cur = cur;
+        if (g->len[1 - winner] == 0) {
+            *played = tricks;
+            return 0;
+        }
+        if (watch && same(g, watch)) {
+            *played = tricks;
+            return 1;
+        }
+    }
+    g->cur = cur;
+    *played = tricks;
+    return 2;
+}
+
+/* _py_transient: two copies of the match, `period` tricks apart, run in
+ * lockstep; -1 once the transient would exceed max_transient. */
+static int64_t transient(const uint8_t *a, uint32_t na, const uint8_t *b, uint32_t nb,
+                         int leader, int64_t period, int64_t max_transient)
+{
+    game_t behind, ahead;
+    int64_t played, t = 0;
+    load(&behind, a, na, b, nb, leader);
+    load(&ahead, a, na, b, nb, leader);
+    run(&ahead, period, NULL, &played);
+    while (!same(&behind, &ahead)) {
+        if (t == max_transient)
+            return -1;
+        run(&behind, 1, NULL, &played);
+        run(&ahead, 1, NULL, &played);
+        t++;
+    }
+    return t;
+}
+
+/* play_match_loops: returns the status and writes (a, b) of the result. */
+static int play(const uint8_t *a, uint32_t na, const uint8_t *b, uint32_t nb,
+                int leader, int64_t max_tricks, int64_t *out)
+{
+    game_t g, saved;
+    int64_t tricks, played;
+    load(&g, a, na, b, nb, leader);
+    int status = run(&g, FIRST_BLOCK, NULL, &tricks);
+    if (status == 0) {
+        if (tricks <= max_tricks) {
+            out[0] = g.cur;
+            out[1] = tricks;
+            return 0;
+        }
+        goto over;
+    }
+    int64_t last = FIRST_BLOCK;
+    while (last < max_tricks + FIRST_BLOCK - 1)
+        last *= 2;
+    int64_t limit = max_tricks + last;
+    int64_t block = 2 * FIRST_BLOCK;
+    while (tricks < limit) {
+        saved = g;
+        status = run(&g, block < limit - tricks ? block : limit - tricks, &saved, &played);
+        tricks += played;
+        if (status == 0) {
+            if (tricks <= max_tricks) {
+                out[0] = g.cur;
+                out[1] = tricks;
+                return 0;
+            }
+            break;
+        }
+        if (status == 1) {
+            if (played <= max_tricks) {
+                int64_t t = transient(a, na, b, nb, leader, played, max_tricks - played);
+                if (t >= 0) {
+                    out[0] = t;
+                    out[1] = played;
+                    return 1;
+                }
+            }
+            break;
+        }
+        block *= 2;
+    }
+over:
+    out[0] = -1;
+    out[1] = max_tricks;
+    return 2;
+}
+
+/* play_match_loops(a, b, leader, max_tricks): returns the status and
+ * writes (a, b) of the result to out; -1 if na + nb > MAX_CARDS. */
+int bmn_play_loops(const uint8_t *a, uint32_t na, const uint8_t *b, uint32_t nb,
+                   int leader, int64_t max_tricks, int64_t *out)
+{
+    if ((uint64_t)na + nb > MAX_CARDS)
+        return -1;
+    return play(a, na, b, nb, leader, max_tricks, out);
+}
+
+static uint64_t fmix64(uint64_t z)
+{
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+}
+
+/* simulate_batch(count, deck, seed, max_tricks, start) into durations and
+ * winners; -1 if n > MAX_CARDS. Seed and start arrive reduced mod 2**64. */
+int bmn_simulate(const uint8_t *deck, uint32_t n, uint64_t seed, uint64_t start,
+                 int64_t count, int64_t max_tricks, int32_t *durations, int8_t *winners)
+{
+    uint8_t cards[MAX_CARDS];
+    int64_t out[2];
+    if (n > MAX_CARDS)
+        return -1;
+    for (int64_t k = 0; k < count; k++) {
+        uint64_t state = fmix64(seed ^ fmix64(start + (uint64_t)k + 1));
+        memcpy(cards, deck, n);
+        for (uint32_t i = n; i-- > 1;) {
+            uint64_t mask = 1, r;
+            while (mask <= i) /* (1 << i.bit_length()) - 1 */
+                mask *= 2;
+            mask -= 1;
+            do {
+                state += GOLDEN;
+                r = fmix64(state) & mask;
+            } while (r > i);
+            uint8_t top = cards[i];
+            cards[i] = cards[r];
+            cards[r] = top;
+        }
+        int status = play(cards, n / 2, cards + n / 2, n - n / 2, 0, max_tricks, out);
+        winners[k] = (int8_t)(status == 0 ? out[0] : -status);
+        durations[k] = (int32_t)out[1];
+    }
+    return 0;
+}

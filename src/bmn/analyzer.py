@@ -10,7 +10,6 @@ runs are the two spacing measures tracked along a match.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -153,22 +152,21 @@ def _fmt(x: float) -> str:
     return format(x, ".12g")
 
 
-def write_trace_csv(records, path, positions_path=None) -> None:
-    """Trace CSV, one row per trick boundary, and optionally its companion
-    positions CSV (semicolon-joined special positions per player).
+def write_trace_csv(records, fh, pos=None) -> None:
+    """Trace CSV, one row per trick boundary, to the text file `fh`, and
+    optionally its companion positions CSV (semicolon-joined special
+    positions per player) to `pos`.
 
     Both files are written in one pass, so `records` may be a generator.
     """
-    with open(path, "w") as fh, \
-            (open(positions_path, "w") if positions_path else nullcontext()) as pos:
-        fh.write(TRACE_HEADER + "\n")
+    fh.write(TRACE_HEADER + "\n")
+    if pos:
+        pos.write(POSITIONS_HEADER + "\n")
+    for r in records:
+        fh.write(f"{r.trick},{r.size_a},{r.size_b},{r.specials_a},{r.specials_b},"
+                 f"{_fmt(r.sep_a)},{_fmt(r.sep_b)},"
+                 f"{_fmt(r.entropy_a)},{_fmt(r.entropy_b)}\n")
         if pos:
-            pos.write(POSITIONS_HEADER + "\n")
-        for r in records:
-            fh.write(f"{r.trick},{r.size_a},{r.size_b},{r.specials_a},{r.specials_b},"
-                     f"{_fmt(r.sep_a)},{_fmt(r.sep_b)},"
-                     f"{_fmt(r.entropy_a)},{_fmt(r.entropy_b)}\n")
-            if pos:
-                pa = ";".join(str(p) for p in r.positions_a)
-                pb = ";".join(str(p) for p in r.positions_b)
-                pos.write(f"{r.trick},{pa},{pb}\n")
+            pa = ";".join(str(p) for p in r.positions_a)
+            pb = ";".join(str(p) for p in r.positions_b)
+            pos.write(f"{r.trick},{pa},{pb}\n")

@@ -9,6 +9,8 @@ FORMATS.md.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 
 from . import __version__, analyzer, backward, cycles, engine, factory, simulator, stats
@@ -49,6 +51,32 @@ def _parse_state(args, settings) -> GameState:
     return GameState(deck_a, deck_b, args.leader)
 
 
+@contextlib.contextmanager
+def _outputs(*paths):
+    """Open every output path given (None: no file) for writing, before the
+    work that fills them; yields the files, None for an absent path.
+
+    If a path cannot be opened, or the work fails, the files opened here are
+    removed again, so an error leaves no empty or half-written output.
+    """
+    opened, files = [], []
+    with contextlib.ExitStack() as stack:
+        try:
+            for path in paths:
+                if path:
+                    files.append(stack.enter_context(open(path, "w")))
+                    opened.append(path)
+                else:
+                    files.append(None)
+            yield files
+        except BaseException:
+            stack.close()
+            for path in opened:
+                with contextlib.suppress(OSError):
+                    os.remove(path)
+            raise
+
+
 def _outcome_line(outcome) -> str:
     if isinstance(outcome, Terminated):
         return f"Terminated winner={outcome.winner} tricks={outcome.tricks}"
@@ -63,6 +91,8 @@ def _outcome_line(outcome) -> str:
 
 
 def cmd_play(args) -> int:
+    if args.positions and not args.trace:
+        return _fail("--positions is written alongside --trace; give both")
     settings = Settings.parse(args.setting)
     state = _parse_state(args, settings)
     if not state.playable:
@@ -72,10 +102,11 @@ def cmd_play(args) -> int:
         off = {r: d for r, d in deficits.items() if d != 0}
         return _fail(f"decks do not form a complete {settings} composition "
                      f"(deficits {off}); use --allow-partial to play anyway")
-    outcome = engine.play_match(state, args.max_tricks)
-    if args.trace:
-        analyzer.write_trace_csv(analyzer.trace_records(state, outcome),
-                                 args.trace, args.positions)
+    with _outputs(args.trace, args.positions) as (trace, positions):
+        outcome = engine.play_match(state, args.max_tricks)
+        if trace:
+            analyzer.write_trace_csv(analyzer.trace_records(state, outcome),
+                                     trace, positions)
     print(_outcome_line(outcome))
     return 0
 
@@ -110,11 +141,10 @@ def _stats_text(config, summary, fit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_histogram_csv(histogram: dict, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("tricks,count\n")
-        for tricks in sorted(histogram):
-            fh.write(f"{tricks},{histogram[tricks]}\n")
+def write_histogram_csv(histogram: dict, fh) -> None:
+    fh.write("tricks,count\n")
+    for tricks in sorted(histogram):
+        fh.write(f"{tricks},{histogram[tricks]}\n")
 
 
 def cmd_simulate(args) -> int:
@@ -130,16 +160,12 @@ def cmd_simulate(args) -> int:
             return _fail(f"--fit expects LO,HI, got {args.fit!r}")
         if lo >= hi:
             return _fail(f"--fit needs LO < HI, got {args.fit!r}")
-    summary = simulator.run_batch(config)
-    fit = stats.fit_exponential(summary.histogram, lo, hi) if args.fit else None
-    text = _stats_text(config, summary, fit)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    if args.hist:
-        write_histogram_csv(summary.histogram, args.hist)
+    with _outputs(args.out, args.hist) as (out, hist):
+        summary = simulator.run_batch(config)
+        fit = stats.fit_exponential(summary.histogram, lo, hi) if args.fit else None
+        (out or sys.stdout).write(_stats_text(config, summary, fit))
+        if hist:
+            write_histogram_csv(summary.histogram, hist)
     return 0
 
 
@@ -293,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-partial", action="store_true",
                    help="accept decks that do not form a full (N,R) composition")
     p.add_argument("--trace", help="write a per-trick CSV trace here")
-    p.add_argument("--positions", help="companion CSV of special-card positions")
+    p.add_argument("--positions",
+                   help="companion CSV of special-card positions (with --trace)")
     p.set_defaults(func=cmd_play)
 
     p = sub.add_parser("simulate", help="Monte Carlo batch over uniform deals")

@@ -1,10 +1,38 @@
-"""Shared test helpers: published configurations and random-state makers."""
+"""Shared test helpers: published configurations, random-state makers and
+the choice of match kernel."""
 
 from __future__ import annotations
 
 import random
+import shutil
 
+import pytest
+
+from bmn import _kernels
 from bmn.engine import PLAYER_A, PLAYER_B, GameState, parse_deck
+
+
+def require_c_kernel():
+    """Fail unless the C kernel plays; skip, saying so, only without a compiler."""
+    if _kernels.backend() != "c":
+        if shutil.which("cc"):
+            pytest.fail("a C compiler is on PATH but the C kernel did not load")
+        pytest.skip("no C compiler on PATH: the C kernel cannot be built")
+
+
+@pytest.fixture
+def c_kernel():
+    """Play on the C kernel. A test taking it has a twin named `..._python`
+    taking `python_kernel`, so that each compares C with Python."""
+    require_c_kernel()
+    return "c"
+
+
+@pytest.fixture
+def python_kernel(monkeypatch):
+    """Play on the pure-Python kernel, as if the C kernel had not loaded."""
+    monkeypatch.setattr(_kernels, "_ckernel", False)
+    return "python"
 
 # Ultra-long published matches: (setting, deck_a, deck_b, winner, tricks).
 # The (40,2) pair is the corrected one: the two rank-1 cards of deck A are

@@ -13,7 +13,7 @@ from itertools import combinations
 
 import pytest
 
-from bmn import analyzer, backward, cycles, factory, simulator, stats
+from bmn import _kernels, analyzer, backward, cycles, factory, simulator, stats
 from bmn.backward import BackwardSearchConfig, backward_search, enumerate_predecessors
 from bmn.engine import (
     PLAYER_A,
@@ -160,6 +160,11 @@ def test_criterion_5_monte_carlo_statistics(mc_summary):
     assert abs(summary.std_dev - 25.24) <= 0.5
     assert abs(summary.wins_a_pct - 49.70) <= 0.3
     assert summary.max_tricks >= 250
+    # the batch's exact figures, the same on the C and the Python kernel
+    assert summary.mean == pytest.approx(30.544079, abs=5e-7)
+    assert summary.max_tricks == 396
+    if _kernels.backend() == "c":
+        assert elapsed <= 25.0, elapsed
     # parallel execution must not change results (checked at smaller scale)
     small1 = simulator.run_batch(simulator.SimConfig(
         settings=S40_3, matches=20_000, seed=MC_SEED, workers=1))

@@ -161,7 +161,8 @@ def test_trace_csv_files(tmp_path):
     records, _ = trace_match(state("[1CC]", "[C1C]"))
     trace_file = tmp_path / "trace.csv"
     pos_file = tmp_path / "pos.csv"
-    analyzer.write_trace_csv(records, trace_file, pos_file)
+    with open(trace_file, "w") as fh, open(pos_file, "w") as pos:
+        analyzer.write_trace_csv(records, fh, pos)
     lines = trace_file.read_text().splitlines()
     assert lines[0] == ("trick,size_a,size_b,specials_a,specials_b,"
                         "sep_a,sep_b,entropy_a,entropy_b")

@@ -93,6 +93,59 @@ def test_play_unwritable_output_paths_exit_1(tmp_path):
     assert out.returncode == 1
     assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
     assert "p.csv" in out.stderr
+    # the trace file opened first is not left behind
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_play_positions_without_trace_exits_1(tmp_path):
+    _, a, b, _, _ = PLAY_420
+    pos = tmp_path / "p.csv"
+    out = run_cli("play", "--setting", "40,3", "--deck-a", a, "--deck-b", b,
+                  "--positions", str(pos))
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: ") and "--trace" in out.stderr
+    assert not pos.exists()
+
+
+def _unplayable(*args, **kwargs):
+    raise AssertionError("played before its outputs were opened")
+
+
+@pytest.mark.parametrize("bad", ["--trace", "--positions"])
+def test_play_opens_outputs_before_playing(monkeypatch, capsys, tmp_path, bad):
+    monkeypatch.setattr(cli.engine, "play_match", _unplayable)
+    _, a, b, _, _ = PLAY_420
+    paths = {"--trace": tmp_path / "t.csv", "--positions": tmp_path / "p.csv"}
+    paths[bad] = tmp_path / "missing" / "x.csv"
+    rc = cli.main(["play", "--setting", "40,3", "--deck-a", a, "--deck-b", b,
+                   "--trace", str(paths["--trace"]),
+                   "--positions", str(paths["--positions"])])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("bad", ["--out", "--hist"])
+def test_simulate_opens_outputs_before_playing(monkeypatch, capsys, tmp_path, bad):
+    monkeypatch.setattr(cli.simulator, "run_batch", _unplayable)
+    paths = {"--out": tmp_path / "s.txt", "--hist": tmp_path / "h.csv"}
+    paths[bad] = tmp_path / "missing" / "x.csv"
+    rc = cli.main(["simulate", "--setting", "40,3", "--matches", "20000",
+                   "--out", str(paths["--out"]), "--hist", str(paths["--hist"])])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_work_leaves_no_output(monkeypatch, tmp_path):
+    def failing(config):
+        raise ValueError("the batch failed")
+
+    monkeypatch.setattr(cli.simulator, "run_batch", failing)
+    rc = cli.main(["simulate", "--setting", "12,1", "--matches", "10",
+                   "--out", str(tmp_path / "s.txt"), "--hist", str(tmp_path / "h.csv")])
+    assert rc == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,30 @@
 """Match kernels and RNG: play against reference-trick stepping, the lockstep
-deal against the scalar shuffle, batch slicing and memory."""
+deal against the scalar shuffle, batch slicing and memory, the C kernel
+against the pure-Python one, and how the C kernel is built and cached."""
 
+import hashlib
+import os
 import random
+import shutil
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from bmn import _kernels
+from bmn import _kernels, cli
 from bmn._rng import SplitMix64, fmix64, stream_state
 from bmn.engine import PLAYER_A, PLAYER_B, BudgetExceeded, Settings, Terminated, play_match
 from bmn.simulator import full_deck
-from conftest import random_playable_state
+from conftest import random_playable_state, require_c_kernel
 from loop_oracle import reference_trick
 
 
 def test_backend_name():
-    assert _kernels.backend() == "python"
+    # the C kernel plays wherever a compiler can build it; Python elsewhere
+    assert _kernels.backend() == ("c" if shutil.which("cc") else "python")
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +133,7 @@ def test_deal_block_matches_scalar_shuffle(setting, seed):
     assert most_draws >= 3
 
 
-def test_simulate_batch_is_index_sliced():
+def test_simulate_batch_is_index_sliced(c_kernel):
     # the same match index yields the same outcome regardless of batch bounds
     deck = full_deck(Settings(12, 1))
     d1, w1 = _kernels.simulate_batch(50, deck, 7, 100_000)
@@ -151,6 +158,10 @@ def test_simulate_batch_is_index_sliced():
     assert (w == -1).any() and (w >= 0).any()
     _, w = _kernels.simulate_batch(50, deck, 7, 3)
     assert (w == -2).any()
+
+
+def test_simulate_batch_is_index_sliced_python(python_kernel):
+    test_simulate_batch_is_index_sliced(python_kernel)
 
 
 def _peak_bytes(fn):
@@ -181,3 +192,169 @@ def test_simulate_batch_memory_is_bounded_by_the_deal_block():
 def test_simulate_batch_rejects_huge_budget():
     with pytest.raises(ValueError):
         _kernels.simulate_batch(1, full_deck(Settings(12, 1)), 0, 2 ** 31)
+
+
+# ---------------------------------------------------------------------------
+# C kernel against the pure-Python reference
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("setting, cap", [
+    ((40, 3), 100_000),
+    ((12, 1), 3),         # every match over the budget
+    ((12, 1), 50),        # loops and over-budget matches
+    ((12, 1), 100_000),
+    ((52, 4), 100_000),
+    ((20, 1), 100_000),
+    ((28, 3), 100_000),
+])
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1, -5])
+def test_c_batch_matches_python_batch(setting, cap, seed):
+    require_c_kernel()
+    deck = full_deck(Settings(*setting))
+    for n, start in ((400, 0), (300, 123), (60, _kernels._DEAL_BLOCK - 30)):
+        d, w = _kernels.simulate_batch(n, deck, seed, cap, start)
+        d_py, w_py = _kernels._py_simulate_batch(n, deck, seed, cap, start)
+        assert d.dtype == d_py.dtype and w.dtype == w_py.dtype
+        assert np.array_equal(d, d_py) and np.array_equal(w, w_py), (n, start)
+
+
+def test_c_match_matches_python_match():
+    require_c_kernel()
+    rng = random.Random(8)
+    statuses = set()
+    for _ in range(3000):
+        s = random_playable_state(rng, max_cards=rng.choice([6, 12, 20]),
+                                  max_rank=rng.randint(1, 4))
+        leader = rng.randint(0, 1)
+        cap = rng.choice([1, 2, 7, 63, 64, 65, 128, 129, 3000, 100_000])
+        got = _kernels.play_match_loops(s.deck_a, s.deck_b, leader, cap)
+        assert got == _kernels._py_match_loops(s.deck_a, s.deck_b, leader, cap), (s, cap)
+        statuses.add((got[0], leader))
+    assert statuses == {(status, leader) for status in (0, 1, 2) for leader in (0, 1)}
+
+
+def test_c_kernel_has_the_python_first_block():
+    # results do not depend on the block, but the first-block edge tests
+    # probe the C kernel at the Python constant's edges
+    with open(_kernels._SOURCE) as fh:
+        assert f"#define FIRST_BLOCK {_kernels._BRENT_FIRST_BLOCK} " in fh.read()
+
+
+def _recording(monkeypatch, name):
+    """Wrap the Python function `name` of _kernels; returns the calls made."""
+    calls = []
+    inner = getattr(_kernels, name)
+
+    def wrapped(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(_kernels, name, wrapped)
+    return calls
+
+
+def test_inputs_past_the_c_limits_play_in_python(monkeypatch):
+    require_c_kernel()
+    calls = _recording(monkeypatch, "_py_match_loops")
+    small = ((1, 0, 0), (0, 1, 0))
+    assert _kernels.play_match_loops(*small, 0, 100) == _kernels._py_match_loops(*small, 0, 100)
+    calls.clear()
+    # a budget whose trick counts could overflow int64, a card the C kernel
+    # cannot hold, and more cards than it holds
+    wide = ((0,) * 600 + (1,), (0,) * 600 + (2,))
+    for deck_a, deck_b, cap in [(*small, 2 ** 60), (*small, -2 ** 60),
+                                ((300, 0), (0, 1), 100), (*wide, 50)]:
+        got = _kernels.play_match_loops(deck_a, deck_b, 1, cap)
+        assert calls.pop() == (deck_a, deck_b, 1, cap)
+        assert got == _kernels._py_match_loops(deck_a, deck_b, 1, cap)
+    batches = _recording(monkeypatch, "_py_simulate_batch")
+    deck = [1] * 4 + [0] * 1022
+    d, w = _kernels.simulate_batch(3, deck, 5, 20)
+    assert len(batches) == 1
+    assert (w == -2).all() and (d == 20).all()
+
+
+def test_failed_build_falls_back_to_python(monkeypatch, tmp_path):
+    require_c_kernel()
+    args = ["simulate", "--setting", "12,1", "--matches", "2000", "--seed", "7",
+            "--max-tricks", "50"]
+
+    def outputs(tag):
+        out, hist = tmp_path / f"{tag}.txt", tmp_path / f"{tag}.csv"
+        assert cli.main(args + ["--out", str(out), "--hist", str(hist)]) == 0
+        return out.read_bytes(), hist.read_bytes()
+
+    with_c = outputs("c")
+    monkeypatch.setattr(_kernels, "_load_c", lambda: None)
+    monkeypatch.setattr(_kernels, "_ckernel", None)
+    assert _kernels.backend() == "python"
+    assert outputs("python") == with_c
+
+
+@pytest.fixture
+def cache(monkeypatch, tmp_path):
+    """An empty kernel cache for this test, and the compiler calls it sees."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    compiles = []
+    run = subprocess.run
+
+    def counted(cmd, *args, **kwargs):
+        compiles.append(cmd)
+        return run(cmd, *args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", counted)
+    return tmp_path / "bmn", compiles
+
+
+def test_kernel_is_compiled_once_into_a_private_cache(cache):
+    require_c_kernel()
+    folder, compiles = cache
+    assert _kernels._load_c() is not None
+    assert len(compiles) == 1
+    with open(_kernels._SOURCE, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    assert os.listdir(folder) == [f"_ckernel-{digest}.so"]
+    assert not os.stat(folder).st_mode & 0o077
+    # a later load takes the cached library and runs no compiler
+    assert _kernels._load_c() is not None
+    assert len(compiles) == 1
+
+
+def test_kernel_is_not_built_or_loaded_from_a_shared_directory(cache):
+    require_c_kernel()
+    folder, compiles = cache
+    folder.mkdir(mode=0o777)
+    folder.chmod(0o777)  # whatever the umask
+    assert _kernels._load_c() is None
+    assert compiles == [] and os.listdir(folder) == []
+    folder.chmod(0o700)
+    assert _kernels._load_c() is not None
+    library = folder / os.listdir(folder)[0]
+    library.chmod(0o777)
+    assert _kernels._load_c() is None
+
+
+def test_failed_compile_leaves_no_file(cache, monkeypatch, tmp_path):
+    require_c_kernel()
+    folder, compiles = cache
+    broken = tmp_path / "broken.c"
+    broken.write_text("this is not C\n")
+    monkeypatch.setattr(_kernels, "_SOURCE", str(broken))
+    assert _kernels._load_c() is None
+    assert len(compiles) == 1 and os.listdir(folder) == []
+    monkeypatch.setattr(shutil, "which", lambda name: None)
+    assert _kernels._load_c() is None
+    assert len(compiles) == 1
+
+
+def test_concurrent_first_loads_both_get_the_kernel(tmp_path):
+    require_c_kernel()
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path))
+    code = "from bmn import _kernels; print(_kernels.backend())"
+    procs = [subprocess.Popen([sys.executable, "-c", code], env=env, text=True,
+                              stdout=subprocess.PIPE) for _ in range(2)]
+    outs = [p.communicate(timeout=300)[0] for p in procs]
+    assert [p.returncode for p in procs] == [0, 0]
+    assert outs == ["c\n", "c\n"]
+    assert len(os.listdir(tmp_path / "bmn")) == 1

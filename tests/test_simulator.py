@@ -1,5 +1,7 @@
 """Simulator tests: deal uniformity, reproducibility, batch aggregation."""
 
+import dataclasses
+import functools
 import math
 import os
 from collections import Counter
@@ -73,10 +75,14 @@ def test_run_batch_is_reproducible():
     assert run_batch(cfg) == run_batch(cfg)
 
 
-def test_run_batch_workers_do_not_change_results():
+def test_run_batch_workers_do_not_change_results(c_kernel):
     base = SimConfig(settings=Settings(40, 3), matches=2000, seed=11, workers=1)
     multi = SimConfig(settings=Settings(40, 3), matches=2000, seed=11, workers=2)
     assert run_batch(base) == run_batch(multi)
+
+
+def test_run_batch_workers_do_not_change_results_python(python_kernel):
+    test_run_batch_workers_do_not_change_results(python_kernel)
 
 
 def test_batches_without_a_terminated_match_compare_equal(monkeypatch):
@@ -98,7 +104,8 @@ def test_batches_without_a_terminated_match_compare_equal(monkeypatch):
     ((40, 3), 3, 10 ** 6),
     ((12, 1), 2001, 50),      # odd count; over-budget matches replayed as loops
 ])
-def test_worker_ranges_concatenate_in_index_order(monkeypatch, setting, matches, cap):
+def test_worker_ranges_concatenate_in_index_order(monkeypatch, c_kernel, setting, matches,
+                                                  cap):
     # three cores, so that three workers really run three ranges
     monkeypatch.setattr(simulator.os, "cpu_count", lambda: 3)
     configs = [SimConfig(settings=Settings(*setting), matches=matches, seed=5,
@@ -112,14 +119,27 @@ def test_worker_ranges_concatenate_in_index_order(monkeypatch, setting, matches,
         assert run_batch(cfg) == summary
 
 
-def test_run_batch_plays_in_worker_processes(monkeypatch):
+_PLAY_RANGE = simulator._play_range
+
+
+def _play_range_noting_pid(folder, lo, hi, *args):
+    """`simulator._play_range` that writes the id of the process it ran in."""
+    (folder / f"{lo}-{hi}").write_text(str(os.getpid()))
+    return _PLAY_RANGE(lo, hi, *args)
+
+
+def test_run_batch_plays_in_worker_processes(monkeypatch, tmp_path):
     monkeypatch.setattr(simulator.os, "cpu_count", lambda: 2)
-    before = os.times()
-    run_batch(SimConfig(settings=Settings(40, 3), matches=4000, seed=2, workers=2))
-    after = os.times()
-    # the pool's processes have exited and been waited for
-    assert (after.children_user + after.children_system
-            > before.children_user + before.children_system)
+    # sent to the pool by name like the function it stands for
+    monkeypatch.setattr(simulator, "_play_range",
+                        functools.partial(_play_range_noting_pid, tmp_path))
+    cfg = SimConfig(settings=Settings(40, 3), matches=4000, seed=2, workers=2)
+    assert run_batch(cfg) == run_batch(dataclasses.replace(cfg, workers=1))
+    # the two ranges of the pool ran, each in a process other than this one
+    pids = {path.name: int(path.read_text()) for path in tmp_path.iterdir()}
+    assert set(pids) == {"0-2000", "2000-4000", "0-4000"}
+    assert pids["0-4000"] == os.getpid()
+    assert pids["0-2000"] != os.getpid() and pids["2000-4000"] != os.getpid()
 
 
 def test_pool_size_caps_at_matches_and_cores(monkeypatch):
@@ -134,7 +154,7 @@ def test_pool_size_caps_at_matches_and_cores(monkeypatch):
     assert simulator.pool_size(4, 100) == 1
 
 
-def test_run_batch_detect_loops_agrees_with_fast_path():
+def test_run_batch_detect_loops_agrees_with_fast_path(c_kernel):
     # (12,1) has only 495 distinct deals and some of them cycle: the kernel
     # plus the replay of over-budget matches must report what loop-detecting
     # play of every match reports, loops and over-budget matches included
@@ -146,6 +166,10 @@ def test_run_batch_detect_loops_agrees_with_fast_path():
         assert run_batch(cfg) == expected, cap
     assert expected.loop_count > 0
     assert expected.budget_exceeded_count == 0
+
+
+def test_run_batch_detect_loops_agrees_with_fast_path_python(python_kernel):
+    test_run_batch_detect_loops_agrees_with_fast_path(python_kernel)
 
 
 def test_run_batch_replays_no_match(monkeypatch):
