@@ -16,8 +16,10 @@ available: `_ckernel.c`, the same deal, trick loop and Brent detector line
 for line, bit-identical to the Python code here, which stays as the
 reference and the fallback. On first use the source is compiled with the
 system C compiler (`cc -O2 -shared -fPIC`) into `$XDG_CACHE_HOME/bmn`
-(default `~/.cache/bmn`), the file named by the source's sha256, and loaded
-with ctypes; later processes load the cached library without compiling.
+(default `~/.cache/bmn`), the file named by the source's sha256 and the
+platform (system, machine, C library), and loaded with ctypes; later
+processes load the cached library without compiling, and build it again
+only if it does not load.
 Without a compiler, when the build fails or the cache directory is not
 private to the user, and for decks or budgets past the C kernel's limits,
 the Python code plays. `backend()` names the kernel in use.
@@ -32,6 +34,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import sys
 from collections import deque
 
 import numpy as np
@@ -83,6 +86,16 @@ def _compile(target) -> bool:
     return True
 
 
+def _platform_tag() -> str:
+    """The system, machine and C library a compiled kernel is bound to, so
+    that hosts sharing a cache directory keep their libraries apart."""
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION") or ""
+    except (ValueError, OSError):  # not glibc
+        libc = ""
+    return "-".join([sys.platform, os.uname().machine, *libc.split()])
+
+
 def _build_c():
     """Path of the compiled C kernel, compiled into the cache unless it is
     there; None without a compiler or a cache private to the user. A cached
@@ -93,19 +106,30 @@ def _build_c():
     os.makedirs(folder, mode=0o700, exist_ok=True)
     if not _private(folder):
         return None
-    target = os.path.join(folder, f"_ckernel-{digest}.so")
+    target = os.path.join(folder, f"_ckernel-{digest}-{_platform_tag()}.so")
     if not os.path.exists(target) and not _compile(target):
         return None
     return target if _private(target) else None
 
 
 def _load_c():
-    """The C kernel through ctypes, or None if it cannot be built or loaded."""
+    """The C kernel through ctypes, or None if it cannot be built or loaded.
+
+    A cached library that does not load (a damaged file, or one built for
+    another C library under the same name) is removed and built once more.
+    """
     try:
         path = _build_c()
         if path is None:
             return None
-        lib = ctypes.CDLL(path)
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            os.remove(path)
+            path = _build_c()
+            if path is None:
+                return None
+            lib = ctypes.CDLL(path)
     except OSError:
         return None
     # buffers go as plain pointers: checking typed pointer arguments made a

@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import stat
 import sys
+import tempfile
 
 from . import __version__, analyzer, backward, cycles, engine, factory, simulator, stats
 from .engine import (
@@ -51,30 +53,55 @@ def _parse_state(args, settings) -> GameState:
     return GameState(deck_a, deck_b, args.leader)
 
 
+def _stage(path, staged):
+    """Open output `path` for writing. A regular file (or a new one) is
+    written under a temporary name beside it, listed in `staged` as
+    (temporary, final) to be moved into place; any other path, such as a
+    device or a pipe, is opened as it is."""
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        st = None
+    if st is not None and not stat.S_ISREG(st.st_mode):
+        return open(path, "w")
+    final = os.path.realpath(path)
+    try:
+        fd, temporary = tempfile.mkstemp(dir=os.path.dirname(final),
+                                         prefix=f".{os.path.basename(final)}.")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    staged.append((temporary, final))
+    if st is not None:
+        mode = stat.S_IMODE(st.st_mode)
+    else:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    os.fchmod(fd, mode)
+    return os.fdopen(fd, "w")
+
+
 @contextlib.contextmanager
 def _outputs(*paths):
     """Open every output path given (None: no file) for writing, before the
     work that fills them; yields the files, None for an absent path.
 
-    If a path cannot be opened, or the work fails, the files opened here are
-    removed again, so an error leaves no empty or half-written output.
+    A regular file is written under a temporary name beside it and moved
+    into place once the work is done, so an error or an interrupt leaves
+    no partial output and keeps the file that was there before. Devices
+    and pipes are written to directly and never removed.
     """
-    opened, files = [], []
-    with contextlib.ExitStack() as stack:
-        try:
-            for path in paths:
-                if path:
-                    files.append(stack.enter_context(open(path, "w")))
-                    opened.append(path)
-                else:
-                    files.append(None)
-            yield files
-        except BaseException:
-            stack.close()
-            for path in opened:
-                with contextlib.suppress(OSError):
-                    os.remove(path)
-            raise
+    staged = []
+    try:
+        with contextlib.ExitStack() as stack:
+            yield [stack.enter_context(_stage(path, staged)) if path else None
+                   for path in paths]
+        for temporary, final in staged:
+            os.replace(temporary, final)
+    finally:
+        for temporary, _ in staged:
+            with contextlib.suppress(OSError):
+                os.remove(temporary)
 
 
 def _outcome_line(outcome) -> str:

@@ -1,6 +1,7 @@
 """CLI tests: run the real entry point in a subprocess."""
 
 import os
+import stat
 import subprocess
 import sys
 
@@ -146,6 +147,62 @@ def test_failed_work_leaves_no_output(monkeypatch, tmp_path):
                    "--out", str(tmp_path / "s.txt"), "--hist", str(tmp_path / "h.csv")])
     assert rc == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("error", [ValueError("the batch failed"), KeyboardInterrupt()],
+                         ids=["error", "interrupt"])
+def test_failed_work_keeps_an_earlier_output(monkeypatch, tmp_path, error):
+    def failing(config):
+        raise error
+
+    monkeypatch.setattr(cli.simulator, "run_batch", failing)
+    out = tmp_path / "s.txt"
+    out.write_text("earlier results\n")
+    args = ["simulate", "--setting", "12,1", "--matches", "10", "--out", str(out)]
+    if isinstance(error, KeyboardInterrupt):
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(args)
+    else:
+        assert cli.main(args) == 1
+    assert out.read_text() == "earlier results\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_rewritten_output_keeps_its_mode(tmp_path):
+    out = tmp_path / "s.txt"
+    out.write_text("earlier results\n")
+    out.chmod(0o640)
+    assert cli.main(["simulate", "--setting", "12,1", "--matches", "10",
+                     "--out", str(out)]) == 0
+    assert out.read_text().startswith("# bmn stats v3\n")
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_outputs_that_are_not_regular_files_are_not_removed(capsys, tmp_path):
+    # a pipe stands in for a device such as /dev/null: it is written to as
+    # it is and stays when the work fails (here: the positions path)
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)  # lets the writer open it
+    try:
+        _, a, b, _, _ = PLAY_420
+        rc = cli.main(["play", "--setting", "40,3", "--deck-a", a, "--deck-b", b,
+                       "--trace", str(pipe),
+                       "--positions", str(tmp_path / "missing" / "p.csv")])
+    finally:
+        os.close(reader)
+    assert rc == 1
+    assert "p.csv" in capsys.readouterr().err
+    assert stat.S_ISFIFO(os.lstat(pipe).st_mode)
+    assert list(tmp_path.iterdir()) == [pipe]
+
+
+def test_simulate_writes_to_a_device(capsys):
+    assert cli.main(["simulate", "--setting", "12,1", "--matches", "10",
+                     "--out", os.devnull]) == 0
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    assert capsys.readouterr().out == ""
 
 
 # ---------------------------------------------------------------------------

@@ -173,7 +173,7 @@ def _peak_bytes(fn):
         tracemalloc.stop()
 
 
-def test_simulate_batch_memory_is_bounded_by_the_deal_block():
+def test_simulate_batch_memory_is_bounded_by_the_deal_block(python_kernel):
     # numpy reports its buffers to tracemalloc. Ten times the matches may
     # add only the larger output arrays (int32 durations, int8 winners),
     # plus a few kB the interpreter keeps in free lists (deque blocks).
@@ -314,7 +314,7 @@ def test_kernel_is_compiled_once_into_a_private_cache(cache):
     assert len(compiles) == 1
     with open(_kernels._SOURCE, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
-    assert os.listdir(folder) == [f"_ckernel-{digest}.so"]
+    assert os.listdir(folder) == [f"_ckernel-{digest}-{_kernels._platform_tag()}.so"]
     assert not os.stat(folder).st_mode & 0o077
     # a later load takes the cached library and runs no compiler
     assert _kernels._load_c() is not None
@@ -333,6 +333,30 @@ def test_kernel_is_not_built_or_loaded_from_a_shared_directory(cache):
     library = folder / os.listdir(folder)[0]
     library.chmod(0o777)
     assert _kernels._load_c() is None
+
+
+def test_platform_tag_names_the_machine():
+    tag = _kernels._platform_tag()
+    assert tag.startswith(f"{sys.platform}-{os.uname().machine}")
+
+
+def test_a_cached_library_that_does_not_load_is_built_again(tmp_path):
+    # in a new process: one that loaded the library keeps its handle
+    require_c_kernel()
+    with open(_kernels._SOURCE, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    folder = tmp_path / "bmn"
+    folder.mkdir(mode=0o700)
+    library = folder / f"_ckernel-{digest}-{_kernels._platform_tag()}.so"
+    library.write_bytes(b"not a shared library")
+    library.chmod(0o700)
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path))
+    code = "from bmn import _kernels; print(_kernels.backend())"
+    done = subprocess.run([sys.executable, "-c", code], env=env, text=True,
+                          capture_output=True, timeout=300)
+    assert done.stdout == "c\n", done.stderr
+    assert os.listdir(folder) == [library.name]
+    assert library.read_bytes() != b"not a shared library"
 
 
 def test_failed_compile_leaves_no_file(cache, monkeypatch, tmp_path):
