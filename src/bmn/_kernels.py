@@ -5,21 +5,20 @@ single tricks (`engine.play_trick`) and state walks (`engine.walk`). Every
 match is played by `play_match_loops`, which runs Brent's cycle detector
 on that loop, saving one state at a time and finding the exact transient
 with a second lockstep pass; it tells a terminated match, a loop and a
-match over the trick budget apart. A batch draws match i's deal from the
-(seed, i) splitmix64 stream, so its results do not depend on how the batch
-is split. It deals blocks of up to `_DEAL_BLOCK` matches in lockstep with
-numpy `uint64` arithmetic (`deal_block`), bit-identical to
-`SplitMix64.shuffle` of each stream, and plays them one by one.
+match over the trick budget apart. A batch deals match i with
+`SplitMix64.shuffle`, the reference deal, on the (seed, i) splitmix64
+stream, so its results do not depend on how the batch is split, and plays
+the matches one by one.
 
 `play_match_loops` and `simulate_batch` run on a C kernel when one is
 available: `_ckernel.c`, the same deal, trick loop and Brent detector line
-for line, bit-identical to the Python code here, which stays as the
-reference and the fallback. On first use the source is compiled with the
-system C compiler (`cc -O2 -shared -fPIC`) into `$XDG_CACHE_HOME/bmn`
-(default `~/.cache/bmn`), the file named by the source's sha256 and the
-platform (system, machine, C library), and loaded with ctypes; later
-processes load the cached library without compiling, and build it again
-only if it does not load.
+for line, bit-identical to the reference shuffle and the Python code here,
+which stays as the reference and the fallback. On first use the source is
+compiled with the system C compiler (`cc -O2 -shared -fPIC`) into
+`$XDG_CACHE_HOME/bmn` (default `~/.cache/bmn`), the file named by the
+source's sha256 and the platform (system, machine, C library), and loaded
+with ctypes; later processes load the cached library without compiling,
+and build it again only if it does not load.
 Without a compiler, when the build fails or the cache directory is not
 private to the user, and for decks or budgets past the C kernel's limits,
 the Python code plays. `backend()` names the kernel in use.
@@ -39,7 +38,7 @@ from collections import deque
 
 import numpy as np
 
-from ._rng import _MIX1, _MIX2, GOLDEN, MASK64
+from ._rng import MASK64, SplitMix64
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_ckernel.c")
 
@@ -320,53 +319,6 @@ def _py_match_loops(deck_a, deck_b, leader, max_tricks):
     return 2, -1, max_tricks
 
 
-_U64 = np.uint64
-
-#: Matches dealt together. The block, not the batch, bounds the deal's
-#: memory. A (40,3) block of 1024 deals in about 7 ms on a 2-core Xeon,
-#: some 15 % of the time its matches take to play.
-_DEAL_BLOCK = 1024
-
-
-def _fmix64_rows(z):
-    """`_rng.fmix64` of every element of a uint64 array (a new array)."""
-    z = z ^ (z >> _U64(30))
-    z *= _U64(_MIX1)
-    z ^= z >> _U64(27)
-    z *= _U64(_MIX2)
-    return z ^ (z >> _U64(31))
-
-
-def deal_block(deck, seed, start, count):
-    """Shuffle `count` copies of `deck` at once, one splitmix64 stream per row.
-
-    Row k is bit for bit `deck` after `SplitMix64.for_stream(seed, start + k)
-    .shuffle`: all streams take each Fisher-Yates step together, and in
-    `below`'s masked rejection only the rows whose draw was rejected draw
-    again. Returns a (count, len(deck)) uint8 array.
-    """
-    index = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    state = _fmix64_rows(_U64(seed & MASK64) ^ _fmix64_rows(index))
-    cards = np.tile(np.asarray(deck, dtype=np.uint8), (count, 1))
-    rows = np.arange(count)
-    for i in range(len(deck) - 1, 0, -1):
-        n = i + 1
-        mask = _U64((1 << i.bit_length()) - 1)
-        state += _U64(GOLDEN)
-        j = _fmix64_rows(state) & mask
-        redraw = np.flatnonzero(j >= n)
-        while redraw.size:
-            s = state[redraw] + _U64(GOLDEN)
-            state[redraw] = s
-            r = _fmix64_rows(s) & mask
-            j[redraw] = r
-            redraw = redraw[r >= n]
-        top = cards[:, i].copy()
-        cards[:, i] = cards[rows, j]
-        cards[rows, j] = top
-    return cards
-
-
 def simulate_batch(n_matches, deck, seed, max_tricks, start=0):
     """Deal and play matches start .. start + n_matches - 1.
 
@@ -397,16 +349,17 @@ def simulate_batch(n_matches, deck, seed, max_tricks, start=0):
 
 
 def _py_simulate_batch(n_matches, deck, seed, max_tricks, start=0):
-    """`simulate_batch` in pure Python: the reference the C kernel follows."""
+    """`simulate_batch` in pure Python: the reference the C kernel follows.
+
+    Match i is dealt as `simulator.match_state` deals it and played alone.
+    """
     durations = np.empty(n_matches, dtype=np.int32)
     winners = np.empty(n_matches, dtype=np.int8)
     half = len(deck) // 2
-    for lo in range(0, n_matches, _DEAL_BLOCK):
-        cards = deal_block(deck, seed, start + lo,
-                           min(_DEAL_BLOCK, n_matches - lo))
-        halves = zip(cards[:, :half].tolist(), cards[:, half:].tolist())
-        for idx, (deck_a, deck_b) in enumerate(halves, lo):
-            status, a, b = _py_match_loops(deck_a, deck_b, 0, max_tricks)
-            winners[idx] = a if status == 0 else -status
-            durations[idx] = b
+    for idx in range(n_matches):
+        cards = list(deck)
+        SplitMix64.for_stream(seed, start + idx).shuffle(cards)
+        status, a, b = _py_match_loops(cards[:half], cards[half:], 0, max_tricks)
+        winners[idx] = a if status == 0 else -status
+        durations[idx] = b
     return durations, winners

@@ -2,9 +2,9 @@
 
 Per-match streams are derived from a (seed, index) pair, so any single match
 can be reproduced in isolation and batch results never depend on how a
-batch is split. `SplitMix64.shuffle` is the reference deal; the batch kernel
-deals many streams at once with numpy (`_kernels.deal_block`), or one by one
-in C (`_ckernel.c`), bit-identical to it.
+batch is split. There are two deals: `SplitMix64.shuffle`, the reference,
+which the pure-Python batch kernel calls for each match, and the C kernel's
+(`_ckernel.c`), bit-identical to it.
 """
 
 from __future__ import annotations

@@ -291,26 +291,27 @@ def cmd_factory(args) -> int:
         seeds.append(factory.default_seed_state())
 
     best_result = None
-    for seed_state in seeds:
-        config = factory.FactoryConfig(settings=settings, seed_state=seed_state,
-                                       budget=args.budget, rng_seed=args.rng_seed,
-                                       nontermination_trick_cap=args.trick_cap)
-        try:
-            result = factory.run_factory(config)
-        except factory.SeedNotLoopingError:
-            print(f"seed {format_deck(seed_state.deck_a)} "
-                  f"{format_deck(seed_state.deck_b)} terminates; skipped",
-                  file=sys.stderr)
-            continue
-        if result.success:
-            line = _findings_line(settings, result.complete, result.report)
-            if args.out:
-                with open(args.out, "a") as fh:
-                    fh.write(line + "\n")
-            print(f"complete {line} rounds={result.rounds_used}")
-            return 0
-        if best_result is None or result.best.score > best_result.best.score:
-            best_result = result
+    # opened before the search, so that a bad path fails at once
+    with open(args.out, "a") if args.out else contextlib.nullcontext() as out:
+        for seed_state in seeds:
+            config = factory.FactoryConfig(settings=settings, seed_state=seed_state,
+                                           budget=args.budget, rng_seed=args.rng_seed,
+                                           nontermination_trick_cap=args.trick_cap)
+            try:
+                result = factory.run_factory(config)
+            except factory.SeedNotLoopingError:
+                print(f"seed {format_deck(seed_state.deck_a)} "
+                      f"{format_deck(seed_state.deck_b)} terminates; skipped",
+                      file=sys.stderr)
+                continue
+            if result.success:
+                line = _findings_line(settings, result.complete, result.report)
+                if out:
+                    out.write(line + "\n")
+                print(f"complete {line} rounds={result.rounds_used}")
+                return 0
+            if best_result is None or result.best.score > best_result.best.score:
+                best_result = result
     if best_result is None:
         return _fail("no usable seed configuration", VERIFY_ERROR)
     cp = best_result.best

@@ -16,9 +16,10 @@ from .engine import DEFAULT_BATCH_TRICKS, PLAYER_A, GameState, Settings
 class SimConfig:
     """Batch parameters. Match i always draws from the (seed, i) stream.
 
-    The batch kernel (C, or Python dealing in lockstep blocks) plays it on
-    up to `workers` processes, each taking a contiguous range of match
-    indices; neither the kernel nor the worker count changes a result. Every match is played with loop detection: it
+    Match i is dealt by the C kernel or by the reference `SplitMix64.shuffle`
+    (bit-identical) and played on up to `workers` processes, each taking a
+    contiguous range of match indices; neither the kernel nor the worker
+    count changes a result. Every match is played with loop detection: it
     terminates, loops with transient + period <= `max_tricks`, or exceeds
     the budget.
     """

@@ -389,6 +389,24 @@ def test_factory_finds_complete_12_1(tmp_path):
     assert "period=" in line
 
 
+def test_factory_opens_out_before_searching(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(cli.factory, "run_factory", _unplayable)
+    rc = cli.main(["factory", "--setting", "28,1", "--budget", "2000",
+                   "--out", str(tmp_path / "missing" / "f.txt")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_factory_partial_result_leaves_an_empty_findings_file(tmp_path):
+    findings = tmp_path / "findings.txt"
+    out = run_cli("factory", "--setting", "12,1", "--budget", "1",
+                  "--rng-seed", "4", "--out", str(findings))
+    assert out.returncode == 0
+    assert out.stdout.startswith("partial ")
+    assert findings.read_text() == ""
+
+
 def test_factory_findings_reproducible(tmp_path):
     f1, f2 = tmp_path / "a.txt", tmp_path / "b.txt"
     for f in (f1, f2):

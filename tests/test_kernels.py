@@ -1,6 +1,6 @@
-"""Match kernels and RNG: play against reference-trick stepping, the lockstep
-deal against the scalar shuffle, batch slicing and memory, the C kernel
-against the pure-Python one, and how the C kernel is built and cached."""
+"""Match kernels and RNG: play against reference-trick stepping, batch
+slicing and memory, the C kernel against the pure-Python one, and how the
+C kernel is built and cached."""
 
 import hashlib
 import os
@@ -93,64 +93,23 @@ def test_play_match_without_loops_agrees_with_stepping():
 # ---------------------------------------------------------------------------
 
 
-class _CountingRng(SplitMix64):
-    """The scalar reference, noting how many draws each `below` call took."""
-
-    __slots__ = ("calls", "draws")
-
-    def __init__(self, state):
-        super().__init__(state)
-        self.calls = 0
-        self.draws = []
-
-    def next_u64(self):
-        self.calls += 1
-        return super().next_u64()
-
-    def below(self, n):
-        before = self.calls
-        r = super().below(n)
-        self.draws.append(self.calls - before)
-        return r
-
-
-@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1, -123_456_789])
-@pytest.mark.parametrize("setting", [(12, 1), (40, 3), (52, 4)])
-def test_deal_block_matches_scalar_shuffle(setting, seed):
-    deck = full_deck(Settings(*setting))
-    most_draws = 0
-    for start in (0, 1_000_003):
-        cards = _kernels.deal_block(deck, seed, start, 300)
-        assert cards.shape == (300, len(deck))
-        for k, row in enumerate(cards.tolist()):
-            expected = deck.copy()
-            rng = _CountingRng(stream_state(seed, start + k))
-            rng.shuffle(expected)
-            assert row == expected, (start, k)
-            most_draws = max(most_draws, max(rng.draws))
-    # some row redrew at least twice in one `below`, so the rows compared
-    # above went through the masked rejection more than once
-    assert most_draws >= 3
-
-
 def test_simulate_batch_is_index_sliced(c_kernel):
     # the same match index yields the same outcome regardless of batch bounds
     deck = full_deck(Settings(12, 1))
     d1, w1 = _kernels.simulate_batch(50, deck, 7, 100_000)
     d2, w2 = _kernels.simulate_batch(30, deck, 7, 100_000)
     assert np.array_equal(d1[:30], d2) and np.array_equal(w1[:30], w2)
-    # batches that cross deal-block boundaries, or start inside or past one;
-    # the small cap keeps (12,1)'s cycling deals cheap
-    block, cap = _kernels._DEAL_BLOCK, 200
-    d, w = _kernels.simulate_batch(2 * block + 1, deck, 7, cap)
-    for n, start in ((block + 1, 0), (block + 1, block), (1, 2 * block),
-                     (block + 6, block - 5)):
+    # slices that start at 0, inside or at the end of a longer batch; the
+    # small cap keeps (12,1)'s cycling deals cheap
+    cap = 200
+    d, w = _kernels.simulate_batch(601, deck, 7, cap)
+    for n, start in ((301, 0), (301, 300), (1, 600), (306, 295)):
         ds, ws = _kernels.simulate_batch(n, deck, 7, cap, start)
         assert np.array_equal(d[start:start + n], ds), (n, start)
         assert np.array_equal(w[start:start + n], ws), (n, start)
     # each match is its own scalar deal played alone; the winners code
     # loops as -1 and over-budget matches as -2
-    for i in (0, block - 1, block, block + 1, 2 * block):
+    for i in (0, 299, 300, 301, 600):
         cards = deck.copy()
         SplitMix64.for_stream(7, i).shuffle(cards)
         status, a, b = _kernels.play_match_loops(cards[:6], cards[6:], 0, cap)
@@ -173,15 +132,14 @@ def _peak_bytes(fn):
         tracemalloc.stop()
 
 
-def test_simulate_batch_memory_is_bounded_by_the_deal_block(python_kernel):
+def test_python_batch_memory_is_bounded(python_kernel):
     # numpy reports its buffers to tracemalloc. Ten times the matches may
     # add only the larger output arrays (int32 durations, int8 winners),
     # plus a few kB the interpreter keeps in free lists (deque blocks).
     # Holding every deal would add at least its 40-byte row per match,
-    # over 700 kB here.
+    # over 180 kB here.
     deck = full_deck(Settings(40, 3))
-    block = _kernels._DEAL_BLOCK
-    small, large = 2 * block, 20 * block
+    small, large = 512, 5120
     _kernels.simulate_batch(small, deck, 1, 100_000)  # fill the free lists
     peak_small = _peak_bytes(lambda: _kernels.simulate_batch(small, deck, 5, 100_000))
     peak_large = _peak_bytes(lambda: _kernels.simulate_batch(large, deck, 5, 100_000))
@@ -199,6 +157,27 @@ def test_simulate_batch_rejects_huge_budget():
 # ---------------------------------------------------------------------------
 
 
+class _CountingRng(SplitMix64):
+    """The scalar reference, noting how many draws each `below` call took."""
+
+    __slots__ = ("calls", "draws")
+
+    def __init__(self, state):
+        super().__init__(state)
+        self.calls = 0
+        self.draws = []
+
+    def next_u64(self):
+        self.calls += 1
+        return super().next_u64()
+
+    def below(self, n):
+        before = self.calls
+        r = super().below(n)
+        self.draws.append(self.calls - before)
+        return r
+
+
 @pytest.mark.parametrize("setting, cap", [
     ((40, 3), 100_000),
     ((12, 1), 3),         # every match over the budget
@@ -209,14 +188,29 @@ def test_simulate_batch_rejects_huge_budget():
     ((28, 3), 100_000),
 ])
 @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1, -5])
-def test_c_batch_matches_python_batch(setting, cap, seed):
+def test_c_batch_matches_python_batch(monkeypatch, setting, cap, seed):
     require_c_kernel()
+    dealt = []
+
+    class Recorded(_CountingRng):
+        __slots__ = ()
+
+        def __init__(self, state):
+            super().__init__(state)
+            dealt.append(self)
+
+    # the Python batch deals with the reference shuffle, counted
+    monkeypatch.setattr(_kernels, "SplitMix64", Recorded)
     deck = full_deck(Settings(*setting))
-    for n, start in ((400, 0), (300, 123), (60, _kernels._DEAL_BLOCK - 30)):
+    for n, start in ((400, 0), (300, 123), (60, 1_000_003)):
         d, w = _kernels.simulate_batch(n, deck, seed, cap, start)
         d_py, w_py = _kernels._py_simulate_batch(n, deck, seed, cap, start)
         assert d.dtype == d_py.dtype and w.dtype == w_py.dtype
         assert np.array_equal(d, d_py) and np.array_equal(w, w_py), (n, start)
+    assert len(dealt) == 760
+    # some deal redrew at least twice in one `below`, so the C deal was
+    # compared through the masked rejection more than once
+    assert max(max(rng.draws) for rng in dealt) >= 3
 
 
 def test_c_match_matches_python_match():
