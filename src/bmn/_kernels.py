@@ -62,8 +62,8 @@ def _compile(target) -> bool:
     """Compile the C source into `target`; False if no compiler could.
 
     The library is built in a temporary directory beside `target` and moved
-    into place with `os.replace`, so processes building it at once never
-    load a partial file.
+    into place with `os.replace`, so processes or threads building it at
+    once never load a partial file.
     """
     # imported here: a process that finds the library cached needs none of them
     import shutil

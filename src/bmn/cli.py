@@ -356,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matches", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1,
-                   help="play the batch on up to N processes; changes no result")
+                   help="play the batch on up to N threads; changes no result")
     p.add_argument("--max-tricks", type=int, default=engine.DEFAULT_BATCH_TRICKS)
     p.add_argument("--out", help="write the stats file here (default stdout)")
     p.add_argument("--hist", help="write the histogram CSV here")
@@ -402,9 +402,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return args.func(args)
-    except DeckParseError as exc:
-        return _fail(str(exc))
-    except ValueError as exc:
+    except ValueError as exc:  # DeckParseError included
         return _fail(str(exc))
     except OSError as exc:  # unreadable input or unwritable output path
         return _fail(str(exc))

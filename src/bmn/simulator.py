@@ -17,7 +17,7 @@ class SimConfig:
     """Batch parameters. Match i always draws from the (seed, i) stream.
 
     Match i is dealt by the C kernel or by the reference `SplitMix64.shuffle`
-    (bit-identical) and played on up to `workers` processes, each taking a
+    (bit-identical) and played on up to `workers` threads, each taking a
     contiguous range of match indices; neither the kernel nor the worker
     count changes a result. Every match is played with loop detection: it
     terminates, loops with transient + period <= `max_tricks`, or exceeds
@@ -60,36 +60,28 @@ def match_state(config: SimConfig, index: int) -> GameState:
 
 
 def pool_size(workers: int, matches: int) -> int:
-    """Processes a batch runs on: never more than its matches or the cores."""
+    """Threads a batch runs on: never more than its matches or the cores."""
     return min(workers, matches, os.cpu_count() or 1)
-
-
-def _play_range(lo: int, hi: int, deck: list, seed: int, max_tricks: int):
-    """Worker task: the batch kernel over match indices lo .. hi - 1.
-
-    The pool sends it by name and it looks the kernel up when called, so
-    the kernel may be wrapped at run time (say, by a tracer).
-    """
-    return _kernels.simulate_batch(hi - lo, deck, seed, max_tricks, lo)
 
 
 def _play_all(config: SimConfig):
     """(durations, winners) of every match, in index order."""
     deck = full_deck(config.settings)
-    procs = pool_size(config.workers, config.matches)
-    if procs == 1:
-        return _play_range(0, config.matches, deck, config.seed, config.max_tricks)
-    # Imported here so that `import bmn` does not pay for the pool. Workers
-    # are forked: they need nothing but the loaded package, and a fresh
-    # interpreter per worker would cost more than a small batch plays.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    threads = pool_size(config.workers, config.matches)
 
-    bounds = [config.matches * k // procs for k in range(procs + 1)]
-    with ProcessPoolExecutor(procs, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [pool.submit(_play_range, lo, hi, deck, config.seed, config.max_tricks)
-                   for lo, hi in zip(bounds, bounds[1:])]
-        parts = [future.result() for future in futures]
+    def play(lo, hi):
+        # looked up when called, so the kernel may be wrapped (say, by a tracer)
+        return _kernels.simulate_batch(hi - lo, deck, config.seed, config.max_tricks, lo)
+
+    if threads == 1:
+        return play(0, config.matches)
+    # The C kernel releases the GIL, so threads play ranges in parallel.
+    # Imported here so that `import bmn` does not pay for the pool.
+    from concurrent.futures import ThreadPoolExecutor
+
+    bounds = [config.matches * k // threads for k in range(threads + 1)]
+    with ThreadPoolExecutor(threads) as pool:
+        parts = list(pool.map(play, bounds, bounds[1:]))
     return (np.concatenate([d for d, _ in parts]),
             np.concatenate([w for _, w in parts]))
 
@@ -98,7 +90,7 @@ def run_batch(config: SimConfig) -> stats.DurationSummary:
     """Play config.matches independent matches and summarize the outcomes.
 
     Matches run on the batch kernel, which detects loops, split into
-    contiguous index ranges over up to config.workers processes; this only
+    contiguous index ranges over up to config.workers threads; this only
     counts its codes. A loop counts when transient + period <=
     config.max_tricks, so loops and genuinely over-budget matches are
     reported apart. Results are bitwise identical for any worker count.

@@ -168,6 +168,22 @@ def test_failed_work_keeps_an_earlier_output(monkeypatch, tmp_path, error):
     assert list(tmp_path.iterdir()) == [out]
 
 
+def test_error_in_a_worker_thread_exits_1(monkeypatch, capsys, tmp_path):
+    # two cores, so that both ranges play on worker threads and the kernel
+    # refuses the budget there
+    monkeypatch.setattr(cli.simulator.os, "cpu_count", lambda: 2)
+    out = tmp_path / "s.txt"
+    out.write_text("earlier results\n")
+    rc = cli.main(["simulate", "--setting", "40,3", "--matches", "10", "--workers", "2",
+                   "--max-tricks", "2147483648", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert out.read_text() == "earlier results\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
 def test_rewritten_output_keeps_its_mode(tmp_path):
     out = tmp_path / "s.txt"
     out.write_text("earlier results\n")

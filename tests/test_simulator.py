@@ -1,16 +1,16 @@
 """Simulator tests: deal uniformity, reproducibility, batch aggregation."""
 
 import dataclasses
-import functools
 import math
 import os
+import threading
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from bmn import engine, simulator, stats
+from bmn import _kernels, engine, simulator, stats
 from bmn._rng import SplitMix64
 from bmn.engine import PLAYER_A, Settings, Terminated, play_match
 from bmn.simulator import SimConfig, deal, match_state, run_batch
@@ -102,7 +102,7 @@ def test_batches_without_a_terminated_match_compare_equal(monkeypatch):
     ((40, 3), 1, 10 ** 6),    # fewer matches than workers
     ((40, 3), 2, 10 ** 6),
     ((40, 3), 3, 10 ** 6),
-    ((12, 1), 2001, 50),      # odd count; over-budget matches replayed as loops
+    ((12, 1), 2001, 50),      # odd count; some matches loop
 ])
 def test_worker_ranges_concatenate_in_index_order(monkeypatch, c_kernel, setting, matches,
                                                   cap):
@@ -119,27 +119,27 @@ def test_worker_ranges_concatenate_in_index_order(monkeypatch, c_kernel, setting
         assert run_batch(cfg) == summary
 
 
-_PLAY_RANGE = simulator._play_range
-
-
-def _play_range_noting_pid(folder, lo, hi, *args):
-    """`simulator._play_range` that writes the id of the process it ran in."""
-    (folder / f"{lo}-{hi}").write_text(str(os.getpid()))
-    return _PLAY_RANGE(lo, hi, *args)
-
-
-def test_run_batch_plays_in_worker_processes(monkeypatch, tmp_path):
+def test_run_batch_plays_ranges_on_threads(monkeypatch):
     monkeypatch.setattr(simulator.os, "cpu_count", lambda: 2)
-    # sent to the pool by name like the function it stands for
-    monkeypatch.setattr(simulator, "_play_range",
-                        functools.partial(_play_range_noting_pid, tmp_path))
+
+    def no_fork():
+        raise AssertionError("run_batch forked a process")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    kernel, threads = _kernels.simulate_batch, {}
+
+    def noting_thread(n_matches, deck, seed, max_tricks, start=0):
+        threads[start, start + n_matches] = threading.get_ident()
+        return kernel(n_matches, deck, seed, max_tricks, start)
+
+    monkeypatch.setattr(_kernels, "simulate_batch", noting_thread)
     cfg = SimConfig(settings=Settings(40, 3), matches=4000, seed=2, workers=2)
     assert run_batch(cfg) == run_batch(dataclasses.replace(cfg, workers=1))
-    # the two ranges of the pool ran, each in a process other than this one
-    pids = {path.name: int(path.read_text()) for path in tmp_path.iterdir()}
-    assert set(pids) == {"0-2000", "2000-4000", "0-4000"}
-    assert pids["0-4000"] == os.getpid()
-    assert pids["0-2000"] != os.getpid() and pids["2000-4000"] != os.getpid()
+    # workers=1 plays on the caller's thread, each range of workers=2 on another
+    me = threading.get_ident()
+    assert set(threads) == {(0, 2000), (2000, 4000), (0, 4000)}
+    assert threads[0, 4000] == me
+    assert threads[0, 2000] != me and threads[2000, 4000] != me
 
 
 def test_pool_size_caps_at_matches_and_cores(monkeypatch):
@@ -155,9 +155,9 @@ def test_pool_size_caps_at_matches_and_cores(monkeypatch):
 
 
 def test_run_batch_detect_loops_agrees_with_fast_path(c_kernel):
-    # (12,1) has only 495 distinct deals and some of them cycle: the kernel
-    # plus the replay of over-budget matches must report what loop-detecting
-    # play of every match reports, loops and over-budget matches included
+    # (12,1) has only 495 distinct deals and some of them cycle: the batch
+    # kernel must report what loop-detecting play of every match reports,
+    # loops and over-budget matches included
     for cap in (1, 3, 10, 100_000):
         cfg = SimConfig(settings=Settings(12, 1), matches=800, seed=3, max_tricks=cap)
         expected = stats.summarize(
