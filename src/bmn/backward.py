@@ -5,7 +5,8 @@ can have several predecessors. They can still be enumerated exactly: the
 winner's deck ends with the pile in play order, so every candidate pile is
 a bottom slice of it; a slice is a complete natural trick only if it ends
 with a rank-k special followed by exactly k ordinaries, and replaying the
-slice under forward rules fixes who played each card.
+slice under forward rules fixes who played each card and, given the
+winner, which player led.
 """
 
 from __future__ import annotations
@@ -13,13 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cycles import standardize
-from .engine import (
-    PLAYER_A,
-    PLAYER_B,
-    GameState,
-    other_player,
-    play_trick,
-)
+from .engine import PLAYER_A, GameState, other_player, play_trick
 
 
 @dataclass(frozen=True)
@@ -43,18 +38,20 @@ class BackwardSearchConfig:
             raise ValueError("max_nodes must be >= 1")
 
 
-def _parse_pile(pile, first_leader):
+def _parse_pile(pile):
     """Attribute each pile card to the player forced to flip it.
 
-    Returns (cards played by A, cards played by B, winner) when the pile is
-    a complete natural trick ending exactly at its last card; None otherwise.
-    This is the trick's inverse. It stays apart from the forward trick loop
-    `_kernels._py_run`: replaying candidate piles through that loop made
-    enumerate_predecessors 1.7x slower.
+    Cards are assigned relative to the trick's leader, since the rules do
+    not depend on which player leads. Returns (cards the leader played,
+    cards the other player played, whether the leader won) when the pile is
+    a complete natural trick ending exactly at its last card; None
+    otherwise. This is the trick's inverse. It stays apart from the forward
+    trick loop `_kernels._py_run`: replaying candidate piles through that
+    loop made enumerate_predecessors 1.7x slower.
     """
-    played = {PLAYER_A: [], PLAYER_B: []}
-    cur = first_leader
-    challenger = cur
+    played = ([], [])
+    cur = 0
+    challenger = 0
     pending = 0
     last = len(pile) - 1
     for i, card in enumerate(pile):
@@ -62,26 +59,16 @@ def _parse_pile(pile, first_leader):
         if card > 0:
             challenger = cur
             pending = card
-            cur = other_player(cur)
+            cur = 1 - cur
         elif pending > 0:
             pending -= 1
             if pending == 0:
                 if i != last:
                     return None  # trick would have ended before the pile did
-                return played[PLAYER_A], played[PLAYER_B], challenger
+                return played[0], played[1], challenger == 0
         else:
-            cur = other_player(cur)
+            cur = 1 - cur
     return None  # pile ran out with the trick still open
-
-
-def _ends_with_block(pile) -> bool:
-    """True if the pile ends with a rank-k special followed by k ordinaries."""
-    k = 0
-    while k < len(pile) and pile[len(pile) - 1 - k] == 0:
-        k += 1
-    if k == 0 or k >= len(pile):
-        return False
-    return pile[len(pile) - 1 - k] == k
 
 
 def enumerate_predecessors(target: GameState) -> list:
@@ -90,38 +77,37 @@ def enumerate_predecessors(target: GameState) -> list:
     target.leader is read as the winner of the preceding trick. Candidate
     piles are the bottom slices of the winner's deck; each surviving parse
     is rebuilt by pushing the played cards back on top of their owners'
-    decks and confirmed by one forward trick. Only non-terminal predecessors
-    (both decks nonempty) are produced. Deduplicated, discovery order.
+    decks and confirmed by one forward trick. A target with an empty deck
+    has no predecessors. A predecessor fixes its trick, and with it the
+    pile length, so the list has no duplicates; it is in order of pile
+    length.
     """
+    if not target.playable:
+        return []
     winner = target.leader
-    wdeck = target.deck_of(winner)
+    loser = other_player(winner)
+    wdeck, ldeck = target.deck_of(winner), target.deck_of(loser)
+    n = len(wdeck)
+    # every pile ends with the deck's closing block: k ordinaries after a
+    # rank-k special, so slices shorter than the block cannot be tricks
+    k = 0
+    while k < n and wdeck[n - 1 - k] == 0:
+        k += 1
+    if k == 0 or k == n or wdeck[n - 1 - k] != k:
+        return []
     out = []
-    seen = set()
-    for plen in range(2, len(wdeck) + 1):
-        pile = wdeck[len(wdeck) - plen:]
-        if not _ends_with_block(pile):
+    for plen in range(k + 1, n + 1):
+        parsed = _parse_pile(wdeck[n - plen:])
+        if parsed is None:
             continue
-        rest = wdeck[:len(wdeck) - plen]
-        for prior in (PLAYER_A, PLAYER_B):
-            parsed = _parse_pile(pile, prior)
-            if parsed is None:
-                continue
-            played_a, played_b, parse_winner = parsed
-            if parse_winner != winner:
-                continue
-            if winner == PLAYER_A:
-                prev_a = tuple(played_a) + rest
-                prev_b = tuple(played_b) + target.deck_b
-            else:
-                prev_a = tuple(played_a) + target.deck_a
-                prev_b = tuple(played_b) + rest
-            candidate = GameState(prev_a, prev_b, prior)
-            result = play_trick(candidate)
-            if result.terminal or result.next_state != target:
-                continue
-            if candidate not in seen:
-                seen.add(candidate)
-                out.append(PredecessorCandidate(candidate, plen))
+        led, followed, leader_won = parsed
+        won, lost = (led, followed) if leader_won else (followed, led)
+        prev_w = tuple(won) + wdeck[:n - plen]
+        prev_l = tuple(lost) + ldeck
+        decks = (prev_w, prev_l) if winner == PLAYER_A else (prev_l, prev_w)
+        candidate = GameState(*decks, winner if leader_won else loser)
+        if play_trick(candidate).next_state == target:
+            out.append(PredecessorCandidate(candidate, plen))
     return out
 
 

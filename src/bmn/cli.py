@@ -233,6 +233,8 @@ def cmd_backward(args) -> int:
                                            max_nodes=args.max_nodes)
     settings = Settings.parse(args.setting)
     state = _parse_state(args, settings)
+    if not state.playable:
+        return _fail("both decks must be nonempty")
     if args.find_balanced:
         for found in backward.backward_search([state], config):
             print(f"leader={found.leader} deck_a={format_deck(found.deck_a)} "

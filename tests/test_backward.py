@@ -10,6 +10,7 @@ from bmn.engine import (
     PLAYER_A,
     PLAYER_B,
     GameState,
+    Settings,
     format_deck,
     play_match,
     play_trick,
@@ -70,6 +71,49 @@ def test_predecessors_are_deduplicated():
     cands = enumerate_predecessors(target)
     keys = {(c.state.deck_a, c.state.deck_b, c.state.leader) for c in cands}
     assert len(keys) == len(cands)
+
+
+def _arrangements(counts):
+    """Every distinct ordering of a multiset of cards, given as {card: count}."""
+    if not any(counts.values()):
+        yield ()
+        return
+    for card, count in counts.items():
+        if count:
+            for tail in _arrangements({**counts, card: count - 1}):
+                yield (card,) + tail
+
+
+def _playable_states(settings):
+    """Every playable state of a setting: an arrangement, a split, a leader."""
+    counts = {rank: settings.target_count(rank)
+              for rank in range(settings.max_rank + 1)}
+    for deck in _arrangements(counts):
+        for k in range(1, settings.n_total):
+            for leader in (PLAYER_A, PLAYER_B):
+                yield GameState(deck[:k], deck[k:], leader)
+
+
+@pytest.mark.parametrize("setting, n_states, max_in_degree", [
+    ("12,1", 10_890, 10), ("16,1", 54_600, 14), ("10,2", 56_700, 8)])
+def test_predecessors_are_the_exact_preimage(setting, n_states, max_in_degree):
+    # the whole trick map of a small setting, inverted by brute force
+    states = list(_playable_states(Settings.parse(setting)))
+    assert len(states) == n_states
+    preimage = {}
+    for s in states:
+        result = play_trick(s)
+        if not result.terminal:
+            preimage.setdefault(result.next_state, set()).add(s)
+    leader_pairs = set()
+    for t in states:
+        preds = [c.state for c in enumerate_predecessors(t)]
+        assert len(set(preds)) == len(preds)
+        assert set(preds) == preimage.get(t, set())
+        leader_pairs.update((t.leader, p.leader) for p in preds)
+    assert max(len(p) for p in preimage.values()) == max_in_degree
+    assert leader_pairs == {(w, p) for w in (PLAYER_A, PLAYER_B)
+                            for p in (PLAYER_A, PLAYER_B)}
 
 
 def test_backward_search_depth_zero_echoes_balanced_seeds():

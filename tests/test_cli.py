@@ -326,6 +326,16 @@ def test_backward_depth_zero_find_balanced_echoes_seed():
     assert out.stdout.strip() == f"leader=A deck_a={a} deck_b={b}"
 
 
+@pytest.mark.parametrize("deck_a, deck_b, mode", [
+    ("[]", "[1CC]", ()), ("[1CC]", "[]", ("--find-balanced",))])
+def test_backward_rejects_an_empty_deck(deck_a, deck_b, mode):
+    out = run_cli("backward", "--setting", "12,1", "--deck-a", deck_a,
+                  "--deck-b", deck_b, *mode)
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr == "error: both decks must be nonempty\n"
+
+
 @pytest.mark.parametrize("args", [
     ("backward", "--setting", "12,2", "--deck-a", "[CCCCCCC21C]", "--deck-b", "[1C]",
      "--depth", "4"),
