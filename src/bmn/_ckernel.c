@@ -4,7 +4,10 @@
  * decks, Brent's cycle detector with the same first block and trick limit,
  * and _py_transient's lockstep pass. bmn_simulate is simulate_batch: the
  * splitmix64 Fisher-Yates deal of SplitMix64.shuffle (masked rejection as
- * in `below`), then play_match_loops with A leading. Results are bit for
+ * in SplitMix64.below), then play_match_loops with A leading.
+ * bmn_first_insertion is first_insertion: the same shuffle of a deck's
+ * insertion points, then play_match_loops on the deck with a fragment
+ * spliced in at each point in turn until one loops. Results are bit for
  * bit the Python ones. _kernels compiles this file with `cc -O2 -shared
  * -fPIC` and calls it through ctypes; it uses no Python API.
  */
@@ -193,6 +196,21 @@ static uint64_t fmix64(uint64_t z)
     return z ^ (z >> 31);
 }
 
+/* SplitMix64.below: uniform in [0, n), n >= 1, by masked rejection; the
+ * one draw of both Fisher-Yates shuffles here. */
+static uint32_t below(uint64_t *state, uint32_t n)
+{
+    uint64_t mask = 1, r;
+    while (mask < n) /* (1 << (n - 1).bit_length()) - 1 */
+        mask *= 2;
+    mask -= 1;
+    do {
+        *state += GOLDEN;
+        r = fmix64(*state) & mask;
+    } while (r >= n);
+    return (uint32_t)r;
+}
+
 /* simulate_batch(count, deck, seed, max_tricks, start) into durations and
  * winners; -1 if n > MAX_CARDS. Seed and start arrive reduced mod 2**64. */
 int bmn_simulate(const uint8_t *deck, uint32_t n, uint64_t seed, uint64_t start,
@@ -206,14 +224,7 @@ int bmn_simulate(const uint8_t *deck, uint32_t n, uint64_t seed, uint64_t start,
         uint64_t state = fmix64(seed ^ fmix64(start + (uint64_t)k + 1));
         memcpy(cards, deck, n);
         for (uint32_t i = n; i-- > 1;) {
-            uint64_t mask = 1, r;
-            while (mask <= i) /* (1 << i.bit_length()) - 1 */
-                mask *= 2;
-            mask -= 1;
-            do {
-                state += GOLDEN;
-                r = fmix64(state) & mask;
-            } while (r > i);
+            uint32_t r = below(&state, i + 1);
             uint8_t top = cards[i];
             cards[i] = cards[r];
             cards[r] = top;
@@ -222,5 +233,45 @@ int bmn_simulate(const uint8_t *deck, uint32_t n, uint64_t seed, uint64_t start,
         winners[k] = (int8_t)(status == 0 ? out[0] : -status);
         durations[k] = (int32_t)out[1];
     }
+    return 0;
+}
+
+/* first_insertion(deck, frag, other, into_a, rng, max_positions,
+ * max_tricks) with *state as rng.state, in and out: writes (tests,
+ * position) to out, position -1 if no insertion loops. Returns -1, the
+ * state untouched, if the n + nf + no cards exceed MAX_CARDS. */
+int bmn_first_insertion(const uint8_t *deck, uint32_t n, const uint8_t *frag, uint32_t nf,
+                        const uint8_t *other, uint32_t no, int into_a, uint64_t *state,
+                        int64_t max_positions, int64_t max_tricks, int64_t *out)
+{
+    uint32_t points[MAX_CARDS + 1];
+    uint8_t grown[MAX_CARDS];
+    int64_t result[2];
+    if ((uint64_t)n + nf + no > MAX_CARDS)
+        return -1;
+    for (uint32_t i = 0; i <= n; i++)
+        points[i] = i;
+    for (uint32_t i = n + 1; i-- > 1;) {
+        uint32_t r = below(state, i + 1);
+        uint32_t top = points[i];
+        points[i] = points[r];
+        points[r] = top;
+    }
+    int64_t count = max_positions < n + 1 ? max_positions : n + 1;
+    for (int64_t t = 0; t < count; t++) {
+        uint32_t pos = points[t];
+        memcpy(grown, deck, pos);
+        memcpy(grown + pos, frag, nf);
+        memcpy(grown + pos + nf, deck + pos, n - pos);
+        int status = into_a ? play(grown, n + nf, other, no, 0, max_tricks, result)
+                            : play(other, no, grown, n + nf, 0, max_tricks, result);
+        if (status == 1) {
+            out[0] = t + 1;
+            out[1] = pos;
+            return 0;
+        }
+    }
+    out[0] = count;
+    out[1] = -1;
     return 0;
 }

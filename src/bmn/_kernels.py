@@ -10,15 +10,20 @@ match over the trick budget apart. A batch deals match i with
 stream, so its results do not depend on how the batch is split, and plays
 the matches one by one.
 
-`play_match_loops` and `simulate_batch` run on a C kernel when one is
-available: `_ckernel.c`, the same deal, trick loop and Brent detector line
-for line, bit-identical to the reference shuffle and the Python code here,
-which stays as the reference and the fallback. On first use the source is
-compiled with the system C compiler (`cc -O2 -shared -fPIC`) into
-`$XDG_CACHE_HOME/bmn` (default `~/.cache/bmn`), the file named by the
-source's sha256 and the platform (system, machine, C library), and loaded
-with ctypes; later processes load the cached library without compiling,
-and build it again only if it does not load.
+The loop factory tests a fragment's insertion points with
+`first_insertion`: one shuffle of the points on the factory's rng, then
+`play_match_loops` on each grown deck in turn until one loops.
+
+`play_match_loops`, `simulate_batch` and `first_insertion` run on a C
+kernel when one is available: `_ckernel.c`, the same shuffle, trick loop
+and Brent detector line for line, bit-identical to the reference shuffle
+and the Python code here, which stays as the reference and the fallback.
+On first use the source is compiled with the system C compiler (`cc -O2
+-shared -fPIC`) into `$XDG_CACHE_HOME/bmn` (default `~/.cache/bmn`), the
+file named by the source's sha256 and the platform (system, machine, C
+library), and loaded with ctypes; later processes load the cached library
+without compiling, and build it again only if it does not load. A build
+removes the libraries of other source versions for the same platform.
 Without a compiler, when the build fails or the cache directory is not
 private to the user, and for decks or budgets past the C kernel's limits,
 the Python code plays. `backend()` names the kernel in use.
@@ -30,9 +35,11 @@ coded 0 (A) and 1 (B). Match status codes: 0 = terminated, 1 = looped,
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
+import re
 import sys
 from collections import deque
 
@@ -105,9 +112,17 @@ def _build_c():
     os.makedirs(folder, mode=0o700, exist_ok=True)
     if not _private(folder):
         return None
-    target = os.path.join(folder, f"_ckernel-{digest}-{_platform_tag()}.so")
-    if not os.path.exists(target) and not _compile(target):
-        return None
+    tag = _platform_tag()
+    target = os.path.join(folder, f"_ckernel-{digest}-{tag}.so")
+    if not os.path.exists(target):
+        if not _compile(target):
+            return None
+        # the libraries of other source versions for this platform are stale
+        stale = re.compile(rf"_ckernel-(?!{digest})[0-9a-f]{{64}}-{re.escape(tag)}\.so")
+        for name in os.listdir(folder):
+            if stale.fullmatch(name):
+                with contextlib.suppress(OSError):  # gone already, or kept: no harm
+                    os.remove(os.path.join(folder, name))
     return target if _private(target) else None
 
 
@@ -140,6 +155,9 @@ def _load_c():
     lib.bmn_simulate.argtypes = [ptr, size, ctypes.c_uint64, ctypes.c_uint64, i64, i64,
                                  ptr, ptr]
     lib.bmn_simulate.restype = ctypes.c_int
+    lib.bmn_first_insertion.argtypes = [ptr, size, ptr, size, ptr, size, ctypes.c_int, ptr,
+                                        i64, i64, ptr]
+    lib.bmn_first_insertion.restype = ctypes.c_int
     return lib
 
 
@@ -317,6 +335,55 @@ def _py_match_loops(deck_a, deck_b, leader, max_tricks):
             break
         block *= 2
     return 2, -1, max_tricks
+
+
+_State = ctypes.c_uint64 * 1
+
+
+def first_insertion(deck, frag, other, into_a, rng, max_positions, max_tricks):
+    """The first insertion point of `frag` into `deck` that makes a loop.
+
+    Shuffles the len(deck) + 1 insertion points with `rng`, as
+    `rng.shuffle` does, and then, for the first `max_positions` (>= 0) of
+    them in that order, splices `frag` into `deck` there and plays the
+    match by `play_match_loops` with A leading: the grown deck is A's if
+    `into_a`, else B's, and `other` is the other player's deck. Stops at
+    the first match that loops within `max_tricks`. Returns (tests,
+    position): the matches played, and the insertion point of the loop or
+    None. Runs on the C kernel if that loaded and takes the cards and the
+    budget, otherwise on `_py_first_insertion`, with the same result and
+    the same state left in `rng`.
+    """
+    lib = _c()
+    if lib and max_positions >= 0 and -_C_MAX_TRICKS < max_tricks < _C_MAX_TRICKS:
+        try:
+            d, f, o = bytes(deck), bytes(frag), bytes(other)
+        except ValueError:  # a card outside 0..255
+            pass
+        else:
+            state, result = _State(rng.state), _Result()
+            # -1: more cards than the C kernel holds; it drew nothing
+            if lib.bmn_first_insertion(d, len(d), f, len(f), o, len(o), into_a, state,
+                                       min(max_positions, len(d) + 1), max_tricks,
+                                       result) == 0:
+                rng.state = state[0]
+                tests, position = result
+                return tests, (position if position >= 0 else None)
+    return _py_first_insertion(deck, frag, other, into_a, rng, max_positions, max_tricks)
+
+
+def _py_first_insertion(deck, frag, other, into_a, rng, max_positions, max_tricks):
+    """`first_insertion` in pure Python: the reference the C kernel follows."""
+    positions = list(range(len(deck) + 1))
+    rng.shuffle(positions)
+    tests = 0
+    for pos in positions[:max_positions]:
+        tests += 1
+        grown = deck[:pos] + frag + deck[pos:]
+        decks = (grown, other) if into_a else (other, grown)
+        if _py_match_loops(*decks, 0, max_tricks)[0] == 1:
+            return tests, pos
+    return tests, None
 
 
 def simulate_batch(n_matches, deck, seed, max_tricks, start=0):

@@ -1,9 +1,10 @@
 """Command-line interface: play, simulate, loops, backward, factory.
 
 Exit codes: 0 success, 1 usage or parse error, 2 verification failure
-(e.g. verifying a loop on decks that terminate). All commands are
-deterministic given their full flag set; emitted files are documented in
-FORMATS.md.
+(e.g. verifying a loop on decks that terminate), 141 (128 + SIGPIPE) when
+the reader of standard output closes it early (`bmn ... | head`). All
+commands are deterministic given their full flag set; emitted files are
+documented in FORMATS.md.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .engine import (
 
 USAGE_ERROR = 1
 VERIFY_ERROR = 2
+BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 
 
 class _Parser(argparse.ArgumentParser):
@@ -404,6 +406,11 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader of stdout is gone: no error line, and stdout goes to
+        # the null device so that its flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
     except ValueError as exc:  # DeckParseError included
         return _fail(str(exc))
     except OSError as exc:  # unreadable input or unwritable output path

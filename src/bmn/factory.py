@@ -14,10 +14,9 @@ restarts to leave dead ends.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Optional
 
-from . import engine
+from . import _kernels, engine
 from ._rng import SplitMix64
 from .cycles import LoopReport, verify_loop
 from .engine import PLAYER_A, Deck, GameState, Looped, Settings
@@ -140,10 +139,12 @@ def score(deck_a: Deck, deck_b: Deck, settings: Settings) -> int:
 
 def test_nontermination(state: GameState,
                         trick_cap: int = engine.DEFAULT_BATCH_TRICKS) -> bool:
-    """True only for a proven cycle within trick_cap.
+    """True if the match from `state` loops with transient + period <= trick_cap.
 
-    Hitting the budget counts as False, so every positive answer is backed
-    by an actual recurrence.
+    A match still running at the cap counts as False, so every True is
+    backed by a recurrence found in play. The factory tests its seed and
+    its corrections with it; `_kernels.first_insertion` tests insertions,
+    a fragment at a time, by the same rule.
     """
     return isinstance(engine.play_match(state, trick_cap), Looped)
 
@@ -256,25 +257,34 @@ def _select(store: list, rng: SplitMix64, escape: bool) -> Checkpoint:
     return max(store, key=lambda cp: (cp.score, cp.depth, cp.age))
 
 
-def _insertions(cp: Checkpoint, fragments: list, bias: int, rng: SplitMix64):
-    """(deck_a, deck_b) candidates with one fragment inserted, in test order.
+def _first_insertion(cp: Checkpoint, fragments: list, bias: int, rng: SplitMix64,
+                     trick_cap: int):
+    """(tests, decks): the first insertion of a fragment that keeps the loop.
 
-    The insertion points are shuffled per fragment, when it is reached.
+    Fragments are tried in order, each at up to _MAX_POSITIONS insertion
+    points shuffled when it is reached; `decks` is the grown (deck_a,
+    deck_b), or None if no insertion loops.
     """
+    tests = 0
     for f_idx, frag in enumerate(fragments):
         into_a = bias == 0 or (bias == 2 and f_idx % 2 == 0)
-        deck = cp.deck_a if into_a else cp.deck_b
-        positions = list(range(len(deck) + 1))
-        rng.shuffle(positions)
-        for pos in positions[:_MAX_POSITIONS]:
-            new_deck = deck[:pos] + frag + deck[pos:]
-            yield (new_deck, cp.deck_b) if into_a else (cp.deck_a, new_deck)
+        deck, other = (cp.deck_a, cp.deck_b) if into_a else (cp.deck_b, cp.deck_a)
+        n_tests, pos = _kernels.first_insertion(deck, frag, other, into_a, rng,
+                                                _MAX_POSITIONS, trick_cap)
+        tests += n_tests
+        if pos is not None:
+            grown = deck[:pos] + frag + deck[pos:]
+            return tests, ((grown, other) if into_a else (other, grown))
+    return tests, None
 
 
-def _corrections(cp: Checkpoint, deficits: dict, rng: SplitMix64):
-    """Candidates with one excess card removed, then with one retyped.
+def _first_correction(cp: Checkpoint, deficits: dict, rng: SplitMix64, trick_cap: int):
+    """(tests, decks): the first correction of an excess card that keeps the
+    loop, or None for `decks`.
 
-    The excess spots are shuffled when the generator is first advanced.
+    Each of up to _MAX_POSITIONS excess spots, shuffled first, is tried
+    with its card removed, and then each with its card retyped to each
+    deficient rank.
     """
     decks = (cp.deck_a, cp.deck_b)
     spots = [(which, i) for which, deck in enumerate(decks)
@@ -284,11 +294,16 @@ def _corrections(cp: Checkpoint, deficits: dict, rng: SplitMix64):
     deficient = sorted(r for r, d in deficits.items() if d > 0)
     removals = [(spot, ()) for spot in spots]
     retypes = [(spot, (rank,)) for spot in spots for rank in deficient]
+    tests = 0
     for (which, i), card in removals + retypes:
         deck = decks[which]
         if card or len(deck) > 1:  # never empty a deck
             deck = deck[:i] + card + deck[i + 1:]
-            yield (deck, decks[1]) if which == 0 else (decks[0], deck)
+            fixed = (deck, decks[1]) if which == 0 else (decks[0], deck)
+            tests += 1
+            if test_nontermination(GameState(*fixed, PLAYER_A), trick_cap):
+                return tests, fixed
+    return tests, None
 
 
 def run_factory(config: FactoryConfig) -> FactoryResult:
@@ -344,19 +359,18 @@ def run_factory(config: FactoryConfig) -> FactoryResult:
         deficits = missing(cp.deck_a, cp.deck_b, settings)
         fragments = generate_sequences(strategy, pattern, deficits)
 
-        candidates = _insertions(cp, fragments, bias, rng)
-        if any(d < 0 for d in deficits.values()):
-            candidates = chain(candidates, _corrections(cp, deficits, rng))
-        for da, db in candidates:
-            tests += 1
-            grown = GameState(da, db, PLAYER_A)
-            if test_nontermination(grown, cap):
-                break
-        else:
+        n_tests, decks = _first_insertion(cp, fragments, bias, rng, cap)
+        tests += n_tests
+        if decks is None and any(d < 0 for d in deficits.values()):
+            n_tests, decks = _first_correction(cp, deficits, rng, cap)
+            tests += n_tests
+        if decks is None:
             stuck = stuck + 1 if cp.age == last_selected_age else 1
             last_selected_age = cp.age
             continue
 
+        da, db = decks
+        grown = GameState(da, db, PLAYER_A)
         age_counter += 1
         # depth counts insertions only, the one move that adds cards
         new_cp = Checkpoint(da, db,

@@ -30,6 +30,18 @@ def test_unknown_command_exits_1():
     assert run_cli("frobnicate").returncode == 1
 
 
+def test_closed_stdout_exits_141_without_an_error_line():
+    # as in `bmn backward ... | head -1`: the reader is gone before the output
+    proc = subprocess.Popen([sys.executable, "-m", "bmn", "backward", "--setting", "12,2",
+                             "--deck-a", "[CCCCCCC21C]", "--deck-b", "[1C]", "--depth", "6"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.BROKEN_PIPE == 141
+    assert err == ""
+
+
 # ---------------------------------------------------------------------------
 # play
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from bmn import factory
+from bmn import _kernels, factory
 from bmn._rng import SplitMix64
 from bmn.cycles import verify_loop
 from bmn.engine import GameState, Settings, format_deck
@@ -196,10 +196,14 @@ def test_factory_reports_best_partial_when_target_has_no_loops():
     assert check_nontermination(result.best.state)
 
 
+# six 1s where (20,1) holds four
+EXCESS_SEED = ("[1CC1CC1CC]", "[C1CC1CC1C]")
+
+
 def test_factory_corrects_excess_cards():
-    # six 1s where (20,1) holds four: insertions never add an excess card,
-    # so only a removal or retype can bring the rank-1 excess down
-    seed = state("[1CC1CC1CC]", "[C1CC1CC1C]")
+    # insertions never add an excess card, so only a removal or retype can
+    # bring the rank-1 excess down
+    seed = state(*EXCESS_SEED)
     s = Settings(20, 1)
     assert missing(seed.deck_a, seed.deck_b, s)[1] == -2
     config = FactoryConfig(settings=s, seed_state=seed, budget=300, rng_seed=2)
@@ -208,6 +212,35 @@ def test_factory_corrects_excess_cards():
     assert missing(best.deck_a, best.deck_b, s)[1] > -2
     assert best.score > score(seed.deck_a, seed.deck_b, s)
     assert check_nontermination(best.state)
+
+
+def test_factory_20_2_result_is_pinned():
+    # a change to any rng draw, to the test order or to the test count
+    # shows here, on either kernel
+    config = FactoryConfig(settings=Settings(20, 2), seed_state=default_seed_state(),
+                           budget=3000, rng_seed=1)
+    result = run_factory(config)
+    assert format_deck(result.complete.deck_a) == "[1CC2C2C]"
+    assert format_deck(result.complete.deck_b) == "[C2C1CC2C1CC1C]"
+    assert (result.report.transient, result.report.period) == (1, 11)
+    assert (result.rounds_used, result.tests_run, result.best.depth) == (598, 2846, 7)
+
+
+@pytest.mark.parametrize("setting, rng_seed, budget, seed", [
+    ((20, 2), 1, 3000, BLOCKS[0]),
+    ((20, 2), 2, 3000, BLOCKS[0]),
+    ((20, 2), 3, 3000, BLOCKS[0]),
+    ((28, 1), 1, 300, BLOCKS[0]),
+    ((20, 1), 2, 300, EXCESS_SEED),
+])
+def test_factory_results_agree_on_both_kernels(c_kernel, monkeypatch, setting, rng_seed,
+                                               budget, seed):
+    config = FactoryConfig(settings=Settings(*setting), seed_state=state(*seed),
+                           budget=budget, rng_seed=rng_seed)
+    on_c = run_factory(config)
+    monkeypatch.setattr(_kernels, "_ckernel", False)
+    assert _kernels.backend() == "python"
+    assert run_factory(config) == on_c
 
 
 def test_factory_config_validation():

@@ -18,7 +18,14 @@ from bmn import _kernels, cli
 from bmn._rng import SplitMix64, fmix64, stream_state
 from bmn.engine import PLAYER_A, PLAYER_B, BudgetExceeded, Settings, Terminated, play_match
 from bmn.simulator import full_deck
-from conftest import random_playable_state, require_c_kernel
+from conftest import (
+    BLOCKS,
+    NONTERMINATING,
+    random_deck,
+    random_playable_state,
+    require_c_kernel,
+)
+from conftest import state as parse_state
 from loop_oracle import reference_trick
 
 
@@ -228,6 +235,50 @@ def test_c_match_matches_python_match():
     assert statuses == {(status, leader) for status in (0, 1, 2) for leader in (0, 1)}
 
 
+def test_c_first_insertion_matches_python():
+    require_c_kernel()
+    rng = random.Random(12)
+    loops = [parse_state(*pair) for pair in BLOCKS + sum(NONTERMINATING.values(), [])]
+    bases = [(s.deck_a, s.deck_b) for s in loops]
+    seen = Counter()
+    for case in range(600):
+        if case % 3:  # a published loop: some insertions keep it looping
+            deck, other = rng.choice(bases)[::rng.choice([1, -1])]
+        else:
+            deck, other = random_deck(rng, rng.randint(1, 60)), random_deck(rng, rng.randint(1, 8))
+        frag = random_deck(rng, rng.randint(1, 10), max_rank=2)
+        into_a = rng.random() < 0.5
+        max_positions = rng.choice([1, 40, 63, 64, 65, 100_000])
+        cap = rng.choice([30, 64, 100_000])
+        start = rng.getrandbits(64)
+        on_c, on_py = SplitMix64(start), SplitMix64(start)
+        got = _kernels.first_insertion(deck, frag, other, into_a, on_c, max_positions, cap)
+        want = _kernels._py_first_insertion(deck, frag, other, into_a, on_py, max_positions,
+                                            cap)
+        assert got == want and on_c.state == on_py.state, (deck, frag, other, into_a)
+        tests, position = got
+        seen["found" if position is not None else
+             "capped" if tests == max_positions else "all points"] += 1
+        seen[into_a] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_first_insertion_past_max_cards_plays_in_python(monkeypatch):
+    require_c_kernel()
+    calls = _recording(monkeypatch, "_py_first_insertion")
+    deck, frag, other = (0,) * 1002 + (1,), (0, 2, 0), (0, 1, 0)
+    for n_other, plays_in_python in ((6, False), (7, True)):  # 1024 cards at most
+        rng = SplitMix64(77)
+        tests, position = _kernels.first_insertion(deck, frag, other * n_other, True, rng, 3, 5)
+        assert len(calls) == plays_in_python
+        assert (tests, position) == (3, None)
+        # the C kernel drew nothing before handing over: one shuffle in all
+        once = SplitMix64(77)
+        once.shuffle(list(range(len(deck) + 1)))
+        assert rng.state == once.state
+        calls.clear()
+
+
 def test_c_kernel_has_the_python_first_block():
     # results do not depend on the block, but the first-block edge tests
     # probe the C kernel at the Python constant's edges
@@ -313,6 +364,25 @@ def test_kernel_is_compiled_once_into_a_private_cache(cache):
     # a later load takes the cached library and runs no compiler
     assert _kernels._load_c() is not None
     assert len(compiles) == 1
+
+
+def test_a_build_removes_the_libraries_of_other_sources(cache):
+    folder, compiles = cache
+    folder.mkdir(mode=0o700)
+    tag = _kernels._platform_tag()
+    stale = folder / f"_ckernel-{'0' * 64}-{tag}.so"
+    kept = [folder / f"_ckernel-{'0' * 64}-{tag}-other.so",  # another platform's
+            folder / f"_ckernel-{'0' * 64}-other-{tag}.so",
+            folder / "notes.txt"]
+    for path in [stale, *kept]:
+        path.write_bytes(b"fake")
+    require_c_kernel()
+    assert _kernels._load_c() is not None
+    assert len(compiles) == 1
+    with open(_kernels._SOURCE, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    built = f"_ckernel-{digest}-{tag}.so"
+    assert sorted(os.listdir(folder)) == sorted([built, *(path.name for path in kept)])
 
 
 def test_kernel_is_not_built_or_loaded_from_a_shared_directory(cache):
