@@ -2,9 +2,10 @@
 
 Per-match streams are derived from a (seed, index) pair, so any single match
 can be reproduced in isolation and batch results never depend on how a
-batch is split. There are two deals: `SplitMix64.shuffle`, the reference,
-which the pure-Python batch kernel calls for each match, and the C kernel's
-(`_ckernel.c`), bit-identical to it.
+batch is split. There are two shuffles: `SplitMix64.shuffle`, the
+reference, which the pure-Python kernels call to deal each match and to
+order the loop factory's insertion points, and the C kernel's
+(`_ckernel.c`), bit-identical to it, for the same two jobs.
 """
 
 from __future__ import annotations

@@ -405,7 +405,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that left shows here, not at exit
+        return code
     except BrokenPipeError:
         # the reader of stdout is gone: no error line, and stdout goes to
         # the null device so that its flush at exit does not raise again

@@ -30,11 +30,14 @@ def test_unknown_command_exits_1():
     assert run_cli("frobnicate").returncode == 1
 
 
-def test_closed_stdout_exits_141_without_an_error_line():
-    # as in `bmn backward ... | head -1`: the reader is gone before the output
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_exits_141_without_an_error_line(unbuffered):
+    # as in `bmn backward ... | head -1`: the reader is gone before the
+    # output, which is written as printed or, buffered, when it is flushed
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
     proc = subprocess.Popen([sys.executable, "-m", "bmn", "backward", "--setting", "12,2",
                              "--deck-a", "[CCCCCCC21C]", "--deck-b", "[1C]", "--depth", "6"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()

@@ -20,7 +20,7 @@ from bmn.factory import (
     score,
 )
 from bmn.factory import test_nontermination as check_nontermination
-from conftest import BLOCKS, GOLDEN_MATCHES, state
+from conftest import BLOCKS, GOLDEN_MATCHES, require_c_kernel, state
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +233,8 @@ def test_factory_20_2_result_is_pinned():
     ((28, 1), 1, 300, BLOCKS[0]),
     ((20, 1), 2, 300, EXCESS_SEED),
 ])
-def test_factory_results_agree_on_both_kernels(c_kernel, monkeypatch, setting, rng_seed,
-                                               budget, seed):
+def test_factory_results_agree_on_both_kernels(monkeypatch, setting, rng_seed, budget, seed):
+    require_c_kernel()
     config = FactoryConfig(settings=Settings(*setting), seed_state=state(*seed),
                            budget=budget, rng_seed=rng_seed)
     on_c = run_factory(config)
