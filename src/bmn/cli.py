@@ -277,6 +277,8 @@ def _read_seed_decks(path, settings) -> list:
             deck_a, deck_b = (parse_deck(f, settings) for f in fields)
         except DeckParseError as exc:
             raise ValueError(f"{path}:{number}: {exc}") from exc
+        if not (deck_a and deck_b):
+            raise ValueError(f"{path}:{number}: both decks must be nonempty")
         seeds.append(GameState(deck_a, deck_b, PLAYER_A))
     return seeds
 
@@ -291,6 +293,8 @@ def cmd_factory(args) -> int:
             return _fail("--seed-deck-a and --seed-deck-b go together")
         seeds.append(GameState(parse_deck(args.seed_deck_a, settings),
                                parse_deck(args.seed_deck_b, settings), PLAYER_A))
+        if not seeds[0].playable:
+            return _fail("both decks must be nonempty")
     else:
         seeds.append(factory.default_seed_state())
 

@@ -13,7 +13,7 @@ restarts to leave dead ends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from . import _kernels, engine
@@ -80,6 +80,7 @@ class Checkpoint:
     depth: int          # successful insertions since the seed
     score: int
     age: int            # creation counter, monotonically increasing
+    deficits: dict = field(compare=False)  # missing(deck_a, deck_b, settings)
 
     @property
     def state(self) -> GameState:
@@ -213,10 +214,7 @@ def _pattern_fragments(pattern: str, ranks: list) -> list:
 
 def _fits_deficits(fragment: tuple, deficits: dict) -> bool:
     """A fragment may only use types it leaves non-negative demand for."""
-    need = {}
-    for card in fragment:
-        need[card] = need.get(card, 0) + 1
-    return all(deficits.get(card, 0) >= used for card, used in need.items())
+    return all(fragment.count(c) <= deficits.get(c, 0) for c in fragment)
 
 
 def generate_sequences(strategy: str, pattern: str, deficits: dict) -> list:
@@ -278,7 +276,7 @@ def _first_insertion(cp: Checkpoint, fragments: list, bias: int, rng: SplitMix64
     return tests, None
 
 
-def _first_correction(cp: Checkpoint, deficits: dict, rng: SplitMix64, trick_cap: int):
+def _first_correction(cp: Checkpoint, rng: SplitMix64, trick_cap: int):
     """(tests, decks): the first correction of an excess card that keeps the
     loop, or None for `decks`.
 
@@ -286,7 +284,7 @@ def _first_correction(cp: Checkpoint, deficits: dict, rng: SplitMix64, trick_cap
     with its card removed, and then each with its card retyped to each
     deficient rank.
     """
-    decks = (cp.deck_a, cp.deck_b)
+    decks, deficits = (cp.deck_a, cp.deck_b), cp.deficits
     spots = [(which, i) for which, deck in enumerate(decks)
              for i, card in enumerate(deck) if deficits.get(card, 0) < 0]
     rng.shuffle(spots)
@@ -326,13 +324,15 @@ def run_factory(config: FactoryConfig) -> FactoryResult:
     rng = SplitMix64.for_stream(config.rng_seed, 0)
     tests = 0
 
-    def fresh_seed_cp(age):
-        return Checkpoint(seed.deck_a, seed.deck_b, depth=0,
-                          score=score(seed.deck_a, seed.deck_b, settings),
-                          age=age)
+    def checkpoint(deck_a, deck_b, depth, age):
+        # a checkpoint's decks never change: count its composition once
+        deficits = missing(deck_a, deck_b, settings)
+        return Checkpoint(deck_a, deck_b, depth,
+                          settings.n_total - sum(abs(d) for d in deficits.values()),
+                          age, deficits)
 
     age_counter = 0
-    store = [fresh_seed_cp(age_counter)]
+    store = [checkpoint(seed.deck_a, seed.deck_b, 0, age_counter)]
     best = store[0]
     last_selected_age = -1
     stuck = 0
@@ -343,7 +343,7 @@ def run_factory(config: FactoryConfig) -> FactoryResult:
         if (rounds % _RESTART_INTERVAL == 0
                 and rng.random() < _RESTART_PROBABILITY):
             age_counter += 1
-            store = [fresh_seed_cp(age_counter)]
+            store = [checkpoint(seed.deck_a, seed.deck_b, 0, age_counter)]
             last_selected_age = -1
             stuck = 0
 
@@ -356,26 +356,22 @@ def run_factory(config: FactoryConfig) -> FactoryResult:
         patterns = STRATEGY_PATTERNS[strategy]
         pattern = patterns[rng.below(len(patterns))]
         bias = rng.below(3)  # 0: deck A, 1: deck B, 2: alternate
-        deficits = missing(cp.deck_a, cp.deck_b, settings)
-        fragments = generate_sequences(strategy, pattern, deficits)
+        fragments = generate_sequences(strategy, pattern, cp.deficits)
 
         n_tests, decks = _first_insertion(cp, fragments, bias, rng, cap)
         tests += n_tests
-        if decks is None and any(d < 0 for d in deficits.values()):
-            n_tests, decks = _first_correction(cp, deficits, rng, cap)
+        if decks is None and any(d < 0 for d in cp.deficits.values()):
+            n_tests, decks = _first_correction(cp, rng, cap)
             tests += n_tests
         if decks is None:
             stuck = stuck + 1 if cp.age == last_selected_age else 1
             last_selected_age = cp.age
             continue
 
-        da, db = decks
-        grown = GameState(da, db, PLAYER_A)
+        grown = GameState(*decks, PLAYER_A)
         age_counter += 1
         # depth counts insertions only, the one move that adds cards
-        new_cp = Checkpoint(da, db,
-                            depth=cp.depth + (grown.n_cards > cp.state.n_cards),
-                            score=score(da, db, settings), age=age_counter)
+        new_cp = checkpoint(*decks, cp.depth + (grown.n_cards > cp.state.n_cards), age_counter)
         store.append(new_cp)
         _evict(store)
         stuck = 0

@@ -20,19 +20,18 @@ def require_c_kernel():
         pytest.skip("no C compiler on PATH: the C kernel cannot be built")
 
 
-@pytest.fixture
-def c_kernel():
-    """Play on the C kernel. A test taking it has a twin named `..._python`
-    taking `python_kernel`, so that each compares C with Python."""
-    require_c_kernel()
-    return "c"
+@pytest.fixture(params=["c", "python"])
+def kernel(request, monkeypatch):
+    """The match kernel a test plays on: each test taking it runs once on
+    C and once on Python. The Python run plays as if the C kernel had not
+    loaded; the C run fails, or skips without a compiler, as
+    `require_c_kernel` does."""
+    if request.param == "c":
+        require_c_kernel()
+    else:
+        monkeypatch.setattr(_kernels, "_ckernel", False)
+    return request.param
 
-
-@pytest.fixture
-def python_kernel(monkeypatch):
-    """Play on the pure-Python kernel, as if the C kernel had not loaded."""
-    monkeypatch.setattr(_kernels, "_ckernel", False)
-    return "python"
 
 # Ultra-long published matches: (setting, deck_a, deck_b, winner, tricks).
 # The (40,2) pair is the corrected one: the two rank-1 cards of deck A are

@@ -483,7 +483,7 @@ def test_factory_missing_seed_decks_file_exits_1(tmp_path):
     assert "absent.txt" in out.stderr
 
 
-@pytest.mark.parametrize("bad_line", ["[1CC]", "[1CC] [C1C] [C]", "[1CC] [C1X]"])
+@pytest.mark.parametrize("bad_line", ["[1CC]", "[1CC] [C1C] [C]", "[1CC] [C1X]", "[] [1C]"])
 def test_factory_malformed_seed_line_names_file_and_line(tmp_path, bad_line):
     seeds = tmp_path / "seeds.txt"
     seeds.write_text(f"# seeds\n[1CC] [C1C]\n\n{bad_line}\n")
@@ -492,3 +492,10 @@ def test_factory_malformed_seed_line_names_file_and_line(tmp_path, bad_line):
     assert out.returncode == 1
     assert out.stderr.startswith(f"error: {seeds}:4: ")
     assert "unpack" not in out.stderr and "Traceback" not in out.stderr
+
+
+def test_factory_rejects_an_empty_seed_deck():
+    out = run_cli("factory", "--setting", "12,1", "--budget", "10",
+                  "--seed-deck-a", "[]", "--seed-deck-b", "[1C]")
+    assert (out.returncode, out.stdout) == (1, "")
+    assert out.stderr == "error: both decks must be nonempty\n"

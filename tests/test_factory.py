@@ -209,8 +209,10 @@ def test_factory_corrects_excess_cards():
     config = FactoryConfig(settings=s, seed_state=seed, budget=300, rng_seed=2)
     result = run_factory(config)
     best = result.best
-    assert missing(best.deck_a, best.deck_b, s)[1] > -2
-    assert best.score > score(seed.deck_a, seed.deck_b, s)
+    # the counts stored when the checkpoint was made are its decks' counts
+    assert best.deficits == missing(best.deck_a, best.deck_b, s)
+    assert best.deficits[1] > -2
+    assert best.score == score(best.deck_a, best.deck_b, s) > score(seed.deck_a, seed.deck_b, s)
     assert check_nontermination(best.state)
 
 
@@ -224,6 +226,9 @@ def test_factory_20_2_result_is_pinned():
     assert format_deck(result.complete.deck_b) == "[C2C1CC2C1CC1C]"
     assert (result.report.transient, result.report.period) == (1, 11)
     assert (result.rounds_used, result.tests_run, result.best.depth) == (598, 2846, 7)
+    best = result.best
+    assert best.deficits == missing(best.deck_a, best.deck_b, Settings(20, 2))
+    assert best.score == score(best.deck_a, best.deck_b, Settings(20, 2)) == 20
 
 
 @pytest.mark.parametrize("setting, rng_seed, budget, seed", [

@@ -100,7 +100,7 @@ def test_play_match_without_loops_agrees_with_stepping():
 # ---------------------------------------------------------------------------
 
 
-def test_simulate_batch_is_index_sliced(c_kernel):
+def test_simulate_batch_is_index_sliced(kernel):
     # the same match index yields the same outcome regardless of batch bounds
     deck = full_deck(Settings(12, 1))
     d1, w1 = _kernels.simulate_batch(50, deck, 7, 100_000)
@@ -126,10 +126,6 @@ def test_simulate_batch_is_index_sliced(c_kernel):
     assert (w == -2).any()
 
 
-def test_simulate_batch_is_index_sliced_python(python_kernel):
-    test_simulate_batch_is_index_sliced(python_kernel)
-
-
 def _peak_bytes(fn):
     tracemalloc.start()
     try:
@@ -139,7 +135,8 @@ def _peak_bytes(fn):
         tracemalloc.stop()
 
 
-def test_python_batch_memory_is_bounded(python_kernel):
+@pytest.mark.parametrize("kernel", ["python"], indirect=True)
+def test_python_batch_memory_is_bounded(kernel):
     # numpy reports its buffers to tracemalloc. Ten times the matches may
     # add only the larger output arrays (int32 durations, int8 winners),
     # plus a few kB the interpreter keeps in free lists (deque blocks).

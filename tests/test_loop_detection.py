@@ -1,7 +1,7 @@
 """Loop-detecting play against the dict-of-states reference detector.
 
 `engine.play_match(detect_loops=True)` runs Brent's algorithm inside the
-match kernel, C or Python (a test taking `c_kernel` has a `..._python` twin).
+match kernel, C or Python (a test taking the `kernel` fixture runs on both).
 Its outcome must equal the reference's at every trick cap:
 Looped(transient, period) iff transient + period <= cap, Terminated iff
 the match ends within the cap, BudgetExceeded(cap) otherwise.
@@ -88,7 +88,7 @@ def test_states_along_published_matches_agree(pair, leader, walk):
     assert_agrees(s)
 
 
-def test_random_states_include_loops_for_both_leaders(c_kernel):
+def test_random_states_include_loops_for_both_leaders(kernel):
     """The random-state generator does reach loops, led by either player."""
     rng = random.Random(2024)
     leaders = set()
@@ -99,20 +99,10 @@ def test_random_states_include_loops_for_both_leaders(c_kernel):
     assert leaders == {PLAYER_A, PLAYER_B}
 
 
-def test_random_states_include_loops_for_both_leaders_python(python_kernel):
-    test_random_states_include_loops_for_both_leaders(python_kernel)
-
-
 @pytest.mark.parametrize("pair", PUBLISHED_LOOPS)
 @pytest.mark.parametrize("leader", [PLAYER_A, PLAYER_B])
-def test_published_loops_agree_at_every_boundary_cap(c_kernel, pair, leader):
+def test_published_loops_agree_at_every_boundary_cap(kernel, pair, leader):
     assert_agrees(state(*pair, leader=leader), caps=(1, 100_000))
-
-
-@pytest.mark.parametrize("pair", PUBLISHED_LOOPS)
-@pytest.mark.parametrize("leader", [PLAYER_A, PLAYER_B])
-def test_published_loops_agree_at_every_boundary_cap_python(python_kernel, pair, leader):
-    test_published_loops_agree_at_every_boundary_cap(python_kernel, pair, leader)
 
 
 def test_published_loops_give_known_outcomes():
@@ -145,7 +135,7 @@ def _first_block_cases():
     return sorted(cases, key=repr)
 
 
-def test_first_block_edges_agree(c_kernel):
+def test_first_block_edges_agree(kernel):
     loops_from_zero = set()
     ends_at_first = False
     for s in _first_block_cases():
@@ -162,10 +152,6 @@ def test_first_block_edges_agree(c_kernel):
                                for whole in (True, False)}
     # a match that ends at the first block's last trick, past cap FIRST - 1
     assert ends_at_first
-
-
-def test_first_block_edges_agree_python(python_kernel):
-    test_first_block_edges_agree(python_kernel)
 
 
 @pytest.mark.parametrize("golden", GOLDEN_MATCHES, ids=lambda g: f"{g[0]}-{g[4]}")

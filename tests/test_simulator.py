@@ -75,14 +75,10 @@ def test_run_batch_is_reproducible():
     assert run_batch(cfg) == run_batch(cfg)
 
 
-def test_run_batch_workers_do_not_change_results(c_kernel):
+def test_run_batch_workers_do_not_change_results(kernel):
     base = SimConfig(settings=Settings(40, 3), matches=2000, seed=11, workers=1)
     multi = SimConfig(settings=Settings(40, 3), matches=2000, seed=11, workers=2)
     assert run_batch(base) == run_batch(multi)
-
-
-def test_run_batch_workers_do_not_change_results_python(python_kernel):
-    test_run_batch_workers_do_not_change_results(python_kernel)
 
 
 def test_batches_without_a_terminated_match_compare_equal(monkeypatch):
@@ -104,8 +100,7 @@ def test_batches_without_a_terminated_match_compare_equal(monkeypatch):
     ((40, 3), 3, 10 ** 6),
     ((12, 1), 2001, 50),      # odd count; some matches loop
 ])
-def test_worker_ranges_concatenate_in_index_order(monkeypatch, c_kernel, setting, matches,
-                                                  cap):
+def test_worker_ranges_concatenate_in_index_order(monkeypatch, kernel, setting, matches, cap):
     # three cores, so that three workers really run three ranges
     monkeypatch.setattr(simulator.os, "cpu_count", lambda: 3)
     configs = [SimConfig(settings=Settings(*setting), matches=matches, seed=5,
@@ -154,7 +149,7 @@ def test_pool_size_caps_at_matches_and_cores(monkeypatch):
     assert simulator.pool_size(4, 100) == 1
 
 
-def test_run_batch_detect_loops_agrees_with_fast_path(c_kernel):
+def test_run_batch_detect_loops_agrees_with_fast_path(kernel):
     # (12,1) has only 495 distinct deals and some of them cycle: the batch
     # kernel must report what loop-detecting play of every match reports,
     # loops and over-budget matches included
@@ -166,10 +161,6 @@ def test_run_batch_detect_loops_agrees_with_fast_path(c_kernel):
         assert run_batch(cfg) == expected, cap
     assert expected.loop_count > 0
     assert expected.budget_exceeded_count == 0
-
-
-def test_run_batch_detect_loops_agrees_with_fast_path_python(python_kernel):
-    test_run_batch_detect_loops_agrees_with_fast_path(python_kernel)
 
 
 def test_run_batch_replays_no_match(monkeypatch):
