@@ -99,9 +99,23 @@ def test_random_states_include_loops_for_both_leaders(kernel):
     assert leaders == {PLAYER_A, PLAYER_B}
 
 
-@pytest.mark.parametrize("pair", PUBLISHED_LOOPS)
-@pytest.mark.parametrize("leader", [PLAYER_A, PLAYER_B])
-def test_published_loops_agree_at_every_boundary_cap(kernel, pair, leader):
+def _published_loop_cases(kernel):
+    """Each published loop led by each player, on one kernel. The ids leave
+    the kernel out, so the C and Python tests keep their own names."""
+    return [pytest.param(kernel, leader, pair, id=f"{leader}-pair{i}")
+            for leader in (PLAYER_A, PLAYER_B)
+            for i, pair in enumerate(PUBLISHED_LOOPS)]
+
+
+@pytest.mark.parametrize(("kernel", "leader", "pair"), _published_loop_cases("c"),
+                         indirect=["kernel"])
+def test_published_loops_agree_at_every_boundary_cap(kernel, leader, pair):
+    assert_agrees(state(*pair, leader=leader), caps=(1, 100_000))
+
+
+@pytest.mark.parametrize(("kernel", "leader", "pair"), _published_loop_cases("python"),
+                         indirect=["kernel"])
+def test_published_loops_agree_at_every_boundary_cap_python(kernel, leader, pair):
     assert_agrees(state(*pair, leader=leader), caps=(1, 100_000))
 
 
