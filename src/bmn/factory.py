@@ -81,6 +81,7 @@ class Checkpoint:
     score: int
     age: int            # creation counter, monotonically increasing
     deficits: dict = field(compare=False)  # missing(deck_a, deck_b, settings)
+    excess: bool = field(compare=False)    # some deficit is negative
 
     @property
     def state(self) -> GameState:
@@ -224,9 +225,9 @@ def generate_sequences(strategy: str, pattern: str, deficits: dict) -> list:
     the strategy's priority order, restricted to deficient types with
     multiplicity (nothing in excess is ever inserted, so a successful
     insertion always raises the compositional score by the fragment length).
-    Fragment order is fully determined by strategy and pattern. The ranks
-    are distinct, so no template repeats a fragment; none is longer than
-    10 cards.
+    The fragments and their order are fully determined by strategy,
+    pattern and deficits. The ranks are distinct, so no template repeats a
+    fragment; none is longer than 10 cards.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -243,19 +244,25 @@ def generate_sequences(strategy: str, pattern: str, deficits: dict) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _evict(store: list) -> None:
+def _rank(cp: Checkpoint) -> tuple:
+    return cp.score, cp.depth, cp.age
+
+
+def _keep(store: list, top: Checkpoint, new_cp: Checkpoint) -> Checkpoint:
+    """Append `new_cp` to `store`, evict the lowest (score, age) down to
+    capacity, and return the new top by `_rank`, given the top before.
+    The store is rescanned only when eviction removes the top."""
+    store.append(new_cp)
+    top = max(top, new_cp, key=_rank)
     while len(store) > _CHECKPOINT_CAPACITY:
         victim = min(store, key=lambda cp: (cp.score, cp.age))
         store.remove(victim)
+        if victim is top:
+            top = max(store, key=_rank)
+    return top
 
 
-def _select(store: list, rng: SplitMix64, escape: bool) -> Checkpoint:
-    if escape and len(store) > 1:
-        return store[rng.below(len(store))]
-    return max(store, key=lambda cp: (cp.score, cp.depth, cp.age))
-
-
-def _first_insertion(cp: Checkpoint, fragments: list, bias: int, rng: SplitMix64,
+def _first_insertion(cp: Checkpoint, fragments: tuple, bias: int, rng: SplitMix64,
                      trick_cap: int):
     """(tests, decks): the first insertion of a fragment that keeps the loop.
 
@@ -329,11 +336,12 @@ def run_factory(config: FactoryConfig) -> FactoryResult:
         deficits = missing(deck_a, deck_b, settings)
         return Checkpoint(deck_a, deck_b, depth,
                           settings.n_total - sum(abs(d) for d in deficits.values()),
-                          age, deficits)
+                          age, deficits, any(d < 0 for d in deficits.values()))
 
     age_counter = 0
     store = [checkpoint(seed.deck_a, seed.deck_b, 0, age_counter)]
-    best = store[0]
+    best = top = store[0]
+    fragment_table = {}  # (strategy, pattern, deficits) -> fragments
     last_selected_age = -1
     stuck = 0
 
@@ -344,11 +352,12 @@ def run_factory(config: FactoryConfig) -> FactoryResult:
                 and rng.random() < _RESTART_PROBABILITY):
             age_counter += 1
             store = [checkpoint(seed.deck_a, seed.deck_b, 0, age_counter)]
+            top = store[0]
             last_selected_age = -1
             stuck = 0
 
         escape = stuck >= _ESCAPE_THRESHOLD
-        cp = _select(store, rng, escape)
+        cp = store[rng.below(len(store))] if escape and len(store) > 1 else top
         if escape:
             stuck = 0
 
@@ -356,11 +365,13 @@ def run_factory(config: FactoryConfig) -> FactoryResult:
         patterns = STRATEGY_PATTERNS[strategy]
         pattern = patterns[rng.below(len(patterns))]
         bias = rng.below(3)  # 0: deck A, 1: deck B, 2: alternate
-        fragments = generate_sequences(strategy, pattern, cp.deficits)
+        key = (strategy, pattern, tuple(cp.deficits.values()))
+        if key not in fragment_table:
+            fragment_table[key] = tuple(generate_sequences(strategy, pattern, cp.deficits))
 
-        n_tests, decks = _first_insertion(cp, fragments, bias, rng, cap)
+        n_tests, decks = _first_insertion(cp, fragment_table[key], bias, rng, cap)
         tests += n_tests
-        if decks is None and any(d < 0 for d in cp.deficits.values()):
+        if decks is None and cp.excess:
             n_tests, decks = _first_correction(cp, rng, cap)
             tests += n_tests
         if decks is None:
@@ -372,8 +383,7 @@ def run_factory(config: FactoryConfig) -> FactoryResult:
         age_counter += 1
         # depth counts insertions only, the one move that adds cards
         new_cp = checkpoint(*decks, cp.depth + (grown.n_cards > cp.state.n_cards), age_counter)
-        store.append(new_cp)
-        _evict(store)
+        top = _keep(store, top, new_cp)
         stuck = 0
         last_selected_age = -1
         if new_cp.score > best.score or (new_cp.score == best.score

@@ -174,6 +174,43 @@ def test_factory_works_with_capacity_one(monkeypatch):
     assert result.best.score >= 6
 
 
+def test_factory_eviction_heavy_result_is_pinned(monkeypatch, kernel):
+    # two checkpoints kept: nearly every success evicts one
+    monkeypatch.setattr(factory, "_CHECKPOINT_CAPACITY", 2)
+    config = FactoryConfig(settings=Settings(20, 2), seed_state=default_seed_state(),
+                           budget=3000, rng_seed=1)
+    result = run_factory(config)
+    assert format_deck(result.complete.deck_a) == "[1CC2C1CC1CC2C]"
+    assert format_deck(result.complete.deck_b) == "[C2C1CC2]"
+    assert (result.report.transient, result.report.period) == (2, 43)
+    assert (result.rounds_used, result.tests_run, result.best.depth) == (571, 2192, 6)
+
+
+def test_kept_top_is_the_store_maximum_when_eviction_removes_it(monkeypatch):
+    # equal scores, and the oldest checkpoint is also the deepest: eviction
+    # (lowest score, then oldest) removes the top (highest score, then
+    # deepest, then youngest), so the store must be rescanned
+    monkeypatch.setattr(factory, "_CHECKPOINT_CAPACITY", 2)
+
+    def rank(cp):
+        return cp.score, cp.depth, cp.age
+
+    def checkpoint(score, depth, age):
+        return factory.Checkpoint((1,), (0,), depth, score, age, {}, False)
+
+    store = [checkpoint(5, 3, 0)]
+    top = store[0]
+    evicted_tops = 0
+    for new_cp in (checkpoint(5, 1, 1), checkpoint(5, 2, 2), checkpoint(5, 0, 3),
+                   checkpoint(5, 1, 4), checkpoint(6, 0, 5), checkpoint(4, 9, 6)):
+        before = top
+        top = factory._keep(store, top, new_cp)
+        assert len(store) <= 2
+        assert top is max(store, key=rank)
+        evicted_tops += before not in store and rank(before) > rank(new_cp)
+    assert evicted_tops == 2
+
+
 def test_factory_completes_20_2_with_higher_rank_insertions():
     config = FactoryConfig(settings=Settings(20, 2),
                            seed_state=default_seed_state(),
@@ -229,6 +266,23 @@ def test_factory_20_2_result_is_pinned():
     best = result.best
     assert best.deficits == missing(best.deck_a, best.deck_b, Settings(20, 2))
     assert best.score == score(best.deck_a, best.deck_b, Settings(20, 2)) == 20
+
+
+def test_fragment_table_builds_each_entry_once(monkeypatch):
+    calls = Counter()
+    build = factory.generate_sequences
+
+    def counted(strategy, pattern, deficits):
+        calls[strategy, pattern, tuple(deficits.values())] += 1
+        return build(strategy, pattern, deficits)
+
+    monkeypatch.setattr(factory, "generate_sequences", counted)
+    config = FactoryConfig(settings=Settings(20, 2), seed_state=default_seed_state(),
+                           budget=3000, rng_seed=1)
+    result = run_factory(config)
+    assert calls and set(calls.values()) == {1}
+    assert len(calls) < result.rounds_used
+    assert (result.rounds_used, result.tests_run) == (598, 2846)
 
 
 @pytest.mark.parametrize("setting, rng_seed, budget, seed", [
