@@ -7,9 +7,11 @@
  * in SplitMix64.below), then play_match_loops with A leading.
  * bmn_first_insertion is first_insertion: the same shuffle of a deck's
  * insertion points, then play_match_loops on the deck with a fragment
- * spliced in at each point in turn until one loops. Results are bit for
- * bit the Python ones. _kernels compiles this file with `cc -O2 -shared
- * -fPIC` and calls it through ctypes; it uses no Python API.
+ * spliced in at each point in turn until one loops. bmn_predecessors is
+ * predecessors, the inverse of a trick: _parse_pile on every bottom slice
+ * of the winner's deck, each parse confirmed by one trick of run. Results
+ * are bit for bit the Python ones. _kernels compiles this file with
+ * `cc -O2 -shared -fPIC` and calls it through ctypes; it uses no Python API.
  */
 #include <stdint.h>
 #include <string.h>
@@ -234,6 +236,85 @@ int bmn_simulate(const uint8_t *deck, uint32_t n, uint64_t seed, uint64_t start,
         durations[k] = (int32_t)out[1];
     }
     return 0;
+}
+
+/* _parse_pile: 1 if pile[0..np) is a complete natural trick ending
+ * at its last card, with the cards the leader and the other player flipped
+ * in played[0] and played[1], their counts in n, and whether the leader
+ * won in *leader_won; 0 otherwise. */
+static int parse_pile(const uint8_t *pile, uint32_t np, uint8_t played[2][MAX_CARDS],
+                      uint32_t n[2], int *leader_won)
+{
+    int cur = 0, challenger = 0, pending = 0;
+    n[0] = n[1] = 0;
+    for (uint32_t i = 0; i < np; i++) {
+        uint8_t card = pile[i];
+        played[cur][n[cur]++] = card;
+        if (card > 0) {
+            challenger = cur;
+            pending = card;
+            cur = 1 - cur;
+        } else if (pending > 0) {
+            if (--pending == 0) {
+                if (i != np - 1)
+                    return 0; /* the trick would have ended before the pile did */
+                *leader_won = challenger == 0;
+                return 1;
+            }
+        } else {
+            cur = 1 - cur;
+        }
+    }
+    return 0; /* the pile ran out with the trick still open */
+}
+
+/* predecessors(w, l): the states one trick before the target in which the
+ * winner, player 0, holds w and leads and the loser holds l. Each bottom
+ * slice of w that parses as a trick is pushed back on top of its players'
+ * decks, and the candidate is kept if one forward trick from it gives the
+ * target. Candidate i, in order of pile length, writes (pile length, cards
+ * the winner played, whether the leader won) to found[3i..3i+2] and the
+ * cards the winner and then the loser played to cards, the candidates'
+ * piles one after another. Returns the candidate count, or -1 if the
+ * nw + nl cards exceed MAX_CARDS. */
+int bmn_predecessors(const uint8_t *w, uint32_t nw, const uint8_t *l, uint32_t nl,
+                     int32_t *found, uint8_t *cards)
+{
+    uint8_t played[2][MAX_CARDS];
+    uint32_t n[2];
+    int leader_won, count = 0;
+    game_t target, g;
+    int64_t tricks;
+    if ((uint64_t)nw + nl > MAX_CARDS)
+        return -1;
+    load(&target, w, nw, l, nl, 0);
+    g.mask = target.mask;
+    for (uint32_t plen = 1; plen <= nw; plen++) {
+        uint32_t rest = nw - plen;
+        if (!parse_pile(w + rest, plen, played, n, &leader_won))
+            continue;
+        const uint8_t *won = played[!leader_won], *lost = played[leader_won];
+        uint32_t n_won = n[!leader_won], n_lost = n[leader_won];
+        memcpy(g.card[0], won, n_won);
+        memcpy(g.card[0] + n_won, w, rest);
+        memcpy(g.card[1], lost, n_lost);
+        memcpy(g.card[1] + n_lost, l, nl);
+        g.head[0] = g.head[1] = 0;
+        g.len[0] = n_won + rest;
+        g.len[1] = n_lost + nl;
+        g.cur = !leader_won;
+        run(&g, 1, NULL, &tricks);
+        if (!same(&g, &target))
+            continue;
+        found[3 * count] = (int32_t)plen;
+        found[3 * count + 1] = (int32_t)n_won;
+        found[3 * count + 2] = leader_won;
+        memcpy(cards, won, n_won);
+        memcpy(cards + n_won, lost, n_lost);
+        cards += plen;
+        count++;
+    }
+    return count;
 }
 
 /* first_insertion(deck, frag, other, into_a, rng, max_positions,

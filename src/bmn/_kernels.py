@@ -12,12 +12,16 @@ the matches one by one.
 
 The loop factory tests a fragment's insertion points with
 `first_insertion`: one shuffle of the points on the factory's rng, then
-`play_match_loops` on each grown deck in turn until one loops.
+`play_match_loops` on each grown deck in turn until one loops. The
+backward search steps with `predecessors`, the inverse of a trick: each
+bottom slice of the winner's deck that `_parse_pile` reads as a trick is
+pushed back onto the players' decks and confirmed by one trick of `_py_run`.
 
-`play_match_loops`, `simulate_batch` and `first_insertion` run on a C
-kernel when one is available: `_ckernel.c`, the same shuffle, trick loop
-and Brent detector line for line, bit-identical to the reference shuffle
-and the Python code here, which stays as the reference and the fallback.
+`play_match_loops`, `simulate_batch`, `first_insertion` and `predecessors`
+run on a C kernel when one is available: `_ckernel.c`, the same shuffle,
+trick loop, Brent detector and pile parse line for line, bit-identical to
+the reference shuffle and the Python code here, which stays as the
+reference and the fallback.
 On first use the source is compiled with the system C compiler (`cc -O2
 -shared -fPIC`) into `$XDG_CACHE_HOME/bmn` (default `~/.cache/bmn`), the
 file named by the source's sha256 and the platform (system, machine, C
@@ -158,6 +162,8 @@ def _load_c():
     lib.bmn_first_insertion.argtypes = [ptr, size, ptr, size, ptr, size, ctypes.c_int, ptr,
                                         i64, i64, ptr]
     lib.bmn_first_insertion.restype = ctypes.c_int
+    lib.bmn_predecessors.argtypes = [ptr, size, ptr, size, ptr, ptr]
+    lib.bmn_predecessors.restype = ctypes.c_int
     return lib
 
 
@@ -384,6 +390,95 @@ def _py_first_insertion(deck, frag, other, into_a, rng, max_positions, max_trick
         if _py_match_loops(*decks, 0, max_tricks)[0] == 1:
             return tests, pos
     return tests, None
+
+
+def predecessors(wdeck, ldeck):
+    """The states one trick before the target: `wdeck` is the winner's deck
+    and leads the next trick, `ldeck` the loser's (tuples of cards).
+
+    Every bottom slice of `wdeck` that `_parse_pile` reads as a trick is
+    pushed back on top of its players' decks, and the candidate is kept if
+    one forward trick from it gives the target. Returns (pile length,
+    whether the leader won, winner's deck, loser's deck) for each candidate,
+    in order of pile length. Runs on the C kernel if that loaded and takes
+    the cards (in 0..255, at most 1024 of them), otherwise on
+    `_py_predecessors`, with the same result. Buffers belong to the call,
+    so threads may step at once.
+    """
+    lib = _c()
+    if lib:
+        try:
+            w, l = bytes(wdeck), bytes(ldeck)
+        except ValueError:  # a card outside 0..255
+            pass
+        else:
+            n = len(w)
+            found = (ctypes.c_int32 * (3 * n))()
+            cards = ctypes.create_string_buffer(n * (n + 1) // 2)  # every pile, at most
+            count = lib.bmn_predecessors(w, n, l, len(l), found, cards)
+            if count >= 0:  # -1: more cards than the C kernel holds
+                out = []
+                start = 0
+                for i in range(0, 3 * count, 3):
+                    plen, n_won, leader_won = found[i:i + 3]
+                    pile = cards[start:start + plen]
+                    start += plen
+                    out.append((plen, bool(leader_won), tuple(pile[:n_won]) + wdeck[:n - plen],
+                                tuple(pile[n_won:]) + ldeck))
+                return out
+    return _py_predecessors(wdeck, ldeck)
+
+
+def _py_predecessors(wdeck, ldeck):
+    """`predecessors` in pure Python: the reference the C kernel follows."""
+    n = len(wdeck)
+    out = []
+    for plen in range(1, n + 1):
+        parsed = _parse_pile(wdeck[n - plen:])
+        if parsed is None:
+            continue
+        led, followed, leader_won = parsed
+        won, lost = (led, followed) if leader_won else (followed, led)
+        prev_w, prev_l = tuple(won) + wdeck[:n - plen], tuple(lost) + ldeck
+        decks = [deque(prev_w), deque(prev_l)]
+        _, cur, _, _ = _py_run(decks, 0 if leader_won else 1, 1)
+        if cur == 0 and tuple(decks[0]) == wdeck and tuple(decks[1]) == ldeck:
+            out.append((plen, leader_won, prev_w, prev_l))
+    return out
+
+
+def _parse_pile(pile):
+    """Attribute each pile card to the player forced to flip it.
+
+    Cards are assigned relative to the trick's leader, since the rules do
+    not depend on which player leads. Returns (cards the leader played,
+    cards the other player played, whether the leader won) when the pile is
+    a complete natural trick ending exactly at its last card; None
+    otherwise. This is the trick's inverse, in Python the reference for
+    the C kernel's `parse_pile`. It stays apart from the forward trick loop
+    `_py_run`: replaying candidate piles through that loop made the
+    backward step 1.7x slower.
+    """
+    played = ([], [])
+    cur = 0
+    challenger = 0
+    pending = 0
+    last = len(pile) - 1
+    for i, card in enumerate(pile):
+        played[cur].append(card)
+        if card > 0:
+            challenger = cur
+            pending = card
+            cur = 1 - cur
+        elif pending > 0:
+            pending -= 1
+            if pending == 0:
+                if i != last:
+                    return None  # trick would have ended before the pile did
+                return played[0], played[1], challenger == 0
+        else:
+            cur = 1 - cur
+    return None  # pile ran out with the trick still open
 
 
 def simulate_batch(n_matches, deck, seed, max_tricks, start=0):

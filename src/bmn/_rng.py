@@ -46,11 +46,20 @@ class SplitMix64:
         return fmix64(self.state)
 
     def below(self, n: int) -> int:
-        """Uniform integer in [0, n): masked rejection, exactly unbiased."""
+        """Uniform integer in [0, n): masked rejection, exactly unbiased.
+
+        Each draw is `next_u64`, written out: the factory and the Python
+        deal call this in their inner loops.
+        """
         mask = (1 << (n - 1).bit_length()) - 1
+        state = self.state
         while True:
-            r = self.next_u64() & mask
+            state = (state + GOLDEN) & MASK64
+            z = ((state ^ (state >> 30)) * _MIX1) & MASK64
+            z = ((z ^ (z >> 27)) * _MIX2) & MASK64
+            r = (z ^ (z >> 31)) & mask
             if r < n:
+                self.state = state
                 return r
 
     def random(self) -> float:

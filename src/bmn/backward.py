@@ -6,15 +6,17 @@ winner's deck ends with the pile in play order, so every candidate pile is
 a bottom slice of it; a slice is a complete natural trick only if it ends
 with a rank-k special followed by exactly k ordinaries, and replaying the
 slice under forward rules fixes who played each card and, given the
-winner, which player led.
+winner, which player led. The parse and the forward trick that confirms
+each candidate run in `_kernels.predecessors`, on the C kernel if it loaded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import _kernels
 from .cycles import standardize
-from .engine import PLAYER_A, GameState, other_player, play_trick
+from .engine import PLAYER_A, GameState, other_player
 
 
 @dataclass(frozen=True)
@@ -38,49 +40,18 @@ class BackwardSearchConfig:
             raise ValueError("max_nodes must be >= 1")
 
 
-def _parse_pile(pile):
-    """Attribute each pile card to the player forced to flip it.
-
-    Cards are assigned relative to the trick's leader, since the rules do
-    not depend on which player leads. Returns (cards the leader played,
-    cards the other player played, whether the leader won) when the pile is
-    a complete natural trick ending exactly at its last card; None
-    otherwise. This is the trick's inverse. It stays apart from the forward
-    trick loop `_kernels._py_run`: replaying candidate piles through that
-    loop made enumerate_predecessors 1.7x slower.
-    """
-    played = ([], [])
-    cur = 0
-    challenger = 0
-    pending = 0
-    last = len(pile) - 1
-    for i, card in enumerate(pile):
-        played[cur].append(card)
-        if card > 0:
-            challenger = cur
-            pending = card
-            cur = 1 - cur
-        elif pending > 0:
-            pending -= 1
-            if pending == 0:
-                if i != last:
-                    return None  # trick would have ended before the pile did
-                return played[0], played[1], challenger == 0
-        else:
-            cur = 1 - cur
-    return None  # pile ran out with the trick still open
-
-
 def enumerate_predecessors(target: GameState) -> list:
     """All start-of-trick states whose trick produces `target` exactly.
 
     target.leader is read as the winner of the preceding trick. Candidate
-    piles are the bottom slices of the winner's deck; each surviving parse
-    is rebuilt by pushing the played cards back on top of their owners'
-    decks and confirmed by one forward trick. A target with an empty deck
-    has no predecessors. A predecessor fixes its trick, and with it the
-    pile length, so the list has no duplicates; it is in order of pile
-    length.
+    piles are the bottom slices of the winner's deck; `_kernels.predecessors`
+    parses each one as a trick, pushes the played cards back on top of
+    their owners' decks and confirms the candidate by one forward trick, on
+    the C kernel or in Python. A target whose winner's deck does not end
+    in a closing block is turned away here first, which is cheaper than a
+    kernel call. A target with an empty deck has no predecessors. A
+    predecessor fixes its trick, and with it the pile length, so the list
+    has no duplicates; it is in order of pile length.
     """
     if not target.playable:
         return []
@@ -89,25 +60,16 @@ def enumerate_predecessors(target: GameState) -> list:
     wdeck, ldeck = target.deck_of(winner), target.deck_of(loser)
     n = len(wdeck)
     # every pile ends with the deck's closing block: k ordinaries after a
-    # rank-k special, so slices shorter than the block cannot be tricks
+    # rank-k special; most targets have none and no predecessors
     k = 0
     while k < n and wdeck[n - 1 - k] == 0:
         k += 1
     if k == 0 or k == n or wdeck[n - 1 - k] != k:
         return []
     out = []
-    for plen in range(k + 1, n + 1):
-        parsed = _parse_pile(wdeck[n - plen:])
-        if parsed is None:
-            continue
-        led, followed, leader_won = parsed
-        won, lost = (led, followed) if leader_won else (followed, led)
-        prev_w = tuple(won) + wdeck[:n - plen]
-        prev_l = tuple(lost) + ldeck
+    for plen, leader_won, prev_w, prev_l in _kernels.predecessors(wdeck, ldeck):
         decks = (prev_w, prev_l) if winner == PLAYER_A else (prev_l, prev_w)
-        candidate = GameState(*decks, winner if leader_won else loser)
-        if play_trick(candidate).next_state == target:
-            out.append(PredecessorCandidate(candidate, plen))
+        out.append(PredecessorCandidate(GameState(*decks, winner if leader_won else loser), plen))
     return out
 
 

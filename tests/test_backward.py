@@ -28,7 +28,7 @@ def test_known_two_predecessor_target():
     assert len(found) >= 2
 
 
-def test_candidates_forward_simulate_to_target():
+def test_candidates_forward_simulate_to_target(kernel):
     rng = random.Random(23)
     for _ in range(150):
         s = random_playable_state(rng, max_cards=20, max_rank=3)
@@ -42,7 +42,7 @@ def test_candidates_forward_simulate_to_target():
             assert len(replay.pile_in_play_order) == cand.pile_length
 
 
-def test_true_predecessor_is_always_enumerated():
+def test_true_predecessor_is_always_enumerated(kernel):
     rng = random.Random(29)
     checked = 0
     while checked < 300:
@@ -94,9 +94,17 @@ def _playable_states(settings):
                 yield GameState(deck[:k], deck[k:], leader)
 
 
-@pytest.mark.parametrize("setting, n_states, max_in_degree", [
-    ("12,1", 10_890, 10), ("16,1", 54_600, 14), ("10,2", 56_700, 8)])
-def test_predecessors_are_the_exact_preimage(setting, n_states, max_in_degree):
+_PREIMAGES = [("12,1", 10_890, 10), ("16,1", 54_600, 14), ("10,2", 56_700, 8)]
+
+
+# ids: the setting, after the kernel's name on Python
+@pytest.mark.parametrize(
+    "kernel, setting, n_states, max_in_degree",
+    [(kernel, *case) for kernel in ("c", "python") for case in _PREIMAGES],
+    indirect=["kernel"],
+    ids=[f"{prefix}{setting}-{n}-{degree}" for prefix in ("", "python-")
+         for setting, n, degree in _PREIMAGES])
+def test_predecessors_are_the_exact_preimage(kernel, setting, n_states, max_in_degree):
     # the whole trick map of a small setting, inverted by brute force
     states = list(_playable_states(Settings.parse(setting)))
     assert len(states) == n_states

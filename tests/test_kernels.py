@@ -15,8 +15,17 @@ import numpy as np
 import pytest
 
 from bmn import _kernels, cli
-from bmn._rng import SplitMix64, fmix64, stream_state
-from bmn.engine import PLAYER_A, PLAYER_B, BudgetExceeded, Settings, Terminated, play_match
+from bmn._rng import GOLDEN, MASK64, SplitMix64, fmix64, stream_state
+from bmn.engine import (
+    PLAYER_A,
+    PLAYER_B,
+    BudgetExceeded,
+    GameState,
+    Settings,
+    Terminated,
+    other_player,
+    play_match,
+)
 from bmn.simulator import full_deck
 from conftest import (
     BLOCKS,
@@ -51,6 +60,18 @@ def test_below_is_in_range_and_exhaustive():
     seen = Counter(rng.below(6) for _ in range(6000))
     assert set(seen) == set(range(6))
     assert min(seen.values()) > 800  # roughly uniform
+
+
+def test_below_draws_as_next_u64_does():
+    # `below` writes `next_u64` out: the same draws and the same state after
+    for n in (1, 2, 3, 5, 7, 8, 9, 40, 41, 64, 65, 1000, 2 ** 31 + 1, 2 ** 64):
+        rng, reference = SplitMix64(n), SplitMix64(n)
+        mask = (1 << (n - 1).bit_length()) - 1
+        for _ in range(50):
+            r = reference.next_u64() & mask
+            while r >= n:
+                r = reference.next_u64() & mask
+            assert rng.below(n) == r and rng.state == reference.state, n
 
 
 def test_shuffle_is_a_permutation():
@@ -161,24 +182,23 @@ def test_simulate_batch_rejects_huge_budget():
 # ---------------------------------------------------------------------------
 
 
+#: Each draw adds GOLDEN to the state; its inverse mod 2**64 counts them.
+_GOLDEN_INVERSE = pow(GOLDEN, -1, 1 << 64)
+
+
 class _CountingRng(SplitMix64):
     """The scalar reference, noting how many draws each `below` call took."""
 
-    __slots__ = ("calls", "draws")
+    __slots__ = ("draws",)
 
     def __init__(self, state):
         super().__init__(state)
-        self.calls = 0
         self.draws = []
 
-    def next_u64(self):
-        self.calls += 1
-        return super().next_u64()
-
     def below(self, n):
-        before = self.calls
+        before = self.state
         r = super().below(n)
-        self.draws.append(self.calls - before)
+        self.draws.append(((self.state - before) * _GOLDEN_INVERSE) & MASK64)
         return r
 
 
@@ -274,6 +294,63 @@ def test_first_insertion_past_max_cards_plays_in_python(monkeypatch):
         once.shuffle(list(range(len(deck) + 1)))
         assert rng.state == once.state
         calls.clear()
+
+
+def _predecessor_targets(case, rng):
+    """(winner's deck, loser's deck) targets for the C predecessor check:
+    mostly images of one reference trick, which have a predecessor."""
+    if case == "only ordinaries":
+        return [((0,) * size, random_deck(rng, rng.randint(1, 20)))
+                for size in range(1, 41) for _ in range(5)]
+    targets = []
+    while len(targets) < 1500:
+        if case == "one card":
+            sizes = [1, rng.randint(1, 12)][::rng.choice([1, -1])]
+            s = GameState(*(random_deck(rng, n, max_rank=3) for n in sizes),
+                          rng.choice([PLAYER_A, PLAYER_B]))
+        else:
+            s = random_playable_state(rng, max_cards=rng.choice([8, 24, 40]), max_rank=9)
+        result = reference_trick(s)
+        if not result.terminal:
+            s = result.next_state
+        targets.append((s.deck_of(s.leader), s.deck_of(other_player(s.leader))))
+    return targets
+
+
+@pytest.mark.parametrize("case", ["rank 9", "only ordinaries", "one card"])
+def test_c_predecessors_match_python(monkeypatch, case):
+    require_c_kernel()
+    reference = _kernels._py_predecessors
+    fallbacks = _recording(monkeypatch, "_py_predecessors")
+    seen = Counter()
+    for wdeck, ldeck in _predecessor_targets(case, random.Random(case)):
+        got = _kernels.predecessors(wdeck, ldeck)
+        assert got == reference(wdeck, ldeck), (wdeck, ldeck)
+        for plen, leader_won, prev_w, prev_l in got:
+            seen["found"] += 1
+            seen[leader_won] += 1
+            seen["rank 9"] += 9 in wdeck[-plen:]
+            seen["one card"] += min(len(prev_w), len(prev_l)) == 1
+    assert fallbacks == []  # the C kernel took every target
+    if case == "only ordinaries":
+        assert not seen
+    else:
+        assert min(seen[key] for key in ("found", True, False, case)) >= 20, seen
+
+
+def test_predecessors_past_max_cards_play_in_python(monkeypatch):
+    require_c_kernel()
+    reference = _kernels._py_predecessors
+    fallbacks = _recording(monkeypatch, "_py_predecessors")
+    wdeck = (0,) * 1000 + (2, 0, 0, 1, 0)
+    for n_loser, plays_in_python in ((19, False), (20, True)):  # 1024 cards at most
+        ldeck = (0, 3) + (0,) * (n_loser - 2)
+        got = _kernels.predecessors(wdeck, ldeck)
+        assert len(fallbacks) == plays_in_python
+        assert got == reference(wdeck, ldeck)
+        assert [(plen, leader_won) for plen, leader_won, _, _ in got] == [
+            (2, True), (3, False), (4, True)]
+        fallbacks.clear()
 
 
 def test_c_kernel_has_the_python_first_block():
