@@ -7,10 +7,12 @@
  * in SplitMix64.below), then play_match_loops with A leading.
  * bmn_first_insertion is first_insertion: the same shuffle of a deck's
  * insertion points, then play_match_loops on the deck with a fragment
- * spliced in at each point in turn until one loops. bmn_predecessors is
- * predecessors, the inverse of a trick: _parse_pile on every bottom slice
- * of the winner's deck, each parse confirmed by one trick of run. Results
- * are bit for bit the Python ones. _kernels compiles this file with
+ * spliced in at each point in turn until one loops. bmn_expand is expand,
+ * the inverse of a trick over a whole level of the backward search: on
+ * states packed as _kernels.pack packs them, the closing-block test, then
+ * _parse_pile on every bottom slice of the winner's deck, each parse
+ * confirmed by one trick of run, the predecessors packed the same way.
+ * Results are bit for bit the Python ones. _kernels compiles this file with
  * `cc -O2 -shared -fPIC` and calls it through ctypes; it uses no Python API.
  */
 #include <stdint.h>
@@ -19,6 +21,7 @@
 #define MAX_CARDS 1024 /* cards in play; a power of two, the rings' size */
 #define FIRST_BLOCK 64 /* _BRENT_FIRST_BLOCK */
 #define GOLDEN 0x9E3779B97F4A7C15ULL
+#define HEADER 5      /* bytes ahead of the cards in a packed state */
 
 typedef struct {
     uint8_t card[2][MAX_CARDS]; /* deck p is card[p][head[p]], ... */
@@ -268,53 +271,86 @@ static int parse_pile(const uint8_t *pile, uint32_t np, uint8_t played[2][MAX_CA
     return 0; /* the pile ran out with the trick still open */
 }
 
-/* predecessors(w, l): the states one trick before the target in which the
- * winner, player 0, holds w and leads and the loser holds l. Each bottom
- * slice of w that parses as a trick is pushed back on top of its players'
- * decks, and the candidate is kept if one forward trick from it gives the
- * target. Candidate i, in order of pile length, writes (pile length, cards
- * the winner played, whether the leader won) to found[3i..3i+2] and the
- * cards the winner and then the loser played to cards, the candidates'
- * piles one after another. Returns the candidate count, or -1 if the
- * nw + nl cards exceed MAX_CARDS. */
-int bmn_predecessors(const uint8_t *w, uint32_t nw, const uint8_t *l, uint32_t nl,
-                     int32_t *found, uint8_t *cards)
+/* expand(level, budget): the predecessors of n packed states, read one
+ * after another from in. A packed state is _kernels.pack's: a HEADER of
+ * the leader and the lengths of decks A and B (16 bits each, low byte
+ * first), then A's cards and then B's. The target's leader won the trick
+ * before it. Each bottom slice of the leader's deck that parse_pile reads
+ * as a trick is pushed back on top of its players' decks, and the candidate
+ * is kept if one trick of run from it gives the target; a target with an
+ * empty deck, or whose leader's deck does not end in a closing block (k
+ * ordinaries after a rank-k special), has none. The kept candidates are
+ * packed into out, in target order and then in order of pile length;
+ * candidate j ends at out[slots[j]], and its trick's pile holds
+ * slots[room + j] cards. Stops after the target whose candidates bring
+ * their count to budget, and before a target past MAX_CARDS or whose
+ * candidates do not fit in cap bytes and room slots. Writes (targets
+ * expanded, candidates) to result. */
+void bmn_expand(const uint8_t *in, int64_t n, int64_t budget, uint8_t *out, int64_t cap,
+                int64_t room, int64_t *slots, int64_t *result)
 {
+    int64_t *ends = slots, *plens = slots + room;
     uint8_t played[2][MAX_CARDS];
-    uint32_t n[2];
-    int leader_won, count = 0;
+    uint32_t np[2];
+    int leader_won;
     game_t target, g;
-    int64_t tricks;
-    if ((uint64_t)nw + nl > MAX_CARDS)
-        return -1;
-    load(&target, w, nw, l, nl, 0);
-    g.mask = target.mask;
-    for (uint32_t plen = 1; plen <= nw; plen++) {
-        uint32_t rest = nw - plen;
-        if (!parse_pile(w + rest, plen, played, n, &leader_won))
+    int64_t done = 0, found = 0, used = 0, tricks;
+    for (; done < n && found < budget; done++) {
+        int winner = in[0];
+        uint32_t na = in[1] | in[2] << 8, nb = in[3] | in[4] << 8, size = HEADER + na + nb;
+        const uint8_t *w = in + HEADER + (winner ? na : 0), *l = in + HEADER + (winner ? 0 : na);
+        uint32_t nw = winner ? nb : na, nl = winner ? na : nb, k = 0;
+        int64_t kept = found;
+        if (na + nb > MAX_CARDS)
+            break;
+        in += size;
+        while (k < nw && w[nw - 1 - k] == 0)
+            k++;
+        if (nl == 0 || k == 0 || k == nw || w[nw - 1 - k] != k)
             continue;
-        const uint8_t *won = played[!leader_won], *lost = played[leader_won];
-        uint32_t n_won = n[!leader_won], n_lost = n[leader_won];
-        memcpy(g.card[0], won, n_won);
-        memcpy(g.card[0] + n_won, w, rest);
-        memcpy(g.card[1], lost, n_lost);
-        memcpy(g.card[1] + n_lost, l, nl);
-        g.head[0] = g.head[1] = 0;
-        g.len[0] = n_won + rest;
-        g.len[1] = n_lost + nl;
-        g.cur = !leader_won;
-        run(&g, 1, NULL, &tricks);
-        if (!same(&g, &target))
-            continue;
-        found[3 * count] = (int32_t)plen;
-        found[3 * count + 1] = (int32_t)n_won;
-        found[3 * count + 2] = leader_won;
-        memcpy(cards, won, n_won);
-        memcpy(cards + n_won, lost, n_lost);
-        cards += plen;
-        count++;
+        load(&target, w, nw, l, nl, 0);
+        g.mask = target.mask;
+        for (uint32_t plen = 1; plen <= nw; plen++) {
+            uint32_t rest = nw - plen;
+            if (!parse_pile(w + rest, plen, played, np, &leader_won))
+                continue;
+            const uint8_t *won = played[!leader_won], *lost = played[leader_won];
+            uint32_t n_won = np[!leader_won], n_lost = np[leader_won];
+            memcpy(g.card[0], won, n_won);
+            memcpy(g.card[0] + n_won, w, rest);
+            memcpy(g.card[1], lost, n_lost);
+            memcpy(g.card[1] + n_lost, l, nl);
+            g.head[0] = g.head[1] = 0;
+            g.len[0] = n_won + rest;
+            g.len[1] = n_lost + nl;
+            g.cur = !leader_won;
+            run(&g, 1, NULL, &tricks);
+            if (!same(&g, &target))
+                continue;
+            if (found == room || used + size > cap) {
+                found = kept; /* the whole target is left to the next call */
+                goto full;
+            }
+            uint8_t *p = out + used;
+            uint32_t n_a = winner ? n_lost + nl : n_won + rest, n_b = na + nb - n_a;
+            uint8_t *pw = p + HEADER + (winner ? n_a : 0), *pl = p + HEADER + (winner ? 0 : n_a);
+            p[0] = leader_won ? winner : !winner;
+            p[1] = n_a & 255;
+            p[2] = n_a >> 8;
+            p[3] = n_b & 255;
+            p[4] = n_b >> 8;
+            memcpy(pw, won, n_won);
+            memcpy(pw + n_won, w, rest);
+            memcpy(pl, lost, n_lost);
+            memcpy(pl + n_lost, l, nl);
+            used += size;
+            ends[found] = used;
+            plens[found++] = plen;
+        }
     }
-    return count;
+full:
+    result[0] = done;
+    result[1] = found;
 }
 
 /* first_insertion(deck, frag, other, into_a, rng, max_positions,

@@ -13,11 +13,11 @@ the matches one by one.
 The loop factory tests a fragment's insertion points with
 `first_insertion`: one shuffle of the points on the factory's rng, then
 `play_match_loops` on each grown deck in turn until one loops. The
-backward search steps with `predecessors`, the inverse of a trick: each
-bottom slice of the winner's deck that `_parse_pile` reads as a trick is
-pushed back onto the players' decks and confirmed by one trick of `_py_run`.
+backward search steps a level of `pack`ed states with `expand`: each bottom
+slice of the winner's deck that `_parse_pile` reads as a trick is pushed
+back onto the players' decks and confirmed by one trick of `_py_run`.
 
-`play_match_loops`, `simulate_batch`, `first_insertion` and `predecessors`
+`play_match_loops`, `simulate_batch`, `first_insertion` and `expand`
 run on a C kernel when one is available: `_ckernel.c`, the same shuffle,
 trick loop, Brent detector and pile parse line for line, bit-identical to
 the reference shuffle and the Python code here, which stays as the
@@ -39,11 +39,13 @@ coded 0 (A) and 1 (B). Match status codes: 0 = terminated, 1 = looped,
 
 from __future__ import annotations
 
+import array
 import contextlib
 import ctypes
 import hashlib
 import os
 import re
+import struct
 import sys
 from collections import deque
 
@@ -162,8 +164,8 @@ def _load_c():
     lib.bmn_first_insertion.argtypes = [ptr, size, ptr, size, ptr, size, ctypes.c_int, ptr,
                                         i64, i64, ptr]
     lib.bmn_first_insertion.restype = ctypes.c_int
-    lib.bmn_predecessors.argtypes = [ptr, size, ptr, size, ptr, ptr]
-    lib.bmn_predecessors.restype = ctypes.c_int
+    lib.bmn_expand.argtypes = [ptr, i64, i64, ptr, i64, i64, ptr, ptr]
+    lib.bmn_expand.restype = None
     return lib
 
 
@@ -392,45 +394,66 @@ def _py_first_insertion(deck, frag, other, into_a, rng, max_positions, max_trick
     return tests, None
 
 
-def predecessors(wdeck, ldeck):
-    """The states one trick before the target: `wdeck` is the winner's deck
-    and leads the next trick, `ldeck` the loser's (tuples of cards).
+#: A packed state is this header (the leader, then the lengths of decks A
+#: and B), then a byte per card of A and then of B: equal states, equal bytes.
+HEADER = struct.Struct("<BHH")
 
-    Every bottom slice of `wdeck` that `_parse_pile` reads as a trick is
-    pushed back on top of its players' decks, and the candidate is kept if
-    one forward trick from it gives the target. Returns (pile length,
-    whether the leader won, winner's deck, loser's deck) for each candidate,
-    in order of pile length. Runs on the C kernel if that loaded and takes
-    the cards (in 0..255, at most 1024 of them), otherwise on
-    `_py_predecessors`, with the same result. Buffers belong to the call,
-    so threads may step at once.
-    """
+
+def pack(deck_a, deck_b, leader) -> bytes:
+    return HEADER.pack(leader, len(deck_a), len(deck_b)) + bytes(deck_a) + bytes(deck_b)
+
+
+def split(packed):
+    """(leader, cards of A, cards of B) of a packed state, the cards as bytes."""
+    leader, n_a, _ = HEADER.unpack_from(packed)
+    return leader, packed[HEADER.size:HEADER.size + n_a], packed[HEADER.size + n_a:]
+
+
+def expand(level, budget):
+    """Expand the packed states of `level` in order, each led by the winner
+    of the trick before it, until their predecessors number `budget` (>= 1).
+    Returns (count, predecessors, pile lengths): the first `count` states
+    were expanded; their predecessors come packed, in level order and then
+    by pile length. Runs on the C kernel if that loaded, which stops sooner
+    when the buffers sized to the call are full, and on `_py_expand` without
+    it or for a state past its 1024 cards, with the same result."""
     lib = _c()
-    if lib:
-        try:
-            w, l = bytes(wdeck), bytes(ldeck)
-        except ValueError:  # a card outside 0..255
-            pass
-        else:
-            n = len(w)
-            found = (ctypes.c_int32 * (3 * n))()
-            cards = ctypes.create_string_buffer(n * (n + 1) // 2)  # every pile, at most
-            count = lib.bmn_predecessors(w, n, l, len(l), found, cards)
-            if count >= 0:  # -1: more cards than the C kernel holds
-                out = []
-                start = 0
-                for i in range(0, 3 * count, 3):
-                    plen, n_won, leader_won = found[i:i + 3]
-                    pile = cards[start:start + plen]
-                    start += plen
-                    out.append((plen, bool(leader_won), tuple(pile[:n_won]) + wdeck[:n - plen],
-                                tuple(pile[n_won:]) + ldeck))
-                return out
-    return _py_predecessors(wdeck, ldeck)
+    if not lib:
+        return _py_expand(level, budget)
+    size = len(level[0])
+    room = min(len(level), budget) + size  # slots; the first state's predecessors fit
+    # array buffers: a ctypes array type of a new length took 20 us to make (2-core Xeon)
+    out = array.array("B", [0]) * (size * room)
+    slots, result = array.array("q", [0]) * (2 * room), _Result()  # ends, pile lengths
+    lib.bmn_expand(b"".join(level), len(level), min(budget, room), out.buffer_info()[0],
+                   size * room, room, slots.buffer_info()[0], result)
+    count, n = result
+    if count == 0:  # more cards than the C kernel holds
+        return _py_expand(level[:1], budget)
+    ends, raw = slots[:n].tolist(), out.tobytes()
+    return count, [raw[i:j] for i, j in zip([0, *ends], ends)], slots[room:room + n].tolist()
+
+
+def _py_expand(level, budget):
+    """`expand` in pure Python: the reference the C kernel follows."""
+    preds, plens = [], []
+    for count, packed in enumerate(level, 1):
+        winner, cards_a, cards_b = split(packed)
+        wdeck, ldeck = map(tuple, (cards_b, cards_a) if winner else (cards_a, cards_b))
+        # a pile ends with the closing block, k ordinaries after a rank-k special
+        k = len(wdeck) - len(bytes(wdeck).rstrip(b"\0"))
+        if ldeck and 0 < k < len(wdeck) and wdeck[-1 - k] == k:
+            for plen, leader_won, prev_w, prev_l in _py_predecessors(wdeck, ldeck):
+                decks = (prev_l, prev_w) if winner else (prev_w, prev_l)
+                preds.append(pack(*decks, winner if leader_won else 1 - winner))
+                plens.append(plen)
+        if len(preds) >= budget:
+            return count, preds, plens
+    return len(level), preds, plens
 
 
 def _py_predecessors(wdeck, ldeck):
-    """`predecessors` in pure Python: the reference the C kernel follows."""
+    """(pile length, leader won, winner's deck, loser's deck) per predecessor."""
     n = len(wdeck)
     out = []
     for plen in range(1, n + 1):
@@ -454,10 +477,9 @@ def _parse_pile(pile):
     not depend on which player leads. Returns (cards the leader played,
     cards the other player played, whether the leader won) when the pile is
     a complete natural trick ending exactly at its last card; None
-    otherwise. This is the trick's inverse, in Python the reference for
-    the C kernel's `parse_pile`. It stays apart from the forward trick loop
-    `_py_run`: replaying candidate piles through that loop made the
-    backward step 1.7x slower.
+    otherwise: the reference for the C kernel's `parse_pile`. It stays apart
+    from the forward trick loop `_py_run`: replaying candidate piles through
+    that loop made the backward step 1.7x slower.
     """
     played = ([], [])
     cur = 0

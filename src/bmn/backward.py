@@ -6,8 +6,8 @@ winner's deck ends with the pile in play order, so every candidate pile is
 a bottom slice of it; a slice is a complete natural trick only if it ends
 with a rank-k special followed by exactly k ordinaries, and replaying the
 slice under forward rules fixes who played each card and, given the
-winner, which player led. The parse and the forward trick that confirms
-each candidate run in `_kernels.predecessors`, on the C kernel if it loaded.
+winner, which player led. The search steps a level of packed states per
+`_kernels.expand` call, and builds a `GameState` only for one it hands out.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _kernels
-from .cycles import standardize
-from .engine import PLAYER_A, GameState, other_player
+from .engine import PLAYER_A, PLAYER_B, GameState
 
 
 @dataclass(frozen=True)
@@ -40,37 +39,48 @@ class BackwardSearchConfig:
             raise ValueError("max_nodes must be >= 1")
 
 
+def _state(packed: bytes) -> GameState:
+    leader, cards_a, cards_b = _kernels.split(packed)
+    return GameState(tuple(cards_a), tuple(cards_b), PLAYER_B if leader else PLAYER_A)
+
+
 def enumerate_predecessors(target: GameState) -> list:
     """All start-of-trick states whose trick produces `target` exactly.
 
-    target.leader is read as the winner of the preceding trick. Candidate
-    piles are the bottom slices of the winner's deck; `_kernels.predecessors`
-    parses each one as a trick, pushes the played cards back on top of
-    their owners' decks and confirms the candidate by one forward trick, on
-    the C kernel or in Python. A target whose winner's deck does not end
-    in a closing block is turned away here first, which is cheaper than a
-    kernel call. A target with an empty deck has no predecessors. A
-    predecessor fixes its trick, and with it the pile length, so the list
-    has no duplicates; it is in order of pile length.
+    target.leader is read as the winner of the preceding trick. This is
+    `_kernels.expand` on a level of one state. A target with an empty deck
+    has no predecessors. A predecessor fixes its trick, and with it the pile
+    length, so the list has no duplicates; it is in order of pile length.
     """
-    if not target.playable:
-        return []
-    winner = target.leader
-    loser = other_player(winner)
-    wdeck, ldeck = target.deck_of(winner), target.deck_of(loser)
-    n = len(wdeck)
-    # every pile ends with the deck's closing block: k ordinaries after a
-    # rank-k special; most targets have none and no predecessors
-    k = 0
-    while k < n and wdeck[n - 1 - k] == 0:
-        k += 1
-    if k == 0 or k == n or wdeck[n - 1 - k] != k:
-        return []
-    out = []
-    for plen, leader_won, prev_w, prev_l in _kernels.predecessors(wdeck, ldeck):
-        decks = (prev_w, prev_l) if winner == PLAYER_A else (prev_l, prev_w)
-        out.append(PredecessorCandidate(GameState(*decks, winner if leader_won else loser), plen))
-    return out
+    packed = _kernels.pack(target.deck_a, target.deck_b, target.leader == PLAYER_B)
+    _, preds, plens = _kernels.expand([packed], 1)
+    return [PredecessorCandidate(_state(p), plen) for p, plen in zip(preds, plens)]
+
+
+def discover_packed(seed_states, config: BackwardSearchConfig):
+    """`discover`, yielding each state packed (`_kernels.pack`)."""
+    visited, level = set(), []
+    for state in seed_states:
+        packed = _kernels.pack(state.deck_a, state.deck_b, state.leader == PLAYER_B)
+        if packed not in visited:
+            visited.add(packed)
+            level.append(packed)
+            yield 0, packed
+    depth = 0
+    while level and depth < config.max_depth and len(visited) < config.max_nodes:
+        depth += 1
+        rest, level = level, []
+        while rest:  # more calls only if a full buffer or duplicates stopped one
+            count, preds, _ = _kernels.expand(rest, config.max_nodes - len(visited))
+            rest = rest[count:]
+            for packed in preds:
+                if packed in visited:
+                    continue
+                visited.add(packed)
+                level.append(packed)
+                yield depth, packed
+                if len(visited) >= config.max_nodes:
+                    return
 
 
 def discover(seed_states, config: BackwardSearchConfig):
@@ -81,26 +91,8 @@ def discover(seed_states, config: BackwardSearchConfig):
     discovery order. Expansion stops at config.max_depth, or as soon as
     config.max_nodes states (seeds included) are known.
     """
-    visited = set()
-    level = []
-    for state in seed_states:
-        if state not in visited:
-            visited.add(state)
-            level.append(state)
-            yield 0, state
-    depth = 0
-    while level and depth < config.max_depth and len(visited) < config.max_nodes:
-        depth += 1
-        previous, level = level, []
-        for state in previous:
-            for cand in enumerate_predecessors(state):
-                if cand.state in visited:
-                    continue
-                visited.add(cand.state)
-                level.append(cand.state)
-                yield depth, cand.state
-                if len(visited) >= config.max_nodes:
-                    return
+    for depth, packed in discover_packed(seed_states, config):
+        yield depth, _state(packed)
 
 
 def backward_search(seed_states, config: BackwardSearchConfig) -> list:
@@ -113,14 +105,17 @@ def backward_search(seed_states, config: BackwardSearchConfig) -> list:
     """
     balanced = []
     balanced_seen = set()
-    for _, state in discover(seed_states, config):
-        if len(state.deck_a) != len(state.deck_b):
+    for _, packed in discover_packed(seed_states, config):
+        leader, n_a, n_b = _kernels.HEADER.unpack_from(packed)
+        if n_a != n_b:
             continue
-        std = standardize(state)
-        if std in balanced_seen:
+        if leader:  # standardize: relabel the players so that A leads
+            _, cards_a, cards_b = _kernels.split(packed)
+            packed = _kernels.pack(cards_b, cards_a, 0)
+        if packed in balanced_seen:
             continue
-        balanced_seen.add(std)
-        balanced.append(std)
+        balanced_seen.add(packed)
+        balanced.append(_state(packed))
         if config.stop_on_balanced:
             break
     return balanced

@@ -16,6 +16,7 @@ import stat
 import sys
 import tempfile
 
+from . import _kernels
 from . import __version__, analyzer, backward, cycles, engine, factory, simulator, stats
 from .engine import (
     PLAYER_A,
@@ -242,11 +243,12 @@ def cmd_backward(args) -> int:
             print(f"leader={found.leader} deck_a={format_deck(found.deck_a)} "
                   f"deck_b={format_deck(found.deck_b)}")
         return 0
-    # plain listing of the predecessor tree up to the requested depth
-    for depth, found in backward.discover([state], config):
+    # plain listing of the predecessor tree, printed from the packed states
+    for depth, found in backward.discover_packed([state], config):
         if depth > 0:
-            print(f"leader={found.leader} deck_a={format_deck(found.deck_a)} "
-                  f"deck_b={format_deck(found.deck_b)}")
+            leader, cards_a, cards_b = _kernels.split(found)
+            print(f"leader={'AB'[leader]} deck_a={format_deck(cards_a)} "
+                  f"deck_b={format_deck(cards_b)}")
     return 0
 
 

@@ -1,21 +1,31 @@
 """Backward-step tests: predecessor enumeration and balanced search."""
 
+import hashlib
 import random
 
 import pytest
 
-from bmn import backward, cycles
+from bmn import _kernels, backward, cycles
 from bmn.backward import BackwardSearchConfig, backward_search, enumerate_predecessors
 from bmn.engine import (
     PLAYER_A,
     PLAYER_B,
     GameState,
+    Looped,
     Settings,
     format_deck,
     play_match,
     play_trick,
+    walk,
 )
-from conftest import INF_52_4, random_playable_state, state
+from conftest import (
+    GOLDEN_MATCHES,
+    INF_40_1,
+    INF_52_4,
+    NONTERMINATING,
+    random_playable_state,
+    state,
+)
 
 
 def test_known_two_predecessor_target():
@@ -175,16 +185,22 @@ def test_discover_walks_levels_and_stops_at_the_node_budget(monkeypatch):
         for s in levels[depth]:
             assert play_trick(s).next_state in levels[depth - 1]
 
-    calls = []
-    real = backward.enumerate_predecessors
-    monkeypatch.setattr(backward, "enumerate_predecessors",
-                        lambda s: calls.append(s) or real(s))
+    expanded = []
+    real = _kernels.expand
+
+    def recording(level, budget):
+        count, preds, plens = real(level, budget)
+        expanded.extend(level[:count])
+        return count, preds, plens
+
+    monkeypatch.setattr(_kernels, "expand", recording)
     # the 14th state is the first predecessor of the 5th, mid-level
     cut = list(backward.discover([target], BackwardSearchConfig(max_depth=3,
                                                                 max_nodes=14)))
     assert cut == found[:14]
     # no state is expanded after the budget is spent
-    assert calls[-1] == play_trick(cut[-1][1]).next_state
+    parent = play_trick(cut[-1][1]).next_state
+    assert expanded[-1] == _kernels.pack(parent.deck_a, parent.deck_b, parent.leader == PLAYER_B)
 
 
 def test_discover_keeps_every_seed_even_over_budget():
@@ -213,3 +229,52 @@ def test_backward_config_validation():
         BackwardSearchConfig(max_depth=-1)
     with pytest.raises(ValueError):
         BackwardSearchConfig(max_depth=1, max_nodes=0)
+
+
+def _golden_40_3_midpoint():
+    """The state halfway through the 420-trick (40,3) golden match (B leads)."""
+    _, deck_a, deck_b, _, tricks = GOLDEN_MATCHES[0]
+    *_, mid = walk(state(deck_a, deck_b), tricks // 2)
+    return [mid]
+
+
+def _loop_states(deck_a, deck_b):
+    return lambda: list(cycles.verify_loop(state(deck_a, deck_b)).states_in_loop)
+
+
+# (seeds, depth, node budget, states found, sha256 prefix of the dump): the
+# breadth-first order as the search gave it before it ran on packed states
+_PINNED_SEARCHES = {
+    "20,2": (_loop_states(*NONTERMINATING["20,2"][0]), 10**6, 10**6, 78, "05ca61d5f2ade16f"),
+    "28,1": (_loop_states(*NONTERMINATING["28,1"][0]), 10**6, 10**6, 874, "a0c6707cd39d27a8"),
+    "40,1": (_loop_states(*INF_40_1), 10**6, 10**6, 1262, "c68e357a2caec451"),
+    "40,1 table 2": (_loop_states(*NONTERMINATING["40,1"][0]), 10**6, 10**6, 764,
+                     "fe3930537bf2003f"),
+    "40,3 midpoint": (_golden_40_3_midpoint, 50, 300, 300, "2632372398c3f609"),
+}
+
+
+@pytest.mark.parametrize("search", list(_PINNED_SEARCHES))
+def test_discover_order_is_pinned(kernel, search):
+    seeds, depth, nodes, n_found, digest = _PINNED_SEARCHES[search]
+    lines = [f"{d} {s.leader} {format_deck(s.deck_a)} {format_deck(s.deck_b)}"
+             for d, s in backward.discover(seeds(), BackwardSearchConfig(depth, nodes))]
+    assert len(lines) == n_found
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == digest
+
+
+def test_balanced_deals_behind_the_20_2_loop(kernel):
+    # the cycle state of the (20,2) factory loop; the search exhausts
+    # long before its budget
+    cycle = state("[CC2C2C1C]", "[2C1CC2C1CC1C]")
+    config = BackwardSearchConfig(max_depth=100, max_nodes=100_000)
+    assert len(list(backward.discover([cycle], config))) == 189
+    found = backward_search([cycle], config)
+    assert len(found) == 12
+    assert found[0] == state("[CC2C2C1CC2]", "[2C1CC1CC1C]")
+    assert play_match(found[0]) == Looped(transient=3, period=11)
+    for deal in found:
+        assert len(deal.deck_a) == len(deal.deck_b) == 10
+        assert deal.leader == PLAYER_A
+        outcome = play_match(deal)
+        assert isinstance(outcome, Looped) and outcome.period == 11

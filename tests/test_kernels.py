@@ -317,6 +317,18 @@ def _predecessor_targets(case, rng):
     return targets
 
 
+def _predecessors(wdeck, ldeck):
+    """`_kernels.expand` on a level of one target, whose winner A holds
+    `wdeck` and leads, in the terms of `_py_predecessors`."""
+    count, preds, plens = _kernels.expand([_kernels.pack(wdeck, ldeck, 0)], 1)
+    assert count == 1
+    out = []
+    for packed, plen in zip(preds, plens):
+        leader, prev_w, prev_l = _kernels.split(packed)
+        out.append((plen, leader == 0, tuple(prev_w), tuple(prev_l)))
+    return out
+
+
 @pytest.mark.parametrize("case", ["rank 9", "only ordinaries", "one card"])
 def test_c_predecessors_match_python(monkeypatch, case):
     require_c_kernel()
@@ -324,7 +336,7 @@ def test_c_predecessors_match_python(monkeypatch, case):
     fallbacks = _recording(monkeypatch, "_py_predecessors")
     seen = Counter()
     for wdeck, ldeck in _predecessor_targets(case, random.Random(case)):
-        got = _kernels.predecessors(wdeck, ldeck)
+        got = _predecessors(wdeck, ldeck)
         assert got == reference(wdeck, ldeck), (wdeck, ldeck)
         for plen, leader_won, prev_w, prev_l in got:
             seen["found"] += 1
@@ -345,12 +357,64 @@ def test_predecessors_past_max_cards_play_in_python(monkeypatch):
     wdeck = (0,) * 1000 + (2, 0, 0, 1, 0)
     for n_loser, plays_in_python in ((19, False), (20, True)):  # 1024 cards at most
         ldeck = (0, 3) + (0,) * (n_loser - 2)
-        got = _kernels.predecessors(wdeck, ldeck)
+        got = _predecessors(wdeck, ldeck)
         assert len(fallbacks) == plays_in_python
         assert got == reference(wdeck, ldeck)
         assert [(plen, leader_won) for plen, leader_won, _, _ in got] == [
             (2, True), (3, False), (4, True)]
         fallbacks.clear()
+
+
+def _expand_level(expand, level, budget):
+    """Step over `level` as the backward search does, without its check for
+    states seen before: (calls, states expanded, predecessors, pile lengths)."""
+    calls, expanded, preds, plens = 0, 0, [], []
+    while level and len(preds) < budget:
+        count, more, lengths = expand(level, budget - len(preds))
+        calls, expanded = calls + 1, expanded + count
+        preds += more
+        plens += lengths
+        level = level[count:]
+    return calls, expanded, preds, plens
+
+
+def test_c_expand_matches_python_level(monkeypatch):
+    require_c_kernel()
+    reference = _kernels._py_expand
+    fallbacks = _recording(monkeypatch, "_py_expand")
+    rng = random.Random(41)
+    targets = []
+    while len(targets) < 120:  # images of a trick, so most have predecessors
+        result = reference_trick(random_playable_state(rng, max_cards=30, max_rank=4))
+        if not result.terminal:
+            targets.append(result.next_state)
+    # many predecessors each: nine for m = 7
+    targets += [parse_state("[" + "C" * m + "21C]", "[1C]", leader)
+                for m in range(4, 12) for leader in (PLAYER_A, PLAYER_B)]
+    # a closing block but an empty deck, and the empty decks themselves
+    targets += [GameState((0, 1, 0), (), PLAYER_A), GameState((), (0, 1, 0), PLAYER_B),
+                GameState((), (1, 0), PLAYER_A)]
+    # 1025 cards, past the C kernel: three predecessors, found in Python
+    big = GameState((0, 3) + (0,) * 18, (0,) * 1000 + (2, 0, 0, 1, 0), PLAYER_B)
+    rng.shuffle(targets)
+    targets.insert(len(targets) // 2, big)
+    level = [_kernels.pack(s.deck_a, s.deck_b, s.leader == PLAYER_B) for s in targets]
+    assert {s.leader for s in targets} == {PLAYER_A, PLAYER_B}
+
+    at = targets.index(big)
+    _, n_all, everything, _ = _expand_level(reference, level, 10**9)
+    assert n_all == len(level)
+    for budget in (1, 7, 50, 301, 10**9):
+        fallbacks.clear()
+        calls, expanded, preds, plens = _expand_level(_kernels.expand, level, budget)
+        assert (expanded, preds, plens) == _expand_level(reference, level, budget)[1:]
+        assert expanded == n_all or len(preds) >= budget
+        # the C kernel took every state but the big one
+        assert [args[0] for args in fallbacks] == ([[level[at]]] if expanded > at else [])
+    # one call's buffers hold about a predecessor per state: a full buffer
+    # ended a call, not only the big state
+    assert len(everything) > 3 * len(level)
+    assert calls > 3
 
 
 def test_c_kernel_has_the_python_first_block():
