@@ -10,8 +10,8 @@
  * spliced in at each point in turn until one loops. bmn_expand is expand,
  * the inverse of a trick over a whole level of the backward search: on
  * states packed as _kernels.pack packs them, the closing-block test, then
- * _parse_pile on every bottom slice of the winner's deck, each parse
- * confirmed by one trick of run, the predecessors packed the same way.
+ * _parse_pile on every bottom slice of the winner's deck, each parse packed
+ * the same way as a predecessor.
  * Results are bit for bit the Python ones. _kernels compiles this file with
  * `cc -O2 -shared -fPIC` and calls it through ctypes; it uses no Python API.
  */
@@ -276,16 +276,15 @@ static int parse_pile(const uint8_t *pile, uint32_t np, uint8_t played[2][MAX_CA
  * the leader and the lengths of decks A and B (16 bits each, low byte
  * first), then A's cards and then B's. The target's leader won the trick
  * before it. Each bottom slice of the leader's deck that parse_pile reads
- * as a trick is pushed back on top of its players' decks, and the candidate
- * is kept if one trick of run from it gives the target; a target with an
- * empty deck, or whose leader's deck does not end in a closing block (k
- * ordinaries after a rank-k special), has none. The kept candidates are
- * packed into out, in target order and then in order of pile length;
- * candidate j ends at out[slots[j]], and its trick's pile holds
- * slots[room + j] cards. Stops after the target whose candidates bring
- * their count to budget, and before a target past MAX_CARDS or whose
- * candidates do not fit in cap bytes and room slots. Writes (targets
- * expanded, candidates) to result. */
+ * as a trick is pushed back on top of its players' decks, giving one
+ * predecessor; a target with an empty deck, or whose leader's deck does
+ * not end in a closing block (k ordinaries after a rank-k special), has
+ * none. The predecessors are packed into out, in target order and then in
+ * order of pile length; predecessor j ends at out[slots[j]], and its
+ * trick's pile holds slots[room + j] cards. Stops after the target whose
+ * predecessors bring their count to budget, and before a target past
+ * MAX_CARDS or whose predecessors do not fit in cap bytes and room slots.
+ * Writes (targets expanded, predecessors) to result. */
 void bmn_expand(const uint8_t *in, int64_t n, int64_t budget, uint8_t *out, int64_t cap,
                 int64_t room, int64_t *slots, int64_t *result)
 {
@@ -293,8 +292,7 @@ void bmn_expand(const uint8_t *in, int64_t n, int64_t budget, uint8_t *out, int6
     uint8_t played[2][MAX_CARDS];
     uint32_t np[2];
     int leader_won;
-    game_t target, g;
-    int64_t done = 0, found = 0, used = 0, tricks;
+    int64_t done = 0, found = 0, used = 0;
     for (; done < n && found < budget; done++) {
         int winner = in[0];
         uint32_t na = in[1] | in[2] << 8, nb = in[3] | in[4] << 8, size = HEADER + na + nb;
@@ -308,25 +306,19 @@ void bmn_expand(const uint8_t *in, int64_t n, int64_t budget, uint8_t *out, int6
             k++;
         if (nl == 0 || k == 0 || k == nw || w[nw - 1 - k] != k)
             continue;
-        load(&target, w, nw, l, nl, 0);
-        g.mask = target.mask;
         for (uint32_t plen = 1; plen <= nw; plen++) {
             uint32_t rest = nw - plen;
+            /* Every parse is a predecessor, with no trick played to confirm
+             * it: the pile is a complete trick ending at its last card. With
+             * each player's parsed cards back on top of their deck, the
+             * trick flips the same cards in the same order, never from an
+             * empty deck, and ends at the same card. The challenger wins and
+             * puts the pile under the rest of w, which gives w again. The
+             * loser keeps l, not empty (nl > 0), so the trick is not terminal. */
             if (!parse_pile(w + rest, plen, played, np, &leader_won))
                 continue;
             const uint8_t *won = played[!leader_won], *lost = played[leader_won];
             uint32_t n_won = np[!leader_won], n_lost = np[leader_won];
-            memcpy(g.card[0], won, n_won);
-            memcpy(g.card[0] + n_won, w, rest);
-            memcpy(g.card[1], lost, n_lost);
-            memcpy(g.card[1] + n_lost, l, nl);
-            g.head[0] = g.head[1] = 0;
-            g.len[0] = n_won + rest;
-            g.len[1] = n_lost + nl;
-            g.cur = !leader_won;
-            run(&g, 1, NULL, &tricks);
-            if (!same(&g, &target))
-                continue;
             if (found == room || used + size > cap) {
                 found = kept; /* the whole target is left to the next call */
                 goto full;

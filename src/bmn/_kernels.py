@@ -15,7 +15,8 @@ The loop factory tests a fragment's insertion points with
 `play_match_loops` on each grown deck in turn until one loops. The
 backward search steps a level of `pack`ed states with `expand`: each bottom
 slice of the winner's deck that `_parse_pile` reads as a trick is pushed
-back onto the players' decks and confirmed by one trick of `_py_run`.
+back onto the players' decks, which gives one predecessor; no trick is
+played to confirm it.
 
 `play_match_loops`, `simulate_batch`, `first_insertion` and `expand`
 run on a C kernel when one is available: `_ckernel.c`, the same shuffle,
@@ -439,11 +440,22 @@ def _py_expand(level, budget):
     preds, plens = [], []
     for count, packed in enumerate(level, 1):
         winner, cards_a, cards_b = split(packed)
-        wdeck, ldeck = map(tuple, (cards_b, cards_a) if winner else (cards_a, cards_b))
+        wdeck, ldeck = (cards_b, cards_a) if winner else (cards_a, cards_b)
+        n = len(wdeck)
         # a pile ends with the closing block, k ordinaries after a rank-k special
-        k = len(wdeck) - len(bytes(wdeck).rstrip(b"\0"))
-        if ldeck and 0 < k < len(wdeck) and wdeck[-1 - k] == k:
-            for plen, leader_won, prev_w, prev_l in _py_predecessors(wdeck, ldeck):
+        k = n - len(wdeck.rstrip(b"\0"))
+        if ldeck and 0 < k < n and wdeck[-1 - k] == k:
+            for plen in range(1, n + 1):
+                parsed = _parse_pile(wdeck[n - plen:])
+                if parsed is None:
+                    continue
+                # a parse needs no trick to confirm it: with each player's
+                # parsed cards back on top of their deck, the trick flips the
+                # same cards, never from an empty deck, and ends at the same
+                # card; the challenger puts the pile under the rest of wdeck,
+                # and the loser keeps ldeck, not empty: no terminal trick
+                won, lost, leader_won = parsed
+                prev_w, prev_l = won + wdeck[:n - plen], lost + ldeck
                 decks = (prev_l, prev_w) if winner else (prev_w, prev_l)
                 preds.append(pack(*decks, winner if leader_won else 1 - winner))
                 plens.append(plen)
@@ -452,36 +464,18 @@ def _py_expand(level, budget):
     return len(level), preds, plens
 
 
-def _py_predecessors(wdeck, ldeck):
-    """(pile length, leader won, winner's deck, loser's deck) per predecessor."""
-    n = len(wdeck)
-    out = []
-    for plen in range(1, n + 1):
-        parsed = _parse_pile(wdeck[n - plen:])
-        if parsed is None:
-            continue
-        led, followed, leader_won = parsed
-        won, lost = (led, followed) if leader_won else (followed, led)
-        prev_w, prev_l = tuple(won) + wdeck[:n - plen], tuple(lost) + ldeck
-        decks = [deque(prev_w), deque(prev_l)]
-        _, cur, _, _ = _py_run(decks, 0 if leader_won else 1, 1)
-        if cur == 0 and tuple(decks[0]) == wdeck and tuple(decks[1]) == ldeck:
-            out.append((plen, leader_won, prev_w, prev_l))
-    return out
-
-
 def _parse_pile(pile):
     """Attribute each pile card to the player forced to flip it.
 
     Cards are assigned relative to the trick's leader, since the rules do
-    not depend on which player leads. Returns (cards the leader played,
-    cards the other player played, whether the leader won) when the pile is
-    a complete natural trick ending exactly at its last card; None
-    otherwise: the reference for the C kernel's `parse_pile`. It stays apart
-    from the forward trick loop `_py_run`: replaying candidate piles through
-    that loop made the backward step 1.7x slower.
+    not depend on which player leads. Returns (bytearrays of the cards the
+    winner and the loser played, whether the leader won) when the pile is a
+    complete natural trick ending exactly at its last card; None otherwise:
+    the reference for the C kernel's `parse_pile`. It stays apart from the
+    forward trick loop `_py_run`: replaying candidate piles through that
+    loop made the backward step 1.7x slower.
     """
-    played = ([], [])
+    played = (bytearray(), bytearray())
     cur = 0
     challenger = 0
     pending = 0
@@ -497,7 +491,7 @@ def _parse_pile(pile):
             if pending == 0:
                 if i != last:
                     return None  # trick would have ended before the pile did
-                return played[0], played[1], challenger == 0
+                return played[challenger], played[1 - challenger], challenger == 0
         else:
             cur = 1 - cur
     return None  # pile ran out with the trick still open

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -39,17 +40,26 @@ def test_known_two_predecessor_target():
 
 
 def test_candidates_forward_simulate_to_target(kernel):
+    # the kernels play no trick to confirm a parsed pile: this is the check
+    # that each predecessor's trick gives the target, rank-9 specials and
+    # decks of up to 40 cards included
     rng = random.Random(23)
-    for _ in range(150):
-        s = random_playable_state(rng, max_cards=20, max_rank=3)
-        result = play_trick(s)
-        if result.terminal:
-            continue
-        for cand in enumerate_predecessors(result.next_state):
-            replay = play_trick(cand.state)
-            assert replay.next_state == result.next_state
-            assert not replay.terminal
-            assert len(replay.pile_in_play_order) == cand.pile_length
+    seen = Counter()
+    for n_states, max_cards, max_rank in ((150, 20, 3), (400, 80, 9)):
+        for _ in range(n_states):
+            s = random_playable_state(rng, max_cards=max_cards, max_rank=max_rank)
+            result = play_trick(s)
+            if result.terminal:
+                continue
+            for cand in enumerate_predecessors(result.next_state):
+                replay = play_trick(cand.state)
+                assert replay.next_state == result.next_state
+                assert not replay.terminal
+                assert len(replay.pile_in_play_order) == cand.pile_length
+                pred = cand.state
+                seen["rank 9"] += 9 in replay.pile_in_play_order
+                seen["over 30 cards"] += max(len(pred.deck_a), len(pred.deck_b)) > 30
+    assert min(seen["rank 9"], seen["over 30 cards"]) >= 20, seen
 
 
 def test_true_predecessor_is_always_enumerated(kernel):

@@ -30,6 +30,15 @@ def test_unknown_command_exits_1():
     assert run_cli("frobnicate").returncode == 1
 
 
+def test_parser_is_built_once():
+    # callers running `cli.main` many times in one process build it once;
+    # a parse leaves nothing behind for the next one
+    assert cli.build_parser() is cli.build_parser()
+    decks = ["backward", "--setting", "12,2", "--deck-a", "[1C]", "--deck-b", "[C]"]
+    assert cli.build_parser().parse_args([*decks, "--depth", "3"]).depth == 3
+    assert cli.build_parser().parse_args(decks).depth == 1
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"])
 def test_closed_stdout_exits_141_without_an_error_line(unbuffered):
     # as in `bmn backward ... | head -1`: the reader is gone before the

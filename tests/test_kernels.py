@@ -317,10 +317,11 @@ def _predecessor_targets(case, rng):
     return targets
 
 
-def _predecessors(wdeck, ldeck):
-    """`_kernels.expand` on a level of one target, whose winner A holds
-    `wdeck` and leads, in the terms of `_py_predecessors`."""
-    count, preds, plens = _kernels.expand([_kernels.pack(wdeck, ldeck, 0)], 1)
+def _predecessors(expand, wdeck, ldeck):
+    """`expand` on a level of one target, whose winner A holds `wdeck` and
+    leads: (pile length, leader won, winner's deck, loser's deck) for each
+    predecessor."""
+    count, preds, plens = expand([_kernels.pack(wdeck, ldeck, 0)], 1)
     assert count == 1
     out = []
     for packed, plen in zip(preds, plens):
@@ -332,12 +333,12 @@ def _predecessors(wdeck, ldeck):
 @pytest.mark.parametrize("case", ["rank 9", "only ordinaries", "one card"])
 def test_c_predecessors_match_python(monkeypatch, case):
     require_c_kernel()
-    reference = _kernels._py_predecessors
-    fallbacks = _recording(monkeypatch, "_py_predecessors")
+    reference = _kernels._py_expand
+    fallbacks = _recording(monkeypatch, "_py_expand")
     seen = Counter()
     for wdeck, ldeck in _predecessor_targets(case, random.Random(case)):
-        got = _predecessors(wdeck, ldeck)
-        assert got == reference(wdeck, ldeck), (wdeck, ldeck)
+        got = _predecessors(_kernels.expand, wdeck, ldeck)
+        assert got == _predecessors(reference, wdeck, ldeck), (wdeck, ldeck)
         for plen, leader_won, prev_w, prev_l in got:
             seen["found"] += 1
             seen[leader_won] += 1
@@ -352,14 +353,14 @@ def test_c_predecessors_match_python(monkeypatch, case):
 
 def test_predecessors_past_max_cards_play_in_python(monkeypatch):
     require_c_kernel()
-    reference = _kernels._py_predecessors
-    fallbacks = _recording(monkeypatch, "_py_predecessors")
+    reference = _kernels._py_expand
+    fallbacks = _recording(monkeypatch, "_py_expand")
     wdeck = (0,) * 1000 + (2, 0, 0, 1, 0)
     for n_loser, plays_in_python in ((19, False), (20, True)):  # 1024 cards at most
         ldeck = (0, 3) + (0,) * (n_loser - 2)
-        got = _predecessors(wdeck, ldeck)
+        got = _predecessors(_kernels.expand, wdeck, ldeck)
         assert len(fallbacks) == plays_in_python
-        assert got == reference(wdeck, ldeck)
+        assert got == _predecessors(reference, wdeck, ldeck)
         assert [(plen, leader_won) for plen, leader_won, _, _ in got] == [
             (2, True), (3, False), (4, True)]
         fallbacks.clear()
