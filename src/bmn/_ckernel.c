@@ -7,15 +7,16 @@
  * in SplitMix64.below), then play_match_loops with A leading.
  * bmn_first_insertion is first_insertion: the same shuffle of a deck's
  * insertion points, then play_match_loops on the deck with a fragment
- * spliced in at each point in turn until one loops. bmn_expand is expand,
- * the inverse of a trick over a whole level of the backward search: on
- * states packed as _kernels.pack packs them, the closing-block test, then
- * _parse_pile on every bottom slice of the winner's deck, each parse packed
- * the same way as a predecessor.
+ * spliced in at each point in turn until one loops. bmn_search is search,
+ * the whole breadth-first backward search over states packed as
+ * _kernels.pack packs them. Its step is _py_step, the inverse of a trick:
+ * the closing-block test, then _parse_pile on every bottom slice of the
+ * winner's deck, each parse packed the same way as a predecessor.
  * Results are bit for bit the Python ones. _kernels compiles this file with
  * `cc -O2 -shared -fPIC` and calls it through ctypes; it uses no Python API.
  */
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 #define MAX_CARDS 1024 /* cards in play; a power of two, the rings' size */
@@ -271,78 +272,257 @@ static int parse_pile(const uint8_t *pile, uint32_t np, uint8_t played[2][MAX_CA
     return 0; /* the pile ran out with the trick still open */
 }
 
-/* expand(level, budget): the predecessors of n packed states, read one
- * after another from in. A packed state is _kernels.pack's: a HEADER of
- * the leader and the lengths of decks A and B (16 bits each, low byte
- * first), then A's cards and then B's. The target's leader won the trick
+/* The breadth-first backward search of bmn_search: the states found, packed
+ * one after another in states, indexed by an open-addressing table of
+ * 1 + their index (0: an empty slot) with linear probing. The arrays grow by
+ * doubling; the table keeps at least two slots per state. */
+typedef struct {
+    uint8_t *states;  /* state i is states[offsets[i] .. offsets[i + 1]) */
+    int64_t *offsets, *depths, *table;
+    int32_t *plens;   /* the pile of the trick from state i to the one it was found from */
+    int64_t n, room, cap, slots, max_nodes;
+    int stop_on_balanced;
+} search_t;
+
+/* search's result, handed to the caller, who frees it with bmn_free. */
+typedef struct {
+    uint8_t *states;
+    int64_t *offsets, *depths;
+    int32_t *plens;
+    int64_t n;
+} found_t;
+
+#define FIRST_ROOM 256 /* states the search's arrays hold at first */
+
+static uint64_t hash(const uint8_t *p, int64_t n)
+{
+    uint64_t h = (uint64_t)n, word;
+    for (; n >= 8; p += 8, n -= 8) {
+        memcpy(&word, p, 8);
+        h = fmix64(h ^ word);
+    }
+    word = 0;
+    memcpy(&word, p, (size_t)n);
+    return fmix64(h ^ word);
+}
+
+static void place(search_t *s, int64_t i, uint64_t h)
+{
+    uint64_t mask = (uint64_t)s->slots - 1;
+    while (s->table[h & mask])
+        h++;
+    s->table[h & mask] = i + 1;
+}
+
+/* Room for twice the states, and a table rebuilt for it; 0 without memory. */
+static int grow(search_t *s)
+{
+    int64_t room = 2 * s->room, *offsets, *depths, *table;
+    int32_t *plens;
+    if (!(offsets = realloc(s->offsets, (size_t)(room + 1) * sizeof *offsets)))
+        return 0;
+    s->offsets = offsets;
+    if (!(depths = realloc(s->depths, (size_t)room * sizeof *depths)))
+        return 0;
+    s->depths = depths;
+    if (!(plens = realloc(s->plens, (size_t)room * sizeof *plens)))
+        return 0;
+    s->plens = plens;
+    if (!(table = calloc((size_t)(2 * room), sizeof *table)))
+        return 0;
+    free(s->table);
+    s->table = table;
+    s->room = room;
+    s->slots = 2 * room;
+    for (int64_t i = 0; i < s->n; i++)
+        place(s, i, hash(s->states + offsets[i], offsets[i + 1] - offsets[i]));
+    return 1;
+}
+
+/* Where the next state of `size` bytes goes, past the last one found;
+ * NULL without memory. */
+static uint8_t *tail(search_t *s, int64_t size)
+{
+    int64_t used = s->offsets[s->n], cap = s->cap;
+    while (used + size > cap)
+        cap *= 2;
+    if (cap != s->cap) {
+        uint8_t *states = realloc(s->states, (size_t)cap);
+        if (!states)
+            return NULL;
+        s->states = states;
+        s->cap = cap;
+    }
+    return s->states + used;
+}
+
+/* Keep the state written at tail(s, size) unless it was found before:
+ * 1 if it is new, 0 if not, -1 without memory. */
+static int add(search_t *s, int64_t size, int64_t depth, uint32_t plen)
+{
+    if (s->n == s->room && !grow(s))
+        return -1;
+    const uint8_t *p = s->states + s->offsets[s->n];
+    uint64_t h = hash(p, size), mask = (uint64_t)s->slots - 1;
+    for (int64_t j; (j = s->table[h & mask]); h++) {
+        int64_t at = s->offsets[j - 1];
+        if (s->offsets[j] - at == size && memcmp(s->states + at, p, (size_t)size) == 0)
+            return 0;
+    }
+    s->table[h & mask] = s->n + 1;
+    s->depths[s->n] = depth;
+    s->plens[s->n] = (int32_t)plen;
+    s->offsets[s->n + 1] = s->offsets[s->n] + size;
+    s->n++;
+    return 1;
+}
+
+/* 1 if the packed state p has decks of the same size. */
+static int balanced(const uint8_t *p)
+{
+    return p[1] == p[3] && p[2] == p[4];
+}
+
+/* The predecessors of the packed state t, added to the search at `depth`:
+ * 1 once the search is at its node budget or, if asked, found a balanced
+ * state; -1 without memory; 0 otherwise. The target's leader won the trick
  * before it. Each bottom slice of the leader's deck that parse_pile reads
  * as a trick is pushed back on top of its players' decks, giving one
- * predecessor; a target with an empty deck, or whose leader's deck does
- * not end in a closing block (k ordinaries after a rank-k special), has
- * none. The predecessors are packed into out, in target order and then in
- * order of pile length; predecessor j ends at out[slots[j]], and its
- * trick's pile holds slots[room + j] cards. Stops after the target whose
- * predecessors bring their count to budget, and before a target past
- * MAX_CARDS or whose predecessors do not fit in cap bytes and room slots.
- * Writes (targets expanded, predecessors) to result. */
-void bmn_expand(const uint8_t *in, int64_t n, int64_t budget, uint8_t *out, int64_t cap,
-                int64_t room, int64_t *slots, int64_t *result)
+ * predecessor, in order of pile length; a target with an empty deck, or
+ * whose leader's deck does not end in a closing block (k ordinaries after a
+ * rank-k special), has none. */
+static int step(search_t *s, const uint8_t *t, int64_t depth)
 {
-    int64_t *ends = slots, *plens = slots + room;
     uint8_t played[2][MAX_CARDS];
     uint32_t np[2];
-    int leader_won;
-    int64_t done = 0, found = 0, used = 0;
-    for (; done < n && found < budget; done++) {
-        int winner = in[0];
-        uint32_t na = in[1] | in[2] << 8, nb = in[3] | in[4] << 8, size = HEADER + na + nb;
-        const uint8_t *w = in + HEADER + (winner ? na : 0), *l = in + HEADER + (winner ? 0 : na);
-        uint32_t nw = winner ? nb : na, nl = winner ? na : nb, k = 0;
-        int64_t kept = found;
-        if (na + nb > MAX_CARDS)
-            break;
-        in += size;
-        while (k < nw && w[nw - 1 - k] == 0)
-            k++;
-        if (nl == 0 || k == 0 || k == nw || w[nw - 1 - k] != k)
+    int leader_won, winner = t[0];
+    uint32_t na = t[1] | t[2] << 8, nb = t[3] | t[4] << 8, size = HEADER + na + nb;
+    const uint8_t *w = t + HEADER + (winner ? na : 0), *l = t + HEADER + (winner ? 0 : na);
+    uint32_t nw = winner ? nb : na, nl = winner ? na : nb, k = 0;
+    while (k < nw && w[nw - 1 - k] == 0)
+        k++;
+    if (nl == 0 || k == 0 || k == nw || w[nw - 1 - k] != k)
+        return 0;
+    for (uint32_t plen = 1; plen <= nw; plen++) {
+        uint32_t rest = nw - plen;
+        /* Every parse is a predecessor, with no trick played to confirm
+         * it: the pile is a complete trick ending at its last card. With
+         * each player's parsed cards back on top of their deck, the
+         * trick flips the same cards in the same order, never from an
+         * empty deck, and ends at the same card. The challenger wins and
+         * puts the pile under the rest of w, which gives w again. The
+         * loser keeps l, not empty (nl > 0), so the trick is not terminal. */
+        if (!parse_pile(w + rest, plen, played, np, &leader_won))
             continue;
-        for (uint32_t plen = 1; plen <= nw; plen++) {
-            uint32_t rest = nw - plen;
-            /* Every parse is a predecessor, with no trick played to confirm
-             * it: the pile is a complete trick ending at its last card. With
-             * each player's parsed cards back on top of their deck, the
-             * trick flips the same cards in the same order, never from an
-             * empty deck, and ends at the same card. The challenger wins and
-             * puts the pile under the rest of w, which gives w again. The
-             * loser keeps l, not empty (nl > 0), so the trick is not terminal. */
-            if (!parse_pile(w + rest, plen, played, np, &leader_won))
-                continue;
-            const uint8_t *won = played[!leader_won], *lost = played[leader_won];
-            uint32_t n_won = np[!leader_won], n_lost = np[leader_won];
-            if (found == room || used + size > cap) {
-                found = kept; /* the whole target is left to the next call */
-                goto full;
-            }
-            uint8_t *p = out + used;
-            uint32_t n_a = winner ? n_lost + nl : n_won + rest, n_b = na + nb - n_a;
-            uint8_t *pw = p + HEADER + (winner ? n_a : 0), *pl = p + HEADER + (winner ? 0 : n_a);
-            p[0] = leader_won ? winner : !winner;
-            p[1] = n_a & 255;
-            p[2] = n_a >> 8;
-            p[3] = n_b & 255;
-            p[4] = n_b >> 8;
-            memcpy(pw, won, n_won);
-            memcpy(pw + n_won, w, rest);
-            memcpy(pl, lost, n_lost);
-            memcpy(pl + n_lost, l, nl);
-            used += size;
-            ends[found] = used;
-            plens[found++] = plen;
+        const uint8_t *won = played[!leader_won], *lost = played[leader_won];
+        uint32_t n_won = np[!leader_won], n_lost = np[leader_won];
+        uint8_t *p = tail(s, size);
+        if (!p)
+            return -1;
+        uint32_t n_a = winner ? n_lost + nl : n_won + rest, n_b = na + nb - n_a;
+        uint8_t *pw = p + HEADER + (winner ? n_a : 0), *pl = p + HEADER + (winner ? 0 : n_a);
+        p[0] = leader_won ? winner : !winner;
+        p[1] = n_a & 255;
+        p[2] = n_a >> 8;
+        p[3] = n_b & 255;
+        p[4] = n_b >> 8;
+        memcpy(pw, won, n_won);
+        memcpy(pw + n_won, w, rest);
+        memcpy(pl, lost, n_lost);
+        memcpy(pl + n_lost, l, nl);
+        int added = add(s, size, depth, plen);
+        if (added < 0)
+            return -1;
+        if (added && (s->n >= s->max_nodes || (s->stop_on_balanced && balanced(p))))
+            return 1;
+    }
+    return 0;
+}
+
+/* search(seeds, max_depth, max_nodes, stop_on_balanced) on the n packed
+ * states read one after another from seeds, each led by the winner of the
+ * trick before it. A packed state is _kernels.pack's: a HEADER of the leader
+ * and the lengths of decks A and B (16 bits each, low byte first), then A's
+ * cards and then B's. Every distinct seed is found first, at depth 0; each
+ * later level holds the predecessors of the level before, in its order and
+ * then by pile length, that were not found before. The search stops after
+ * max_depth levels, as soon as max_nodes states are found (the seeds are all
+ * kept), and with stop_on_balanced as soon as it finds a state whose decks
+ * are the same size. Writes the states found to *found, to be freed with
+ * bmn_free, and returns 0; returns -1 for a seed past MAX_CARDS and -2
+ * without memory, with nothing to free. */
+int bmn_search(const uint8_t *seeds, int64_t n, int64_t max_depth, int64_t max_nodes,
+               int stop_on_balanced, found_t *found)
+{
+    uint8_t t[HEADER + MAX_CARDS];
+    search_t s = {0};
+    int status = 0;
+    s.max_nodes = max_nodes;
+    s.stop_on_balanced = stop_on_balanced;
+    s.room = FIRST_ROOM;
+    s.slots = 2 * FIRST_ROOM;
+    s.cap = 16 * FIRST_ROOM;
+    s.states = malloc((size_t)s.cap);
+    s.offsets = calloc(FIRST_ROOM + 1, sizeof *s.offsets);
+    s.depths = malloc(FIRST_ROOM * sizeof *s.depths);
+    s.plens = malloc(FIRST_ROOM * sizeof *s.plens);
+    s.table = calloc(2 * FIRST_ROOM, sizeof *s.table);
+    if (!s.states || !s.offsets || !s.depths || !s.plens || !s.table)
+        goto fail;
+    for (int64_t i = 0; i < n; i++) {
+        uint32_t size = HEADER + (seeds[1] | seeds[2] << 8) + (seeds[3] | seeds[4] << 8);
+        uint8_t *p;
+        if (size > HEADER + MAX_CARDS) {
+            status = -1;
+            goto fail;
+        }
+        if (!(p = tail(&s, size)))
+            goto fail;
+        memcpy(p, seeds, size);
+        seeds += size;
+        int added = add(&s, size, 0, 0);
+        if (added < 0)
+            goto fail;
+        if (added && stop_on_balanced && balanced(p))
+            goto done;
+    }
+    for (int64_t depth = 1, start = 0, end = s.n;
+         start < end && depth <= max_depth && s.n < max_nodes;
+         depth++, start = end, end = s.n) {
+        for (int64_t i = start; i < end; i++) {
+            /* a copy: the states found may move as they grow */
+            memcpy(t, s.states + s.offsets[i], (size_t)(s.offsets[i + 1] - s.offsets[i]));
+            int stop = step(&s, t, depth);
+            if (stop < 0)
+                goto fail;
+            if (stop)
+                goto done;
         }
     }
-full:
-    result[0] = done;
-    result[1] = found;
+done:
+    free(s.table);
+    found->states = s.states;
+    found->offsets = s.offsets;
+    found->depths = s.depths;
+    found->plens = s.plens;
+    found->n = s.n;
+    return 0;
+fail:
+    free(s.states);
+    free(s.offsets);
+    free(s.depths);
+    free(s.plens);
+    free(s.table);
+    return status ? status : -2;
+}
+
+/* Frees what bmn_search wrote to *found. */
+void bmn_free(found_t *found)
+{
+    free(found->states);
+    free(found->offsets);
+    free(found->depths);
+    free(found->plens);
 }
 
 /* first_insertion(deck, frag, other, into_a, rng, max_positions,

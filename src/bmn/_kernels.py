@@ -12,13 +12,14 @@ the matches one by one.
 
 The loop factory tests a fragment's insertion points with
 `first_insertion`: one shuffle of the points on the factory's rng, then
-`play_match_loops` on each grown deck in turn until one loops. The
-backward search steps a level of `pack`ed states with `expand`: each bottom
-slice of the winner's deck that `_parse_pile` reads as a trick is pushed
-back onto the players' decks, which gives one predecessor; no trick is
-played to confirm it.
+`play_match_loops` on each grown deck in turn until one loops. `search`
+runs the whole breadth-first backward search over `pack`ed states, to its
+depth, node or balanced-state limit, in one call: each bottom slice of the
+winner's deck that `_parse_pile` reads as a trick is pushed back onto the
+players' decks, which gives one predecessor; no trick is played to
+confirm it.
 
-`play_match_loops`, `simulate_batch`, `first_insertion` and `expand`
+`play_match_loops`, `simulate_batch`, `first_insertion` and `search`
 run on a C kernel when one is available: `_ckernel.c`, the same shuffle,
 trick loop, Brent detector and pile parse line for line, bit-identical to
 the reference shuffle and the Python code here, which stays as the
@@ -40,7 +41,6 @@ coded 0 (A) and 1 (B). Match status codes: 0 = terminated, 1 = looped,
 
 from __future__ import annotations
 
-import array
 import contextlib
 import ctypes
 import hashlib
@@ -57,7 +57,8 @@ from ._rng import MASK64, SplitMix64
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_ckernel.c")
 
 #: Budgets the C kernel takes: its trick counts, up to about three times
-#: the budget (see `_py_match_loops`), stay within int64.
+#: the budget (see `_py_match_loops`), stay within int64. Its search takes
+#: depth and node limits cut to this.
 _C_MAX_TRICKS = 2 ** 60
 
 
@@ -165,8 +166,10 @@ def _load_c():
     lib.bmn_first_insertion.argtypes = [ptr, size, ptr, size, ptr, size, ctypes.c_int, ptr,
                                         i64, i64, ptr]
     lib.bmn_first_insertion.restype = ctypes.c_int
-    lib.bmn_expand.argtypes = [ptr, i64, i64, ptr, i64, i64, ptr, ptr]
-    lib.bmn_expand.restype = None
+    lib.bmn_search.argtypes = [ptr, i64, i64, i64, ctypes.c_int, ptr]
+    lib.bmn_search.restype = ctypes.c_int
+    lib.bmn_free.argtypes = [ptr]
+    lib.bmn_free.restype = None
     return lib
 
 
@@ -410,58 +413,104 @@ def split(packed):
     return leader, packed[HEADER.size:HEADER.size + n_a], packed[HEADER.size + n_a:]
 
 
-def expand(level, budget):
-    """Expand the packed states of `level` in order, each led by the winner
-    of the trick before it, until their predecessors number `budget` (>= 1).
-    Returns (count, predecessors, pile lengths): the first `count` states
-    were expanded; their predecessors come packed, in level order and then
-    by pile length. Runs on the C kernel if that loaded, which stops sooner
-    when the buffers sized to the call are full, and on `_py_expand` without
-    it or for a state past its 1024 cards, with the same result."""
-    lib = _c()
-    if not lib:
-        return _py_expand(level, budget)
-    size = len(level[0])
-    room = min(len(level), budget) + size  # slots; the first state's predecessors fit
-    # array buffers: a ctypes array type of a new length took 20 us to make (2-core Xeon)
-    out = array.array("B", [0]) * (size * room)
-    slots, result = array.array("q", [0]) * (2 * room), _Result()  # ends, pile lengths
-    lib.bmn_expand(b"".join(level), len(level), min(budget, room), out.buffer_info()[0],
-                   size * room, room, slots.buffer_info()[0], result)
-    count, n = result
-    if count == 0:  # more cards than the C kernel holds
-        return _py_expand(level[:1], budget)
-    ends, raw = slots[:n].tolist(), out.tobytes()
-    return count, [raw[i:j] for i, j in zip([0, *ends], ends)], slots[room:room + n].tolist()
+class _Found(ctypes.Structure):
+    """bmn_search's result: arrays the C kernel allocated, freed by bmn_free."""
+    _fields_ = [("states", ctypes.c_void_p), ("offsets", ctypes.c_void_p),
+                ("depths", ctypes.c_void_p), ("plens", ctypes.c_void_p), ("n", ctypes.c_int64)]
 
 
-def _py_expand(level, budget):
-    """`expand` in pure Python: the reference the C kernel follows."""
-    preds, plens = [], []
-    for count, packed in enumerate(level, 1):
-        winner, cards_a, cards_b = split(packed)
-        wdeck, ldeck = (cards_b, cards_a) if winner else (cards_a, cards_b)
-        n = len(wdeck)
-        # a pile ends with the closing block, k ordinaries after a rank-k special
-        k = n - len(wdeck.rstrip(b"\0"))
-        if ldeck and 0 < k < n and wdeck[-1 - k] == k:
-            for plen in range(1, n + 1):
-                parsed = _parse_pile(wdeck[n - plen:])
-                if parsed is None:
-                    continue
-                # a parse needs no trick to confirm it: with each player's
-                # parsed cards back on top of their deck, the trick flips the
-                # same cards, never from an empty deck, and ends at the same
-                # card; the challenger puts the pile under the rest of wdeck,
-                # and the loser keeps ldeck, not empty: no terminal trick
-                won, lost, leader_won = parsed
-                prev_w, prev_l = won + wdeck[:n - plen], lost + ldeck
-                decks = (prev_l, prev_w) if winner else (prev_w, prev_l)
-                preds.append(pack(*decks, winner if leader_won else 1 - winner))
-                plens.append(plen)
-        if len(preds) >= budget:
-            return count, preds, plens
-    return len(level), preds, plens
+def search(seeds, max_depth, max_nodes, stop_on_balanced=False):
+    """Breadth-first backward search from the packed states `seeds`, each
+    led by the winner of the trick before it.
+
+    Every distinct seed is found first, at depth 0. Each later level holds
+    the predecessors of the level before it, in its order and then by pile
+    length, that were not found before. The search stops after `max_depth`
+    levels, as soon as `max_nodes` states are found (every distinct seed is
+    kept), and with `stop_on_balanced` once it finds a state with decks of
+    one size. Returns (states, offsets, depths, plens), the last three numpy
+    arrays: state i is states[offsets[i]:offsets[i + 1]], found at depths[i]
+    by a trick of plens[i] cards (0 for a seed). Runs on the C kernel if
+    that loaded, and on `_py_search` without it or for a seed past its 1024
+    cards, with the same result.
+    """
+    lib, found = _c(), _Found()
+    status = lib.bmn_search(b"".join(seeds), len(seeds), min(max_depth, _C_MAX_TRICKS),
+                            min(max_nodes, _C_MAX_TRICKS), stop_on_balanced,
+                            ctypes.addressof(found)) if lib else -1
+    if status == -1:  # no C kernel, or a seed with more cards than it holds
+        return _py_search(seeds, max_depth, max_nodes, stop_on_balanced)
+    if status:
+        raise MemoryError("no memory for the backward search")
+    try:
+        n = found.n
+        offsets = np.frombuffer(ctypes.string_at(found.offsets, 8 * (n + 1)), np.int64)
+        return (ctypes.string_at(found.states, int(offsets[-1])), offsets,
+                np.frombuffer(ctypes.string_at(found.depths, 8 * n), np.int64),
+                np.frombuffer(ctypes.string_at(found.plens, 4 * n), np.int32))
+    finally:
+        lib.bmn_free(ctypes.addressof(found))
+
+
+def _py_search(seeds, max_depth, max_nodes, stop_on_balanced=False):
+    """`search` in pure Python: the reference the C kernel follows."""
+    found, depths, plens = [], [], []
+    for depth, packed, plen in _py_levels(seeds, max_depth, max_nodes):
+        found.append(packed)
+        depths.append(depth)
+        plens.append(plen)
+        if stop_on_balanced and packed[1:3] == packed[3:5]:
+            break
+    return (b"".join(found), np.cumsum([0, *map(len, found)], dtype=np.int64),
+            np.array(depths, np.int64), np.array(plens, np.int32))
+
+
+def _py_levels(seeds, max_depth, max_nodes):
+    """Yield (depth, packed state, pile length) as `_py_search` finds them."""
+    visited, level = set(), []
+    for packed in seeds:
+        if packed not in visited:
+            visited.add(packed)
+            level.append(packed)
+            yield 0, packed, 0
+    depth = 0
+    while level and depth < max_depth and len(visited) < max_nodes:
+        depth += 1
+        targets, level = level, []
+        for target in targets:
+            for packed, plen in _py_step(target):
+                if packed not in visited:
+                    visited.add(packed)
+                    level.append(packed)
+                    yield depth, packed, plen
+                    if len(visited) >= max_nodes:
+                        return
+
+
+def _py_step(packed):
+    """Yield (predecessor, pile length) for the packed state, led by the
+    winner of the trick before it, in order of pile length: the reference
+    for the C kernel's `step`."""
+    winner, cards_a, cards_b = split(packed)
+    wdeck, ldeck = (cards_b, cards_a) if winner else (cards_a, cards_b)
+    n = len(wdeck)
+    # a pile ends with the closing block, k ordinaries after a rank-k special
+    k = n - len(wdeck.rstrip(b"\0"))
+    if not ldeck or not 0 < k < n or wdeck[-1 - k] != k:
+        return
+    for plen in range(1, n + 1):
+        parsed = _parse_pile(wdeck[n - plen:])
+        if parsed is None:
+            continue
+        # a parse needs no trick to confirm it: with each player's parsed
+        # cards back on top of their deck, the trick flips the same cards,
+        # never from an empty deck, and ends at the same card; the
+        # challenger puts the pile under the rest of wdeck, and the loser
+        # keeps ldeck, not empty: no terminal trick
+        won, lost, leader_won = parsed
+        prev_w, prev_l = won + wdeck[:n - plen], lost + ldeck
+        decks = (prev_l, prev_w) if winner else (prev_w, prev_l)
+        yield pack(*decks, winner if leader_won else 1 - winner), plen
 
 
 def _parse_pile(pile):

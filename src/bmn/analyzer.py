@@ -9,8 +9,10 @@ runs are the two spacing measures tracked along a match.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple
 
 from . import engine
@@ -102,11 +104,23 @@ class TrickRecord:
     entropy_b: float
 
 
+@functools.cache
+def _entropy_terms(m: int) -> tuple:
+    """(l/m) ln(l/m) for l = 0..m (0 for l = 0): a deck size's entropy terms."""
+    return tuple((l / m) * math.log(l / m) if l else 0.0 for l in range(m + 1))
+
+
 def _deck_metrics(deck: Deck):
-    positions = special_positions(deck)
-    if not deck:
-        return positions, 0.0, 0.0
-    return positions, mean_separation(deck), position_entropy(deck)
+    """Positions, separation and entropy from the run lengths: bit for bit
+    the four functions above, the reference."""
+    m = len(deck)
+    if not m:
+        return (), 0.0, 0.0
+    lengths = interval_lengths(deck)
+    positions = tuple(accumulate(l + 1 for l in lengths[:-1]))
+    terms = _entropy_terms(m)
+    return (positions, (m - len(positions)) / len(lengths),
+            -sum(terms[l] for l in lengths if l > 0))
 
 
 def record_for(trick: int, state: GameState) -> TrickRecord:

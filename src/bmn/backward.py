@@ -6,13 +6,16 @@ winner's deck ends with the pile in play order, so every candidate pile is
 a bottom slice of it; a slice is a complete natural trick only if it ends
 with a rank-k special followed by exactly k ordinaries, and replaying the
 slice under forward rules fixes who played each card and, given the
-winner, which player led. The search steps a level of packed states per
-`_kernels.expand` call, and builds a `GameState` only for one it hands out.
+winner, which player led. The whole search over packed states is one
+`_kernels.search` call, run to its limits before `discover` yields; a
+`GameState` is built only for a state handed out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import _kernels
 from .engine import PLAYER_A, PLAYER_B, GameState
@@ -44,43 +47,33 @@ def _state(packed: bytes) -> GameState:
     return GameState(tuple(cards_a), tuple(cards_b), PLAYER_B if leader else PLAYER_A)
 
 
+def _search(seed_states, config: BackwardSearchConfig, stop_on_balanced=False):
+    seeds = [_kernels.pack(s.deck_a, s.deck_b, s.leader == PLAYER_B) for s in seed_states]
+    return _kernels.search(seeds, config.max_depth, config.max_nodes, stop_on_balanced)
+
+
 def enumerate_predecessors(target: GameState) -> list:
     """All start-of-trick states whose trick produces `target` exactly.
 
-    target.leader is read as the winner of the preceding trick. This is
-    `_kernels.expand` on a level of one state. A target with an empty deck
-    has no predecessors. A predecessor fixes its trick, and with it the pile
-    length, so the list has no duplicates; it is in order of pile length.
+    target.leader is read as the winner of the preceding trick. This is a
+    search of depth 1: the loser's deck grows backwards, so no state is its
+    own predecessor, and every state after the target is one of them. A
+    target with an empty deck has none. A predecessor fixes its trick, and
+    with it the pile length, so the list has no duplicates; it is in order
+    of pile length.
     """
-    packed = _kernels.pack(target.deck_a, target.deck_b, target.leader == PLAYER_B)
-    _, preds, plens = _kernels.expand([packed], 1)
-    return [PredecessorCandidate(_state(p), plen) for p, plen in zip(preds, plens)]
+    states, offsets, _, plens = _search([target], BackwardSearchConfig(max_depth=1))
+    offsets = offsets.tolist()
+    return [PredecessorCandidate(_state(states[i:j]), plen)
+            for i, j, plen in zip(offsets[1:], offsets[2:], plens[1:].tolist())]
 
 
 def discover_packed(seed_states, config: BackwardSearchConfig):
     """`discover`, yielding each state packed (`_kernels.pack`)."""
-    visited, level = set(), []
-    for state in seed_states:
-        packed = _kernels.pack(state.deck_a, state.deck_b, state.leader == PLAYER_B)
-        if packed not in visited:
-            visited.add(packed)
-            level.append(packed)
-            yield 0, packed
-    depth = 0
-    while level and depth < config.max_depth and len(visited) < config.max_nodes:
-        depth += 1
-        rest, level = level, []
-        while rest:  # more calls only if a full buffer or duplicates stopped one
-            count, preds, _ = _kernels.expand(rest, config.max_nodes - len(visited))
-            rest = rest[count:]
-            for packed in preds:
-                if packed in visited:
-                    continue
-                visited.add(packed)
-                level.append(packed)
-                yield depth, packed
-                if len(visited) >= config.max_nodes:
-                    return
+    states, offsets, depths, _ = _search(seed_states, config)
+    offsets = offsets.tolist()
+    for depth, i, j in zip(depths.tolist(), offsets, offsets[1:]):
+        yield depth, states[i:j]
 
 
 def discover(seed_states, config: BackwardSearchConfig):
@@ -89,7 +82,8 @@ def discover(seed_states, config: BackwardSearchConfig):
     Every distinct seed comes first, at depth 0. Each later level holds the
     predecessors of the level before it that were not seen yet, in
     discovery order. Expansion stops at config.max_depth, or as soon as
-    config.max_nodes states (seeds included) are known.
+    config.max_nodes states (seeds included) are known. The search runs to
+    these limits before the first state is yielded.
     """
     for depth, packed in discover_packed(seed_states, config):
         yield depth, _state(packed)
@@ -103,19 +97,15 @@ def backward_search(seed_states, config: BackwardSearchConfig) -> list:
     the first hit. Exhausting depth or the node budget without a hit is a
     normal empty result.
     """
-    balanced = []
-    balanced_seen = set()
-    for _, packed in discover_packed(seed_states, config):
-        leader, n_a, n_b = _kernels.HEADER.unpack_from(packed)
-        if n_a != n_b:
-            continue
-        if leader:  # standardize: relabel the players so that A leads
+    states, offsets, _, _ = _search(seed_states, config, config.stop_on_balanced)
+    # the balanced states, read from the packed headers: deck lengths alike
+    head, starts = np.frombuffer(states, np.uint8), offsets[:-1]
+    even = (head[starts + 1] == head[starts + 3]) & (head[starts + 2] == head[starts + 4])
+    balanced = {}
+    for i in np.flatnonzero(even).tolist():
+        packed = states[offsets[i]:offsets[i + 1]]
+        if packed[0]:  # standardize: relabel the players so that A leads
             _, cards_a, cards_b = _kernels.split(packed)
             packed = _kernels.pack(cards_b, cards_a, 0)
-        if packed in balanced_seen:
-            continue
-        balanced_seen.add(packed)
-        balanced.append(_state(packed))
-        if config.stop_on_balanced:
-            break
-    return balanced
+        balanced.setdefault(packed, None)
+    return [_state(packed) for packed in balanced]

@@ -1,12 +1,13 @@
 """Analyzer tests: separation, entropy, bounds, per-trick traces."""
 
+import hashlib
 import math
 import random
 
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from bmn import analyzer
+from bmn import analyzer, cli
 from bmn.analyzer import (
     entropy_bounds,
     interval_lengths,
@@ -15,10 +16,10 @@ from bmn.analyzer import (
     special_positions,
     trace_match,
 )
-from bmn.engine import Looped, Settings, Terminated, parse_deck
+from bmn.engine import GameState, Looped, Settings, Terminated, parse_deck
 from bmn.simulator import SimConfig, match_state
 from bmn.engine import play_match
-from conftest import INF_40_1, state
+from conftest import GOLDEN_MATCHES, INF_40_1, state
 
 decks = st.lists(st.integers(0, 4), min_size=1, max_size=40).map(tuple)
 
@@ -170,3 +171,48 @@ def test_trace_csv_files(tmp_path):
     pos_lines = pos_file.read_text().splitlines()
     assert pos_lines[0] == "trick,positions_a,positions_b"
     assert pos_lines[1] == "0,1,2"  # specials on top of A at 1; B at 2
+
+
+def _reference_metrics(deck):
+    """A deck's record fields from the four public metric functions."""
+    if not deck:
+        return special_positions(deck), 0.0, 0.0
+    return special_positions(deck), mean_separation(deck), position_entropy(deck)
+
+
+def test_record_for_agrees_with_the_metric_functions():
+    rng = random.Random(17)
+    decks = [(), (1,), (0,), (3,) * 7, (0,) * 9, (9, 0, 9, 9, 0, 0, 0, 0, 0, 0, 0, 0, 9),
+             tuple(rng.choice((0, 0, 0, rng.randint(1, 9))) for _ in range(1024)),
+             (0,) * 1023 + (9,), (1,) * 1024]
+    decks += [tuple(rng.choice((0, 0, 0, rng.randint(1, 9))) for _ in range(rng.randint(0, 60)))
+              for _ in range(3000)]
+    for i, (deck_a, deck_b) in enumerate(zip(decks, decks[1:] + decks[:1])):
+        r = analyzer.record_for(i, GameState(deck_a, deck_b))
+        pos_a, sep_a, ent_a = _reference_metrics(deck_a)
+        pos_b, sep_b, ent_b = _reference_metrics(deck_b)
+        # repr: the same floats bit for bit, not only equal ones
+        assert repr(r) == repr(analyzer.TrickRecord(
+            i, len(deck_a), len(deck_b), len(pos_a), len(pos_b), pos_a, pos_b,
+            sep_a, sep_b, ent_a, ent_b))
+
+
+# (index into GOLDEN_MATCHES, sha256 of the trace CSV, of the positions CSV)
+_GOLDEN_TRACES = [
+    (0, "b4ef4ac6a84a51cd0f5c01541749d351b6f69fa191011dd17341a183fdb97bcd",
+     "02c87245ffa4f6ef454c4b64cf5f30a6a897bbf40113a895b3685f9f283ae1e3"),
+    (3, "8450f5a382f12f527d3ec9a114aacf5bc5dc9ee727f4776105ee4e9f3306c4d5",
+     "b9cdf797d4c10d926984c79b4b0afd58fbd0cb2ee0785dba56286ef434d8ee61"),
+]
+
+
+@pytest.mark.parametrize("golden, trace_sha, positions_sha", _GOLDEN_TRACES,
+                         ids=["420 tricks", "1164 tricks"])
+def test_golden_trace_files_are_pinned(tmp_path, capsys, golden, trace_sha, positions_sha):
+    setting, deck_a, deck_b, _, tricks = GOLDEN_MATCHES[golden]
+    trace, positions = tmp_path / "t.csv", tmp_path / "p.csv"
+    assert cli.main(["play", "--setting", setting, "--deck-a", deck_a, "--deck-b", deck_b,
+                     "--trace", str(trace), "--positions", str(positions)]) == 0
+    assert f"tricks={tricks}" in capsys.readouterr().out
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == trace_sha
+    assert hashlib.sha256(positions.read_bytes()).hexdigest() == positions_sha

@@ -195,20 +195,21 @@ def test_discover_walks_levels_and_stops_at_the_node_budget(monkeypatch):
         for s in levels[depth]:
             assert play_trick(s).next_state in levels[depth - 1]
 
-    expanded = []
-    real = _kernels.expand
-
-    def recording(level, budget):
-        count, preds, plens = real(level, budget)
-        expanded.extend(level[:count])
-        return count, preds, plens
-
-    monkeypatch.setattr(_kernels, "expand", recording)
     # the 14th state is the first predecessor of the 5th, mid-level
-    cut = list(backward.discover([target], BackwardSearchConfig(max_depth=3,
-                                                                max_nodes=14)))
+    config = BackwardSearchConfig(max_depth=3, max_nodes=14)
+    assert list(backward.discover([target], config)) == found[:14]
+    # on the Python path no state is expanded after the budget is spent
+    monkeypatch.setattr(_kernels, "_ckernel", False)
+    expanded = []
+    real = _kernels._py_step
+
+    def recording(packed):
+        expanded.append(packed)
+        return real(packed)
+
+    monkeypatch.setattr(_kernels, "_py_step", recording)
+    cut = list(backward.discover([target], config))
     assert cut == found[:14]
-    # no state is expanded after the budget is spent
     parent = play_trick(cut[-1][1]).next_state
     assert expanded[-1] == _kernels.pack(parent.deck_a, parent.deck_b, parent.leader == PLAYER_B)
 
@@ -288,3 +289,83 @@ def test_balanced_deals_behind_the_20_2_loop(kernel):
         assert deal.leader == PLAYER_A
         outcome = play_match(deal)
         assert isinstance(outcome, Looped) and outcome.period == 11
+
+
+def _mixed_seeds():
+    """Loop states of three published loops of 12, 20 and 40 cards, led by
+    either player, each of the first four given twice."""
+    seeds = []
+    for deck_a, deck_b in (NONTERMINATING["12,1"][0], NONTERMINATING["20,2"][0], INF_40_1):
+        seeds += list(cycles.verify_loop(state(deck_a, deck_b)).states_in_loop)[:6]
+    return seeds + seeds[:4]
+
+
+def _golden_40_3_walk():
+    """The states of the 420-trick (40,3) golden match before its last
+    trick, then each again in reverse: every one is in the backward tree of
+    the last, so the search meets each seed again at its depth there."""
+    _, deck_a, deck_b, _, tricks = GOLDEN_MATCHES[0]
+    states = list(walk(state(deck_a, deck_b), tricks - 1))
+    return states + states[::-1]
+
+
+def _over_1024_cards():
+    """A 1025-card state, past the C kernel, among small seeds."""
+    big = GameState((0, 3) + (0,) * 18, (0,) * 1000 + (2, 0, 0, 1, 0), PLAYER_B)
+    return _mixed_seeds()[:2] + [big]
+
+
+# (seeds, depth, node budget, stop on balanced)
+_SEARCH_CASES = {
+    "mixed seeds": (_mixed_seeds, 10**6, 10**6, False),
+    "depth 0": (_mixed_seeds, 0, 10**6, False),
+    "1 node": (_mixed_seeds, 10**6, 1, False),
+    "2 nodes": (lambda: [state("[CCCCCCC21C]", "[1C]")], 10**6, 2, False),
+    "14 nodes": (lambda: [state("[CCCCCCC21C]", "[1C]")], 10**6, 14, False),
+    "stop on balanced": (_mixed_seeds, 10**6, 10**6, True),
+    # 16,951 states, 840 seeds: the C search's arrays, made for 256 states,
+    # double and rehash seven times, its states' bytes eight times, and
+    # the repeated seeds and the seeds met again are found in the table
+    "large": (_golden_40_3_walk, 10**6, 10**6, False),
+    "over 1024 cards": (_over_1024_cards, 3, 10**6, False),
+}
+
+
+@pytest.mark.parametrize("case", list(_SEARCH_CASES))
+def test_search_matches_the_reference(kernel, case):
+    seeds, max_depth, max_nodes, stop = _SEARCH_CASES[case]
+    seeds = [_kernels.pack(s.deck_a, s.deck_b, s.leader == PLAYER_B) for s in seeds()]
+    got = _kernels.search(seeds, max_depth, max_nodes, stop)
+    want = _kernels._py_search(seeds, max_depth, max_nodes, stop)
+    assert got[0] == want[0]
+    assert [a.tolist() for a in got[1:]] == [a.tolist() for a in want[1:]]
+    # what the reference itself must give
+    states, offsets, depths, plens = got[0], *(a.tolist() for a in got[1:])
+    found = [states[i:j] for i, j in zip(offsets, offsets[1:])]
+    distinct = list(dict.fromkeys(seeds))
+    assert len(set(found)) == len(found) == len(depths) == len(plens)
+    assert found[:len(distinct)] == distinct[:len(found)]
+    assert depths == sorted(depths) and depths[-1] <= max_depth
+    assert len(found) <= max(max_nodes, len(distinct))
+    if max_nodes < 10**6:  # exact at the budget
+        assert len(found) == max(max_nodes, len(distinct))
+    if case == "mixed seeds":
+        assert len(distinct) < len(seeds)
+        assert len({(p[0], len(p)) for p in distinct}) == 6  # both leaders, three sizes
+    balanced = [packed[1:3] == packed[3:5] for packed in found]
+    if stop:
+        assert balanced.index(True) == len(found) - 1
+    at = {packed: depth for packed, depth in zip(found, depths)}
+    for packed, depth, plen in zip(found, depths, plens):
+        if depth == 0:
+            assert packed in distinct and plen == 0
+            continue
+        leader, cards_a, cards_b = _kernels.split(packed)
+        trick = play_trick(GameState(tuple(cards_a), tuple(cards_b), "AB"[leader]))
+        after = trick.next_state
+        assert at[_kernels.pack(after.deck_a, after.deck_b, after.leader == PLAYER_B)] == depth - 1
+        assert len(trick.pile_in_play_order) == plen
+    if case == "large":
+        assert len(found) == 16_951
+    if case == "over 1024 cards":
+        assert max(map(len, found)) > 1024 + _kernels.HEADER.size

@@ -317,15 +317,15 @@ def _predecessor_targets(case, rng):
     return targets
 
 
-def _predecessors(expand, wdeck, ldeck):
-    """`expand` on a level of one target, whose winner A holds `wdeck` and
-    leads: (pile length, leader won, winner's deck, loser's deck) for each
-    predecessor."""
-    count, preds, plens = expand([_kernels.pack(wdeck, ldeck, 0)], 1)
-    assert count == 1
+def _predecessors(search, wdeck, ldeck):
+    """`search` of depth 1 from one target, whose winner A holds `wdeck`
+    and leads: (pile length, leader won, winner's deck, loser's deck) for
+    each predecessor."""
+    states, offsets, depths, plens = search([_kernels.pack(wdeck, ldeck, 0)], 1, 10**6)
+    assert depths.tolist() == [0] + [1] * (len(depths) - 1)
     out = []
-    for packed, plen in zip(preds, plens):
-        leader, prev_w, prev_l = _kernels.split(packed)
+    for i, plen in enumerate(plens.tolist()[1:], 1):
+        leader, prev_w, prev_l = _kernels.split(states[offsets[i]:offsets[i + 1]])
         out.append((plen, leader == 0, tuple(prev_w), tuple(prev_l)))
     return out
 
@@ -333,11 +333,11 @@ def _predecessors(expand, wdeck, ldeck):
 @pytest.mark.parametrize("case", ["rank 9", "only ordinaries", "one card"])
 def test_c_predecessors_match_python(monkeypatch, case):
     require_c_kernel()
-    reference = _kernels._py_expand
-    fallbacks = _recording(monkeypatch, "_py_expand")
+    reference = _kernels._py_search
+    fallbacks = _recording(monkeypatch, "_py_search")
     seen = Counter()
     for wdeck, ldeck in _predecessor_targets(case, random.Random(case)):
-        got = _predecessors(_kernels.expand, wdeck, ldeck)
+        got = _predecessors(_kernels.search, wdeck, ldeck)
         assert got == _predecessors(reference, wdeck, ldeck), (wdeck, ldeck)
         for plen, leader_won, prev_w, prev_l in got:
             seen["found"] += 1
@@ -353,12 +353,12 @@ def test_c_predecessors_match_python(monkeypatch, case):
 
 def test_predecessors_past_max_cards_play_in_python(monkeypatch):
     require_c_kernel()
-    reference = _kernels._py_expand
-    fallbacks = _recording(monkeypatch, "_py_expand")
+    reference = _kernels._py_search
+    fallbacks = _recording(monkeypatch, "_py_search")
     wdeck = (0,) * 1000 + (2, 0, 0, 1, 0)
     for n_loser, plays_in_python in ((19, False), (20, True)):  # 1024 cards at most
         ldeck = (0, 3) + (0,) * (n_loser - 2)
-        got = _predecessors(_kernels.expand, wdeck, ldeck)
+        got = _predecessors(_kernels.search, wdeck, ldeck)
         assert len(fallbacks) == plays_in_python
         assert got == _predecessors(reference, wdeck, ldeck)
         assert [(plen, leader_won) for plen, leader_won, _, _ in got] == [
@@ -366,23 +366,16 @@ def test_predecessors_past_max_cards_play_in_python(monkeypatch):
         fallbacks.clear()
 
 
-def _expand_level(expand, level, budget):
-    """Step over `level` as the backward search does, without its check for
-    states seen before: (calls, states expanded, predecessors, pile lengths)."""
-    calls, expanded, preds, plens = 0, 0, [], []
-    while level and len(preds) < budget:
-        count, more, lengths = expand(level, budget - len(preds))
-        calls, expanded = calls + 1, expanded + count
-        preds += more
-        plens += lengths
-        level = level[count:]
-    return calls, expanded, preds, plens
+def _listed(found):
+    """A search's result with its arrays as lists, to compare with =="""
+    states, *arrays = found
+    return (states, *(a.tolist() for a in arrays))
 
 
-def test_c_expand_matches_python_level(monkeypatch):
+def test_c_search_matches_python_on_a_level(monkeypatch):
     require_c_kernel()
-    reference = _kernels._py_expand
-    fallbacks = _recording(monkeypatch, "_py_expand")
+    reference = _kernels._py_search
+    fallbacks = _recording(monkeypatch, "_py_search")
     rng = random.Random(41)
     targets = []
     while len(targets) < 120:  # images of a trick, so most have predecessors
@@ -395,27 +388,23 @@ def test_c_expand_matches_python_level(monkeypatch):
     # a closing block but an empty deck, and the empty decks themselves
     targets += [GameState((0, 1, 0), (), PLAYER_A), GameState((), (0, 1, 0), PLAYER_B),
                 GameState((), (1, 0), PLAYER_A)]
-    # 1025 cards, past the C kernel: three predecessors, found in Python
-    big = GameState((0, 3) + (0,) * 18, (0,) * 1000 + (2, 0, 0, 1, 0), PLAYER_B)
     rng.shuffle(targets)
-    targets.insert(len(targets) // 2, big)
     level = [_kernels.pack(s.deck_a, s.deck_b, s.leader == PLAYER_B) for s in targets]
     assert {s.leader for s in targets} == {PLAYER_A, PLAYER_B}
 
-    at = targets.index(big)
-    _, n_all, everything, _ = _expand_level(reference, level, 10**9)
-    assert n_all == len(level)
+    everything = reference(level, 1, 10**9)
+    assert len(everything[2]) > 4 * len(level)  # the level and its predecessors
     for budget in (1, 7, 50, 301, 10**9):
-        fallbacks.clear()
-        calls, expanded, preds, plens = _expand_level(_kernels.expand, level, budget)
-        assert (expanded, preds, plens) == _expand_level(reference, level, budget)[1:]
-        assert expanded == n_all or len(preds) >= budget
-        # the C kernel took every state but the big one
-        assert [args[0] for args in fallbacks] == ([[level[at]]] if expanded > at else [])
-    # one call's buffers hold about a predecessor per state: a full buffer
-    # ended a call, not only the big state
-    assert len(everything) > 3 * len(level)
-    assert calls > 3
+        got = _kernels.search(level, 1, budget)
+        assert _listed(got) == _listed(reference(level, 1, budget))
+        # exact at the budget, and every distinct seed kept past it
+        assert len(got[2]) == max(min(budget, len(everything[2])), len(set(level)))
+    assert fallbacks == []  # the C kernel took every search
+    # 1025 cards, past the C kernel: the whole search runs in Python
+    big = GameState((0, 3) + (0,) * 18, (0,) * 1000 + (2, 0, 0, 1, 0), PLAYER_B)
+    level.insert(len(level) // 2, _kernels.pack(big.deck_a, big.deck_b, True))
+    assert _listed(_kernels.search(level, 1, 10**9)) == _listed(reference(level, 1, 10**9))
+    assert len(fallbacks) == 1
 
 
 def test_c_kernel_has_the_python_first_block():
