@@ -9,9 +9,10 @@
  * insertion points, then play_match_loops on the deck with a fragment
  * spliced in at each point in turn until one loops. bmn_search is search,
  * the whole breadth-first backward search over states packed as
- * _kernels.pack packs them. Its step is _py_step, the inverse of a trick:
- * the closing-block test, then _parse_pile on every bottom slice of the
- * winner's deck, each parse packed the same way as a predecessor.
+ * _kernels.pack packs them; it returns the states found and their depths.
+ * Its step is _py_step, the inverse of a trick: the closing-block test,
+ * then _parse_pile on every bottom slice of the winner's deck, each parse
+ * packed the same way as a predecessor.
  * Results are bit for bit the Python ones. _kernels compiles this file with
  * `cc -O2 -shared -fPIC` and calls it through ctypes; it uses no Python API.
  */
@@ -279,16 +280,13 @@ static int parse_pile(const uint8_t *pile, uint32_t np, uint8_t played[2][MAX_CA
 typedef struct {
     uint8_t *states;  /* state i is states[offsets[i] .. offsets[i + 1]) */
     int64_t *offsets, *depths, *table;
-    int32_t *plens;   /* the pile of the trick from state i to the one it was found from */
     int64_t n, room, cap, slots, max_nodes;
-    int stop_on_balanced;
 } search_t;
 
 /* search's result, handed to the caller, who frees it with bmn_free. */
 typedef struct {
     uint8_t *states;
     int64_t *offsets, *depths;
-    int32_t *plens;
     int64_t n;
 } found_t;
 
@@ -318,16 +316,12 @@ static void place(search_t *s, int64_t i, uint64_t h)
 static int grow(search_t *s)
 {
     int64_t room = 2 * s->room, *offsets, *depths, *table;
-    int32_t *plens;
     if (!(offsets = realloc(s->offsets, (size_t)(room + 1) * sizeof *offsets)))
         return 0;
     s->offsets = offsets;
     if (!(depths = realloc(s->depths, (size_t)room * sizeof *depths)))
         return 0;
     s->depths = depths;
-    if (!(plens = realloc(s->plens, (size_t)room * sizeof *plens)))
-        return 0;
-    s->plens = plens;
     if (!(table = calloc((size_t)(2 * room), sizeof *table)))
         return 0;
     free(s->table);
@@ -358,7 +352,7 @@ static uint8_t *tail(search_t *s, int64_t size)
 
 /* Keep the state written at tail(s, size) unless it was found before:
  * 1 if it is new, 0 if not, -1 without memory. */
-static int add(search_t *s, int64_t size, int64_t depth, uint32_t plen)
+static int add(search_t *s, int64_t size, int64_t depth)
 {
     if (s->n == s->room && !grow(s))
         return -1;
@@ -371,26 +365,18 @@ static int add(search_t *s, int64_t size, int64_t depth, uint32_t plen)
     }
     s->table[h & mask] = s->n + 1;
     s->depths[s->n] = depth;
-    s->plens[s->n] = (int32_t)plen;
     s->offsets[s->n + 1] = s->offsets[s->n] + size;
     s->n++;
     return 1;
 }
 
-/* 1 if the packed state p has decks of the same size. */
-static int balanced(const uint8_t *p)
-{
-    return p[1] == p[3] && p[2] == p[4];
-}
-
 /* The predecessors of the packed state t, added to the search at `depth`:
- * 1 once the search is at its node budget or, if asked, found a balanced
- * state; -1 without memory; 0 otherwise. The target's leader won the trick
- * before it. Each bottom slice of the leader's deck that parse_pile reads
- * as a trick is pushed back on top of its players' decks, giving one
- * predecessor, in order of pile length; a target with an empty deck, or
- * whose leader's deck does not end in a closing block (k ordinaries after a
- * rank-k special), has none. */
+ * 1 once the search is at its node budget, -1 without memory, 0 otherwise.
+ * The target's leader won the trick before it. Each bottom slice of the
+ * leader's deck that parse_pile reads as a trick is pushed back on top of
+ * its players' decks, giving one predecessor, in order of pile length; a
+ * target with an empty deck, or whose leader's deck does not end in a
+ * closing block (k ordinaries after a rank-k special), has none. */
 static int step(search_t *s, const uint8_t *t, int64_t depth)
 {
     uint8_t played[2][MAX_CARDS];
@@ -430,44 +416,41 @@ static int step(search_t *s, const uint8_t *t, int64_t depth)
         memcpy(pw + n_won, w, rest);
         memcpy(pl, lost, n_lost);
         memcpy(pl + n_lost, l, nl);
-        int added = add(s, size, depth, plen);
+        int added = add(s, size, depth);
         if (added < 0)
             return -1;
-        if (added && (s->n >= s->max_nodes || (s->stop_on_balanced && balanced(p))))
+        if (added && s->n >= s->max_nodes)
             return 1;
     }
     return 0;
 }
 
-/* search(seeds, max_depth, max_nodes, stop_on_balanced) on the n packed
- * states read one after another from seeds, each led by the winner of the
- * trick before it. A packed state is _kernels.pack's: a HEADER of the leader
- * and the lengths of decks A and B (16 bits each, low byte first), then A's
- * cards and then B's. Every distinct seed is found first, at depth 0; each
- * later level holds the predecessors of the level before, in its order and
- * then by pile length, that were not found before. The search stops after
- * max_depth levels, as soon as max_nodes states are found (the seeds are all
- * kept), and with stop_on_balanced as soon as it finds a state whose decks
- * are the same size. Writes the states found to *found, to be freed with
- * bmn_free, and returns 0; returns -1 for a seed past MAX_CARDS and -2
- * without memory, with nothing to free. */
+/* search(seeds, max_depth, max_nodes) on the n packed states read one after
+ * another from seeds, each led by the winner of the trick before it. A
+ * packed state is _kernels.pack's: a HEADER of the leader and the lengths of
+ * decks A and B (16 bits each, low byte first), then A's cards and then B's.
+ * Every distinct seed is found first, at depth 0; each later level holds the
+ * predecessors of the level before, in its order and then by pile length,
+ * that were not found before. The search stops after max_depth levels or as
+ * soon as max_nodes states are found (the seeds are all kept). Writes the
+ * states found and their depths to *found, to be freed with bmn_free, and
+ * returns 0; returns -1 for a seed past MAX_CARDS and -2 without memory,
+ * with nothing to free. */
 int bmn_search(const uint8_t *seeds, int64_t n, int64_t max_depth, int64_t max_nodes,
-               int stop_on_balanced, found_t *found)
+               found_t *found)
 {
     uint8_t t[HEADER + MAX_CARDS];
     search_t s = {0};
     int status = 0;
     s.max_nodes = max_nodes;
-    s.stop_on_balanced = stop_on_balanced;
     s.room = FIRST_ROOM;
     s.slots = 2 * FIRST_ROOM;
     s.cap = 16 * FIRST_ROOM;
     s.states = malloc((size_t)s.cap);
     s.offsets = calloc(FIRST_ROOM + 1, sizeof *s.offsets);
     s.depths = malloc(FIRST_ROOM * sizeof *s.depths);
-    s.plens = malloc(FIRST_ROOM * sizeof *s.plens);
     s.table = calloc(2 * FIRST_ROOM, sizeof *s.table);
-    if (!s.states || !s.offsets || !s.depths || !s.plens || !s.table)
+    if (!s.states || !s.offsets || !s.depths || !s.table)
         goto fail;
     for (int64_t i = 0; i < n; i++) {
         uint32_t size = HEADER + (seeds[1] | seeds[2] << 8) + (seeds[3] | seeds[4] << 8);
@@ -480,11 +463,8 @@ int bmn_search(const uint8_t *seeds, int64_t n, int64_t max_depth, int64_t max_n
             goto fail;
         memcpy(p, seeds, size);
         seeds += size;
-        int added = add(&s, size, 0, 0);
-        if (added < 0)
+        if (add(&s, size, 0) < 0)
             goto fail;
-        if (added && stop_on_balanced && balanced(p))
-            goto done;
     }
     for (int64_t depth = 1, start = 0, end = s.n;
          start < end && depth <= max_depth && s.n < max_nodes;
@@ -504,14 +484,12 @@ done:
     found->states = s.states;
     found->offsets = s.offsets;
     found->depths = s.depths;
-    found->plens = s.plens;
     found->n = s.n;
     return 0;
 fail:
     free(s.states);
     free(s.offsets);
     free(s.depths);
-    free(s.plens);
     free(s.table);
     return status ? status : -2;
 }
@@ -522,7 +500,6 @@ void bmn_free(found_t *found)
     free(found->states);
     free(found->offsets);
     free(found->depths);
-    free(found->plens);
 }
 
 /* first_insertion(deck, frag, other, into_a, rng, max_positions,

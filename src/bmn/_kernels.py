@@ -14,10 +14,10 @@ The loop factory tests a fragment's insertion points with
 `first_insertion`: one shuffle of the points on the factory's rng, then
 `play_match_loops` on each grown deck in turn until one loops. `search`
 runs the whole breadth-first backward search over `pack`ed states, to its
-depth, node or balanced-state limit, in one call: each bottom slice of the
-winner's deck that `_parse_pile` reads as a trick is pushed back onto the
-players' decks, which gives one predecessor; no trick is played to
-confirm it.
+depth or node limit, in one call, and returns the states found and their
+depths: each bottom slice of the winner's deck that `_parse_pile` reads as
+a trick is pushed back onto the players' decks, which gives one
+predecessor; no trick is played to confirm it.
 
 `play_match_loops`, `simulate_batch`, `first_insertion` and `search`
 run on a C kernel when one is available: `_ckernel.c`, the same shuffle,
@@ -49,6 +49,7 @@ import re
 import struct
 import sys
 from collections import deque
+from itertools import chain
 
 import numpy as np
 
@@ -166,7 +167,7 @@ def _load_c():
     lib.bmn_first_insertion.argtypes = [ptr, size, ptr, size, ptr, size, ctypes.c_int, ptr,
                                         i64, i64, ptr]
     lib.bmn_first_insertion.restype = ctypes.c_int
-    lib.bmn_search.argtypes = [ptr, i64, i64, i64, ctypes.c_int, ptr]
+    lib.bmn_search.argtypes = [ptr, i64, i64, i64, ptr]
     lib.bmn_search.restype = ctypes.c_int
     lib.bmn_free.argtypes = [ptr]
     lib.bmn_free.restype = None
@@ -404,7 +405,11 @@ HEADER = struct.Struct("<BHH")
 
 
 def pack(deck_a, deck_b, leader) -> bytes:
-    return HEADER.pack(leader, len(deck_a), len(deck_b)) + bytes(deck_a) + bytes(deck_b)
+    try:
+        header = HEADER.pack(leader, len(deck_a), len(deck_b))
+    except struct.error:  # a deck length past the header's 16 bits
+        raise ValueError("a packed state holds decks of at most 65,535 cards") from None
+    return header + bytes(deck_a) + bytes(deck_b)
 
 
 def split(packed):
@@ -416,81 +421,61 @@ def split(packed):
 class _Found(ctypes.Structure):
     """bmn_search's result: arrays the C kernel allocated, freed by bmn_free."""
     _fields_ = [("states", ctypes.c_void_p), ("offsets", ctypes.c_void_p),
-                ("depths", ctypes.c_void_p), ("plens", ctypes.c_void_p), ("n", ctypes.c_int64)]
+                ("depths", ctypes.c_void_p), ("n", ctypes.c_int64)]
 
 
-def search(seeds, max_depth, max_nodes, stop_on_balanced=False):
+def search(seeds, max_depth, max_nodes):
     """Breadth-first backward search from the packed states `seeds`, each
     led by the winner of the trick before it.
 
     Every distinct seed is found first, at depth 0. Each later level holds
     the predecessors of the level before it, in its order and then by pile
     length, that were not found before. The search stops after `max_depth`
-    levels, as soon as `max_nodes` states are found (every distinct seed is
-    kept), and with `stop_on_balanced` once it finds a state with decks of
-    one size. Returns (states, offsets, depths, plens), the last three numpy
-    arrays: state i is states[offsets[i]:offsets[i + 1]], found at depths[i]
-    by a trick of plens[i] cards (0 for a seed). Runs on the C kernel if
-    that loaded, and on `_py_search` without it or for a seed past its 1024
-    cards, with the same result.
+    levels or as soon as `max_nodes` states are found (every distinct seed
+    is kept). Returns (states, offsets, depths), the last two numpy arrays:
+    state i is states[offsets[i]:offsets[i + 1]], found at depths[i]. Runs
+    on the C kernel if that loaded, and on `_py_search` without it or for a
+    seed past its 1024 cards, with the same result.
     """
     lib, found = _c(), _Found()
     status = lib.bmn_search(b"".join(seeds), len(seeds), min(max_depth, _C_MAX_TRICKS),
-                            min(max_nodes, _C_MAX_TRICKS), stop_on_balanced,
+                            min(max_nodes, _C_MAX_TRICKS),
                             ctypes.addressof(found)) if lib else -1
     if status == -1:  # no C kernel, or a seed with more cards than it holds
-        return _py_search(seeds, max_depth, max_nodes, stop_on_balanced)
+        return _py_search(seeds, max_depth, max_nodes)
     if status:
         raise MemoryError("no memory for the backward search")
     try:
         n = found.n
         offsets = np.frombuffer(ctypes.string_at(found.offsets, 8 * (n + 1)), np.int64)
         return (ctypes.string_at(found.states, int(offsets[-1])), offsets,
-                np.frombuffer(ctypes.string_at(found.depths, 8 * n), np.int64),
-                np.frombuffer(ctypes.string_at(found.plens, 4 * n), np.int32))
+                np.frombuffer(ctypes.string_at(found.depths, 8 * n), np.int64))
     finally:
         lib.bmn_free(ctypes.addressof(found))
 
 
-def _py_search(seeds, max_depth, max_nodes, stop_on_balanced=False):
+def _py_search(seeds, max_depth, max_nodes):
     """`search` in pure Python: the reference the C kernel follows."""
-    found, depths, plens = [], [], []
-    for depth, packed, plen in _py_levels(seeds, max_depth, max_nodes):
-        found.append(packed)
-        depths.append(depth)
-        plens.append(plen)
-        if stop_on_balanced and packed[1:3] == packed[3:5]:
-            break
-    return (b"".join(found), np.cumsum([0, *map(len, found)], dtype=np.int64),
-            np.array(depths, np.int64), np.array(plens, np.int32))
-
-
-def _py_levels(seeds, max_depth, max_nodes):
-    """Yield (depth, packed state, pile length) as `_py_search` finds them."""
-    visited, level = set(), []
-    for packed in seeds:
-        if packed not in visited:
-            visited.add(packed)
-            level.append(packed)
-            yield 0, packed, 0
-    depth = 0
-    while level and depth < max_depth and len(visited) < max_nodes:
+    found = dict.fromkeys(seeds, 0)  # each state's depth, in the order found
+    level, depth = list(found), 0
+    while level and depth < max_depth and len(found) < max_nodes:
         depth += 1
         targets, level = level, []
-        for target in targets:
-            for packed, plen in _py_step(target):
-                if packed not in visited:
-                    visited.add(packed)
-                    level.append(packed)
-                    yield depth, packed, plen
-                    if len(visited) >= max_nodes:
-                        return
+        # chained lazily: no target is stepped once the budget is spent
+        for packed in chain.from_iterable(map(_py_step, targets)):
+            if packed not in found:
+                found[packed] = depth
+                level.append(packed)
+                if len(found) >= max_nodes:
+                    break
+    return (b"".join(found), np.cumsum([0, *map(len, found)], dtype=np.int64),
+            np.fromiter(found.values(), np.int64, len(found)))
 
 
 def _py_step(packed):
-    """Yield (predecessor, pile length) for the packed state, led by the
-    winner of the trick before it, in order of pile length: the reference
-    for the C kernel's `step`."""
+    """Yield the predecessors of the packed state, led by the winner of the
+    trick before it, in order of pile length: the reference for the C
+    kernel's `step`."""
     winner, cards_a, cards_b = split(packed)
     wdeck, ldeck = (cards_b, cards_a) if winner else (cards_a, cards_b)
     n = len(wdeck)
@@ -510,7 +495,7 @@ def _py_step(packed):
         won, lost, leader_won = parsed
         prev_w, prev_l = won + wdeck[:n - plen], lost + ldeck
         decks = (prev_l, prev_w) if winner else (prev_w, prev_l)
-        yield pack(*decks, winner if leader_won else 1 - winner), plen
+        yield pack(*decks, winner if leader_won else 1 - winner)
 
 
 def _parse_pile(pile):

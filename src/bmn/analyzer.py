@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -83,8 +82,7 @@ def entropy_bounds(m: int, k: int) -> EntropyBounds:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrickRecord:
+class TrickRecord(NamedTuple):
     """Both players' deck metrics at one trick boundary.
 
     For an empty deck (the loser at match end) separation and entropy are

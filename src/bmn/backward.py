@@ -7,8 +7,9 @@ a bottom slice of it; a slice is a complete natural trick only if it ends
 with a rank-k special followed by exactly k ordinaries, and replaying the
 slice under forward rules fixes who played each card and, given the
 winner, which player led. The whole search over packed states is one
-`_kernels.search` call, run to its limits before `discover` yields; a
-`GameState` is built only for a state handed out.
+`_kernels.search` call, which gives the states found and their depths; it
+runs to its limits before `discover` yields, and a `GameState` is built
+only for a state handed out.
 """
 
 from __future__ import annotations
@@ -22,18 +23,9 @@ from .engine import PLAYER_A, PLAYER_B, GameState
 
 
 @dataclass(frozen=True)
-class PredecessorCandidate:
-    """A start-of-trick state that forward-plays to the target in one trick."""
-
-    state: GameState
-    pile_length: int
-
-
-@dataclass(frozen=True)
 class BackwardSearchConfig:
     max_depth: int
     max_nodes: int = 1_000_000
-    stop_on_balanced: bool = False
 
     def __post_init__(self):
         if self.max_depth < 0:
@@ -47,12 +39,12 @@ def _state(packed: bytes) -> GameState:
     return GameState(tuple(cards_a), tuple(cards_b), PLAYER_B if leader else PLAYER_A)
 
 
-def _search(seed_states, config: BackwardSearchConfig, stop_on_balanced=False):
+def _search(seed_states, config: BackwardSearchConfig):
     seeds = [_kernels.pack(s.deck_a, s.deck_b, s.leader == PLAYER_B) for s in seed_states]
-    return _kernels.search(seeds, config.max_depth, config.max_nodes, stop_on_balanced)
+    return _kernels.search(seeds, config.max_depth, config.max_nodes)
 
 
-def enumerate_predecessors(target: GameState) -> list:
+def enumerate_predecessors(target: GameState) -> list[GameState]:
     """All start-of-trick states whose trick produces `target` exactly.
 
     target.leader is read as the winner of the preceding trick. This is a
@@ -60,17 +52,16 @@ def enumerate_predecessors(target: GameState) -> list:
     own predecessor, and every state after the target is one of them. A
     target with an empty deck has none. A predecessor fixes its trick, and
     with it the pile length, so the list has no duplicates; it is in order
-    of pile length.
+    of pile length, shortest first.
     """
-    states, offsets, _, plens = _search([target], BackwardSearchConfig(max_depth=1))
+    states, offsets, _ = _search([target], BackwardSearchConfig(max_depth=1))
     offsets = offsets.tolist()
-    return [PredecessorCandidate(_state(states[i:j]), plen)
-            for i, j, plen in zip(offsets[1:], offsets[2:], plens[1:].tolist())]
+    return [_state(states[i:j]) for i, j in zip(offsets[1:], offsets[2:])]
 
 
 def discover_packed(seed_states, config: BackwardSearchConfig):
     """`discover`, yielding each state packed (`_kernels.pack`)."""
-    states, offsets, depths, _ = _search(seed_states, config)
+    states, offsets, depths = _search(seed_states, config)
     offsets = offsets.tolist()
     for depth, i, j in zip(depths.tolist(), offsets, offsets[1:]):
         yield depth, states[i:j]
@@ -90,14 +81,13 @@ def discover(seed_states, config: BackwardSearchConfig):
 
 
 def backward_search(seed_states, config: BackwardSearchConfig) -> list:
-    """Breadth-first predecessor expansion collecting balanced states.
+    """Every balanced state of a breadth-first backward search.
 
     Every discovered state (seeds included) with even card split is
-    standardized and reported; with stop_on_balanced the search returns at
-    the first hit. Exhausting depth or the node budget without a hit is a
-    normal empty result.
+    standardized and reported once, in discovery order. Exhausting depth or
+    the node budget without a hit is a normal empty result.
     """
-    states, offsets, _, _ = _search(seed_states, config, config.stop_on_balanced)
+    states, offsets, _ = _search(seed_states, config)
     # the balanced states, read from the packed headers: deck lengths alike
     head, starts = np.frombuffer(states, np.uint8), offsets[:-1]
     even = (head[starts + 1] == head[starts + 3]) & (head[starts + 2] == head[starts + 4])

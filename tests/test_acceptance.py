@@ -201,15 +201,14 @@ def test_criterion_7_backward_roundtrip_suite():
         if result.terminal:
             continue
         candidates = enumerate_predecessors(result.next_state)
-        states = {c.state for c in candidates}
-        assert s in states  # completeness
+        assert s in candidates  # completeness
         for cand in candidates:  # soundness
-            replay = play_trick(cand.state)
+            replay = play_trick(cand)
             assert replay.next_state == result.next_state
         checked += 1
 
     witness = state("[CCCCCCC21C]", "[1C]")
-    found = {(c.state.deck_a, c.state.deck_b) for c in enumerate_predecessors(witness)}
+    found = {(p.deck_a, p.deck_b) for p in enumerate_predecessors(witness)}
     assert (parse_deck("[1CCCCCCC2]"), parse_deck("[C1C]")) in found
     assert (parse_deck("[C1CCCCCC]"), parse_deck("[2C1C]")) in found
     assert len(found) >= 2
@@ -308,8 +307,7 @@ def _balanced_from_loop(setting_str, pairs, max_backward_depth=2):
             if len(walk.deck_a) == len(walk.deck_b):
                 return [cycles.standardize(walk)]
             walk = play_trick(walk).next_state
-        config = BackwardSearchConfig(max_depth=max_backward_depth,
-                                      max_nodes=300_000, stop_on_balanced=True)
+        config = BackwardSearchConfig(max_depth=max_backward_depth, max_nodes=300_000)
         found = backward_search(list(rep.states_in_loop), config)
         if found:
             return found
@@ -321,9 +319,11 @@ def test_criterion_11_balanced_entries():
         entries = _balanced_from_loop(setting, NONTERMINATING[setting])
         assert entries, setting
         half = Settings.parse(setting).half
+        # every entry found, each of the backward search's included
         for st in entries:
             assert len(st.deck_a) == len(st.deck_b) == half
             assert st.leader == PLAYER_A
+            assert isinstance(play_match(st, 100_000), Looped), (setting, st)
     report("11 balanced entries", "12,1 28,1 28,3 40,1 each >= 1")
 
 

@@ -32,8 +32,8 @@ from conftest import (
 def test_known_two_predecessor_target():
     # two distinct starts produce the same trick output
     target = state("[CCCCCCC21C]", "[1C]", PLAYER_A)
-    found = {(format_deck(c.state.deck_a), format_deck(c.state.deck_b), c.state.leader)
-             for c in enumerate_predecessors(target)}
+    found = {(format_deck(p.deck_a), format_deck(p.deck_b), p.leader)
+             for p in enumerate_predecessors(target)}
     assert ("[1CCCCCCC2]", "[C1C]", PLAYER_A) in found
     assert ("[C1CCCCCC]", "[2C1C]", PLAYER_A) in found
     assert len(found) >= 2
@@ -51,14 +51,16 @@ def test_candidates_forward_simulate_to_target(kernel):
             result = play_trick(s)
             if result.terminal:
                 continue
-            for cand in enumerate_predecessors(result.next_state):
-                replay = play_trick(cand.state)
+            pile_lengths = []
+            for pred in enumerate_predecessors(result.next_state):
+                replay = play_trick(pred)
                 assert replay.next_state == result.next_state
                 assert not replay.terminal
-                assert len(replay.pile_in_play_order) == cand.pile_length
-                pred = cand.state
+                pile_lengths.append(len(replay.pile_in_play_order))
                 seen["rank 9"] += 9 in replay.pile_in_play_order
                 seen["over 30 cards"] += max(len(pred.deck_a), len(pred.deck_b)) > 30
+            # one predecessor per pile length at most, shortest pile first
+            assert pile_lengths == sorted(set(pile_lengths))
     assert min(seen["rank 9"], seen["over 30 cards"]) >= 20, seen
 
 
@@ -70,8 +72,7 @@ def test_true_predecessor_is_always_enumerated(kernel):
         result = play_trick(s)
         if result.terminal:
             continue
-        candidates = {c.state for c in enumerate_predecessors(result.next_state)}
-        assert s in candidates
+        assert s in enumerate_predecessors(result.next_state)
         checked += 1
 
 
@@ -88,9 +89,9 @@ def test_no_predecessors_for_tiny_winner_deck():
 
 def test_predecessors_are_deduplicated():
     target = state("[CCCCCCC21C]", "[1C]", PLAYER_A)
-    cands = enumerate_predecessors(target)
-    keys = {(c.state.deck_a, c.state.deck_b, c.state.leader) for c in cands}
-    assert len(keys) == len(cands)
+    preds = enumerate_predecessors(target)
+    keys = {(p.deck_a, p.deck_b, p.leader) for p in preds}
+    assert len(keys) == len(preds)
 
 
 def _arrangements(counts):
@@ -135,7 +136,7 @@ def test_predecessors_are_the_exact_preimage(kernel, setting, n_states, max_in_d
             preimage.setdefault(result.next_state, set()).add(s)
     leader_pairs = set()
     for t in states:
-        preds = [c.state for c in enumerate_predecessors(t)]
+        preds = enumerate_predecessors(t)
         assert len(set(preds)) == len(preds)
         assert set(preds) == preimage.get(t, set())
         leader_pairs.update((t.leader, p.leader) for p in preds)
@@ -168,12 +169,21 @@ def test_backward_search_results_independent_of_seed_order():
     assert len(fwd) > 0
 
 
-def test_backward_search_respects_stop_on_balanced():
+def test_backward_search_returns_every_balanced_state():
     report = cycles.verify_loop(state("[C1C1CC1CC]", "[C1C]"))
-    config = BackwardSearchConfig(max_depth=2, max_nodes=100_000,
-                                  stop_on_balanced=True)
-    out = backward_search(list(report.states_in_loop), config)
-    assert len(out) == 1
+    seeds = list(report.states_in_loop)
+    config = BackwardSearchConfig(max_depth=2, max_nodes=100_000)
+    out = backward_search(seeds, config)
+    # every balanced state the search discovers, once each, standardized
+    # and in discovery order
+    balanced = [cycles.standardize(s) for _, s in backward.discover(seeds, config)
+                if len(s.deck_a) == len(s.deck_b)]
+    assert out == list(dict.fromkeys(balanced))
+    assert len(out) == 15
+    for deal in out:
+        assert deal.leader == PLAYER_A
+        outcome = play_match(deal)
+        assert isinstance(outcome, Looped) and outcome.period == report.period
 
 
 def test_backward_search_node_budget_is_a_normal_empty_return():
@@ -224,15 +234,15 @@ def test_discover_keeps_every_seed_even_over_budget():
 def test_balanced_states_feed_the_52_4_loop():
     # balanced pre-loop states exist within a few backward steps
     report = cycles.verify_loop(state(*INF_52_4))
-    config = BackwardSearchConfig(max_depth=4, max_nodes=300_000,
-                                  stop_on_balanced=True)
+    config = BackwardSearchConfig(max_depth=4, max_nodes=300_000)
     found = backward_search(list(report.states_in_loop), config)
-    assert len(found) == 1
-    st = found[0]
-    assert len(st.deck_a) == len(st.deck_b) == 26
-    outcome = play_match(st)
-    assert outcome.period == 62
-    assert outcome.transient <= 6
+    assert len(found) == 12
+    for st in found:
+        assert len(st.deck_a) == len(st.deck_b) == 26
+        outcome = play_match(st)
+        assert outcome.period == 62
+        # at most four tricks from the cycle
+        assert outcome.transient <= 4
 
 
 def test_backward_config_validation():
@@ -315,35 +325,37 @@ def _over_1024_cards():
     return _mixed_seeds()[:2] + [big]
 
 
-# (seeds, depth, node budget, stop on balanced)
+# (seeds, depth, node budget)
 _SEARCH_CASES = {
-    "mixed seeds": (_mixed_seeds, 10**6, 10**6, False),
-    "depth 0": (_mixed_seeds, 0, 10**6, False),
-    "1 node": (_mixed_seeds, 10**6, 1, False),
-    "2 nodes": (lambda: [state("[CCCCCCC21C]", "[1C]")], 10**6, 2, False),
-    "14 nodes": (lambda: [state("[CCCCCCC21C]", "[1C]")], 10**6, 14, False),
-    "stop on balanced": (_mixed_seeds, 10**6, 10**6, True),
+    "mixed seeds": (_mixed_seeds, 10**6, 10**6),
+    "depth 0": (_mixed_seeds, 0, 10**6),
+    "1 node": (_mixed_seeds, 10**6, 1),
+    "2 nodes": (lambda: [state("[CCCCCCC21C]", "[1C]")], 10**6, 2),
+    "14 nodes": (lambda: [state("[CCCCCCC21C]", "[1C]")], 10**6, 14),
+    # the 62 cycle states of the published (52,4) loop: 2,514 states, twelve
+    # of them balanced
+    "52,4 loop": (_loop_states(*INF_52_4), 4, 10**6),
     # 16,951 states, 840 seeds: the C search's arrays, made for 256 states,
     # double and rehash seven times, its states' bytes eight times, and
     # the repeated seeds and the seeds met again are found in the table
-    "large": (_golden_40_3_walk, 10**6, 10**6, False),
-    "over 1024 cards": (_over_1024_cards, 3, 10**6, False),
+    "large": (_golden_40_3_walk, 10**6, 10**6),
+    "over 1024 cards": (_over_1024_cards, 3, 10**6),
 }
 
 
 @pytest.mark.parametrize("case", list(_SEARCH_CASES))
 def test_search_matches_the_reference(kernel, case):
-    seeds, max_depth, max_nodes, stop = _SEARCH_CASES[case]
+    seeds, max_depth, max_nodes = _SEARCH_CASES[case]
     seeds = [_kernels.pack(s.deck_a, s.deck_b, s.leader == PLAYER_B) for s in seeds()]
-    got = _kernels.search(seeds, max_depth, max_nodes, stop)
-    want = _kernels._py_search(seeds, max_depth, max_nodes, stop)
+    got = _kernels.search(seeds, max_depth, max_nodes)
+    want = _kernels._py_search(seeds, max_depth, max_nodes)
     assert got[0] == want[0]
     assert [a.tolist() for a in got[1:]] == [a.tolist() for a in want[1:]]
     # what the reference itself must give
-    states, offsets, depths, plens = got[0], *(a.tolist() for a in got[1:])
+    states, offsets, depths = got[0], *(a.tolist() for a in got[1:])
     found = [states[i:j] for i, j in zip(offsets, offsets[1:])]
     distinct = list(dict.fromkeys(seeds))
-    assert len(set(found)) == len(found) == len(depths) == len(plens)
+    assert len(set(found)) == len(found) == len(depths)
     assert found[:len(distinct)] == distinct[:len(found)]
     assert depths == sorted(depths) and depths[-1] <= max_depth
     assert len(found) <= max(max_nodes, len(distinct))
@@ -352,19 +364,25 @@ def test_search_matches_the_reference(kernel, case):
     if case == "mixed seeds":
         assert len(distinct) < len(seeds)
         assert len({(p[0], len(p)) for p in distinct}) == 6  # both leaders, three sizes
-    balanced = [packed[1:3] == packed[3:5] for packed in found]
-    if stop:
-        assert balanced.index(True) == len(found) - 1
-    at = {packed: depth for packed, depth in zip(found, depths)}
-    for packed, depth, plen in zip(found, depths, plens):
+    # each state found after the seeds is one trick before a state of the
+    # level above: the levels run in the order of those states and then
+    # by pile length
+    index = {packed: i for i, packed in enumerate(found)}
+    order = []
+    for packed, depth in zip(found, depths):
         if depth == 0:
-            assert packed in distinct and plen == 0
+            assert packed in distinct
             continue
         leader, cards_a, cards_b = _kernels.split(packed)
         trick = play_trick(GameState(tuple(cards_a), tuple(cards_b), "AB"[leader]))
         after = trick.next_state
-        assert at[_kernels.pack(after.deck_a, after.deck_b, after.leader == PLAYER_B)] == depth - 1
-        assert len(trick.pile_in_play_order) == plen
+        parent = index[_kernels.pack(after.deck_a, after.deck_b, after.leader == PLAYER_B)]
+        assert depths[parent] == depth - 1
+        order.append((parent, len(trick.pile_in_play_order)))
+    assert order == sorted(set(order))
+    if case == "52,4 loop":
+        assert len(found) == 2514
+        assert sum(packed[1:3] == packed[3:5] for packed in found) == 12
     if case == "large":
         assert len(found) == 16_951
     if case == "over 1024 cards":

@@ -360,6 +360,16 @@ def test_backward_rejects_an_empty_deck(deck_a, deck_b, mode):
     assert out.stderr == "error: both decks must be nonempty\n"
 
 
+@pytest.mark.parametrize("mode", [(), ("--find-balanced",)], ids=["list", "find-balanced"])
+def test_backward_rejects_a_deck_past_65535_cards(mode):
+    # a packed state holds each deck's length in 16 bits
+    out = run_cli("backward", "--setting", "12,1", "--deck-a", "[" + "C" * 70_000 + "1]",
+                  "--deck-b", "[1C]", *mode)
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr == "error: a packed state holds decks of at most 65,535 cards\n"
+
+
 @pytest.mark.parametrize("args", [
     ("backward", "--setting", "12,2", "--deck-a", "[CCCCCCC21C]", "--deck-b", "[1C]",
      "--depth", "4"),
@@ -385,14 +395,13 @@ def _reference_listing(target, depth, max_nodes):
     for _ in range(depth):
         nxt = []
         for s in frontier:
-            for cand in backward.enumerate_predecessors(s):
-                if cand.state in seen or len(seen) >= max_nodes:
+            for pred in backward.enumerate_predecessors(s):
+                if pred in seen or len(seen) >= max_nodes:
                     continue
-                seen.add(cand.state)
-                nxt.append(cand.state)
-                lines.append(f"leader={cand.state.leader} "
-                             f"deck_a={format_deck(cand.state.deck_a)} "
-                             f"deck_b={format_deck(cand.state.deck_b)}")
+                seen.add(pred)
+                nxt.append(pred)
+                lines.append(f"leader={pred.leader} deck_a={format_deck(pred.deck_a)} "
+                             f"deck_b={format_deck(pred.deck_b)}")
         frontier = nxt
     return lines
 

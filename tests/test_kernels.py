@@ -320,13 +320,16 @@ def _predecessor_targets(case, rng):
 def _predecessors(search, wdeck, ldeck):
     """`search` of depth 1 from one target, whose winner A holds `wdeck`
     and leads: (pile length, leader won, winner's deck, loser's deck) for
-    each predecessor."""
-    states, offsets, depths, plens = search([_kernels.pack(wdeck, ldeck, 0)], 1, 10**6)
+    each predecessor, the pile length read off a replay of its trick."""
+    states, offsets, depths = search([_kernels.pack(wdeck, ldeck, 0)], 1, 10**6)
     assert depths.tolist() == [0] + [1] * (len(depths) - 1)
     out = []
-    for i, plen in enumerate(plens.tolist()[1:], 1):
+    for i in range(1, len(depths)):
         leader, prev_w, prev_l = _kernels.split(states[offsets[i]:offsets[i + 1]])
-        out.append((plen, leader == 0, tuple(prev_w), tuple(prev_l)))
+        pred = GameState(tuple(prev_w), tuple(prev_l), (PLAYER_A, PLAYER_B)[leader])
+        trick = reference_trick(pred)
+        assert trick.next_state == GameState(tuple(wdeck), tuple(ldeck), PLAYER_A)
+        out.append((len(trick.pile_in_play_order), leader == 0, tuple(prev_w), tuple(prev_l)))
     return out
 
 
