@@ -418,6 +418,14 @@ def split(packed):
     return leader, packed[HEADER.size:HEADER.size + n_a], packed[HEADER.size + n_a:]
 
 
+def even_split(states, offsets):
+    """Mask of the packed states states[offsets[i]:offsets[i + 1]], as
+    `search` returns them, whose two decks hold the same number of cards."""
+    head, starts = np.frombuffer(states, np.uint8), offsets[:-1]
+    # header bytes 1-2 and 3-4 are the lengths of A and B
+    return (head[starts + 1] == head[starts + 3]) & (head[starts + 2] == head[starts + 4])
+
+
 class _Found(ctypes.Structure):
     """bmn_search's result: arrays the C kernel allocated, freed by bmn_free."""
     _fields_ = [("states", ctypes.c_void_p), ("offsets", ctypes.c_void_p),

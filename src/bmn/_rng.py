@@ -5,7 +5,9 @@ can be reproduced in isolation and batch results never depend on how a
 batch is split. There are two shuffles: `SplitMix64.shuffle`, the
 reference, which the pure-Python kernels call to deal each match and to
 order the loop factory's insertion points, and the C kernel's
-(`_ckernel.c`), bit-identical to it, for the same two jobs.
+(`_ckernel.c`), bit-identical to it, for the same two jobs. The reference
+has a third job on either kernel: it orders the correction spots of the
+loop factory (`factory._first_correction`).
 """
 
 from __future__ import annotations

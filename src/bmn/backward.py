@@ -88,11 +88,8 @@ def backward_search(seed_states, config: BackwardSearchConfig) -> list:
     the node budget without a hit is a normal empty result.
     """
     states, offsets, _ = _search(seed_states, config)
-    # the balanced states, read from the packed headers: deck lengths alike
-    head, starts = np.frombuffer(states, np.uint8), offsets[:-1]
-    even = (head[starts + 1] == head[starts + 3]) & (head[starts + 2] == head[starts + 4])
     balanced = {}
-    for i in np.flatnonzero(even).tolist():
+    for i in np.flatnonzero(_kernels.even_split(states, offsets)).tolist():
         packed = states[offsets[i]:offsets[i + 1]]
         if packed[0]:  # standardize: relabel the players so that A leads
             _, cards_a, cards_b = _kernels.split(packed)

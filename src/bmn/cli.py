@@ -424,6 +424,8 @@ def main(argv=None) -> int:
         return _fail(str(exc))
     except OSError as exc:  # unreadable input or unwritable output path
         return _fail(str(exc))
+    except MemoryError as exc:  # a batch's result arrays, or a backward search
+        return _fail(str(exc) or "out of memory")
 
 
 if __name__ == "__main__":

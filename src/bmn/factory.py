@@ -21,42 +21,6 @@ from ._rng import SplitMix64
 from .cycles import LoopReport, verify_loop
 from .engine import PLAYER_A, Deck, GameState, Looped, Settings
 
-STRATEGIES = (
-    "low-rank-first",
-    "high-rank-first",
-    "ordinaries-first",
-    "specials-first",
-    "balanced-fill",
-    "cluster-specials",
-    "disperse-specials",
-    "rank1-blocks",
-)
-
-PATTERNS = (
-    "single",
-    "pairs",
-    "triplets",
-    "burst5",
-    "burst7",
-    "burst10",
-    "interleaved",
-    "rank-terminated",
-    "mixed7",
-    "mixed10",
-)
-
-# Patterns each strategy draws from; every pattern is reachable somewhere.
-STRATEGY_PATTERNS = {
-    "low-rank-first": ("single", "pairs", "triplets", "rank-terminated", "mixed7", "burst5"),
-    "high-rank-first": ("single", "pairs", "triplets", "rank-terminated", "mixed7", "burst5"),
-    "ordinaries-first": ("single", "pairs", "triplets", "burst5", "burst7", "burst10"),
-    "specials-first": ("single", "pairs", "triplets", "interleaved", "mixed7"),
-    "balanced-fill": ("single", "pairs", "triplets", "mixed7", "mixed10", "burst5"),
-    "cluster-specials": ("single", "pairs", "triplets", "mixed7"),
-    "disperse-specials": ("single", "interleaved", "mixed7", "mixed10", "rank-terminated"),
-    "rank1-blocks": ("single", "triplets", "rank-terminated"),
-}
-
 _MAX_FRAGMENTS = 12     # fragments tried per round
 _MAX_POSITIONS = 40     # insertion points sampled per fragment
 _RESTART_INTERVAL = 50  # rounds between restart draws
@@ -99,6 +63,8 @@ class FactoryConfig:
     def __post_init__(self):
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
+        if self.nontermination_trick_cap < 1:
+            raise ValueError("nontermination_trick_cap must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -156,17 +122,6 @@ def test_nontermination(state: GameState,
 # ---------------------------------------------------------------------------
 
 
-def _rank_priority(strategy: str, deficits: dict) -> list:
-    """Deficient special ranks in the order the strategy wants them filled."""
-    ranks = sorted(r for r, d in deficits.items() if r >= 1 and d > 0)
-    if strategy == "high-rank-first":
-        return ranks[::-1]
-    if strategy == "balanced-fill":
-        # largest relative deficit first (target is 4 per special rank)
-        return sorted(ranks, key=lambda r: (-deficits[r] / 4, r))
-    return ranks  # ascending, so rank1-blocks already puts rank 1 first
-
-
 def _pattern_fragments(pattern: str, ranks: list) -> list:
     """Raw fragment templates for a pattern, before deficit filtering.
 
@@ -218,24 +173,53 @@ def _fits_deficits(fragment: tuple, deficits: dict) -> bool:
     return all(fragment.count(c) <= deficits.get(c, 0) for c in fragment)
 
 
-def generate_sequences(strategy: str, pattern: str, deficits: dict) -> list:
+# A rank order turns a pattern and the deficient special ranks, ascending,
+# into the pattern's templates in the order they are tried.
+
+
+def _ascending(pattern: str, ranks: list, deficits: dict) -> list:
+    return _pattern_fragments(pattern, ranks)
+
+
+def _descending(pattern: str, ranks: list, deficits: dict) -> list:
+    return _pattern_fragments(pattern, ranks[::-1])
+
+
+def _largest_deficit(pattern: str, ranks: list, deficits: dict) -> list:
+    return _pattern_fragments(pattern, sorted(ranks, key=lambda r: (-deficits[r], r)))
+
+
+def _ordinaries_first(pattern: str, ranks: list, deficits: dict) -> list:
+    return sorted(_pattern_fragments(pattern, ranks), key=any)  # stable: all-C first
+
+
+# The insertion strategies: a rank order and the patterns drawn with it.
+# Every pattern is reachable somewhere.
+STRATEGIES = (
+    (_ascending, ("single", "pairs", "triplets", "rank-terminated", "mixed7", "burst5")),
+    (_descending, ("single", "pairs", "triplets", "rank-terminated", "mixed7", "burst5")),
+    (_ordinaries_first, ("single", "pairs", "triplets", "burst5", "burst7", "burst10")),
+    (_ascending, ("single", "pairs", "triplets", "interleaved", "mixed7")),
+    (_largest_deficit, ("single", "pairs", "triplets", "mixed7", "mixed10", "burst5")),
+    (_ascending, ("single", "pairs", "triplets", "mixed7")),
+    (_ascending, ("single", "interleaved", "mixed7", "mixed10", "rank-terminated")),
+    (_ascending, ("single", "triplets", "rank-terminated")),
+)
+
+
+def generate_sequences(order, pattern: str, deficits: dict) -> list:
     """Candidate insertion fragments for one exploration round.
 
-    Fragments follow the pattern's templates with special slots filled in
-    the strategy's priority order, restricted to deficient types with
+    Fragments follow the pattern's templates in the rank order `order` (one
+    of the orders in STRATEGIES), restricted to deficient types with
     multiplicity (nothing in excess is ever inserted, so a successful
     insertion always raises the compositional score by the fragment length).
-    The fragments and their order are fully determined by strategy,
-    pattern and deficits. The ranks are distinct, so no template repeats a
+    The fragments and their order are fully determined by order, pattern
+    and deficits. The ranks are distinct, so no template repeats a
     fragment; none is longer than 10 cards.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    ranks = _rank_priority(strategy, deficits)
-    frags = [f for f in _pattern_fragments(pattern, ranks)
-             if _fits_deficits(f, deficits)]
-    if strategy == "ordinaries-first":
-        frags.sort(key=lambda f: (any(c > 0 for c in f),))  # all-C fragments first
+    ranks = sorted(r for r, d in deficits.items() if r >= 1 and d > 0)
+    frags = [f for f in order(pattern, ranks, deficits) if _fits_deficits(f, deficits)]
     return frags[:_MAX_FRAGMENTS]
 
 
@@ -314,8 +298,8 @@ def _first_correction(cp: Checkpoint, rng: SplitMix64, trick_cap: int):
 def run_factory(config: FactoryConfig) -> FactoryResult:
     """Grow the seed toward a complete non-terminating (N, R) configuration.
 
-    One round is: pick a checkpoint, pick a strategy/pattern/bias, and test
-    the generated fragments at sampled positions until one insertion keeps
+    One round is: pick a checkpoint, a STRATEGIES row, one of its patterns
+    and a deck bias, and test the generated fragments at sampled positions until one insertion keeps
     the match looping; if none does and the checkpoint holds excess cards,
     test its corrections next. Stops at a composition-complete configuration
     (with its verified LoopReport) or when the round budget runs out, in
@@ -341,7 +325,7 @@ def run_factory(config: FactoryConfig) -> FactoryResult:
     age_counter = 0
     store = [checkpoint(seed.deck_a, seed.deck_b, 0, age_counter)]
     best = top = store[0]
-    fragment_table = {}  # (strategy, pattern, deficits) -> fragments
+    fragment_table = {}  # (order, pattern, deficits) -> fragments
     last_selected_age = -1
     stuck = 0
 
@@ -361,13 +345,12 @@ def run_factory(config: FactoryConfig) -> FactoryResult:
         if escape:
             stuck = 0
 
-        strategy = STRATEGIES[rng.below(len(STRATEGIES))]
-        patterns = STRATEGY_PATTERNS[strategy]
+        order, patterns = STRATEGIES[rng.below(len(STRATEGIES))]
         pattern = patterns[rng.below(len(patterns))]
         bias = rng.below(3)  # 0: deck A, 1: deck B, 2: alternate
-        key = (strategy, pattern, tuple(cp.deficits.values()))
+        key = (order, pattern, tuple(cp.deficits.values()))
         if key not in fragment_table:
-            fragment_table[key] = tuple(generate_sequences(strategy, pattern, cp.deficits))
+            fragment_table[key] = tuple(generate_sequences(order, pattern, cp.deficits))
 
         n_tests, decks = _first_insertion(cp, fragment_table[key], bias, rng, cap)
         tests += n_tests

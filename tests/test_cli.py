@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from bmn import backward, cli
+from bmn import _kernels, backward, cli
 from bmn.engine import format_deck
 from conftest import BALANCED_12_1, GOLDEN_MATCHES, INF_52_4, state
 
@@ -206,6 +206,28 @@ def test_error_in_a_worker_thread_exits_1(monkeypatch, capsys, tmp_path):
     assert "Traceback" not in err
     assert out.read_text() == "earlier results\n"
     assert list(tmp_path.iterdir()) == [out]
+
+
+def _out_of_memory(message):
+    def kernel(*args, **kwargs):
+        raise MemoryError(*message)
+    return kernel
+
+
+@pytest.mark.parametrize("argv, kernel, message", [
+    # numpy names the size of the result arrays it cannot allocate
+    (["simulate", "--setting", "12,1", "--matches", "1000000000000"], "simulate_batch",
+     ("Unable to allocate 3.64 TiB for an array",)),
+    (["simulate", "--setting", "12,1", "--matches", "10"], "simulate_batch", ()),
+    (["backward", "--setting", "12,1", "--deck-a", "[CC1C]", "--deck-b", "[C1C]"], "search",
+     ("no memory for the backward search",)),
+], ids=["simulate", "no-message", "backward"])
+def test_out_of_memory_exits_1(monkeypatch, capsys, argv, kernel, message):
+    # the kernel raises as a failed allocation does; no large one is made
+    monkeypatch.setattr(_kernels, kernel, _out_of_memory(message))
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {message[0] if message else 'out of memory'}\n"
 
 
 def test_rewritten_output_keeps_its_mode(tmp_path):
@@ -510,6 +532,12 @@ def test_factory_malformed_seed_line_names_file_and_line(tmp_path, bad_line):
     assert out.returncode == 1
     assert out.stderr.startswith(f"error: {seeds}:4: ")
     assert "unpack" not in out.stderr and "Traceback" not in out.stderr
+
+
+def test_factory_rejects_a_trick_cap_below_one():
+    out = run_cli("factory", "--setting", "12,1", "--budget", "10", "--trick-cap", "0")
+    assert (out.returncode, out.stdout) == (1, "")
+    assert out.stderr == "error: nontermination_trick_cap must be >= 1\n"
 
 
 def test_factory_rejects_an_empty_seed_deck():

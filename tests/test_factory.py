@@ -9,9 +9,7 @@ from bmn._rng import SplitMix64
 from bmn.cycles import verify_loop
 from bmn.engine import GameState, Settings, format_deck
 from bmn.factory import (
-    PATTERNS,
     STRATEGIES,
-    STRATEGY_PATTERNS,
     FactoryConfig,
     default_seed_state,
     generate_sequences,
@@ -75,36 +73,70 @@ def test_budget_exhaustion_counts_as_not_looping():
 # ---------------------------------------------------------------------------
 
 
+# the table's four rank orders, by the row that first draws each
+ASCENDING, DESCENDING, ORDINARIES_FIRST = (order for order, _ in STRATEGIES[:3])
+LARGEST_DEFICIT = STRATEGIES[4][0]
+PATTERNS = ("single", "pairs", "triplets", "burst5", "burst7", "burst10",
+            "interleaved", "rank-terminated", "mixed7", "mixed10")
+
+
+def test_strategy_table_rows():
+    # eight rows, drawn with rng.below(8); five share the ascending order
+    assert len(STRATEGIES) == 8
+    assert [order for order, _ in STRATEGIES] == [
+        ASCENDING, DESCENDING, ORDINARIES_FIRST, ASCENDING, LARGEST_DEFICIT,
+        ASCENDING, ASCENDING, ASCENDING]
+    assert len({ASCENDING, DESCENDING, ORDINARIES_FIRST, LARGEST_DEFICIT}) == 4
+    assert all(patterns and set(patterns) <= set(PATTERNS) for _, patterns in STRATEGIES)
+
+
 def test_single_pattern_priority_order():
-    frags = generate_sequences("low-rank-first", "single", {0: 3, 1: 2, 2: 1})
+    deficits = {0: 3, 1: 2, 2: 1}
+    frags = generate_sequences(ASCENDING, "single", deficits)
     assert frags.index((1,)) < frags.index((2,)) < frags.index((0,))
-    frags_hi = generate_sequences("high-rank-first", "single", {0: 3, 1: 2, 2: 1})
+    frags_hi = generate_sequences(DESCENDING, "single", deficits)
     assert frags_hi.index((2,)) < frags_hi.index((1,))
+    assert generate_sequences(ORDINARIES_FIRST, "single", deficits) == [(0,), (1,), (2,)]
+
+
+def test_largest_deficit_order_breaks_ties_by_rank():
+    deficits = {0: 9, 1: 1, 2: 3, 3: 1, 4: 3}
+    assert generate_sequences(LARGEST_DEFICIT, "single", deficits) == [
+        (2,), (4,), (1,), (3,), (0,)]
+
+
+def test_ordinaries_first_keeps_the_all_ordinary_fragment_past_the_cut():
+    # 13 pair templates for four ranks: the ascending order cuts (0, 0) at
+    # twelve, ordinaries first tries it first and keeps the rest in order
+    deficits = {0: 9, 1: 2, 2: 2, 3: 2, 4: 2}
+    ascending = generate_sequences(ASCENDING, "pairs", deficits)
+    assert len(ascending) == 12 and (0, 0) not in ascending
+    assert generate_sequences(ORDINARIES_FIRST, "pairs", deficits) == [(0, 0)] + ascending[:11]
 
 
 def test_burst10_is_exactly_ten_ordinaries():
-    frags = generate_sequences("ordinaries-first", "burst10", {0: 12, 1: 2})
+    frags = generate_sequences(ORDINARIES_FIRST, "burst10", {0: 12, 1: 2})
     assert frags == [(0,) * 10]
-    assert generate_sequences("ordinaries-first", "burst10", {0: 9, 1: 2}) == []
+    assert generate_sequences(ORDINARIES_FIRST, "burst10", {0: 9, 1: 2}) == []
 
 
 def test_rank_terminated_templates():
-    frags = generate_sequences("rank1-blocks", "rank-terminated", {0: 8, 1: 2})
+    frags = generate_sequences(ASCENDING, "rank-terminated", {0: 8, 1: 2})
     assert frags == [(0, 0, 1), (0, 0, 0, 1), (0, 0, 0, 0, 1)]
 
 
 def test_fragments_never_use_excess_types():
     deficits = {0: 6, 1: -1, 2: 3}
-    for pattern in STRATEGY_PATTERNS["low-rank-first"]:
-        for frag in generate_sequences("low-rank-first", pattern, deficits):
+    for pattern in STRATEGIES[0][1]:
+        for frag in generate_sequences(ASCENDING, pattern, deficits):
             assert 1 not in frag
 
 
 def test_fragments_respect_deficit_multiplicity():
     deficits = {0: 2, 1: 1, 2: 4}
-    for strategy in STRATEGIES:
-        for pattern in STRATEGY_PATTERNS[strategy]:
-            frags = generate_sequences(strategy, pattern, deficits)
+    for order, patterns in STRATEGIES:
+        for pattern in patterns:
+            frags = generate_sequences(order, pattern, deficits)
             for frag in frags:
                 used = Counter(frag)
                 assert all(used[t] <= deficits.get(t, 0) for t in used)
@@ -113,13 +145,15 @@ def test_fragments_respect_deficit_multiplicity():
 
 
 def test_every_pattern_is_reachable():
-    reachable = {p for pats in STRATEGY_PATTERNS.values() for p in pats}
+    reachable = {p for _, patterns in STRATEGIES for p in patterns}
     assert reachable == set(PATTERNS)
+    deficits = {0: 36, 1: 4, 2: 4, 3: 4, 4: 4}
+    assert all(generate_sequences(ASCENDING, p, deficits) for p in PATTERNS)
 
 
-def test_unknown_strategy_is_an_error():
-    with pytest.raises(ValueError):
-        generate_sequences("clever", "single", {0: 1})
+def test_unknown_pattern_is_an_error():
+    with pytest.raises(ValueError, match="unknown pattern"):
+        generate_sequences(ASCENDING, "clever", {0: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +306,9 @@ def test_fragment_table_builds_each_entry_once(monkeypatch):
     calls = Counter()
     build = factory.generate_sequences
 
-    def counted(strategy, pattern, deficits):
-        calls[strategy, pattern, tuple(deficits.values())] += 1
-        return build(strategy, pattern, deficits)
+    def counted(order, pattern, deficits):
+        calls[order, pattern, tuple(deficits.values())] += 1
+        return build(order, pattern, deficits)
 
     monkeypatch.setattr(factory, "generate_sequences", counted)
     config = FactoryConfig(settings=Settings(20, 2), seed_state=default_seed_state(),
@@ -285,24 +319,44 @@ def test_fragment_table_builds_each_entry_once(monkeypatch):
     assert (result.rounds_used, result.tests_run) == (598, 2846)
 
 
-@pytest.mark.parametrize("setting, rng_seed, budget, seed", [
-    ((20, 2), 1, 3000, BLOCKS[0]),
-    ((20, 2), 2, 3000, BLOCKS[0]),
-    ((20, 2), 3, 3000, BLOCKS[0]),
-    ((28, 1), 1, 300, BLOCKS[0]),
-    ((20, 1), 2, 300, EXCESS_SEED),
-])
-def test_factory_results_agree_on_both_kernels(monkeypatch, setting, rng_seed, budget, seed):
+# (setting, rng seed, budget, seed decks, (rounds used, tests run)): a change
+# to any rng draw, to the test order or to the test count shows here
+AGREE_CASES = [
+    ((20, 2), 1, 3000, BLOCKS[0], (598, 2846)),
+    ((20, 2), 2, 3000, BLOCKS[0], (43, 111)),
+    ((20, 2), 3, 3000, BLOCKS[0], (1261, 5792)),
+    ((28, 1), 1, 300, BLOCKS[0], (300, 1088)),
+    ((20, 1), 2, 300, EXCESS_SEED, (300, 1445)),
+    ((20, 2), 4, 3000, BLOCKS[0], (863, 4326)),
+    ((20, 2), 5, 3000, BLOCKS[0], (1259, 5922)),
+    ((20, 2), 6, 3000, BLOCKS[0], (3000, 13612)),  # partial
+    ((20, 2), 7, 3000, BLOCKS[0], (397, 1582)),
+    ((20, 2), 8, 3000, BLOCKS[0], (1402, 6510)),
+]
+
+
+# the ids leave out the expected counts, so that a case keeps its name
+@pytest.mark.parametrize("setting, rng_seed, budget, seed, counts", AGREE_CASES,
+                         ids=[f"setting{i}-{rng_seed}-{budget}-seed{i}"
+                              for i, (_, rng_seed, budget, _, _) in enumerate(AGREE_CASES)])
+def test_factory_results_agree_on_both_kernels(monkeypatch, setting, rng_seed, budget, seed,
+                                               counts):
     require_c_kernel()
     config = FactoryConfig(settings=Settings(*setting), seed_state=state(*seed),
                            budget=budget, rng_seed=rng_seed)
     on_c = run_factory(config)
+    assert (on_c.rounds_used, on_c.tests_run) == counts
+    assert on_c.success == (counts[0] < budget)
     monkeypatch.setattr(_kernels, "_ckernel", False)
     assert _kernels.backend() == "python"
     assert run_factory(config) == on_c
 
 
 def test_factory_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="budget"):
         FactoryConfig(settings=Settings(12, 1), seed_state=default_seed_state(),
                       budget=0)
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="nontermination_trick_cap"):
+            FactoryConfig(settings=Settings(12, 1), seed_state=default_seed_state(),
+                          budget=10, nontermination_trick_cap=cap)

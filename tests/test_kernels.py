@@ -410,6 +410,17 @@ def test_c_search_matches_python_on_a_level(monkeypatch):
     assert len(fallbacks) == 1
 
 
+def test_even_split_reads_both_bytes_of_each_deck_length():
+    # lengths alike in one byte of two (513 against 257, 256 against 0) are
+    # not even; 300 against 300 is
+    decks = [((0,) * 513, (0,) * 257), ((0,) * 256, ()), ((1,), (0,) * 256),
+             ((0,) * 300, (2,) * 300), ((), ()), ((0, 1), (1,)), ((1, 0, 0), (0, 0, 2))]
+    packed = [_kernels.pack(a, b, leader) for a, b in decks for leader in (0, 1)]
+    offsets = np.cumsum([0] + [len(p) for p in packed])
+    mask = _kernels.even_split(b"".join(packed), offsets)
+    assert mask.tolist() == [len(a) == len(b) for a, b in decks for _ in (0, 1)]
+
+
 def test_c_kernel_has_the_python_first_block():
     # results do not depend on the block, but the first-block edge tests
     # probe the C kernel at the Python constant's edges
