@@ -5,14 +5,15 @@
  * and _py_transient's lockstep pass. bmn_simulate is simulate_batch: the
  * splitmix64 Fisher-Yates deal of SplitMix64.shuffle (masked rejection as
  * in SplitMix64.below), then play_match_loops with A leading.
- * bmn_first_insertion is first_insertion: the same shuffle of a deck's
- * insertion points, then play_match_loops on the deck with a fragment
- * spliced in at each point in turn until one loops. bmn_search is search,
- * the whole breadth-first backward search over states packed as
- * _kernels.pack packs them; it returns the states found and their depths.
- * Its step is _py_step, the inverse of a trick: the closing-block test,
- * then _parse_pile on every bottom slice of the winner's deck, each parse
- * packed the same way as a predecessor.
+ * bmn_factory is factory._rounds, the loop factory's whole round loop: the
+ * restarts, escapes and checkpoint store, the draws on the factory's
+ * splitmix64 stream, generate_sequences' fragments, and the insertion and
+ * correction tests, each a play_match_loops with A leading.
+ * bmn_search is search, the whole breadth-first backward search over
+ * states packed as _kernels.pack packs them; it returns the states found
+ * and their depths. Its step is _py_step, the inverse of a trick: the
+ * closing-block test, then _parse_pile on every bottom slice of the
+ * winner's deck, each parse packed the same way as a predecessor.
  * Results are bit for bit the Python ones. _kernels compiles this file with
  * `cc -O2 -shared -fPIC` and calls it through ctypes; it uses no Python API.
  */
@@ -203,19 +204,35 @@ static uint64_t fmix64(uint64_t z)
     return z ^ (z >> 31);
 }
 
+/* SplitMix64.next_u64 */
+static uint64_t next_u64(uint64_t *state)
+{
+    *state += GOLDEN;
+    return fmix64(*state);
+}
+
 /* SplitMix64.below: uniform in [0, n), n >= 1, by masked rejection; the
- * one draw of both Fisher-Yates shuffles here. */
+ * one draw of every Fisher-Yates shuffle here. */
 static uint32_t below(uint64_t *state, uint32_t n)
 {
     uint64_t mask = 1, r;
     while (mask < n) /* (1 << (n - 1).bit_length()) - 1 */
         mask *= 2;
     mask -= 1;
-    do {
-        *state += GOLDEN;
-        r = fmix64(*state) & mask;
-    } while (r >= n);
+    do
+        r = next_u64(state) & mask;
+    while (r >= n);
     return (uint32_t)r;
+}
+
+/* SplitMix64.shuffle of items[0..n) */
+static void shuffle(uint32_t *items, uint32_t n, uint64_t *state)
+{
+    for (uint32_t i = n; i-- > 1;) {
+        uint32_t r = below(state, i + 1), top = items[i];
+        items[i] = items[r];
+        items[r] = top;
+    }
 }
 
 /* simulate_batch(count, deck, seed, max_tricks, start) into durations and
@@ -502,42 +519,374 @@ void bmn_free(found_t *found)
     free(found->depths);
 }
 
-/* first_insertion(deck, frag, other, into_a, rng, max_positions,
- * max_tricks) with *state as rng.state, in and out: writes (tests,
- * position) to out, position -1 if no insertion loops. Returns -1, the
- * state untouched, if the n + nf + no cards exceed MAX_CARDS. */
-int bmn_first_insertion(const uint8_t *deck, uint32_t n, const uint8_t *frag, uint32_t nf,
-                        const uint8_t *other, uint32_t no, int into_a, uint64_t *state,
-                        int64_t max_positions, int64_t max_tricks, int64_t *out)
+/* The loop factory: bmn_factory is factory._rounds, line for line. */
+
+#define MAX_TYPES 10     /* card types: ordinaries (0) and ranks 1..9 */
+#define MAX_TEMPLATES 81 /* of one pattern: mixed10's over nine ranks */
+/* The factory's helpers stay out of bmn_factory: each runs once a round at
+ * most, and inlining them all raised the compiler's peak memory from 40 to
+ * 43 MB (gcc 12, -O2), more than a process running the benchmark uses. */
+#define OUTLINE __attribute__((noinline))
+
+/* The tuning constants, in the order factory._c_rounds passes them. */
+enum { MAX_FRAGMENTS, MAX_POSITIONS, RESTART_INTERVAL, ESCAPE_THRESHOLD, CAPACITY };
+/* The rank orders, in factory._ORDERS order. */
+enum { ASCENDING, DESCENDING, LARGEST_DEFICIT, ORDINARIES_FIRST };
+
+/* _pattern_fragments' templates, in factory._PATTERNS order, as groups of
+ * shapes: C is an ordinary, r and s are ranks. A group is written out for
+ * each pair of distinct ranks (r, s) if it names s, for each rank r if it
+ * names r, and once otherwise; the ranks go in the order given. */
+static const char *const PATTERN[][5] = {
+    {"r", "C"},                    /* single */
+    {"rr", "Cr", "rC", "CC"},      /* pairs */
+    {"CrC", "CCr", "rCC", "CCC"},  /* triplets */
+    {"CCCCC"},                     /* burst5 */
+    {"CCCCCCC"},                   /* burst7 */
+    {"CCCCCCCCCC"},                /* burst10 */
+    {"CrCrC"},                     /* interleaved */
+    {"CCr CCCr CCCCr"},            /* rank-terminated */
+    {"CCCrCCC CrC CCrCC", "CrrC"}, /* mixed7 */
+    {"CCCCrCCCCC", "CCrCCsCC"},    /* mixed10 */
+};
+
+typedef struct {
+    uint32_t len;
+    uint8_t card[10];
+} frag_t;
+
+/* _pattern_fragments(pattern, ranks[0..nr)) into out; returns the count. */
+OUTLINE static int templates(int pattern, const uint8_t *ranks, int nr, frag_t *out)
+{
+    int n = 0;
+    for (const char *const *group = PATTERN[pattern]; *group; group++) {
+        int pairs = strchr(*group, 's') != NULL, each = pairs || strchr(*group, 'r');
+        for (int i = 0; i < (each ? nr : 1); i++)
+            for (int j = 0; j < (pairs ? nr : 1); j++) {
+                if (pairs && i == j)
+                    continue;
+                for (const char *c = *group; *c; c++) {
+                    if (c == *group || c[-1] == ' ')
+                        out[n++].len = 0;
+                    if (*c != ' ')
+                        out[n - 1].card[out[n - 1].len++] =
+                            *c == 'C' ? 0 : ranks[*c == 'r' ? i : j];
+                }
+            }
+    }
+    return n;
+}
+
+/* generate_sequences(order, pattern, deficits), deficit[0..n_types): the
+ * first max_fragments templates that fit the deficits, into out; returns
+ * their count. */
+OUTLINE static int fragments(int order, int pattern, const int64_t *deficit, int n_types,
+                             int64_t max_fragments, frag_t *out)
+{
+    frag_t all[MAX_TEMPLATES];
+    uint8_t ranks[MAX_TYPES], swap;
+    int nr = 0, n, kept = 0;
+    for (int r = 1; r < n_types; r++)
+        if (deficit[r] > 0)
+            ranks[nr++] = (uint8_t)r;
+    for (int i = 1; i < nr; i++) /* an insertion sort, stable: ties stay ascending */
+        for (int j = i; j > 0 && (order == DESCENDING || (order == LARGEST_DEFICIT
+                                  && deficit[ranks[j]] > deficit[ranks[j - 1]])); j--) {
+            swap = ranks[j];
+            ranks[j] = ranks[j - 1];
+            ranks[j - 1] = swap;
+        }
+    n = templates(pattern, ranks, nr, all);
+    /* ordinaries first: the all-ordinary templates, then the others */
+    for (int pass = 0; pass < 2; pass++)
+        for (int i = 0; i < n && kept < max_fragments; i++) {
+            int count[MAX_TYPES] = {0}, special = 0, fits = 1;
+            for (uint32_t k = 0; k < all[i].len; k++) {
+                special |= all[i].card[k] > 0;
+                count[all[i].card[k]]++;
+            }
+            for (uint32_t k = 0; k < all[i].len; k++) /* _fits_deficits */
+                fits &= count[all[i].card[k]] <= deficit[all[i].card[k]];
+            if (fits && (order == ORDINARIES_FIRST ? special == pass : pass == 0))
+                out[kept++] = all[i];
+        }
+    return kept;
+}
+
+/* A Checkpoint, with its decks in card: A's cards, then B's. */
+typedef struct {
+    uint8_t *card;
+    uint32_t len[2];
+    int64_t depth, score, age, deficit[MAX_TYPES];
+    int excess;
+} checkpoint_t;
+
+/* One factory run: its composition, constants and rng, and its tests. */
+typedef struct {
+    const int64_t *target, *knob;
+    int n_types;
+    int64_t n_total, max_tricks, tests;
+    uint64_t state;
+} factory_t;
+
+/* run_factory's checkpoint(): decks cards[0..na) and cards[na..na + nb)
+ * into cp, their composition counted once. */
+OUTLINE static void make(const factory_t *f, checkpoint_t *cp, const uint8_t *cards,
+                         uint32_t na, uint32_t nb, int64_t depth, int64_t age)
+{
+    int64_t held[MAX_TYPES] = {0};
+    memcpy(cp->card, cards, na + nb);
+    for (uint32_t i = 0; i < na + nb; i++)
+        if (cards[i] < f->n_types)
+            held[cards[i]]++;
+    cp->len[0] = na;
+    cp->len[1] = nb;
+    cp->depth = depth;
+    cp->age = age;
+    cp->score = f->n_total;
+    cp->excess = 0;
+    for (int t = 0; t < f->n_types; t++) {
+        int64_t d = cp->deficit[t] = f->target[t] - held[t];
+        cp->score -= d < 0 ? -d : d;
+        cp->excess |= d < 0;
+    }
+}
+
+/* _first_insertion: for each fragment in turn, the len + 1 insertion
+ * points of its deck (A's if into_a, else B's), shuffled, then the first
+ * max_positions of them, each a match with the fragment spliced in there
+ * and A leading. Returns 1 with the decks of the first match that loops
+ * in next, A's then B's, and their lengths in len; 0 if none loops. */
+OUTLINE static int insert(factory_t *f, const checkpoint_t *cp, const frag_t *frag,
+                          int n_frags, uint32_t bias, uint8_t *next, uint32_t *len)
 {
     uint32_t points[MAX_CARDS + 1];
-    uint8_t grown[MAX_CARDS];
     int64_t result[2];
-    if ((uint64_t)n + nf + no > MAX_CARDS)
-        return -1;
-    for (uint32_t i = 0; i <= n; i++)
-        points[i] = i;
-    for (uint32_t i = n + 1; i-- > 1;) {
-        uint32_t r = below(state, i + 1);
-        uint32_t top = points[i];
-        points[i] = points[r];
-        points[r] = top;
-    }
-    int64_t count = max_positions < n + 1 ? max_positions : n + 1;
-    for (int64_t t = 0; t < count; t++) {
-        uint32_t pos = points[t];
-        memcpy(grown, deck, pos);
-        memcpy(grown + pos, frag, nf);
-        memcpy(grown + pos + nf, deck + pos, n - pos);
-        int status = into_a ? play(grown, n + nf, other, no, 0, max_tricks, result)
-                            : play(other, no, grown, n + nf, 0, max_tricks, result);
-        if (status == 1) {
-            out[0] = t + 1;
-            out[1] = pos;
-            return 0;
+    for (int k = 0; k < n_frags; k++) {
+        int into_a = bias == 0 || (bias == 2 && k % 2 == 0);
+        const uint8_t *deck = cp->card + (into_a ? 0 : cp->len[0]);
+        uint32_t n = cp->len[!into_a], no = cp->len[into_a], nf = frag[k].len;
+        uint8_t *grown = next + (into_a ? 0 : no);
+        len[!into_a] = n + nf;
+        len[into_a] = no;
+        memcpy(next + (into_a ? n + nf : 0), cp->card + (into_a ? n : 0), no);
+        for (uint32_t i = 0; i <= n; i++)
+            points[i] = i;
+        shuffle(points, n + 1, &f->state);
+        int64_t count = f->knob[MAX_POSITIONS] < n + 1 ? f->knob[MAX_POSITIONS] : n + 1;
+        for (int64_t t = 0; t < count; t++) {
+            uint32_t pos = points[t];
+            memcpy(grown, deck, pos);
+            memcpy(grown + pos, frag[k].card, nf);
+            memcpy(grown + pos + nf, deck + pos, n - pos);
+            f->tests++;
+            if (play(next, len[0], next + len[0], len[1], 0, f->max_tricks, result) == 1)
+                return 1;
         }
     }
-    out[0] = count;
-    out[1] = -1;
     return 0;
+}
+
+/* _first_correction: each of the first max_positions excess spots of cp,
+ * shuffled, with its card removed, then each retyped to each deficient
+ * type, ascending; returns 1 with the decks of the first that loops, A
+ * leading, in next and their lengths in len, or 0 if none does. */
+OUTLINE static int correct(factory_t *f, const checkpoint_t *cp, uint8_t *next,
+                           uint32_t *len)
+{
+    uint32_t spot[MAX_CARDS], n = 0, nd = 0, total = cp->len[0] + cp->len[1];
+    uint8_t deficient[MAX_TYPES];
+    int64_t result[2];
+    for (uint32_t i = 0; i < total; i++) /* a spot: a card's index in A, then B */
+        if (cp->card[i] < f->n_types && cp->deficit[cp->card[i]] < 0)
+            spot[n++] = i;
+    shuffle(spot, n, &f->state);
+    if (n > f->knob[MAX_POSITIONS])
+        n = (uint32_t)f->knob[MAX_POSITIONS];
+    for (int t = 0; t < f->n_types; t++)
+        if (cp->deficit[t] > 0)
+            deficient[nd++] = (uint8_t)t;
+    for (uint32_t k = 0; k < n * (1 + nd); k++) { /* the n removals, then the retypes */
+        uint32_t i = spot[k < n ? k : (k - n) / nd], which = i >= cp->len[0];
+        if (k < n && cp->len[which] == 1)
+            continue; /* never empty a deck */
+        memcpy(next, cp->card, total);
+        len[0] = cp->len[0];
+        len[1] = cp->len[1];
+        if (k < n) {
+            memmove(next + i, next + i + 1, total - i - 1);
+            len[which]--;
+        } else {
+            next[i] = deficient[(k - n) % nd];
+        }
+        f->tests++;
+        if (play(next, len[0], next + len[0], len[1], 0, f->max_tricks, result) == 1)
+            return 1;
+    }
+    return 0;
+}
+
+/* _rank(x) > _rank(y): by score, then depth, then age. */
+static int above(const checkpoint_t *x, const checkpoint_t *y)
+{
+    if (x->score != y->score)
+        return x->score > y->score;
+    return x->depth != y->depth ? x->depth > y->depth : x->age > y->age;
+}
+
+/* run_factory's store: a list of checkpoints, each in one of the slots. */
+typedef struct {
+    checkpoint_t *slot;
+    int64_t *list;  /* the store, as slot numbers in list order */
+    int64_t *spare; /* the slots out of the store */
+    int64_t n, n_spare;
+} store_t;
+
+/* The store holding only the seed, a checkpoint of age `age`: its slot. */
+OUTLINE static int64_t restart(const factory_t *f, store_t *s, const uint8_t *seed,
+                               uint32_t na, uint32_t nb, int64_t age)
+{
+    while (s->n)
+        s->spare[s->n_spare++] = s->list[--s->n];
+    int64_t k = s->list[s->n++] = s->spare[--s->n_spare];
+    make(f, &s->slot[k], seed, na, nb, 0, age);
+    return k;
+}
+
+/* _keep: append the checkpoint in slot k, taken from the spares, evict
+ * the lowest (score, age) down to capacity, and return the new top given
+ * the top before. */
+OUTLINE static int64_t keep(store_t *s, int64_t top, int64_t k, int64_t capacity)
+{
+    const checkpoint_t *slot = s->slot;
+    s->list[s->n++] = k;
+    if (above(&slot[k], &slot[top]))
+        top = k;
+    while (s->n > capacity) {
+        int64_t v = 0, victim;
+        for (int64_t i = 1; i < s->n; i++) {
+            const checkpoint_t *x = &slot[s->list[i]], *y = &slot[s->list[v]];
+            if (x->score < y->score || (x->score == y->score && x->age < y->age))
+                v = i;
+        }
+        victim = s->spare[s->n_spare++] = s->list[v];
+        memmove(s->list + v, s->list + v + 1, (size_t)(--s->n - v) * sizeof *s->list);
+        if (victim == top) /* rescan */
+            for (int64_t i = 0; i < s->n; i++)
+                if (i == 0 || above(&slot[s->list[i]], &slot[top]))
+                    top = s->list[i];
+    }
+    return top;
+}
+
+/* factory._rounds on the seed decks seed[0..na) and seed[na..na + nb),
+ * with rng.state as state: the composition target[0..n_types) (rank 0 the
+ * ordinaries), the n_rows STRATEGIES rows in rows (each its order, its
+ * pattern count, its patterns), the tuning constants knob[] and
+ * restart_probability, the round budget and the trick cap. Writes the best
+ * checkpoint's decks to best_cards, A's then B's, which has room for the
+ * seed and the composition, and (rounds, tests, A's length, B's length,
+ * depth, age) to out. Returns 1 if that checkpoint is complete, 0 if the
+ * budget ran out, -1 with nothing done for a run past MAX_CARDS or past
+ * the constants taken here, and -2 without memory. A checkpoint gains no
+ * type but those the seed lacks, and those only up to the composition, so
+ * the seed and its deficits bound its cards. */
+int bmn_factory(const uint8_t *seed, uint32_t na, uint32_t nb, const int64_t *target,
+                int64_t n_types, const uint8_t *rows, int64_t n_rows, const int64_t *knob,
+                double restart_probability, uint64_t state, int64_t budget,
+                int64_t max_tricks, uint8_t *best_cards, int64_t *out)
+{
+    factory_t f = {target, knob, (int)n_types, 0, max_tricks, 0, state};
+    checkpoint_t best = {.card = best_cards};
+    store_t s = {0};
+    frag_t frag[MAX_TEMPLATES];
+    uint8_t next[MAX_CARDS], *pool = NULL;
+    uint32_t len[2];
+    int64_t capacity = knob[CAPACITY], bound = na + nb, stuck = 0, last_selected_age = -1;
+    int64_t age_counter = 0, rounds = 0, top;
+    int status = 0;
+    if (n_types < 1 || n_types > MAX_TYPES || knob[MAX_FRAGMENTS] < 0
+            || knob[MAX_POSITIONS] < 0 || knob[RESTART_INTERVAL] < 1 || capacity < 1
+            || capacity >= INT32_MAX)
+        return -1;
+    for (int t = 0; t < n_types; t++)
+        f.n_total += target[t];
+    make(&f, &best, seed, na, nb, 0, age_counter);
+    for (int t = 0; t < n_types; t++)
+        bound += best.deficit[t] > 0 ? best.deficit[t] : 0;
+    if (bound > MAX_CARDS)
+        return -1;
+    s.slot = malloc((size_t)(capacity + 1) * sizeof *s.slot);
+    s.list = malloc((size_t)(capacity + 1) * sizeof *s.list);
+    s.spare = malloc((size_t)(capacity + 1) * sizeof *s.spare);
+    pool = malloc((size_t)(capacity + 1) * (size_t)bound);
+    if (!s.slot || !s.list || !s.spare || !pool) {
+        status = -2;
+        goto done;
+    }
+    for (int64_t k = 0; k <= capacity; k++) {
+        s.slot[k].card = pool + k * bound;
+        s.spare[s.n_spare++] = k;
+    }
+    top = restart(&f, &s, seed, na, nb, age_counter);
+    while (rounds < budget) {
+        rounds++;
+        if (rounds % knob[RESTART_INTERVAL] == 0
+                && (double)(next_u64(&f.state) >> 11) * 0x1p-53 < restart_probability) {
+            top = restart(&f, &s, seed, na, nb, ++age_counter);
+            last_selected_age = -1;
+            stuck = 0;
+        }
+        int escape = stuck >= knob[ESCAPE_THRESHOLD];
+        const checkpoint_t *cp =
+            &s.slot[escape && s.n > 1 ? s.list[below(&f.state, (uint32_t)s.n)] : top];
+        if (escape)
+            stuck = 0;
+        const uint8_t *row = rows;
+        for (uint32_t r = below(&f.state, (uint32_t)n_rows); r; r--)
+            row += 2 + row[1];
+        int pattern = row[2 + below(&f.state, row[1])];
+        uint32_t bias = below(&f.state, 3); /* 0: deck A, 1: deck B, 2: alternate */
+        int n_frags = fragments(row[0], pattern, cp->deficit, f.n_types, knob[MAX_FRAGMENTS],
+                                frag);
+        int found = insert(&f, cp, frag, n_frags, bias, next, len);
+        if (!found && cp->excess)
+            found = correct(&f, cp, next, len);
+        if (!found) {
+            stuck = cp->age == last_selected_age ? stuck + 1 : 1;
+            last_selected_age = cp->age;
+            continue;
+        }
+        /* depth counts insertions only, the one move that adds cards */
+        int64_t k = s.spare[--s.n_spare];
+        make(&f, &s.slot[k], next, len[0], len[1],
+             cp->depth + (len[0] + len[1] > cp->len[0] + cp->len[1]), ++age_counter);
+        top = keep(&s, top, k, capacity);
+        stuck = 0;
+        last_selected_age = -1;
+        /* the slot stays as it is until the next round, even if evicted */
+        const checkpoint_t *new_cp = &s.slot[k];
+        if (new_cp->score > best.score
+                || (new_cp->score == best.score && new_cp->depth > best.depth)) {
+            best = *new_cp;
+            best.card = best_cards;
+            memcpy(best_cards, new_cp->card, new_cp->len[0] + new_cp->len[1]);
+        }
+        if (new_cp->score == f.n_total) { /* new_cp is best: no best scored as much */
+            status = 1;
+            break;
+        }
+    }
+    out[0] = rounds;
+    out[1] = f.tests;
+    out[2] = best.len[0];
+    out[3] = best.len[1];
+    out[4] = best.depth;
+    out[5] = best.age;
+done:
+    free(s.slot);
+    free(s.list);
+    free(s.spare);
+    free(pool);
+    return status;
 }

@@ -10,20 +10,20 @@ match over the trick budget apart. A batch deals match i with
 stream, so its results do not depend on how the batch is split, and plays
 the matches one by one.
 
-The loop factory tests a fragment's insertion points with
-`first_insertion`: one shuffle of the points on the factory's rng, then
-`play_match_loops` on each grown deck in turn until one loops. `search`
+`factory` runs the loop factory's whole round loop, `factory._rounds`,
+in one call: its draws, fragments, checkpoint store and every insertion
+and correction test, each a `play_match_loops` with A leading. `search`
 runs the whole breadth-first backward search over `pack`ed states, to its
 depth or node limit, in one call, and returns the states found and their
 depths: each bottom slice of the winner's deck that `_parse_pile` reads as
 a trick is pushed back onto the players' decks, which gives one
 predecessor; no trick is played to confirm it.
 
-`play_match_loops`, `simulate_batch`, `first_insertion` and `search`
-run on a C kernel when one is available: `_ckernel.c`, the same shuffle,
-trick loop, Brent detector and pile parse line for line, bit-identical to
-the reference shuffle and the Python code here, which stays as the
-reference and the fallback.
+`play_match_loops`, `simulate_batch` and `search` run on a C kernel when
+one is available, and `factory` runs only there: `_ckernel.c`, the same
+shuffle, trick loop, Brent detector, pile parse and factory round loop
+line for line, bit-identical to the reference shuffle and the Python code
+here and in `factory`, which stays as the reference and the fallback.
 On first use the source is compiled with the system C compiler (`cc -O2
 -shared -fPIC`) into `$XDG_CACHE_HOME/bmn` (default `~/.cache/bmn`), the
 file named by the source's sha256 and the platform (system, machine, C
@@ -164,9 +164,9 @@ def _load_c():
     lib.bmn_simulate.argtypes = [ptr, size, ctypes.c_uint64, ctypes.c_uint64, i64, i64,
                                  ptr, ptr]
     lib.bmn_simulate.restype = ctypes.c_int
-    lib.bmn_first_insertion.argtypes = [ptr, size, ptr, size, ptr, size, ctypes.c_int, ptr,
-                                        i64, i64, ptr]
-    lib.bmn_first_insertion.restype = ctypes.c_int
+    lib.bmn_factory.argtypes = [ptr, size, size, ptr, i64, ptr, i64, ptr, ctypes.c_double,
+                                ctypes.c_uint64, i64, i64, ptr, ptr]
+    lib.bmn_factory.restype = ctypes.c_int
     lib.bmn_search.argtypes = [ptr, i64, i64, i64, ptr]
     lib.bmn_search.restype = ctypes.c_int
     lib.bmn_free.argtypes = [ptr]
@@ -350,53 +350,40 @@ def _py_match_loops(deck_a, deck_b, leader, max_tricks):
     return 2, -1, max_tricks
 
 
-_State = ctypes.c_uint64 * 1
+def factory(deck_a, deck_b, targets, rows, n_rows, knobs, restart_probability, rng_state,
+            budget, max_tricks):
+    """`factory._rounds` in one call on the C kernel, or None without it.
 
-
-def first_insertion(deck, frag, other, into_a, rng, max_positions, max_tricks):
-    """The first insertion point of `frag` into `deck` that makes a loop.
-
-    Shuffles the len(deck) + 1 insertion points with `rng`, as
-    `rng.shuffle` does, and then, for the first `max_positions` (>= 0) of
-    them in that order, splices `frag` into `deck` there and plays the
-    match by `play_match_loops` with A leading: the grown deck is A's if
-    `into_a`, else B's, and `other` is the other player's deck. Stops at
-    the first match that loops within `max_tricks`. Returns (tests,
-    position): the matches played, and the insertion point of the loop or
-    None. Runs on the C kernel if that loaded and takes the cards and the
-    budget, otherwise on `_py_first_insertion`, with the same result and
-    the same state left in `rng`.
+    The seed decks, the composition `targets` (per type, ordinaries
+    first), the `n_rows` strategy rows encoded in the bytes `rows`, the
+    tuning constants `knobs` and `restart_probability`, the rng's state,
+    the round budget (cut to `_C_MAX_TRICKS`) and the trick cap go as
+    `factory._c_rounds` gives them. Returns (complete, best deck_a, best
+    deck_b, best depth, best age, rounds, tests); None also for a cap from
+    `_C_MAX_TRICKS` on, a card outside 0..255, a run whose checkpoints
+    could hold more than 1024 cards, or constants the kernel does not take.
     """
     lib = _c()
-    if lib and max_positions >= 0 and -_C_MAX_TRICKS < max_tricks < _C_MAX_TRICKS:
-        try:
-            d, f, o = bytes(deck), bytes(frag), bytes(other)
-        except ValueError:  # a card outside 0..255
-            pass
-        else:
-            state, result = _State(rng.state), _Result()
-            # -1: more cards than the C kernel holds; it drew nothing
-            if lib.bmn_first_insertion(d, len(d), f, len(f), o, len(o), into_a, state,
-                                       min(max_positions, len(d) + 1), max_tricks,
-                                       result) == 0:
-                rng.state = state[0]
-                tests, position = result
-                return tests, (position if position >= 0 else None)
-    return _py_first_insertion(deck, frag, other, into_a, rng, max_positions, max_tricks)
-
-
-def _py_first_insertion(deck, frag, other, into_a, rng, max_positions, max_tricks):
-    """`first_insertion` in pure Python: the reference the C kernel follows."""
-    positions = list(range(len(deck) + 1))
-    rng.shuffle(positions)
-    tests = 0
-    for pos in positions[:max_positions]:
-        tests += 1
-        grown = deck[:pos] + frag + deck[pos:]
-        decks = (grown, other) if into_a else (other, grown)
-        if _py_match_loops(*decks, 0, max_tricks)[0] == 1:
-            return tests, pos
-    return tests, None
+    if not lib or max_tricks >= _C_MAX_TRICKS:
+        return None
+    try:
+        seed = bytes(deck_a) + bytes(deck_b)
+    except ValueError:  # a card outside 0..255
+        return None
+    # room for any checkpoint: it holds no more than the seed and the composition
+    best, out = ctypes.create_string_buffer(len(seed) + sum(targets)), (ctypes.c_int64 * 6)()
+    status = lib.bmn_factory(seed, len(deck_a), len(deck_b),
+                             (ctypes.c_int64 * len(targets))(*targets), len(targets), rows,
+                             n_rows, (ctypes.c_int64 * len(knobs))(*knobs),
+                             restart_probability, rng_state, min(budget, _C_MAX_TRICKS),
+                             max_tricks, best, out)
+    if status == -1:
+        return None
+    if status == -2:
+        raise MemoryError("no memory for the loop factory")
+    rounds, tests, n_a, n_b, depth, age = out
+    return (status == 1, tuple(best.raw[:n_a]), tuple(best.raw[n_a:n_a + n_b]), depth, age,
+            rounds, tests)
 
 
 #: A packed state is this header (the leader, then the lengths of decks A

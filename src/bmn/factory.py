@@ -14,6 +14,7 @@ restarts to leave dead ends.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 from . import _kernels, engine
@@ -110,9 +111,9 @@ def test_nontermination(state: GameState,
     """True if the match from `state` loops with transient + period <= trick_cap.
 
     A match still running at the cap counts as False, so every True is
-    backed by a recurrence found in play. The factory tests its seed and
-    its corrections with it; `_kernels.first_insertion` tests insertions,
-    a fragment at a time, by the same rule.
+    backed by a recurrence found in play. The factory tests its seed with
+    it, and every insertion and correction by the same rule: on the C
+    kernel, `_kernels.factory` plays them.
     """
     return isinstance(engine.play_match(state, trick_cap), Looped)
 
@@ -193,6 +194,11 @@ def _ordinaries_first(pattern: str, ranks: list, deficits: dict) -> list:
     return sorted(_pattern_fragments(pattern, ranks), key=any)  # stable: all-C first
 
 
+# The rank orders and patterns, in the order the C kernel numbers them.
+_ORDERS = (_ascending, _descending, _largest_deficit, _ordinaries_first)
+_PATTERNS = ("single", "pairs", "triplets", "burst5", "burst7", "burst10",
+             "interleaved", "rank-terminated", "mixed7", "mixed10")
+
 # The insertion strategies: a rank order and the patterns drawn with it.
 # Every pattern is reachable somewhere.
 STRATEGIES = (
@@ -251,19 +257,21 @@ def _first_insertion(cp: Checkpoint, fragments: tuple, bias: int, rng: SplitMix6
     """(tests, decks): the first insertion of a fragment that keeps the loop.
 
     Fragments are tried in order, each at up to _MAX_POSITIONS insertion
-    points shuffled when it is reached; `decks` is the grown (deck_a,
-    deck_b), or None if no insertion loops.
+    points shuffled when it is reached, A leading; `decks` is the grown
+    (deck_a, deck_b), or None if no insertion loops.
     """
     tests = 0
     for f_idx, frag in enumerate(fragments):
         into_a = bias == 0 or (bias == 2 and f_idx % 2 == 0)
         deck, other = (cp.deck_a, cp.deck_b) if into_a else (cp.deck_b, cp.deck_a)
-        n_tests, pos = _kernels.first_insertion(deck, frag, other, into_a, rng,
-                                                _MAX_POSITIONS, trick_cap)
-        tests += n_tests
-        if pos is not None:
+        positions = list(range(len(deck) + 1))
+        rng.shuffle(positions)
+        for pos in positions[:_MAX_POSITIONS]:
+            tests += 1
             grown = deck[:pos] + frag + deck[pos:]
-            return tests, ((grown, other) if into_a else (other, grown))
+            decks = (grown, other) if into_a else (other, grown)
+            if _kernels.play_match_loops(*decks, 0, trick_cap)[0] == 1:
+                return tests, decks
     return tests, None
 
 
@@ -295,6 +303,15 @@ def _first_correction(cp: Checkpoint, rng: SplitMix64, trick_cap: int):
     return tests, None
 
 
+def _checkpoint(settings: Settings, deck_a: Deck, deck_b: Deck, depth: int,
+                age: int) -> Checkpoint:
+    # a checkpoint's decks never change: count its composition once
+    deficits = missing(deck_a, deck_b, settings)
+    return Checkpoint(deck_a, deck_b, depth,
+                      settings.n_total - sum(abs(d) for d in deficits.values()),
+                      age, deficits, any(d < 0 for d in deficits.values()))
+
+
 def run_factory(config: FactoryConfig) -> FactoryResult:
     """Grow the seed toward a complete non-terminating (N, R) configuration.
 
@@ -304,27 +321,50 @@ def run_factory(config: FactoryConfig) -> FactoryResult:
     test its corrections next. Stops at a composition-complete configuration
     (with its verified LoopReport) or when the round budget runs out, in
     which case the highest-scoring checkpoint found is reported. Fully
-    deterministic given the config.
+    deterministic given the config. The rounds run on the C kernel where
+    it takes them, otherwise in `_rounds`, with the same result.
     """
+    cap = config.nontermination_trick_cap
+    seed = _checkpoint(config.settings, config.seed_state.deck_a, config.seed_state.deck_b,
+                       0, 0)
+    # every checkpoint is played with A leading, the seed too
+    if not test_nontermination(seed.state, cap):
+        raise SeedNotLoopingError("seed configuration does not cycle")
+    rng = SplitMix64.for_stream(config.rng_seed, 0)
+    complete, best, rounds, tests = _c_rounds(config, seed, rng) or _rounds(config, seed, rng)
+    if complete:
+        return FactoryResult(complete=best.state, report=verify_loop(best.state, cap),
+                             best=best, rounds_used=rounds, tests_run=tests)
+    return FactoryResult(complete=None, report=None, best=best,
+                         rounds_used=rounds, tests_run=tests)
+
+
+def _c_rounds(config: FactoryConfig, seed: Checkpoint, rng: SplitMix64):
+    """`_rounds` on the C kernel, or None where `_kernels.factory` does not run."""
+    settings = config.settings
+    rows = bytes(chain.from_iterable((_ORDERS.index(order), len(patterns),
+                                      *map(_PATTERNS.index, patterns))
+                                     for order, patterns in STRATEGIES))
+    found = _kernels.factory(
+        seed.deck_a, seed.deck_b, [settings.target_count(r) for r in seed.deficits], rows,
+        len(STRATEGIES), (_MAX_FRAGMENTS, _MAX_POSITIONS, _RESTART_INTERVAL,
+                          _ESCAPE_THRESHOLD, _CHECKPOINT_CAPACITY),
+        _RESTART_PROBABILITY, rng.state, config.budget, config.nontermination_trick_cap)
+    if found is None:
+        return None
+    complete, deck_a, deck_b, depth, age, rounds, tests = found
+    return complete, _checkpoint(settings, deck_a, deck_b, depth, age), rounds, tests
+
+
+def _rounds(config: FactoryConfig, seed: Checkpoint, rng: SplitMix64):
+    """(complete, best, rounds, tests): run_factory's round loop from the
+    checkpoint `seed`, in Python: the reference `_kernels.factory` follows."""
     settings = config.settings
     cap = config.nontermination_trick_cap
-    seed = config.seed_state
-    if not test_nontermination(seed, cap):
-        raise SeedNotLoopingError("seed configuration does not cycle")
-
-    rng = SplitMix64.for_stream(config.rng_seed, 0)
     tests = 0
-
-    def checkpoint(deck_a, deck_b, depth, age):
-        # a checkpoint's decks never change: count its composition once
-        deficits = missing(deck_a, deck_b, settings)
-        return Checkpoint(deck_a, deck_b, depth,
-                          settings.n_total - sum(abs(d) for d in deficits.values()),
-                          age, deficits, any(d < 0 for d in deficits.values()))
-
     age_counter = 0
-    store = [checkpoint(seed.deck_a, seed.deck_b, 0, age_counter)]
-    best = top = store[0]
+    store = [seed]
+    best = top = seed
     fragment_table = {}  # (order, pattern, deficits) -> fragments
     last_selected_age = -1
     stuck = 0
@@ -335,7 +375,7 @@ def run_factory(config: FactoryConfig) -> FactoryResult:
         if (rounds % _RESTART_INTERVAL == 0
                 and rng.random() < _RESTART_PROBABILITY):
             age_counter += 1
-            store = [checkpoint(seed.deck_a, seed.deck_b, 0, age_counter)]
+            store = [_checkpoint(settings, seed.deck_a, seed.deck_b, 0, age_counter)]
             top = store[0]
             last_selected_age = -1
             stuck = 0
@@ -365,7 +405,8 @@ def run_factory(config: FactoryConfig) -> FactoryResult:
         grown = GameState(*decks, PLAYER_A)
         age_counter += 1
         # depth counts insertions only, the one move that adds cards
-        new_cp = checkpoint(*decks, cp.depth + (grown.n_cards > cp.state.n_cards), age_counter)
+        new_cp = _checkpoint(settings, *decks, cp.depth + (grown.n_cards > cp.state.n_cards),
+                             age_counter)
         top = _keep(store, top, new_cp)
         stuck = 0
         last_selected_age = -1
@@ -373,10 +414,5 @@ def run_factory(config: FactoryConfig) -> FactoryResult:
                                          and new_cp.depth > best.depth):
             best = new_cp
         if new_cp.score == settings.n_total:
-            report = verify_loop(grown, cap)
-            return FactoryResult(complete=grown, report=report,
-                                 best=new_cp, rounds_used=rounds,
-                                 tests_run=tests)
-
-    return FactoryResult(complete=None, report=None, best=best,
-                         rounds_used=rounds, tests_run=tests)
+            return True, new_cp, rounds, tests
+    return False, best, rounds, tests

@@ -534,6 +534,21 @@ def test_factory_malformed_seed_line_names_file_and_line(tmp_path, bad_line):
     assert "unpack" not in out.stderr and "Traceback" not in out.stderr
 
 
+# past the C kernel's limits: 2000 cards and a trick cap from _C_MAX_TRICKS
+# on play in Python; a budget past int64 is cut to _C_MAX_TRICKS rounds
+@pytest.mark.parametrize("args, line", [
+    (("--setting", "2000,1", "--budget", "3"),
+     "partial score=10/2000 depth=2 deck_a=[C1CC1CC] deck_b=[C1C] rounds=3"),
+    (("--setting", "20,2", "--budget", "10", "--trick-cap", "99999999999999999999"),
+     "partial score=13/20 depth=4 deck_a=[CCC1CC1CC] deck_b=[C11C] rounds=10"),
+    (("--setting", "12,1", "--budget", "100000000000000000000", "--rng-seed", "1"),
+     "complete setting=12,1 deck_a=[1CC1CC] deck_b=[C1CC1C] transient=1 period=2 rounds=3"),
+], ids=["2000-cards", "trick-cap", "budget"])
+def test_factory_past_the_c_kernel_limits(capsys, kernel, args, line):
+    assert cli.main(["factory", *args]) == 0
+    assert capsys.readouterr().out == line + "\n"
+
+
 def test_factory_rejects_a_trick_cap_below_one():
     out = run_cli("factory", "--setting", "12,1", "--budget", "10", "--trick-cap", "0")
     assert (out.returncode, out.stdout) == (1, "")

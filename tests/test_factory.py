@@ -1,5 +1,6 @@
 """Loop-factory tests: scoring, fragments, the search loop."""
 
+import random
 from collections import Counter
 
 import pytest
@@ -18,7 +19,7 @@ from bmn.factory import (
     score,
 )
 from bmn.factory import test_nontermination as check_nontermination
-from conftest import BLOCKS, GOLDEN_MATCHES, require_c_kernel, state
+from conftest import BLOCKS, GOLDEN_MATCHES, NONTERMINATING, require_c_kernel, state
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +200,18 @@ def test_factory_rejects_terminating_seed():
         run_factory(config)
 
 
-def test_factory_works_with_capacity_one(monkeypatch):
+def test_factory_tests_the_seed_with_a_leading(kernel):
+    # every checkpoint plays with A leading, the seed too: this seed loops
+    # when B leads, but ends in two tricks when A leads
+    seed = state("[1C]", "[CC1C]", "B")
+    assert check_nontermination(seed)
+    assert not check_nontermination(state("[1C]", "[CC1C]"))
+    config = FactoryConfig(settings=Settings(12, 1), seed_state=seed, budget=1, rng_seed=3)
+    with pytest.raises(factory.SeedNotLoopingError):
+        run_factory(config)
+
+
+def test_factory_works_with_capacity_one(monkeypatch, kernel):
     monkeypatch.setattr(factory, "_CHECKPOINT_CAPACITY", 1)
     config = FactoryConfig(settings=Settings(12, 1),
                            seed_state=default_seed_state(),
@@ -303,6 +315,9 @@ def test_factory_20_2_result_is_pinned():
 
 
 def test_fragment_table_builds_each_entry_once(monkeypatch):
+    # the Python round loop: the C kernel builds its fragments each round,
+    # out of reach of the monkeypatch
+    monkeypatch.setattr(_kernels, "_ckernel", False)
     calls = Counter()
     build = factory.generate_sequences
 
@@ -317,6 +332,24 @@ def test_fragment_table_builds_each_entry_once(monkeypatch):
     assert calls and set(calls.values()) == {1}
     assert len(calls) < result.rounds_used
     assert (result.rounds_used, result.tests_run) == (598, 2846)
+
+
+def _python_rounds(monkeypatch):
+    """The calls that run_factory makes from now on to its Python round loop."""
+    calls, rounds = [], factory._rounds
+    monkeypatch.setattr(factory, "_rounds", lambda *args: calls.append(args) or rounds(*args))
+    return calls
+
+
+def _on_both_kernels(monkeypatch, configs):
+    """run_factory's results for `configs` on the C kernel, each run checked
+    to have stayed in C, and then on the Python kernel."""
+    require_c_kernel()
+    in_python = _python_rounds(monkeypatch)
+    on_c = [run_factory(config) for config in configs]
+    assert in_python == []
+    monkeypatch.setattr(_kernels, "_ckernel", False)
+    return on_c, [run_factory(config) for config in configs]
 
 
 # (setting, rng seed, budget, seed decks, (rounds used, tests run)): a change
@@ -341,15 +374,87 @@ AGREE_CASES = [
                               for i, (_, rng_seed, budget, _, _) in enumerate(AGREE_CASES)])
 def test_factory_results_agree_on_both_kernels(monkeypatch, setting, rng_seed, budget, seed,
                                                counts):
-    require_c_kernel()
     config = FactoryConfig(settings=Settings(*setting), seed_state=state(*seed),
                            budget=budget, rng_seed=rng_seed)
-    on_c = run_factory(config)
+    (on_c,), (on_python,) = _on_both_kernels(monkeypatch, [config])
     assert (on_c.rounds_used, on_c.tests_run) == counts
     assert on_c.success == (counts[0] < budget)
+    assert on_python == on_c
+
+
+# (rounds used, tests run) for rng seeds 1-5 at budget 300, measured before
+# the round loop moved to C; (44,9) draws mixed10's two-rank templates
+# over nine ranks
+SWEEP = {
+    (28, 3): ((300, 6743), (14, 188), (300, 4517), (300, 3716), (40, 713)),
+    (40, 3): ((300, 12025), (300, 4158), (300, 18241), (300, 17417), (300, 11147)),
+    (52, 4): ((300, 31257), (300, 21550), (300, 18394), (300, 13643), (300, 26077)),
+    (44, 9): ((300, 6635), (300, 6479), (300, 6801), (300, 6825), (300, 6672)),
+}
+
+
+@pytest.mark.parametrize("setting", SWEEP, ids="{0[0]},{0[1]}".format)
+def test_factory_sweep_agrees_on_both_kernels(monkeypatch, setting):
+    configs = [FactoryConfig(settings=Settings(*setting), seed_state=default_seed_state(),
+                             budget=300, rng_seed=rng_seed) for rng_seed in range(1, 6)]
+    on_c, on_python = _on_both_kernels(monkeypatch, configs)
+    assert [(r.rounds_used, r.tests_run) for r in on_c] == list(SWEEP[setting])
+    assert on_python == on_c
+
+
+# tuning constants set apart from their defaults: both kernels read them
+# at each call; one insertion point or one fragment a round, every point,
+# frequent restarts and escapes, a store of three
+CONSTANTS = [
+    {"_MAX_POSITIONS": 1},
+    {"_MAX_POSITIONS": 65, "_MAX_FRAGMENTS": 1},
+    {"_MAX_POSITIONS": 100_000, "_MAX_FRAGMENTS": 100},
+    {"_RESTART_INTERVAL": 3, "_RESTART_PROBABILITY": 0.9, "_ESCAPE_THRESHOLD": 1},
+    {"_CHECKPOINT_CAPACITY": 3, "_ESCAPE_THRESHOLD": 2},
+]
+
+
+@pytest.mark.parametrize("constants", CONSTANTS, ids=lambda c: "-".join(c))
+def test_factory_constants_reach_both_kernels(monkeypatch, constants):
+    # published loops grown toward twelve more cards and one more rank, and
+    # the excess seed, at random rng seeds, budgets and trick caps at which
+    # the seed loops
+    rng = random.Random(str(constants))
+    seeds = [(Settings(s.n_total + 12, s.max_rank + 1), state(*pair))
+             for s, pairs in ((Settings.parse(k), v) for k, v in NONTERMINATING.items())
+             for pair in pairs]
+    configs = []
+    for settings, seed in seeds + [(Settings(20, 1), state(*EXCESS_SEED))] * 3:
+        cap = rng.choice([64, 1000, 100_000])
+        if check_nontermination(seed, cap):
+            configs.append(FactoryConfig(settings=settings, seed_state=seed,
+                                         budget=rng.choice([20, 60]),
+                                         rng_seed=rng.getrandbits(64),
+                                         nontermination_trick_cap=cap))
+    assert len(configs) >= 12
+    defaults = [run_factory(config) for config in configs]
+    for name, value in constants.items():
+        monkeypatch.setattr(factory, name, value)
+    on_c, on_python = _on_both_kernels(monkeypatch, configs)
+    assert on_python == on_c != defaults
+    assert any(r.best.depth for r in on_c)
+
+
+@pytest.mark.parametrize("seed, in_c", [(default_seed_state(), True),
+                                        (state(*BLOCKS[2]), False)])
+def test_factory_past_1024_cards_plays_in_python(monkeypatch, seed, in_c):
+    # a checkpoint gains only the types its seed lacks, up to the
+    # composition: in (1024,1) the default seed's hold 1024 cards at most,
+    # which fits the C kernel, but BLOCKS[2]'s may keep its two excess 1s
+    # beside 1022 other cards, which does not
+    require_c_kernel()
+    config = FactoryConfig(settings=Settings(1024, 1), seed_state=seed, budget=20,
+                           rng_seed=1)
+    in_python = _python_rounds(monkeypatch)
+    result = run_factory(config)
+    assert len(in_python) == (not in_c)
     monkeypatch.setattr(_kernels, "_ckernel", False)
-    assert _kernels.backend() == "python"
-    assert run_factory(config) == on_c
+    assert run_factory(config) == result
 
 
 def test_factory_config_validation():

@@ -28,8 +28,6 @@ from bmn.engine import (
 )
 from bmn.simulator import full_deck
 from conftest import (
-    BLOCKS,
-    NONTERMINATING,
     random_deck,
     random_playable_state,
     require_c_kernel,
@@ -250,50 +248,6 @@ def test_c_match_matches_python_match():
         assert got == _kernels._py_match_loops(s.deck_a, s.deck_b, leader, cap), (s, cap)
         statuses.add((got[0], leader))
     assert statuses == {(status, leader) for status in (0, 1, 2) for leader in (0, 1)}
-
-
-def test_c_first_insertion_matches_python():
-    require_c_kernel()
-    rng = random.Random(12)
-    loops = [parse_state(*pair) for pair in BLOCKS + sum(NONTERMINATING.values(), [])]
-    bases = [(s.deck_a, s.deck_b) for s in loops]
-    seen = Counter()
-    for case in range(600):
-        if case % 3:  # a published loop: some insertions keep it looping
-            deck, other = rng.choice(bases)[::rng.choice([1, -1])]
-        else:
-            deck, other = random_deck(rng, rng.randint(1, 60)), random_deck(rng, rng.randint(1, 8))
-        frag = random_deck(rng, rng.randint(1, 10), max_rank=2)
-        into_a = rng.random() < 0.5
-        max_positions = rng.choice([1, 40, 63, 64, 65, 100_000])
-        cap = rng.choice([30, 64, 100_000])
-        start = rng.getrandbits(64)
-        on_c, on_py = SplitMix64(start), SplitMix64(start)
-        got = _kernels.first_insertion(deck, frag, other, into_a, on_c, max_positions, cap)
-        want = _kernels._py_first_insertion(deck, frag, other, into_a, on_py, max_positions,
-                                            cap)
-        assert got == want and on_c.state == on_py.state, (deck, frag, other, into_a)
-        tests, position = got
-        seen["found" if position is not None else
-             "capped" if tests == max_positions else "all points"] += 1
-        seen[into_a] += 1
-    assert min(seen.values()) >= 10, seen
-
-
-def test_first_insertion_past_max_cards_plays_in_python(monkeypatch):
-    require_c_kernel()
-    calls = _recording(monkeypatch, "_py_first_insertion")
-    deck, frag, other = (0,) * 1002 + (1,), (0, 2, 0), (0, 1, 0)
-    for n_other, plays_in_python in ((6, False), (7, True)):  # 1024 cards at most
-        rng = SplitMix64(77)
-        tests, position = _kernels.first_insertion(deck, frag, other * n_other, True, rng, 3, 5)
-        assert len(calls) == plays_in_python
-        assert (tests, position) == (3, None)
-        # the C kernel drew nothing before handing over: one shuffle in all
-        once = SplitMix64(77)
-        once.shuffle(list(range(len(deck) + 1)))
-        assert rng.state == once.state
-        calls.clear()
 
 
 def _predecessor_targets(case, rng):
