@@ -5,6 +5,8 @@
  * and _py_transient's lockstep pass. bmn_simulate is simulate_batch: the
  * splitmix64 Fisher-Yates deal of SplitMix64.shuffle (masked rejection as
  * in SplitMix64.below), then play_match_loops with A leading.
+ * bmn_trace is trace, a chunk of engine.walk on the same trick loop: each
+ * trick boundary's deck sizes, special positions and runs of ordinaries.
  * bmn_factory is factory._rounds, the loop factory's whole round loop: the
  * restarts, escapes and checkpoint store, the draws on the factory's
  * splitmix64 stream, generate_sequences' fragments, and the insertion and
@@ -195,6 +197,56 @@ int bmn_play_loops(const uint8_t *a, uint32_t na, const uint8_t *b, uint32_t nb,
     if ((uint64_t)na + nb > MAX_CARDS)
         return -1;
     return play(a, na, b, nb, leader, max_tricks, out);
+}
+
+/* One trace row of g's decks at out: A's and B's sizes, A's special count
+ * k, then per deck, A's first, the 1-based positions of its specials and the
+ * lengths of the k + 1 runs of ordinaries around them; returns the end. */
+static uint16_t *row(const game_t *g, uint16_t *out)
+{
+    uint16_t *pos = out + 3;
+    for (int p = 0; p < 2; p++) {
+        uint16_t k = 0, last = 0;
+        for (uint32_t i = 0; i < g->len[p]; i++)
+            if (g->card[p][(g->head[p] + i) & g->mask])
+                pos[k++] = (uint16_t)(i + 1);
+        for (uint16_t j = 0; j < k; last = pos[j++])
+            pos[k + j] = (uint16_t)(pos[j] - last - 1);
+        pos[2 * k] = (uint16_t)(g->len[p] - last);
+        out[p] = (uint16_t)g->len[p];
+        if (p == 0)
+            out[2] = k;
+        pos += 2 * k + 1;
+    }
+    return pos;
+}
+
+/* engine.walk from the packed state (_kernels.pack's layout; see
+ * bmn_search) for up to n tricks, stopping at the end of the match: a row
+ * for the state and one after each trick, written one after another to
+ * out, which has room for n + 1 of them. The state left is packed back
+ * into `state`, for the next call to resume from. Returns the tricks
+ * played, or -1 with nothing done for more than MAX_CARDS cards. */
+int64_t bmn_trace(uint8_t *state, int64_t n, uint16_t *out)
+{
+    game_t g;
+    int64_t t = 0, played;
+    uint32_t na = state[1] | state[2] << 8, nb = state[3] | state[4] << 8;
+    if (na + nb > MAX_CARDS)
+        return -1;
+    load(&g, state + HEADER, na, state + HEADER + na, nb, state[0]);
+    for (out = row(&g, out); t < n && g.len[0] && g.len[1]; t++) {
+        run(&g, 1, NULL, &played);
+        out = row(&g, out);
+    }
+    state[0] = (uint8_t)g.cur;
+    for (int p = 0, at = HEADER; p < 2; p++) {
+        state[1 + 2 * p] = g.len[p] & 255;
+        state[2 + 2 * p] = (uint8_t)(g.len[p] >> 8);
+        for (uint32_t i = 0; i < g.len[p]; i++)
+            state[at++] = g.card[p][(g.head[p] + i) & g.mask];
+    }
+    return t;
 }
 
 static uint64_t fmix64(uint64_t z)

@@ -1,7 +1,8 @@
 """The match kernels: the one trick loop, the one match function, batches.
 
-Every trick the package plays runs through `_py_run`: whole matches,
-single tricks (`engine.play_trick`) and state walks (`engine.walk`). Every
+The trick rule is written once in Python, in `_py_run`: single tricks
+(`engine.play_trick`), state walks (`engine.walk`) and the reference
+matches play through it, and the C kernel follows it line for line. Every
 match is played by `play_match_loops`, which runs Brent's cycle detector
 on that loop, saving one state at a time and finding the exact transient
 with a second lockstep pass; it tells a terminated match, a loop and a
@@ -17,13 +18,17 @@ runs the whole breadth-first backward search over `pack`ed states, to its
 depth or node limit, in one call, and returns the states found and their
 depths: each bottom slice of the winner's deck that `_parse_pile` reads as
 a trick is pushed back onto the players' decks, which gives one
-predecessor; no trick is played to confirm it.
+predecessor; no trick is played to confirm it. `trace` walks a match a
+chunk of tricks per call and gives each trick boundary's deck sizes,
+special positions and runs of ordinaries, what `analyzer.trace_records`
+computes its metrics from.
 
 `play_match_loops`, `simulate_batch` and `search` run on a C kernel when
-one is available, and `factory` runs only there: `_ckernel.c`, the same
-shuffle, trick loop, Brent detector, pile parse and factory round loop
-line for line, bit-identical to the reference shuffle and the Python code
-here and in `factory`, which stays as the reference and the fallback.
+one is available, and `factory` and `trace` run only there: `_ckernel.c`,
+the same shuffle, trick loop, Brent detector, pile parse and factory
+round loop line for line, bit-identical to the reference shuffle and the
+Python code here, in `factory` and in `engine.walk`, which stays as the
+reference and the fallback.
 On first use the source is compiled with the system C compiler (`cc -O2
 -shared -fPIC`) into `$XDG_CACHE_HOME/bmn` (default `~/.cache/bmn`), the
 file named by the source's sha256 and the platform (system, machine, C
@@ -49,7 +54,7 @@ import re
 import struct
 import sys
 from collections import deque
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -61,6 +66,8 @@ _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_ckernel.c")
 #: the budget (see `_py_match_loops`), stay within int64. Its search takes
 #: depth and node limits cut to this.
 _C_MAX_TRICKS = 2 ** 60
+#: Cards the C kernel holds: its MAX_CARDS.
+_C_MAX_CARDS = 1024
 
 
 def _cache_dir() -> str:
@@ -171,6 +178,8 @@ def _load_c():
     lib.bmn_search.restype = ctypes.c_int
     lib.bmn_free.argtypes = [ptr]
     lib.bmn_free.restype = None
+    lib.bmn_trace.argtypes = [ptr, i64, ptr]
+    lib.bmn_trace.restype = i64
     return lib
 
 
@@ -348,6 +357,54 @@ def _py_match_loops(deck_a, deck_b, leader, max_tricks):
             break
         block *= 2
     return 2, -1, max_tricks
+
+
+#: Bytes of rows one `bmn_trace` call writes at most, so a trace's chunks
+#: take the same memory whatever the number of specials; a call walks at
+#: least one trick.
+_TRACE_BYTES = 1 << 15
+
+
+def trace(deck_a, deck_b, leader, tricks):
+    """`engine.walk` from a state on the C kernel, or None without it, for
+    more than 1024 cards or a card outside 0..255.
+
+    Yields (size of A, size of B, positions of A's specials, of B's, run
+    lengths of A, of B) for the state and after each of the next `tricks`
+    tricks: the positions 1-based from the top, the runs those of
+    `analyzer.interval_lengths`, all tuples. The walk stops at the end of
+    the match. It plays a chunk of tricks per C call and holds no more.
+    """
+    lib = _c()
+    if not lib or len(deck_a) + len(deck_b) > _C_MAX_CARDS:
+        return None
+    try:
+        packed = pack(deck_a, deck_b, leader)
+    except ValueError:  # a card outside 0..255
+        return None
+    specials = len(packed) - HEADER.size - packed.count(0, HEADER.size)
+    return _c_trace(lib, ctypes.create_string_buffer(packed, len(packed)), specials, tricks)
+
+
+def _c_trace(lib, state, specials, tricks):
+    """`trace`'s walk: `bmn_trace` writes each row as size of A, size of B,
+    A's special count k, then A's k positions and k + 1 runs, then B's."""
+    row = struct.Struct(f"{5 + 2 * specials}H")
+    per_call = max(1, _TRACE_BYTES // row.size - 1)
+    out = ctypes.create_string_buffer(row.size * (per_call + 1))
+    skip = 0  # a later chunk starts at the state the one before ended at
+    while True:
+        n = min(per_call, tricks)
+        played = lib.bmn_trace(state, n, out)
+        for r in islice(row.iter_unpack(out), skip, played + 1):
+            k = r[2]
+            b = 4 + 2 * k  # where B's positions start
+            yield (r[0], r[1], r[3:3 + k], r[b:b + specials - k], r[3 + k:b],
+                   r[b + specials - k:])
+        tricks -= played
+        if played < n or not tricks:
+            return
+        skip = 1
 
 
 def factory(deck_a, deck_b, targets, rows, n_rows, knobs, restart_probability, rng_state,

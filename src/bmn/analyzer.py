@@ -5,6 +5,10 @@ p_1 < ... < p_k splits into k+1 runs of ordinary cards with lengths
 l_0 = p_1 - 1, l_j = p_{j+1} - p_j - 1, l_k = m - p_k. The mean separation
 (m - k) / (k + 1) and the position entropy -sum (l/m) ln(l/m) over nonempty
 runs are the two spacing measures tracked along a match.
+
+A trace takes each trick boundary's sizes, positions and runs from the C
+kernel (`_kernels.trace`); `record_for`, its reference and fallback, reads
+them off each state of `engine.walk`. Both compute the measures here.
 """
 
 from __future__ import annotations
@@ -14,16 +18,11 @@ import math
 from itertools import accumulate
 from typing import NamedTuple
 
-from . import engine
+from . import _kernels, engine
 from .engine import Deck, GameState, MatchOutcome
 
 TRACE_HEADER = "trick,size_a,size_b,specials_a,specials_b,sep_a,sep_b,entropy_a,entropy_b"
 POSITIONS_HEADER = "trick,positions_a,positions_b"
-
-
-def special_positions(deck: Deck) -> tuple:
-    """1-based positions of the special cards, counted from the top."""
-    return tuple(i + 1 for i, card in enumerate(deck) if card > 0)
 
 
 def interval_lengths(deck: Deck) -> tuple:
@@ -38,22 +37,6 @@ def interval_lengths(deck: Deck) -> tuple:
             run += 1
     lengths.append(run)
     return tuple(lengths)
-
-
-def mean_separation(deck: Deck) -> float:
-    """Average ordinaries per interval, (m - k) / (k + 1)."""
-    if not deck:
-        raise ValueError("mean separation is undefined for an empty deck")
-    lengths = interval_lengths(deck)
-    return sum(lengths) / len(lengths)
-
-
-def position_entropy(deck: Deck) -> float:
-    """-sum (l/m) ln(l/m) over nonempty ordinary runs (0 ln 0 = 0)."""
-    if not deck:
-        raise ValueError("position entropy is undefined for an empty deck")
-    m = len(deck)
-    return -sum((l / m) * math.log(l / m) for l in interval_lengths(deck) if l > 0)
 
 
 class EntropyBounds(NamedTuple):
@@ -108,30 +91,29 @@ def _entropy_terms(m: int) -> tuple:
     return tuple((l / m) * math.log(l / m) if l else 0.0 for l in range(m + 1))
 
 
-def _deck_metrics(deck: Deck):
-    """Positions, separation and entropy from the run lengths: bit for bit
-    the four functions above, the reference."""
-    m = len(deck)
+def _spacing(m: int, lengths) -> tuple:
+    """Separation and entropy of a deck of m cards from its run lengths:
+    bit for bit the reference functions in the tests (0.0 for no cards)."""
     if not m:
-        return (), 0.0, 0.0
-    lengths = interval_lengths(deck)
-    positions = tuple(accumulate(l + 1 for l in lengths[:-1]))
+        return 0.0, 0.0
     terms = _entropy_terms(m)
-    return (positions, (m - len(positions)) / len(lengths),
-            -sum(terms[l] for l in lengths if l > 0))
+    return ((m - len(lengths) + 1) / len(lengths),
+            -sum(map(terms.__getitem__, filter(None, lengths))))
+
+
+def _record(trick, size_a, size_b, pos_a, pos_b, runs_a, runs_b) -> TrickRecord:
+    """The record of a state from each deck's size, special positions and runs."""
+    sep_a, ent_a = _spacing(size_a, runs_a)
+    sep_b, ent_b = _spacing(size_b, runs_b)
+    return TrickRecord(trick, size_a, size_b, len(pos_a), len(pos_b), pos_a, pos_b,
+                       sep_a, sep_b, ent_a, ent_b)
 
 
 def record_for(trick: int, state: GameState) -> TrickRecord:
-    pos_a, sep_a, ent_a = _deck_metrics(state.deck_a)
-    pos_b, sep_b, ent_b = _deck_metrics(state.deck_b)
-    return TrickRecord(
-        trick=trick,
-        size_a=len(state.deck_a), size_b=len(state.deck_b),
-        specials_a=len(pos_a), specials_b=len(pos_b),
-        positions_a=pos_a, positions_b=pos_b,
-        sep_a=sep_a, sep_b=sep_b,
-        entropy_a=ent_a, entropy_b=ent_b,
-    )
+    """The record of `state`, read off its decks."""
+    runs = interval_lengths(state.deck_a), interval_lengths(state.deck_b)
+    pos_a, pos_b = (tuple(accumulate(l + 1 for l in r[:-1])) for r in runs)
+    return _record(trick, len(state.deck_a), len(state.deck_b), pos_a, pos_b, *runs)
 
 
 def trace_records(initial: GameState, outcome: MatchOutcome):
@@ -139,8 +121,10 @@ def trace_records(initial: GameState, outcome: MatchOutcome):
     that ended in `outcome` (record 0 describes the initial state).
 
     A walk replays exactly the states the outcome covers, holding none of
-    them. A loop's repeated state is not recorded again; a terminated
-    match's final state is.
+    them: `_kernels.trace` on the C kernel, which gives each state's deck
+    sizes, special positions and run lengths, or else `engine.walk` and
+    `record_for`, the reference, with the same records. A loop's repeated
+    state is not recorded again; a terminated match's final state is.
     """
     if isinstance(outcome, engine.Looped):
         tricks = outcome.transient + outcome.period - 1
@@ -148,8 +132,14 @@ def trace_records(initial: GameState, outcome: MatchOutcome):
         tricks = outcome.tricks
     else:
         tricks = outcome.tricks_played
-    for i, s in enumerate(engine.walk(initial, tricks)):
-        yield record_for(i, s)
+    walk = _kernels.trace(initial.deck_a, initial.deck_b, initial.leader == engine.PLAYER_B,
+                          tricks)
+    if walk is None:
+        for i, s in enumerate(engine.walk(initial, tricks)):
+            yield record_for(i, s)
+    else:
+        for i, row in enumerate(walk):
+            yield _record(i, *row)
 
 
 def trace_match(initial: GameState,

@@ -39,7 +39,9 @@ def _state(packed: bytes) -> GameState:
     return GameState(tuple(cards_a), tuple(cards_b), PLAYER_B if leader else PLAYER_A)
 
 
-def _search(seed_states, config: BackwardSearchConfig):
+def search(seed_states, config: BackwardSearchConfig):
+    """The search from the states, as `_kernels.search` returns it: the
+    packed states found and the offsets and depths of each."""
     seeds = [_kernels.pack(s.deck_a, s.deck_b, s.leader == PLAYER_B) for s in seed_states]
     return _kernels.search(seeds, config.max_depth, config.max_nodes)
 
@@ -54,17 +56,9 @@ def enumerate_predecessors(target: GameState) -> list[GameState]:
     with it the pile length, so the list has no duplicates; it is in order
     of pile length, shortest first.
     """
-    states, offsets, _ = _search([target], BackwardSearchConfig(max_depth=1))
+    states, offsets, _ = search([target], BackwardSearchConfig(max_depth=1))
     offsets = offsets.tolist()
     return [_state(states[i:j]) for i, j in zip(offsets[1:], offsets[2:])]
-
-
-def discover_packed(seed_states, config: BackwardSearchConfig):
-    """`discover`, yielding each state packed (`_kernels.pack`)."""
-    states, offsets, depths = _search(seed_states, config)
-    offsets = offsets.tolist()
-    for depth, i, j in zip(depths.tolist(), offsets, offsets[1:]):
-        yield depth, states[i:j]
 
 
 def discover(seed_states, config: BackwardSearchConfig):
@@ -76,8 +70,10 @@ def discover(seed_states, config: BackwardSearchConfig):
     config.max_nodes states (seeds included) are known. The search runs to
     these limits before the first state is yielded.
     """
-    for depth, packed in discover_packed(seed_states, config):
-        yield depth, _state(packed)
+    states, offsets, depths = search(seed_states, config)
+    offsets = offsets.tolist()
+    for depth, i, j in zip(depths.tolist(), offsets, offsets[1:]):
+        yield depth, _state(states[i:j])
 
 
 def backward_search(seed_states, config: BackwardSearchConfig) -> list:
@@ -87,7 +83,7 @@ def backward_search(seed_states, config: BackwardSearchConfig) -> list:
     standardized and reported once, in discovery order. Exhausting depth or
     the node budget without a hit is a normal empty result.
     """
-    states, offsets, _ = _search(seed_states, config)
+    states, offsets, _ = search(seed_states, config)
     balanced = {}
     for i in np.flatnonzero(_kernels.even_split(states, offsets)).tolist():
         packed = states[offsets[i]:offsets[i + 1]]

@@ -35,6 +35,9 @@ from .engine import (
 USAGE_ERROR = 1
 VERIFY_ERROR = 2
 BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
+#: States of a `backward` listing formatted per write: its memory stays
+#: bounded whatever --max-nodes is.
+_LISTING_BLOCK = 4096
 
 
 class _Parser(argparse.ArgumentParser):
@@ -243,12 +246,21 @@ def cmd_backward(args) -> int:
             print(f"leader={found.leader} deck_a={format_deck(found.deck_a)} "
                   f"deck_b={format_deck(found.deck_b)}")
         return 0
-    # plain listing of the predecessor tree, printed from the packed states
-    for depth, found in backward.discover_packed([state], config):
-        if depth > 0:
-            leader, cards_a, cards_b = _kernels.split(found)
-            print(f"leader={'AB'[leader]} deck_a={format_deck(cards_a)} "
-                  f"deck_b={format_deck(cards_b)}")
+    # the predecessor tree, written from the packed states a block at a time;
+    # the seed, the one state at depth 0, comes first and is not listed
+    states, offsets, _ = backward.search([state], config)
+    for lo in range(1, len(offsets) - 1, _LISTING_BLOCK):
+        at = offsets[lo:lo + _LISTING_BLOCK + 1]
+        block = states[at[0]:at[-1]]
+        text = block.translate(engine.CARD_CHARS).decode("latin-1")
+        at = (at - at[0]).tolist()
+        lines = []
+        for i, j in zip(at, at[1:]):
+            cards = i + _kernels.HEADER.size  # A's cards, then B's from `split`
+            split = cards + (block[i + 1] | block[i + 2] << 8)
+            lines.append(f"leader={'AB'[block[i]]} deck_a=[{text[cards:split]}] "
+                         f"deck_b=[{text[split:j]}]\n")
+        sys.stdout.write("".join(lines))
     return 0
 
 

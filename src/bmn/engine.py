@@ -22,7 +22,8 @@ PLAYER_A = "A"
 PLAYER_B = "B"
 _PLAYER_CODE = {PLAYER_A: 0, PLAYER_B: 1}
 _PLAYERS = (PLAYER_A, PLAYER_B)
-_CARD_CHARS = bytes.maketrans(bytes(range(10)), b"C123456789")  # card code -> character
+#: Card code -> character, a `bytes.translate` table.
+CARD_CHARS = bytes.maketrans(bytes(range(10)), b"C123456789")
 
 #: Trick budget for single-match play (`play`, `play_match`).
 DEFAULT_MATCH_TRICKS = 1_000_000
@@ -177,7 +178,7 @@ def parse_deck(text: str, settings: Settings | None = None) -> Deck:
 
 def format_deck(deck: Deck) -> str:
     """Bracketed deck string, from the cards or their bytes; inverse of parse_deck."""
-    return "[" + bytes(deck).translate(_CARD_CHARS).decode() + "]"
+    return "[" + bytes(deck).translate(CARD_CHARS).decode() + "]"
 
 
 # ---------------------------------------------------------------------------

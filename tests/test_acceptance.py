@@ -36,6 +36,7 @@ from conftest import (
     random_playable_state,
     state,
 )
+from record_oracle import position_entropy
 
 S40_3 = Settings(40, 3)
 MC_MATCHES = 1_000_000
@@ -230,7 +231,7 @@ def test_criterion_8_analyzer_properties():
         deck = tuple(deck)
         lengths = analyzer.interval_lengths(deck)
         assert sum(lengths) == m - k
-        h = analyzer.position_entropy(deck)
+        h = position_entropy(deck)
         bounds = analyzer.entropy_bounds(m, k)
         assert bounds.h_min - 1e-12 <= h <= bounds.h_max + 1e-12
 

@@ -7,19 +7,22 @@ import random
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from bmn import analyzer, cli
-from bmn.analyzer import (
-    entropy_bounds,
-    interval_lengths,
-    mean_separation,
-    position_entropy,
-    special_positions,
-    trace_match,
-)
-from bmn.engine import GameState, Looped, Settings, Terminated, parse_deck
+from bmn import _kernels, analyzer, cli, engine
+from bmn.analyzer import entropy_bounds, interval_lengths, trace_match
+from bmn.engine import BudgetExceeded, GameState, Looped, Settings, Terminated, parse_deck
 from bmn.simulator import SimConfig, match_state
 from bmn.engine import play_match
-from conftest import GOLDEN_MATCHES, INF_40_1, state
+from conftest import (
+    BLOCKS,
+    GOLDEN_MATCHES,
+    INF_40_1,
+    INF_52_4,
+    random_deck,
+    random_playable_state,
+    require_c_kernel,
+    state,
+)
+from record_oracle import mean_separation, position_entropy, special_positions
 
 decks = st.lists(st.integers(0, 4), min_size=1, max_size=40).map(tuple)
 
@@ -195,6 +198,73 @@ def test_record_for_agrees_with_the_metric_functions():
         assert repr(r) == repr(analyzer.TrickRecord(
             i, len(deck_a), len(deck_b), len(pos_a), len(pos_b), pos_a, pos_b,
             sep_a, sep_b, ent_a, ent_b))
+
+
+def _python_records(monkeypatch, initial, outcome):
+    """`trace_records` as the Python kernel gives them: `engine.walk` and
+    `record_for`, the reference."""
+    with monkeypatch.context() as m:
+        m.setattr(_kernels, "_ckernel", False)
+        return list(analyzer.trace_records(initial, outcome))
+
+
+def _trace_cases():
+    """(state, trick cap): published loops and a block with both leaders,
+    looping or cut short by the cap, a golden match, and random playable
+    states with ranks up to 9, from 2 to 1024 cards, either leader."""
+    rng = random.Random(29)
+    cases = [(state(*pair, leader=leader), cap) for pair in (INF_40_1, INF_52_4, BLOCKS[1])
+             for leader in "AB" for cap in (3, 100_000)]
+    cases.append((state(*GOLDEN_MATCHES[0][1:3]), 1_000_000))
+    for max_cards, count in ((4, 20), (26, 30), (120, 12), (1024, 6)):
+        cases += [(random_playable_state(rng, max_cards, max_rank=9), rng.choice((1, 60, 400)))
+                  for _ in range(count)]
+    cases += [(GameState(random_deck(rng, 512, 9), random_deck(rng, 512, 9), leader), 400)
+              for leader in "AB"]
+    return cases
+
+
+@pytest.mark.parametrize("tricks_per_call", [None, 1, 2], ids=["default", "1", "2"])
+def test_c_trace_gives_the_reference_records(monkeypatch, tricks_per_call):
+    require_c_kernel()
+    lib, calls = _kernels._c(), []
+    inner = lib.bmn_trace
+    monkeypatch.setattr(lib, "bmn_trace", lambda *args: calls.append(args[1]) or inner(*args))
+    outcomes = set()
+    for s, cap in _trace_cases():
+        if tricks_per_call:  # a chunk's bytes: its rows, each 2 bytes a field
+            specials = sum(c > 0 for c in s.deck_a + s.deck_b)
+            monkeypatch.setattr(_kernels, "_TRACE_BYTES",
+                                (tricks_per_call + 1) * 2 * (5 + 2 * specials))
+        outcome = play_match(s, cap)
+        outcomes.add(type(outcome))
+        records = list(analyzer.trace_records(s, outcome))
+        # repr: the same floats bit for bit, not only equal ones
+        reference = _python_records(monkeypatch, s, outcome)
+        assert list(map(repr, records)) == list(map(repr, reference))
+    assert outcomes == {Terminated, Looped, BudgetExceeded}
+    if tricks_per_call:
+        assert max(calls) == tricks_per_call
+        # records crossed many chunk boundaries
+        assert len(calls) > 2 * len(_trace_cases())
+
+
+def test_trace_past_the_c_limits_walks_in_python(monkeypatch):
+    require_c_kernel()
+    walks = []
+    inner = engine.walk
+    monkeypatch.setattr(engine, "walk", lambda *args: walks.append(args) or inner(*args))
+    small = state(*BLOCKS[1])
+    list(analyzer.trace_records(small, play_match(small)))
+    assert walks == []  # the C kernel walked it
+    # more cards than the C kernel holds, and a card it cannot hold
+    wide = GameState((0,) * 500 + (1,) + (0,) * 12, (0,) * 511 + (2,))
+    for s in (wide, GameState((300, 0, 0), (0, 1, 0))):
+        assert _kernels.trace(s.deck_a, s.deck_b, 0, 5) is None
+        records = list(analyzer.trace_records(s, play_match(s, 50)))
+        assert walks.pop() == (s, len(records) - 1)
+        assert records == [analyzer.record_for(i, x)
+                           for i, x in enumerate(inner(s, len(records) - 1))]
 
 
 # (index into GOLDEN_MATCHES, sha256 of the trace CSV, of the positions CSV)
