@@ -7,10 +7,10 @@
  * in SplitMix64.below), then play_match_loops with A leading.
  * bmn_trace is trace, a chunk of engine.walk on the same trick loop: each
  * trick boundary's deck sizes, special positions and runs of ordinaries.
- * bmn_factory is factory._rounds, the loop factory's whole round loop: the
- * restarts, escapes and checkpoint store, the draws on the factory's
- * splitmix64 stream, generate_sequences' fragments, and the insertion and
- * correction tests, each a play_match_loops with A leading.
+ * bmn_factory is factory._rounds, the factory's whole round loop: restarts,
+ * escapes, checkpoint store, the draws on its splitmix64 stream, fragments
+ * from the factory._PATTERNS it is passed, and the insertion and correction
+ * tests, each a play_match_loops with A leading.
  * bmn_search is search, the whole breadth-first backward search over
  * states packed as _kernels.pack packs them; it returns the states found
  * and their depths. Its step is _py_step, the inverse of a trick: the
@@ -574,7 +574,7 @@ void bmn_free(found_t *found)
 /* The loop factory: bmn_factory is factory._rounds, line for line. */
 
 #define MAX_TYPES 10     /* card types: ordinaries (0) and ranks 1..9 */
-#define MAX_TEMPLATES 81 /* of one pattern: mixed10's over nine ranks */
+#define MAX_TEMPLATES 81 /* of one pattern: as many as mixed10's over nine ranks */
 /* The factory's helpers stay out of bmn_factory: each runs once a round at
  * most, and inlining them all raised the compiler's peak memory from 40 to
  * 43 MB (gcc 12, -O2), more than a process running the benchmark uses. */
@@ -585,45 +585,37 @@ enum { MAX_FRAGMENTS, MAX_POSITIONS, RESTART_INTERVAL, ESCAPE_THRESHOLD, CAPACIT
 /* The rank orders, in factory._ORDERS order. */
 enum { ASCENDING, DESCENDING, LARGEST_DEFICIT, ORDINARIES_FIRST };
 
-/* _pattern_fragments' templates, in factory._PATTERNS order, as groups of
- * shapes: C is an ordinary, r and s are ranks. A group is written out for
- * each pair of distinct ranks (r, s) if it names s, for each rank r if it
- * names r, and once otherwise; the ranks go in the order given. */
-static const char *const PATTERN[][5] = {
-    {"r", "C"},                    /* single */
-    {"rr", "Cr", "rC", "CC"},      /* pairs */
-    {"CrC", "CCr", "rCC", "CCC"},  /* triplets */
-    {"CCCCC"},                     /* burst5 */
-    {"CCCCCCC"},                   /* burst7 */
-    {"CCCCCCCCCC"},                /* burst10 */
-    {"CrCrC"},                     /* interleaved */
-    {"CCr CCCr CCCCr"},            /* rank-terminated */
-    {"CCCrCCC CrC CCrCC", "CrrC"}, /* mixed7 */
-    {"CCCCrCCCCC", "CCrCCsCC"},    /* mixed10 */
-};
-
 typedef struct {
     uint32_t len;
     uint8_t card[10];
 } frag_t;
 
-/* _pattern_fragments(pattern, ranks[0..nr)) into out; returns the count. */
-OUTLINE static int templates(int pattern, const uint8_t *ranks, int nr, frag_t *out)
+/* _pattern_fragments over ranks[0..nr) into out, reading a pattern as the
+ * comment on factory._PATTERNS says; returns the count, or -1 for a template
+ * past MAX_TEMPLATES or frag_t or a letter but C, r and s. */
+OUTLINE static int templates(const char *pattern, const uint8_t *ranks, int nr, frag_t *out)
 {
     int n = 0;
-    for (const char *const *group = PATTERN[pattern]; *group; group++) {
-        int pairs = strchr(*group, 's') != NULL, each = pairs || strchr(*group, 'r');
+    for (const char *group = pattern; *group; group += strlen(group) + 1) {
+        int pairs = strchr(group, 's') != NULL, each = pairs || strchr(group, 'r');
         for (int i = 0; i < (each ? nr : 1); i++)
             for (int j = 0; j < (pairs ? nr : 1); j++) {
                 if (pairs && i == j)
                     continue;
-                for (const char *c = *group; *c; c++) {
-                    if (c == *group || c[-1] == ' ')
-                        out[n++].len = 0;
-                    if (*c != ' ')
-                        out[n - 1].card[out[n - 1].len++] =
-                            *c == 'C' ? 0 : ranks[*c == 'r' ? i : j];
+                if (n == MAX_TEMPLATES)
+                    return -1;
+                out[n].len = 0;
+                for (const char *c = group; *c; c++) { /* its shapes, split at spaces */
+                    frag_t *f = &out[n];
+                    if (*c == ' ' && ++n < MAX_TEMPLATES)
+                        out[n].len = 0;
+                    else if (*c == ' ' || f->len == sizeof f->card
+                             || (*c != 'C' && *c != 'r' && *c != 's'))
+                        return -1;
+                    else
+                        f->card[f->len++] = *c == 'C' ? 0 : ranks[*c == 'r' ? i : j];
                 }
+                n++;
             }
     }
     return n;
@@ -632,8 +624,8 @@ OUTLINE static int templates(int pattern, const uint8_t *ranks, int nr, frag_t *
 /* generate_sequences(order, pattern, deficits), deficit[0..n_types): the
  * first max_fragments templates that fit the deficits, into out; returns
  * their count. */
-OUTLINE static int fragments(int order, int pattern, const int64_t *deficit, int n_types,
-                             int64_t max_fragments, frag_t *out)
+OUTLINE static int fragments(int order, const char *pattern, const int64_t *deficit,
+                             int n_types, int64_t max_fragments, frag_t *out)
 {
     frag_t all[MAX_TEMPLATES];
     uint8_t ranks[MAX_TYPES], swap;
@@ -833,25 +825,28 @@ OUTLINE static int64_t keep(store_t *s, int64_t top, int64_t k, int64_t capacity
 
 /* factory._rounds on the seed decks seed[0..na) and seed[na..na + nb),
  * with rng.state as state: the composition target[0..n_types) (rank 0 the
- * ordinaries), the n_rows STRATEGIES rows in rows (each its order, its
- * pattern count, its patterns), the tuning constants knob[] and
- * restart_probability, the round budget and the trick cap. Writes the best
- * checkpoint's decks to best_cards, A's then B's, which has room for the
- * seed and the composition, and (rounds, tests, A's length, B's length,
- * depth, age) to out. Returns 1 if that checkpoint is complete, 0 if the
- * budget ran out, -1 with nothing done for a run past MAX_CARDS or past
- * the constants taken here, and -2 without memory. A checkpoint gains no
- * type but those the seed lacks, and those only up to the composition, so
- * the seed and its deficits bound its cards. */
+ * ordinaries), the patterns in table (each its groups, each ending at a
+ * NUL, then a NUL; then a NUL), the n_rows STRATEGIES rows (each its order,
+ * its pattern count, its patterns' numbers), knob[], restart_probability,
+ * the round budget and the trick cap. Writes the best checkpoint's decks to
+ * best_cards, A's then B's, with room for the seed and the composition, and
+ * (rounds, tests, A's length, B's length, depth, age) to out. Returns 1 if
+ * it is complete, 0 if the budget ran out, -1 with nothing done past
+ * MAX_CARDS, 256 patterns, templates() over every rank or the constants
+ * taken here, and -2 without memory. A checkpoint gains no type but those
+ * the seed lacks, and those only up to the composition, so the seed and
+ * its deficits bound its cards. */
 int bmn_factory(const uint8_t *seed, uint32_t na, uint32_t nb, const int64_t *target,
-                int64_t n_types, const uint8_t *rows, int64_t n_rows, const int64_t *knob,
-                double restart_probability, uint64_t state, int64_t budget,
-                int64_t max_tricks, uint8_t *best_cards, int64_t *out)
+                int64_t n_types, const char *table, const uint8_t *rows, int64_t n_rows,
+                const int64_t *knob, double restart_probability, uint64_t state,
+                int64_t budget, int64_t max_tricks, uint8_t *best_cards, int64_t *out)
 {
     factory_t f = {target, knob, (int)n_types, 0, max_tricks, 0, state};
     checkpoint_t best = {.card = best_cards};
     store_t s = {0};
     frag_t frag[MAX_TEMPLATES];
+    static const uint8_t every_rank[MAX_TYPES - 1] = {1, 2, 3, 4, 5, 6, 7, 8, 9};
+    const char *pattern[256]; /* where each pattern starts in table */
     uint8_t next[MAX_CARDS], *pool = NULL;
     uint32_t len[2];
     int64_t capacity = knob[CAPACITY], bound = na + nb, stuck = 0, last_selected_age = -1;
@@ -861,6 +856,11 @@ int bmn_factory(const uint8_t *seed, uint32_t na, uint32_t nb, const int64_t *ta
             || knob[MAX_POSITIONS] < 0 || knob[RESTART_INTERVAL] < 1 || capacity < 1
             || capacity >= INT32_MAX)
         return -1;
+    for (int k = 0; *table; table++, k++) { /* table: at the first group of pattern k */
+        if (k == 256 || templates(table, every_rank, (int)n_types - 1, frag) < 0)
+            return -1;
+        for (pattern[k] = table; *table; table += strlen(table) + 1) {}
+    }
     for (int t = 0; t < n_types; t++)
         f.n_total += target[t];
     make(&f, &best, seed, na, nb, 0, age_counter);
@@ -897,9 +897,9 @@ int bmn_factory(const uint8_t *seed, uint32_t na, uint32_t nb, const int64_t *ta
         const uint8_t *row = rows;
         for (uint32_t r = below(&f.state, (uint32_t)n_rows); r; r--)
             row += 2 + row[1];
-        int pattern = row[2 + below(&f.state, row[1])];
+        const char *drawn = pattern[row[2 + below(&f.state, row[1])]];
         uint32_t bias = below(&f.state, 3); /* 0: deck A, 1: deck B, 2: alternate */
-        int n_frags = fragments(row[0], pattern, cp->deficit, f.n_types, knob[MAX_FRAGMENTS],
+        int n_frags = fragments(row[0], drawn, cp->deficit, f.n_types, knob[MAX_FRAGMENTS],
                                 frag);
         int found = insert(&f, cp, frag, n_frags, bias, next, len);
         if (!found && cp->excess)

@@ -12,16 +12,17 @@ stream, so its results do not depend on how the batch is split, and plays
 the matches one by one.
 
 `factory` runs the loop factory's whole round loop, `factory._rounds`,
-in one call: its draws, fragments, checkpoint store and every insertion
-and correction test, each a `play_match_loops` with A leading. `search`
-runs the whole breadth-first backward search over `pack`ed states, to its
-depth or node limit, in one call, and returns the states found and their
-depths: each bottom slice of the winner's deck that `_parse_pile` reads as
-a trick is pushed back onto the players' decks, which gives one
-predecessor; no trick is played to confirm it. `trace` walks a match a
-chunk of tricks per call and gives each trick boundary's deck sizes,
-special positions and runs of ordinaries, what `analyzer.trace_records`
-computes its metrics from.
+in one call: its draws, its fragments from the pattern table it is passed
+(`factory._PATTERNS`, which `factory._pattern_fragments` reads too), its
+checkpoint store and every insertion and correction test, each a
+`play_match_loops` with A leading. `search` runs the whole breadth-first
+backward search over `pack`ed states, to its depth or node limit, in one
+call, and returns the states found and their depths: each bottom slice
+of the winner's deck that `_parse_pile` reads as a trick is pushed back
+onto the players' decks, which gives one predecessor; no trick is played
+to confirm it. `trace` walks a match a chunk of tricks per call and gives
+each trick boundary's deck sizes, special positions and runs of
+ordinaries, what `analyzer.trace_records` computes its metrics from.
 
 `play_match_loops`, `simulate_batch` and `search` run on a C kernel when
 one is available, and `factory` and `trace` run only there: `_ckernel.c`,
@@ -171,8 +172,8 @@ def _load_c():
     lib.bmn_simulate.argtypes = [ptr, size, ctypes.c_uint64, ctypes.c_uint64, i64, i64,
                                  ptr, ptr]
     lib.bmn_simulate.restype = ctypes.c_int
-    lib.bmn_factory.argtypes = [ptr, size, size, ptr, i64, ptr, i64, ptr, ctypes.c_double,
-                                ctypes.c_uint64, i64, i64, ptr, ptr]
+    lib.bmn_factory.argtypes = [ptr, size, size, ptr, i64, ptr, ptr, i64, ptr,
+                                ctypes.c_double, ctypes.c_uint64, i64, i64, ptr, ptr]
     lib.bmn_factory.restype = ctypes.c_int
     lib.bmn_search.argtypes = [ptr, i64, i64, i64, ptr]
     lib.bmn_search.restype = ctypes.c_int
@@ -407,18 +408,22 @@ def _c_trace(lib, state, specials, tricks):
         skip = 1
 
 
-def factory(deck_a, deck_b, targets, rows, n_rows, knobs, restart_probability, rng_state,
-            budget, max_tricks):
+def factory(deck_a, deck_b, targets, patterns, rows, n_rows, knobs, restart_probability,
+            rng_state, budget, max_tricks):
     """`factory._rounds` in one call on the C kernel, or None without it.
 
     The seed decks, the composition `targets` (per type, ordinaries
-    first), the `n_rows` strategy rows encoded in the bytes `rows`, the
-    tuning constants `knobs` and `restart_probability`, the rng's state,
-    the round budget (cut to `_C_MAX_TRICKS`) and the trick cap go as
-    `factory._c_rounds` gives them. Returns (complete, best deck_a, best
-    deck_b, best depth, best age, rounds, tests); None also for a cap from
-    `_C_MAX_TRICKS` on, a card outside 0..255, a run whose checkpoints
-    could hold more than 1024 cards, or constants the kernel does not take.
+    first), the `patterns` (each a tuple of groups of shapes, as in
+    `factory._PATTERNS`), the `n_rows` strategy rows encoded in the bytes
+    `rows`, which name patterns by their index, the tuning constants
+    `knobs` and `restart_probability`, the rng's state, the round budget
+    (cut to `_C_MAX_TRICKS`) and the trick cap go as `factory._c_rounds`
+    gives them. Returns (complete, best deck_a, best deck_b, best depth,
+    best age, rounds, tests); None also for a cap from `_C_MAX_TRICKS` on,
+    a card outside 0..255, a run whose checkpoints could hold more than
+    1024 cards, a pattern that over all the ranks gives more than 81
+    templates, one over 10 cards or a letter but C, r and s, an empty
+    pattern or group, or constants the kernel does not take.
     """
     lib = _c()
     if not lib or max_tricks >= _C_MAX_TRICKS:
@@ -427,11 +432,17 @@ def factory(deck_a, deck_b, targets, rows, n_rows, knobs, restart_probability, r
         seed = bytes(deck_a) + bytes(deck_b)
     except ValueError:  # a card outside 0..255
         return None
+    # the patterns as one string: each group ends at a NUL, each pattern at
+    # a second one, the table at a third; so an empty group or pattern would
+    # read as an end, and such a table plays in Python
+    if not all(patterns) or not all(map(all, patterns)):
+        return None
+    table = ("\0\0".join(map("\0".join, patterns)) + "\0\0\0").encode()
     # room for any checkpoint: it holds no more than the seed and the composition
     best, out = ctypes.create_string_buffer(len(seed) + sum(targets)), (ctypes.c_int64 * 6)()
     status = lib.bmn_factory(seed, len(deck_a), len(deck_b),
-                             (ctypes.c_int64 * len(targets))(*targets), len(targets), rows,
-                             n_rows, (ctypes.c_int64 * len(knobs))(*knobs),
+                             (ctypes.c_int64 * len(targets))(*targets), len(targets), table,
+                             rows, n_rows, (ctypes.c_int64 * len(knobs))(*knobs),
                              restart_probability, rng_state, min(budget, _C_MAX_TRICKS),
                              max_tricks, best, out)
     if status == -1:

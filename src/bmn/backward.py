@@ -7,9 +7,8 @@ a bottom slice of it; a slice is a complete natural trick only if it ends
 with a rank-k special followed by exactly k ordinaries, and replaying the
 slice under forward rules fixes who played each card and, given the
 winner, which player led. The whole search over packed states is one
-`_kernels.search` call, which gives the states found and their depths; it
-runs to its limits before `discover` yields, and a `GameState` is built
-only for a state handed out.
+`_kernels.search` call, which gives the states found and their depths; a
+`GameState` is built only for a state handed out.
 """
 
 from __future__ import annotations
@@ -59,21 +58,6 @@ def enumerate_predecessors(target: GameState) -> list[GameState]:
     states, offsets, _ = search([target], BackwardSearchConfig(max_depth=1))
     offsets = offsets.tolist()
     return [_state(states[i:j]) for i, j in zip(offsets[1:], offsets[2:])]
-
-
-def discover(seed_states, config: BackwardSearchConfig):
-    """Yield (depth, state) for each state of a breadth-first backward search.
-
-    Every distinct seed comes first, at depth 0. Each later level holds the
-    predecessors of the level before it that were not seen yet, in
-    discovery order. Expansion stops at config.max_depth, or as soon as
-    config.max_nodes states (seeds included) are known. The search runs to
-    these limits before the first state is yielded.
-    """
-    states, offsets, depths = search(seed_states, config)
-    offsets = offsets.tolist()
-    for depth, i, j in zip(depths.tolist(), offsets, offsets[1:]):
-        yield depth, _state(states[i:j])
 
 
 def backward_search(seed_states, config: BackwardSearchConfig) -> list:

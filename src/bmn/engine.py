@@ -42,10 +42,6 @@ class UnplayableStateError(ValueError):
     """A trick was requested from a state where a deck is already empty."""
 
 
-def other_player(player: str) -> str:
-    return PLAYER_B if player == PLAYER_A else PLAYER_A
-
-
 @dataclass(frozen=True)
 class Settings:
     """An (N, R) game: N cards in four suits, special ranks 1..R.

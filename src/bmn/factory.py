@@ -102,8 +102,7 @@ def missing(deck_a: Deck, deck_b: Deck, settings: Settings) -> dict:
 
 def score(deck_a: Deck, deck_b: Deck, settings: Settings) -> int:
     """N minus the total absolute deficit; equals N iff composition is complete."""
-    deficits = missing(deck_a, deck_b, settings)
-    return settings.n_total - sum(abs(d) for d in deficits.values())
+    return _checkpoint(settings, deck_a, deck_b, 0, 0).score
 
 
 def test_nontermination(state: GameState,
@@ -126,46 +125,18 @@ def test_nontermination(state: GameState,
 def _pattern_fragments(pattern: str, ranks: list) -> list:
     """Raw fragment templates for a pattern, before deficit filtering.
 
-    C slots are 0; special slots take each rank from `ranks` in turn.
+    Each group of the pattern's shapes in `_PATTERNS` is written out in
+    turn: C slots are 0, r and s take ranks from `ranks`, in its order.
     """
-    frags = []
-    if pattern == "single":
-        frags += [(r,) for r in ranks]
-        frags.append((0,))
-    elif pattern == "pairs":
-        frags += [(r, r) for r in ranks]
-        frags += [(0, r) for r in ranks]
-        frags += [(r, 0) for r in ranks]
-        frags.append((0, 0))
-    elif pattern == "triplets":
-        frags += [(0, r, 0) for r in ranks]
-        frags += [(0, 0, r) for r in ranks]
-        frags += [(r, 0, 0) for r in ranks]
-        frags.append((0, 0, 0))
-    elif pattern == "burst5":
-        frags.append((0,) * 5)
-    elif pattern == "burst7":
-        frags.append((0,) * 7)
-    elif pattern == "burst10":
-        frags.append((0,) * 10)
-    elif pattern == "interleaved":
-        frags += [(0, r, 0, r, 0) for r in ranks]
-    elif pattern == "rank-terminated":
-        for r in ranks:
-            frags += [(0, 0, r), (0, 0, 0, r), (0, 0, 0, 0, r)]
-    elif pattern == "mixed7":
-        for r in ranks:
-            frags += [(0, 0, 0, r, 0, 0, 0), (0, r, 0), (0, 0, r, 0, 0)]
-        frags += [(0, r, r, 0) for r in ranks]
-    elif pattern == "mixed10":
-        for r in ranks:
-            frags.append((0, 0, 0, 0, r, 0, 0, 0, 0, 0))
-        for r1 in ranks:
-            for r2 in ranks:
-                if r1 != r2:
-                    frags.append((0, 0, r1, 0, 0, r2, 0, 0))
-    else:
+    if pattern not in _PATTERNS:
         raise ValueError(f"unknown pattern {pattern!r}")
+    frags = []
+    for group in _PATTERNS[pattern]:
+        pairs = ([(r, s) for r in ranks for s in ranks if r != s] if "s" in group
+                 else [(r, None) for r in ranks] if "r" in group else [(None, None)])
+        for r, s in pairs:
+            cards = {"C": 0, "r": r, "s": s}
+            frags += [tuple(cards[c] for c in shape) for shape in group.split(" ")]
     return frags
 
 
@@ -194,10 +165,27 @@ def _ordinaries_first(pattern: str, ranks: list, deficits: dict) -> list:
     return sorted(_pattern_fragments(pattern, ranks), key=any)  # stable: all-C first
 
 
-# The rank orders and patterns, in the order the C kernel numbers them.
+# The rank orders, in the order the C kernel numbers them.
 _ORDERS = (_ascending, _descending, _largest_deficit, _ordinaries_first)
-_PATTERNS = ("single", "pairs", "triplets", "burst5", "burst7", "burst10",
-             "interleaved", "rank-terminated", "mixed7", "mixed10")
+# The patterns' templates, the one table both round loops read:
+# `_pattern_fragments` here, and `bmn_factory`, to which `_c_rounds` passes
+# it. Each pattern is a tuple of groups of shapes split at spaces, where C
+# is an ordinary and r and s are ranks. A group is written out for each
+# pair of distinct ranks (r, s) if it names s, for each rank r if it names
+# r, and once otherwise. Where a pattern over all the setting's ranks
+# gives more than 81 templates, or one over 10 cards, `_rounds` runs.
+_PATTERNS = {
+    "single": ("r", "C"),
+    "pairs": ("rr", "Cr", "rC", "CC"),
+    "triplets": ("CrC", "CCr", "rCC", "CCC"),
+    "burst5": ("CCCCC",),
+    "burst7": ("CCCCCCC",),
+    "burst10": ("CCCCCCCCCC",),
+    "interleaved": ("CrCrC",),
+    "rank-terminated": ("CCr CCCr CCCCr",),
+    "mixed7": ("CCCrCCC CrC CCrCC", "CrrC"),
+    "mixed10": ("CCCCrCCCCC", "CCrCCsCC"),
+}
 
 # The insertion strategies: a rank order and the patterns drawn with it.
 # Every pattern is reachable somewhere.
@@ -222,7 +210,7 @@ def generate_sequences(order, pattern: str, deficits: dict) -> list:
     insertion always raises the compositional score by the fragment length).
     The fragments and their order are fully determined by order, pattern
     and deficits. The ranks are distinct, so no template repeats a
-    fragment; none is longer than 10 cards.
+    fragment.
     """
     ranks = sorted(r for r, d in deficits.items() if r >= 1 and d > 0)
     frags = [f for f in order(pattern, ranks, deficits) if _fits_deficits(f, deficits)]
@@ -252,7 +240,7 @@ def _keep(store: list, top: Checkpoint, new_cp: Checkpoint) -> Checkpoint:
     return top
 
 
-def _first_insertion(cp: Checkpoint, fragments: tuple, bias: int, rng: SplitMix64,
+def _first_insertion(cp: Checkpoint, fragments: list, bias: int, rng: SplitMix64,
                      trick_cap: int):
     """(tests, decks): the first insertion of a fragment that keeps the loop.
 
@@ -298,7 +286,7 @@ def _first_correction(cp: Checkpoint, rng: SplitMix64, trick_cap: int):
             deck = deck[:i] + card + deck[i + 1:]
             fixed = (deck, decks[1]) if which == 0 else (decks[0], deck)
             tests += 1
-            if test_nontermination(GameState(*fixed, PLAYER_A), trick_cap):
+            if _kernels.play_match_loops(*fixed, 0, trick_cap)[0] == 1:
                 return tests, fixed
     return tests, None
 
@@ -342,13 +330,15 @@ def run_factory(config: FactoryConfig) -> FactoryResult:
 def _c_rounds(config: FactoryConfig, seed: Checkpoint, rng: SplitMix64):
     """`_rounds` on the C kernel, or None where `_kernels.factory` does not run."""
     settings = config.settings
+    names = list(_PATTERNS)
     rows = bytes(chain.from_iterable((_ORDERS.index(order), len(patterns),
-                                      *map(_PATTERNS.index, patterns))
+                                      *map(names.index, patterns))
                                      for order, patterns in STRATEGIES))
     found = _kernels.factory(
-        seed.deck_a, seed.deck_b, [settings.target_count(r) for r in seed.deficits], rows,
-        len(STRATEGIES), (_MAX_FRAGMENTS, _MAX_POSITIONS, _RESTART_INTERVAL,
-                          _ESCAPE_THRESHOLD, _CHECKPOINT_CAPACITY),
+        seed.deck_a, seed.deck_b, [settings.target_count(r) for r in seed.deficits],
+        list(_PATTERNS.values()), rows, len(STRATEGIES),
+        (_MAX_FRAGMENTS, _MAX_POSITIONS, _RESTART_INTERVAL, _ESCAPE_THRESHOLD,
+         _CHECKPOINT_CAPACITY),
         _RESTART_PROBABILITY, rng.state, config.budget, config.nontermination_trick_cap)
     if found is None:
         return None
@@ -365,7 +355,6 @@ def _rounds(config: FactoryConfig, seed: Checkpoint, rng: SplitMix64):
     age_counter = 0
     store = [seed]
     best = top = seed
-    fragment_table = {}  # (order, pattern, deficits) -> fragments
     last_selected_age = -1
     stuck = 0
 
@@ -388,11 +377,8 @@ def _rounds(config: FactoryConfig, seed: Checkpoint, rng: SplitMix64):
         order, patterns = STRATEGIES[rng.below(len(STRATEGIES))]
         pattern = patterns[rng.below(len(patterns))]
         bias = rng.below(3)  # 0: deck A, 1: deck B, 2: alternate
-        key = (order, pattern, tuple(cp.deficits.values()))
-        if key not in fragment_table:
-            fragment_table[key] = tuple(generate_sequences(order, pattern, cp.deficits))
-
-        n_tests, decks = _first_insertion(cp, fragment_table[key], bias, rng, cap)
+        fragments = generate_sequences(order, pattern, cp.deficits)
+        n_tests, decks = _first_insertion(cp, fragments, bias, rng, cap)
         tests += n_tests
         if decks is None and cp.excess:
             n_tests, decks = _first_correction(cp, rng, cap)
@@ -402,11 +388,10 @@ def _rounds(config: FactoryConfig, seed: Checkpoint, rng: SplitMix64):
             last_selected_age = cp.age
             continue
 
-        grown = GameState(*decks, PLAYER_A)
         age_counter += 1
         # depth counts insertions only, the one move that adds cards
-        new_cp = _checkpoint(settings, *decks, cp.depth + (grown.n_cards > cp.state.n_cards),
-                             age_counter)
+        grew = len(decks[0]) + len(decks[1]) > len(cp.deck_a) + len(cp.deck_b)
+        new_cp = _checkpoint(settings, *decks, cp.depth + grew, age_counter)
         top = _keep(store, top, new_cp)
         stuck = 0
         last_selected_age = -1

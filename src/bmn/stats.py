@@ -4,18 +4,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .engine import (
-    PLAYER_A,
-    BudgetExceeded,
-    Looped,
-    MatchOutcome,
-    Settings,
-    Terminated,
-)
+from .engine import Settings
 
 
 class InsufficientDataError(ValueError):
@@ -47,18 +40,6 @@ def state_space_sizes(settings: Settings) -> StateSpaceSizes:
     c = config_count(settings)
     n = settings.n_total
     return StateSpaceSizes(total=2 * (n + 1) * c, playable=2 * (n - 1) * c)
-
-
-def hypergeometric_pmf(population: int, successes: int, draws: int, k: int) -> float:
-    """P(X = k) for X ~ Hypergeometric(population, successes, draws)."""
-    if not 0 <= successes <= population:
-        raise ValueError("need 0 <= successes <= population")
-    if not 0 <= draws <= population:
-        raise ValueError("need 0 <= draws <= population")
-    if k < 0 or k > successes or k > draws or draws - k > population - successes:
-        return 0.0
-    num = math.comb(successes, k) * math.comb(population - successes, draws - k)
-    return num / math.comb(population, draws)
 
 
 # ---------------------------------------------------------------------------
@@ -156,26 +137,6 @@ def summarize_counts(histogram: dict, wins_a: int, wins_b: int,
         loop_count=loop_count,
         budget_exceeded_count=budget_exceeded_count,
     )
-
-
-def summarize(outcomes: Sequence[MatchOutcome] | Iterable[MatchOutcome]) -> DurationSummary:
-    """Summarize a sequence of MatchOutcome values."""
-    histogram: dict[int, int] = {}
-    wins_a = wins_b = loops = budget = 0
-    for outcome in outcomes:
-        if isinstance(outcome, Terminated):
-            histogram[outcome.tricks] = histogram.get(outcome.tricks, 0) + 1
-            if outcome.winner == PLAYER_A:
-                wins_a += 1
-            else:
-                wins_b += 1
-        elif isinstance(outcome, Looped):
-            loops += 1
-        elif isinstance(outcome, BudgetExceeded):
-            budget += 1
-        else:
-            raise TypeError(f"not a MatchOutcome: {outcome!r}")
-    return summarize_counts(histogram, wins_a, wins_b, loops, budget)
 
 
 # ---------------------------------------------------------------------------

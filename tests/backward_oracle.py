@@ -1,0 +1,26 @@
+"""The backward search listed state by state, as the tests read it.
+
+`discover` hands out every state that `backward.search` finds, with its
+depth, in the search's order, so that the tests can check the order, the
+seeds, the budget and the depth limit one state at a time. The CLI's
+listing and `backward_search` read the same packed result directly.
+"""
+
+from __future__ import annotations
+
+from bmn.backward import BackwardSearchConfig, _state, search
+
+
+def discover(seed_states, config: BackwardSearchConfig):
+    """Yield (depth, state) for each state of a breadth-first backward search.
+
+    Every distinct seed comes first, at depth 0. Each later level holds the
+    predecessors of the level before it that were not seen yet, in
+    discovery order. Expansion stops at config.max_depth, or as soon as
+    config.max_nodes states (seeds included) are known. The search runs to
+    these limits before the first state is yielded.
+    """
+    states, offsets, depths = search(seed_states, config)
+    offsets = offsets.tolist()
+    for depth, i, j in zip(depths.tolist(), offsets, offsets[1:]):
+        yield depth, _state(states[i:j])

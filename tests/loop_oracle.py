@@ -23,8 +23,11 @@ from bmn.engine import (
     Terminated,
     TrickResult,
     UnplayableStateError,
-    other_player,
 )
+
+
+def other_player(player: str) -> str:
+    return PLAYER_B if player == PLAYER_A else PLAYER_A
 
 
 def reference_trick(state: GameState) -> TrickResult:

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from bmn import _kernels, backward, cycles
+from bmn import _kernels, cycles
 from bmn.backward import BackwardSearchConfig, backward_search, enumerate_predecessors
 from bmn.engine import (
     PLAYER_A,
@@ -19,6 +19,7 @@ from bmn.engine import (
     play_trick,
     walk,
 )
+from backward_oracle import discover
 from conftest import (
     GOLDEN_MATCHES,
     INF_40_1,
@@ -176,7 +177,7 @@ def test_backward_search_returns_every_balanced_state():
     out = backward_search(seeds, config)
     # every balanced state the search discovers, once each, standardized
     # and in discovery order
-    balanced = [cycles.standardize(s) for _, s in backward.discover(seeds, config)
+    balanced = [cycles.standardize(s) for _, s in discover(seeds, config)
                 if len(s.deck_a) == len(s.deck_b)]
     assert out == list(dict.fromkeys(balanced))
     assert len(out) == 15
@@ -194,7 +195,7 @@ def test_backward_search_node_budget_is_a_normal_empty_return():
 
 def test_discover_walks_levels_and_stops_at_the_node_budget(monkeypatch):
     target = state("[CCCCCCC21C]", "[1C]")
-    found = list(backward.discover([target], BackwardSearchConfig(max_depth=3)))
+    found = list(discover([target], BackwardSearchConfig(max_depth=3)))
     assert found[0] == (0, target)
     assert [d for d, _ in found] == sorted(d for d, _ in found)
     levels = {}
@@ -207,7 +208,7 @@ def test_discover_walks_levels_and_stops_at_the_node_budget(monkeypatch):
 
     # the 14th state is the first predecessor of the 5th, mid-level
     config = BackwardSearchConfig(max_depth=3, max_nodes=14)
-    assert list(backward.discover([target], config)) == found[:14]
+    assert list(discover([target], config)) == found[:14]
     # on the Python path no state is expanded after the budget is spent
     monkeypatch.setattr(_kernels, "_ckernel", False)
     expanded = []
@@ -218,7 +219,7 @@ def test_discover_walks_levels_and_stops_at_the_node_budget(monkeypatch):
         return real(packed)
 
     monkeypatch.setattr(_kernels, "_py_step", recording)
-    cut = list(backward.discover([target], config))
+    cut = list(discover([target], config))
     assert cut == found[:14]
     parent = play_trick(cut[-1][1]).next_state
     assert expanded[-1] == _kernels.pack(parent.deck_a, parent.deck_b, parent.leader == PLAYER_B)
@@ -228,7 +229,7 @@ def test_discover_keeps_every_seed_even_over_budget():
     seeds = [state(*pair) for pair in (("[1CC]", "[C1C]"), ("[C1C]", "[1CC]"),
                                        ("[CC1]", "[1CC]"))]
     config = BackwardSearchConfig(max_depth=3, max_nodes=2)
-    assert list(backward.discover(seeds + seeds, config)) == [(0, s) for s in seeds]
+    assert list(discover(seeds + seeds, config)) == [(0, s) for s in seeds]
 
 
 def test_balanced_states_feed_the_52_4_loop():
@@ -279,7 +280,7 @@ _PINNED_SEARCHES = {
 def test_discover_order_is_pinned(kernel, search):
     seeds, depth, nodes, n_found, digest = _PINNED_SEARCHES[search]
     lines = [f"{d} {s.leader} {format_deck(s.deck_a)} {format_deck(s.deck_b)}"
-             for d, s in backward.discover(seeds(), BackwardSearchConfig(depth, nodes))]
+             for d, s in discover(seeds(), BackwardSearchConfig(depth, nodes))]
     assert len(lines) == n_found
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16] == digest
 
@@ -289,7 +290,7 @@ def test_balanced_deals_behind_the_20_2_loop(kernel):
     # long before its budget
     cycle = state("[CC2C2C1C]", "[2C1CC2C1CC1C]")
     config = BackwardSearchConfig(max_depth=100, max_nodes=100_000)
-    assert len(list(backward.discover([cycle], config))) == 189
+    assert len(list(discover([cycle], config))) == 189
     found = backward_search([cycle], config)
     assert len(found) == 12
     assert found[0] == state("[CC2C2C1CC2]", "[2C1CC1CC1C]")

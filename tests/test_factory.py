@@ -77,8 +77,34 @@ def test_budget_exhaustion_counts_as_not_looping():
 # the table's four rank orders, by the row that first draws each
 ASCENDING, DESCENDING, ORDINARIES_FIRST = (order for order, _ in STRATEGIES[:3])
 LARGEST_DEFICIT = STRATEGIES[4][0]
-PATTERNS = ("single", "pairs", "triplets", "burst5", "burst7", "burst10",
-            "interleaved", "rank-terminated", "mixed7", "mixed10")
+# every pattern's templates for the ranks [1, 2, 3], written out by value
+PATTERNS = {
+    "single": [(1,), (2,), (3,), (0,)],
+    "pairs": [(1, 1), (2, 2), (3, 3), (0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0),
+              (0, 0)],
+    "triplets": [(0, 1, 0), (0, 2, 0), (0, 3, 0), (0, 0, 1), (0, 0, 2), (0, 0, 3),
+                 (1, 0, 0), (2, 0, 0), (3, 0, 0), (0, 0, 0)],
+    "burst5": [(0, 0, 0, 0, 0)],
+    "burst7": [(0, 0, 0, 0, 0, 0, 0)],
+    "burst10": [(0, 0, 0, 0, 0, 0, 0, 0, 0, 0)],
+    "interleaved": [(0, 1, 0, 1, 0), (0, 2, 0, 2, 0), (0, 3, 0, 3, 0)],
+    "rank-terminated": [(0, 0, 1), (0, 0, 0, 1), (0, 0, 0, 0, 1),
+                        (0, 0, 2), (0, 0, 0, 2), (0, 0, 0, 0, 2),
+                        (0, 0, 3), (0, 0, 0, 3), (0, 0, 0, 0, 3)],
+    "mixed7": [(0, 0, 0, 1, 0, 0, 0), (0, 1, 0), (0, 0, 1, 0, 0),
+               (0, 0, 0, 2, 0, 0, 0), (0, 2, 0), (0, 0, 2, 0, 0),
+               (0, 0, 0, 3, 0, 0, 0), (0, 3, 0), (0, 0, 3, 0, 0),
+               (0, 1, 1, 0), (0, 2, 2, 0), (0, 3, 3, 0)],
+    "mixed10": [(0, 0, 0, 0, 1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 2, 0, 0, 0, 0, 0),
+                (0, 0, 0, 0, 3, 0, 0, 0, 0, 0),
+                (0, 0, 1, 0, 0, 2, 0, 0), (0, 0, 1, 0, 0, 3, 0, 0), (0, 0, 2, 0, 0, 1, 0, 0),
+                (0, 0, 2, 0, 0, 3, 0, 0), (0, 0, 3, 0, 0, 1, 0, 0), (0, 0, 3, 0, 0, 2, 0, 0)],
+}
+
+
+def test_pattern_templates_are_pinned():
+    # the table's meaning, whatever expands it
+    assert {p: factory._pattern_fragments(p, [1, 2, 3]) for p in factory._PATTERNS} == PATTERNS
 
 
 def test_strategy_table_rows():
@@ -314,26 +340,6 @@ def test_factory_20_2_result_is_pinned():
     assert best.score == score(best.deck_a, best.deck_b, Settings(20, 2)) == 20
 
 
-def test_fragment_table_builds_each_entry_once(monkeypatch):
-    # the Python round loop: the C kernel builds its fragments each round,
-    # out of reach of the monkeypatch
-    monkeypatch.setattr(_kernels, "_ckernel", False)
-    calls = Counter()
-    build = factory.generate_sequences
-
-    def counted(order, pattern, deficits):
-        calls[order, pattern, tuple(deficits.values())] += 1
-        return build(order, pattern, deficits)
-
-    monkeypatch.setattr(factory, "generate_sequences", counted)
-    config = FactoryConfig(settings=Settings(20, 2), seed_state=default_seed_state(),
-                           budget=3000, rng_seed=1)
-    result = run_factory(config)
-    assert calls and set(calls.values()) == {1}
-    assert len(calls) < result.rounds_used
-    assert (result.rounds_used, result.tests_run) == (598, 2846)
-
-
 def _python_rounds(monkeypatch):
     """The calls that run_factory makes from now on to its Python round loop."""
     calls, rounds = [], factory._rounds
@@ -450,6 +456,55 @@ def test_factory_past_1024_cards_plays_in_python(monkeypatch, seed, in_c):
     require_c_kernel()
     config = FactoryConfig(settings=Settings(1024, 1), seed_state=seed, budget=20,
                            rng_seed=1)
+    in_python = _python_rounds(monkeypatch)
+    result = run_factory(config)
+    assert len(in_python) == (not in_c)
+    monkeypatch.setattr(_kernels, "_ckernel", False)
+    assert run_factory(config) == result
+
+
+def test_altered_pattern_table_reaches_both_kernels(monkeypatch):
+    # both round loops read factory._PATTERNS: burst7 holding a rank, pairs
+    # of two ranks and single trying the ordinary first change the results
+    # alike on both kernels
+    configs = [FactoryConfig(settings=Settings(*setting), seed_state=default_seed_state(),
+                             budget=300, rng_seed=rng_seed)
+               for setting in ((20, 2), (28, 3)) for rng_seed in (1, 2)]
+    defaults = [run_factory(config) for config in configs]
+    monkeypatch.setattr(factory, "_PATTERNS", {**factory._PATTERNS, "burst7": ("CCrCC",),
+                                               "pairs": ("rs", "Cr", "CC"),
+                                               "single": ("C", "r")})
+    on_c, on_python = _on_both_kernels(monkeypatch, configs)
+    assert on_python == on_c != defaults
+
+
+# tables the C kernel refuses, so that _rounds runs: a shape of 11 cards; a
+# letter but C, r and s, an empty pattern or an empty group, even in a
+# pattern no row draws; 257 patterns, where 256 still run in C; and 9 + 72
+# + 72 mixed10 templates over (44,9)'s nine ranks, past 81, while over
+# (20,2)'s two ranks the same table runs in C
+PAST_C_TABLES = [
+    ({"burst10": ("C" * 11,)}, (20, 2), False),
+    ({"unused": ("Cx",)}, (20, 2), False),
+    ({"unused": ()}, (20, 2), False),
+    ({"unused": ("C", "")}, (20, 2), False),
+    ({f"unused{i}": ("C",) for i in range(246)}, (20, 2), True),
+    ({f"unused{i}": ("C",) for i in range(247)}, (20, 2), False),
+    ({"mixed10": ("CCCCrCCCCC", "CCrCCsCC", "CsCr")}, (44, 9), False),
+    ({"mixed10": ("CCCCrCCCCC", "CCrCCsCC", "CsCr")}, (20, 2), True),
+]
+
+
+@pytest.mark.parametrize("patterns, setting, in_c", PAST_C_TABLES,
+                         ids=["11-cards", "letter", "empty-pattern", "empty-group",
+                              "256-patterns", "257-patterns", "templates-44,9",
+                              "templates-20,2"])
+def test_pattern_table_past_the_c_limits_plays_in_python(monkeypatch, patterns, setting,
+                                                         in_c):
+    require_c_kernel()
+    monkeypatch.setattr(factory, "_PATTERNS", {**factory._PATTERNS, **patterns})
+    config = FactoryConfig(settings=Settings(*setting), seed_state=default_seed_state(),
+                           budget=100, rng_seed=1)
     in_python = _python_rounds(monkeypatch)
     result = run_factory(config)
     assert len(in_python) == (not in_c)

@@ -23,7 +23,6 @@ from bmn.engine import (
     GameState,
     Settings,
     Terminated,
-    other_player,
     play_match,
 )
 from bmn.simulator import full_deck
@@ -33,7 +32,7 @@ from conftest import (
     require_c_kernel,
 )
 from conftest import state as parse_state
-from loop_oracle import reference_trick
+from loop_oracle import other_player, reference_trick
 
 
 def test_backend_name():

@@ -26,7 +26,6 @@ from bmn.engine import (
     GameState,
     Looped,
     Terminated,
-    other_player,
     play_match,
     play_trick,
     walk,
@@ -43,7 +42,7 @@ from conftest import (
     random_playable_state,
     state,
 )
-from loop_oracle import dict_play_match, dict_trace_states
+from loop_oracle import dict_play_match, dict_trace_states, other_player
 
 PUBLISHED_LOOPS = ([INF_40_1, INF_52_4, BALANCED_28_1] + BLOCKS + BALANCED_12_1
                    + BALANCED_28_3

