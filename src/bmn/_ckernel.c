@@ -12,10 +12,11 @@
  * from the factory._PATTERNS it is passed, and the insertion and correction
  * tests, each a play_match_loops with A leading.
  * bmn_search is search, the whole breadth-first backward search over
- * states packed as _kernels.pack packs them; it returns the states found
- * and their depths. Its step is _py_step, the inverse of a trick: the
- * closing-block test, then _parse_pile on every bottom slice of the
- * winner's deck, each parse packed the same way as a predecessor.
+ * states packed as _kernels.pack packs them, all of one width; it returns
+ * the states found, a row of that width each, and their depths. Its step
+ * is _py_step, the inverse of a trick: the closing-block test, then
+ * _parse_pile on every bottom slice of the winner's deck, each parse
+ * packed the same way as a predecessor.
  * Results are bit for bit the Python ones. _kernels compiles this file with
  * `cc -O2 -shared -fPIC` and calls it through ctypes; it uses no Python API.
  */
@@ -342,20 +343,21 @@ static int parse_pile(const uint8_t *pile, uint32_t np, uint8_t played[2][MAX_CA
     return 0; /* the pile ran out with the trick still open */
 }
 
-/* The breadth-first backward search of bmn_search: the states found, packed
- * one after another in states, indexed by an open-addressing table of
- * 1 + their index (0: an empty slot) with linear probing. The arrays grow by
- * doubling; the table keeps at least two slots per state. */
+/* The breadth-first backward search of bmn_search: the states found, each
+ * `width` bytes, one after another in states, indexed by an open-addressing
+ * table of 1 + their index (0: an empty slot) with linear probing. The
+ * arrays grow by doubling, so that there is always room for one more state
+ * past the last; the table keeps at least two slots per state. */
 typedef struct {
-    uint8_t *states;  /* state i is states[offsets[i] .. offsets[i + 1]) */
-    int64_t *offsets, *depths, *table;
-    int64_t n, room, cap, slots, max_nodes;
+    uint8_t *states;  /* state i is states[i * width .. (i + 1) * width) */
+    int64_t *depths, *table;
+    int64_t n, width, room, slots, max_nodes;
 } search_t;
 
 /* search's result, handed to the caller, who frees it with bmn_free. */
 typedef struct {
     uint8_t *states;
-    int64_t *offsets, *depths;
+    int64_t *depths;
     int64_t n;
 } found_t;
 
@@ -384,10 +386,11 @@ static void place(search_t *s, int64_t i, uint64_t h)
 /* Room for twice the states, and a table rebuilt for it; 0 without memory. */
 static int grow(search_t *s)
 {
-    int64_t room = 2 * s->room, *offsets, *depths, *table;
-    if (!(offsets = realloc(s->offsets, (size_t)(room + 1) * sizeof *offsets)))
+    int64_t room = 2 * s->room, *depths, *table;
+    uint8_t *states;
+    if (!(states = realloc(s->states, (size_t)(room * s->width))))
         return 0;
-    s->offsets = offsets;
+    s->states = states;
     if (!(depths = realloc(s->depths, (size_t)room * sizeof *depths)))
         return 0;
     s->depths = depths;
@@ -398,45 +401,22 @@ static int grow(search_t *s)
     s->room = room;
     s->slots = 2 * room;
     for (int64_t i = 0; i < s->n; i++)
-        place(s, i, hash(s->states + offsets[i], offsets[i + 1] - offsets[i]));
+        place(s, i, hash(states + i * s->width, s->width));
     return 1;
 }
 
-/* Where the next state of `size` bytes goes, past the last one found;
- * NULL without memory. */
-static uint8_t *tail(search_t *s, int64_t size)
+/* Keep the state written past the last one found unless it was found
+ * before: 1 if it is new, 0 if not, -1 without memory. */
+static int add(search_t *s, int64_t depth)
 {
-    int64_t used = s->offsets[s->n], cap = s->cap;
-    while (used + size > cap)
-        cap *= 2;
-    if (cap != s->cap) {
-        uint8_t *states = realloc(s->states, (size_t)cap);
-        if (!states)
-            return NULL;
-        s->states = states;
-        s->cap = cap;
-    }
-    return s->states + used;
-}
-
-/* Keep the state written at tail(s, size) unless it was found before:
- * 1 if it is new, 0 if not, -1 without memory. */
-static int add(search_t *s, int64_t size, int64_t depth)
-{
-    if (s->n == s->room && !grow(s))
-        return -1;
-    const uint8_t *p = s->states + s->offsets[s->n];
-    uint64_t h = hash(p, size), mask = (uint64_t)s->slots - 1;
-    for (int64_t j; (j = s->table[h & mask]); h++) {
-        int64_t at = s->offsets[j - 1];
-        if (s->offsets[j] - at == size && memcmp(s->states + at, p, (size_t)size) == 0)
+    const uint8_t *p = s->states + s->n * s->width;
+    uint64_t h = hash(p, s->width), mask = (uint64_t)s->slots - 1;
+    for (int64_t j; (j = s->table[h & mask]); h++)
+        if (memcmp(s->states + (j - 1) * s->width, p, (size_t)s->width) == 0)
             return 0;
-    }
     s->table[h & mask] = s->n + 1;
-    s->depths[s->n] = depth;
-    s->offsets[s->n + 1] = s->offsets[s->n] + size;
-    s->n++;
-    return 1;
+    s->depths[s->n++] = depth;
+    return s->n < s->room || grow(s) ? 1 : -1;
 }
 
 /* The predecessors of the packed state t, added to the search at `depth`:
@@ -451,7 +431,7 @@ static int step(search_t *s, const uint8_t *t, int64_t depth)
     uint8_t played[2][MAX_CARDS];
     uint32_t np[2];
     int leader_won, winner = t[0];
-    uint32_t na = t[1] | t[2] << 8, nb = t[3] | t[4] << 8, size = HEADER + na + nb;
+    uint32_t na = t[1] | t[2] << 8, nb = t[3] | t[4] << 8;
     const uint8_t *w = t + HEADER + (winner ? na : 0), *l = t + HEADER + (winner ? 0 : na);
     uint32_t nw = winner ? nb : na, nl = winner ? na : nb, k = 0;
     while (k < nw && w[nw - 1 - k] == 0)
@@ -471,9 +451,7 @@ static int step(search_t *s, const uint8_t *t, int64_t depth)
             continue;
         const uint8_t *won = played[!leader_won], *lost = played[leader_won];
         uint32_t n_won = np[!leader_won], n_lost = np[leader_won];
-        uint8_t *p = tail(s, size);
-        if (!p)
-            return -1;
+        uint8_t *p = s->states + s->n * s->width;
         uint32_t n_a = winner ? n_lost + nl : n_won + rest, n_b = na + nb - n_a;
         uint8_t *pw = p + HEADER + (winner ? n_a : 0), *pl = p + HEADER + (winner ? 0 : n_a);
         p[0] = leader_won ? winner : !winner;
@@ -485,13 +463,19 @@ static int step(search_t *s, const uint8_t *t, int64_t depth)
         memcpy(pw + n_won, w, rest);
         memcpy(pl, lost, n_lost);
         memcpy(pl + n_lost, l, nl);
-        int added = add(s, size, depth);
+        int added = add(s, depth);
         if (added < 0)
             return -1;
         if (added && s->n >= s->max_nodes)
             return 1;
     }
     return 0;
+}
+
+/* The bytes of the packed state p: its header and its cards. */
+static int64_t width_of(const uint8_t *p)
+{
+    return HEADER + (p[1] | p[2] << 8) + (p[3] | p[4] << 8);
 }
 
 /* search(seeds, max_depth, max_nodes) on the n packed states read one after
@@ -502,37 +486,30 @@ static int step(search_t *s, const uint8_t *t, int64_t depth)
  * predecessors of the level before, in its order and then by pile length,
  * that were not found before. The search stops after max_depth levels or as
  * soon as max_nodes states are found (the seeds are all kept). Writes the
- * states found and their depths to *found, to be freed with bmn_free, and
- * returns 0; returns -1 for a seed past MAX_CARDS and -2 without memory,
- * with nothing to free. */
+ * states found, all of the seeds' one width (a trick keeps every card), and
+ * their depths to *found, to be freed with bmn_free, and returns 0; returns
+ * -1 for a seed past MAX_CARDS or of another width than the first and -2
+ * without memory, with nothing to free. */
 int bmn_search(const uint8_t *seeds, int64_t n, int64_t max_depth, int64_t max_nodes,
                found_t *found)
 {
     uint8_t t[HEADER + MAX_CARDS];
-    search_t s = {0};
-    int status = 0;
-    s.max_nodes = max_nodes;
-    s.room = FIRST_ROOM;
-    s.slots = 2 * FIRST_ROOM;
-    s.cap = 16 * FIRST_ROOM;
-    s.states = malloc((size_t)s.cap);
-    s.offsets = calloc(FIRST_ROOM + 1, sizeof *s.offsets);
+    int64_t width = n ? width_of(seeds) : HEADER;
+    search_t s = {.width = width, .room = FIRST_ROOM, .slots = 2 * FIRST_ROOM,
+                  .max_nodes = max_nodes};
+    if (width > HEADER + MAX_CARDS)
+        return -1;
+    for (int64_t i = 1; i < n; i++)
+        if (width_of(seeds + i * width) != width)
+            return -1;
+    s.states = malloc((size_t)(FIRST_ROOM * width));
     s.depths = malloc(FIRST_ROOM * sizeof *s.depths);
     s.table = calloc(2 * FIRST_ROOM, sizeof *s.table);
-    if (!s.states || !s.offsets || !s.depths || !s.table)
+    if (!s.states || !s.depths || !s.table)
         goto fail;
     for (int64_t i = 0; i < n; i++) {
-        uint32_t size = HEADER + (seeds[1] | seeds[2] << 8) + (seeds[3] | seeds[4] << 8);
-        uint8_t *p;
-        if (size > HEADER + MAX_CARDS) {
-            status = -1;
-            goto fail;
-        }
-        if (!(p = tail(&s, size)))
-            goto fail;
-        memcpy(p, seeds, size);
-        seeds += size;
-        if (add(&s, size, 0) < 0)
+        memcpy(s.states + s.n * width, seeds + i * width, (size_t)width);
+        if (add(&s, 0) < 0)
             goto fail;
     }
     for (int64_t depth = 1, start = 0, end = s.n;
@@ -540,7 +517,7 @@ int bmn_search(const uint8_t *seeds, int64_t n, int64_t max_depth, int64_t max_n
          depth++, start = end, end = s.n) {
         for (int64_t i = start; i < end; i++) {
             /* a copy: the states found may move as they grow */
-            memcpy(t, s.states + s.offsets[i], (size_t)(s.offsets[i + 1] - s.offsets[i]));
+            memcpy(t, s.states + i * width, (size_t)width);
             int stop = step(&s, t, depth);
             if (stop < 0)
                 goto fail;
@@ -551,23 +528,20 @@ int bmn_search(const uint8_t *seeds, int64_t n, int64_t max_depth, int64_t max_n
 done:
     free(s.table);
     found->states = s.states;
-    found->offsets = s.offsets;
     found->depths = s.depths;
     found->n = s.n;
     return 0;
 fail:
     free(s.states);
-    free(s.offsets);
     free(s.depths);
     free(s.table);
-    return status ? status : -2;
+    return -2;
 }
 
 /* Frees what bmn_search wrote to *found. */
 void bmn_free(found_t *found)
 {
     free(found->states);
-    free(found->offsets);
     free(found->depths);
 }
 

@@ -16,12 +16,12 @@ in one call: its draws, its fragments from the pattern table it is passed
 (`factory._PATTERNS`, which `factory._pattern_fragments` reads too), its
 checkpoint store and every insertion and correction test, each a
 `play_match_loops` with A leading. `search` runs the whole breadth-first
-backward search over `pack`ed states, to its depth or node limit, in one
-call, and returns the states found and their depths: each bottom slice
-of the winner's deck that `_parse_pile` reads as a trick is pushed back
-onto the players' decks, which gives one predecessor; no trick is played
-to confirm it. `trace` walks a match a chunk of tricks per call and gives
-each trick boundary's deck sizes, special positions and runs of
+backward search over `pack`ed states of one width, to its depth or node
+limit, in one call, and returns the states found and their depths: each
+bottom slice of the winner's deck that `_parse_pile` reads as a trick is
+pushed back onto the players' decks, which gives one predecessor; no trick
+is played to confirm it. `trace` walks a match a chunk of tricks per call
+and gives each trick boundary's deck sizes, special positions and runs of
 ordinaries, what `analyzer.trace_records` computes its metrics from.
 
 `play_match_loops`, `simulate_batch` and `search` run on a C kernel when
@@ -473,45 +473,41 @@ def split(packed):
     return leader, packed[HEADER.size:HEADER.size + n_a], packed[HEADER.size + n_a:]
 
 
-def even_split(states, offsets):
-    """Mask of the packed states states[offsets[i]:offsets[i + 1]], as
-    `search` returns them, whose two decks hold the same number of cards."""
-    head, starts = np.frombuffer(states, np.uint8), offsets[:-1]
-    # header bytes 1-2 and 3-4 are the lengths of A and B
-    return (head[starts + 1] == head[starts + 3]) & (head[starts + 2] == head[starts + 4])
-
-
 class _Found(ctypes.Structure):
     """bmn_search's result: arrays the C kernel allocated, freed by bmn_free."""
-    _fields_ = [("states", ctypes.c_void_p), ("offsets", ctypes.c_void_p),
-                ("depths", ctypes.c_void_p), ("n", ctypes.c_int64)]
+    _fields_ = [("states", ctypes.c_void_p), ("depths", ctypes.c_void_p),
+                ("n", ctypes.c_int64)]
 
 
 def search(seeds, max_depth, max_nodes):
-    """Breadth-first backward search from the packed states `seeds`, each
-    led by the winner of the trick before it.
+    """Breadth-first backward search from the packed states `seeds`, all of
+    one width, each led by the winner of the trick before it.
 
     Every distinct seed is found first, at depth 0. Each later level holds
     the predecessors of the level before it, in its order and then by pile
     length, that were not found before. The search stops after `max_depth`
     levels or as soon as `max_nodes` states are found (every distinct seed
-    is kept). Returns (states, offsets, depths), the last two numpy arrays:
-    state i is states[offsets[i]:offsets[i + 1]], found at depths[i]. Runs
-    on the C kernel if that loaded, and on `_py_search` without it or for a
-    seed past its 1024 cards, with the same result.
+    is kept). Returns (states, depths), numpy arrays: a trick keeps every
+    card, so state i is the row states[i] of an n x width uint8 array,
+    found at depths[i]. Seeds of two widths are a ValueError. Runs on the C
+    kernel if that loaded, and on `_py_search` without it or for seeds past
+    its 1024 cards, with the same result.
     """
+    width, *others = set(map(len, seeds)) or {HEADER.size}
+    if others:
+        raise ValueError("the seeds of one search must hold the same number of cards")
     lib, found = _c(), _Found()
     status = lib.bmn_search(b"".join(seeds), len(seeds), min(max_depth, _C_MAX_TRICKS),
                             min(max_nodes, _C_MAX_TRICKS),
                             ctypes.addressof(found)) if lib else -1
-    if status == -1:  # no C kernel, or a seed with more cards than it holds
+    if status == -1:  # no C kernel, or seeds with more cards than it holds
         return _py_search(seeds, max_depth, max_nodes)
     if status:
         raise MemoryError("no memory for the backward search")
     try:
         n = found.n
-        offsets = np.frombuffer(ctypes.string_at(found.offsets, 8 * (n + 1)), np.int64)
-        return (ctypes.string_at(found.states, int(offsets[-1])), offsets,
+        return (np.frombuffer(ctypes.string_at(found.states, n * width), np.uint8)
+                .reshape(n, width),
                 np.frombuffer(ctypes.string_at(found.depths, 8 * n), np.int64))
     finally:
         lib.bmn_free(ctypes.addressof(found))
@@ -531,7 +527,8 @@ def _py_search(seeds, max_depth, max_nodes):
                 level.append(packed)
                 if len(found) >= max_nodes:
                     break
-    return (b"".join(found), np.cumsum([0, *map(len, found)], dtype=np.int64),
+    width = len(seeds[0]) if seeds else HEADER.size
+    return (np.frombuffer(b"".join(found), np.uint8).reshape(len(found), width),
             np.fromiter(found.values(), np.int64, len(found)))
 
 

@@ -7,15 +7,13 @@ a bottom slice of it; a slice is a complete natural trick only if it ends
 with a rank-k special followed by exactly k ordinaries, and replaying the
 slice under forward rules fixes who played each card and, given the
 winner, which player led. The whole search over packed states is one
-`_kernels.search` call, which gives the states found and their depths; a
-`GameState` is built only for a state handed out.
+`_kernels.search` call, which gives the states found, as rows, and their
+depths; a `GameState` is built only for a state handed out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import _kernels
 from .engine import PLAYER_A, PLAYER_B, GameState
@@ -33,14 +31,15 @@ class BackwardSearchConfig:
             raise ValueError("max_nodes must be >= 1")
 
 
-def _state(packed: bytes) -> GameState:
-    leader, cards_a, cards_b = _kernels.split(packed)
+def _state(packed) -> GameState:  # packed: bytes, or a row that `search` found
+    leader, cards_a, cards_b = _kernels.split(bytes(packed))
     return GameState(tuple(cards_a), tuple(cards_b), PLAYER_B if leader else PLAYER_A)
 
 
 def search(seed_states, config: BackwardSearchConfig):
-    """The search from the states, as `_kernels.search` returns it: the
-    packed states found and the offsets and depths of each."""
+    """The search from the states, which hold the same number of cards, as
+    `_kernels.search` returns it: the packed states found, a row each, and
+    their depths."""
     seeds = [_kernels.pack(s.deck_a, s.deck_b, s.leader == PLAYER_B) for s in seed_states]
     return _kernels.search(seeds, config.max_depth, config.max_nodes)
 
@@ -55,9 +54,8 @@ def enumerate_predecessors(target: GameState) -> list[GameState]:
     with it the pile length, so the list has no duplicates; it is in order
     of pile length, shortest first.
     """
-    states, offsets, _ = search([target], BackwardSearchConfig(max_depth=1))
-    offsets = offsets.tolist()
-    return [_state(states[i:j]) for i, j in zip(offsets[1:], offsets[2:])]
+    states, _ = search([target], BackwardSearchConfig(max_depth=1))
+    return [_state(row) for row in states[1:]]
 
 
 def backward_search(seed_states, config: BackwardSearchConfig) -> list:
@@ -65,12 +63,14 @@ def backward_search(seed_states, config: BackwardSearchConfig) -> list:
 
     Every discovered state (seeds included) with even card split is
     standardized and reported once, in discovery order. Exhausting depth or
-    the node budget without a hit is a normal empty result.
+    the node budget without a hit is a normal empty result. The seeds hold
+    the same number of cards; a ValueError says otherwise.
     """
-    states, offsets, _ = search(seed_states, config)
+    states, _ = search(seed_states, config)
     balanced = {}
-    for i in np.flatnonzero(_kernels.even_split(states, offsets)).tolist():
-        packed = states[offsets[i]:offsets[i + 1]]
+    # header bytes 1-2 and 3-4 are the lengths of A and B, low byte first
+    for row in states[(states[:, 1] == states[:, 3]) & (states[:, 2] == states[:, 4])]:
+        packed = bytes(row)
         if packed[0]:  # standardize: relabel the players so that A leads
             _, cards_a, cards_b = _kernels.split(packed)
             packed = _kernels.pack(cards_b, cards_a, 0)

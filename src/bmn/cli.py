@@ -248,18 +248,17 @@ def cmd_backward(args) -> int:
         return 0
     # the predecessor tree, written from the packed states a block at a time;
     # the seed, the one state at depth 0, comes first and is not listed
-    states, offsets, _ = backward.search([state], config)
-    for lo in range(1, len(offsets) - 1, _LISTING_BLOCK):
-        at = offsets[lo:lo + _LISTING_BLOCK + 1]
-        block = states[at[0]:at[-1]]
+    states, _ = backward.search([state], config)
+    width = states.shape[1]
+    for lo in range(1, len(states), _LISTING_BLOCK):
+        block = states[lo:lo + _LISTING_BLOCK].tobytes()
         text = block.translate(engine.CARD_CHARS).decode("latin-1")
-        at = (at - at[0]).tolist()
         lines = []
-        for i, j in zip(at, at[1:]):
+        for i in range(0, len(block), width):
             cards = i + _kernels.HEADER.size  # A's cards, then B's from `split`
             split = cards + (block[i + 1] | block[i + 2] << 8)
             lines.append(f"leader={'AB'[block[i]]} deck_a=[{text[cards:split]}] "
-                         f"deck_b=[{text[split:j]}]\n")
+                         f"deck_b=[{text[split:i + width]}]\n")
         sys.stdout.write("".join(lines))
     return 0
 

@@ -90,14 +90,14 @@ def missing(deck_a: Deck, deck_b: Deck, settings: Settings) -> dict:
     """Signed deficit per card type: target count minus held count.
 
     Positive means the type is still needed, negative that it is in excess.
-    Type 0 are the ordinary cards.
+    Type 0 are the ordinary cards. A card of no rank of the setting is a ValueError.
     """
-    counts = {rank: 0 for rank in range(settings.max_rank + 1)}
-    for deck in (deck_a, deck_b):
-        for card in deck:
-            counts[card] = counts.get(card, 0) + 1
-    return {rank: settings.target_count(rank) - counts.get(rank, 0)
-            for rank in range(settings.max_rank + 1)}
+    ranks = range(settings.max_rank + 1)
+    held = [deck_a.count(rank) + deck_b.count(rank) for rank in ranks]
+    if sum(held) != len(deck_a) + len(deck_b):
+        card = next(card for card in chain(deck_a, deck_b) if card not in ranks)
+        raise ValueError(f"card {card} is not a rank of setting {settings}")
+    return {rank: settings.target_count(rank) - n for rank, n in zip(ranks, held)}
 
 
 def score(deck_a: Deck, deck_b: Deck, settings: Settings) -> int:

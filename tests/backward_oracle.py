@@ -1,9 +1,10 @@
 """The backward search listed state by state, as the tests read it.
 
-`discover` hands out every state that `backward.search` finds, with its
-depth, in the search's order, so that the tests can check the order, the
-seeds, the budget and the depth limit one state at a time. The CLI's
-listing and `backward_search` read the same packed result directly.
+`discover` hands out every state that `backward.search` finds, row by
+row, with its depth, in the search's order, so that the tests can check
+the order, the seeds, the budget and the depth limit one state at a time.
+The CLI's listing and `backward_search` read the same rows of packed
+states directly.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ def discover(seed_states, config: BackwardSearchConfig):
     config.max_nodes states (seeds included) are known. The search runs to
     these limits before the first state is yielded.
     """
-    states, offsets, depths = search(seed_states, config)
-    offsets = offsets.tolist()
-    for depth, i, j in zip(depths.tolist(), offsets, offsets[1:]):
-        yield depth, _state(states[i:j])
+    states, depths = search(seed_states, config)
+    for depth, row in zip(depths.tolist(), states):
+        yield depth, _state(row)

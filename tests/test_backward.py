@@ -344,17 +344,16 @@ _SEARCH_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", list(_SEARCH_CASES))
-def test_search_matches_the_reference(kernel, case):
-    seeds, max_depth, max_nodes = _SEARCH_CASES[case]
-    seeds = [_kernels.pack(s.deck_a, s.deck_b, s.leader == PLAYER_B) for s in seeds()]
+def _checked_search(seeds, max_depth, max_nodes):
+    """The search from the packed `seeds`, all of one width, on the kernel
+    in use, checked against the reference and against what the reference
+    itself must give. Returns the states found, as bytes."""
     got = _kernels.search(seeds, max_depth, max_nodes)
     want = _kernels._py_search(seeds, max_depth, max_nodes)
-    assert got[0] == want[0]
-    assert [a.tolist() for a in got[1:]] == [a.tolist() for a in want[1:]]
-    # what the reference itself must give
-    states, offsets, depths = got[0], *(a.tolist() for a in got[1:])
-    found = [states[i:j] for i, j in zip(offsets, offsets[1:])]
+    assert got[0].shape == want[0].shape == (len(got[1]), len(seeds[0]))
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tolist() == want[1].tolist()
+    found, depths = [bytes(row) for row in got[0]], got[1].tolist()
     distinct = list(dict.fromkeys(seeds))
     assert len(set(found)) == len(found) == len(depths)
     assert found[:len(distinct)] == distinct[:len(found)]
@@ -362,9 +361,6 @@ def test_search_matches_the_reference(kernel, case):
     assert len(found) <= max(max_nodes, len(distinct))
     if max_nodes < 10**6:  # exact at the budget
         assert len(found) == max(max_nodes, len(distinct))
-    if case == "mixed seeds":
-        assert len(distinct) < len(seeds)
-        assert len({(p[0], len(p)) for p in distinct}) == 6  # both leaders, three sizes
     # each state found after the seeds is one trick before a state of the
     # level above: the levels run in the order of those states and then
     # by pile length
@@ -381,10 +377,56 @@ def test_search_matches_the_reference(kernel, case):
         assert depths[parent] == depth - 1
         order.append((parent, len(trick.pile_in_play_order)))
     assert order == sorted(set(order))
+    return found
+
+
+@pytest.mark.parametrize("case", list(_SEARCH_CASES))
+def test_search_matches_the_reference(kernel, case):
+    seeds, max_depth, max_nodes = _SEARCH_CASES[case]
+    seeds = [_kernels.pack(s.deck_a, s.deck_b, s.leader == PLAYER_B) for s in seeds()]
+    # one search per width: a search takes the seeds of one width
+    groups = {}
+    for packed in seeds:
+        groups.setdefault(len(packed), []).append(packed)
+    found = [_checked_search(group, max_depth, max_nodes) for group in groups.values()]
+    if case == "mixed seeds":
+        assert len(set(seeds)) < len(seeds)
+        assert len(groups) == 3  # three sizes, three searches
+        assert len({(p[0], len(p)) for p in seeds}) == 6  # both leaders in each
     if case == "52,4 loop":
+        (found,) = found
         assert len(found) == 2514
         assert sum(packed[1:3] == packed[3:5] for packed in found) == 12
     if case == "large":
+        (found,) = found
         assert len(found) == 16_951
     if case == "over 1024 cards":
-        assert max(map(len, found)) > 1024 + _kernels.HEADER.size
+        assert sorted(groups) == [17, 1025 + _kernels.HEADER.size]
+
+
+def test_a_search_takes_seeds_of_one_width(kernel, monkeypatch):
+    # a trick keeps every card, so the states of one search share a width;
+    # seeds of two widths are refused before either kernel runs
+    fallbacks = []
+    monkeypatch.setattr(_kernels, "_py_search", lambda *args: fallbacks.append(args))
+    seeds = [state("[1CC1CC]", "[C1CC1C]"), state("[1CC]", "[C1C]")]
+    with pytest.raises(ValueError, match="same number of cards"):
+        _kernels.search([_kernels.pack(s.deck_a, s.deck_b, 0) for s in seeds], 1, 10)
+    with pytest.raises(ValueError, match="same number of cards"):
+        backward_search(seeds, BackwardSearchConfig(max_depth=1))
+    assert fallbacks == []
+
+
+def test_backward_search_from_no_seeds_finds_nothing(kernel):
+    assert backward_search([], BackwardSearchConfig(max_depth=3)) == []
+
+
+def test_backward_search_reads_both_bytes_of_each_deck_length(kernel):
+    # 641 against 129 cards (0x281, 0x081) shares its low bytes with 385
+    # against 385 (0x181, 0x181) and is not even; 385 against 385 is
+    decks = [((0,) * 640 + (1,), (0,) * 129), ((0,) * 129, (0,) * 640 + (1,)),
+             ((1,) + (0,) * 384, (0,) * 385)]
+    seeds = [GameState(a, b, leader) for a, b in decks for leader in (PLAYER_B, PLAYER_A)]
+    found = backward_search(seeds, BackwardSearchConfig(max_depth=0))
+    assert found == [GameState((0,) * 385, (1,) + (0,) * 384, PLAYER_A),
+                     GameState((1,) + (0,) * 384, (0,) * 385, PLAYER_A)]

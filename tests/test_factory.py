@@ -237,6 +237,18 @@ def test_factory_tests_the_seed_with_a_leading(kernel):
         run_factory(config)
 
 
+def test_factory_refuses_a_seed_with_a_rank_outside_the_setting(kernel):
+    # no deficit of (22,1) counts a rank-2 card: this seed once grew to [1CC]
+    # against 23 cards, four of them rank 2, reported complete and 22/22
+    seed = state("[1CC]", "[C2C2C1CC1CC2C2C1C]")
+    settings = Settings(22, 1)
+    with pytest.raises(ValueError, match="card 2 is not a rank of setting 22,1"):
+        score(seed.deck_a, seed.deck_b, settings)
+    config = FactoryConfig(settings=settings, seed_state=seed, budget=5000, rng_seed=1)
+    with pytest.raises(ValueError, match="card 2 is not a rank"):
+        run_factory(config)
+
+
 def test_factory_works_with_capacity_one(monkeypatch, kernel):
     monkeypatch.setattr(factory, "_CHECKPOINT_CAPACITY", 1)
     config = FactoryConfig(settings=Settings(12, 1),

@@ -2,6 +2,7 @@
 slicing and memory, the C kernel against the pure-Python one, and how the
 C kernel is built and cached."""
 
+import ctypes
 import hashlib
 import os
 import random
@@ -274,11 +275,11 @@ def _predecessors(search, wdeck, ldeck):
     """`search` of depth 1 from one target, whose winner A holds `wdeck`
     and leads: (pile length, leader won, winner's deck, loser's deck) for
     each predecessor, the pile length read off a replay of its trick."""
-    states, offsets, depths = search([_kernels.pack(wdeck, ldeck, 0)], 1, 10**6)
+    states, depths = search([_kernels.pack(wdeck, ldeck, 0)], 1, 10**6)
     assert depths.tolist() == [0] + [1] * (len(depths) - 1)
     out = []
-    for i in range(1, len(depths)):
-        leader, prev_w, prev_l = _kernels.split(states[offsets[i]:offsets[i + 1]])
+    for row in states[1:]:
+        leader, prev_w, prev_l = _kernels.split(bytes(row))
         pred = GameState(tuple(prev_w), tuple(prev_l), (PLAYER_A, PLAYER_B)[leader])
         trick = reference_trick(pred)
         assert trick.next_state == GameState(tuple(wdeck), tuple(ldeck), PLAYER_A)
@@ -323,9 +324,10 @@ def test_predecessors_past_max_cards_play_in_python(monkeypatch):
 
 
 def _listed(found):
-    """A search's result with its arrays as lists, to compare with =="""
-    states, *arrays = found
-    return (states, *(a.tolist() for a in arrays))
+    """A search's result as its states' shape and bytes and its depths as a
+    list, to compare with =="""
+    states, depths = found
+    return states.shape, states.tobytes(), depths.tolist()
 
 
 def test_c_search_matches_python_on_a_level(monkeypatch):
@@ -348,30 +350,36 @@ def test_c_search_matches_python_on_a_level(monkeypatch):
     level = [_kernels.pack(s.deck_a, s.deck_b, s.leader == PLAYER_B) for s in targets]
     assert {s.leader for s in targets} == {PLAYER_A, PLAYER_B}
 
-    everything = reference(level, 1, 10**9)
-    assert len(everything[2]) > 4 * len(level)  # the level and its predecessors
-    for budget in (1, 7, 50, 301, 10**9):
-        got = _kernels.search(level, 1, budget)
-        assert _listed(got) == _listed(reference(level, 1, budget))
-        # exact at the budget, and every distinct seed kept past it
-        assert len(got[2]) == max(min(budget, len(everything[2])), len(set(level)))
+    # a search takes the seeds of one width: one level per width, in order
+    levels = {}
+    for packed in level:
+        levels.setdefault(len(packed), []).append(packed)
+    assert len(levels) > 20
+    everything = [reference(seeds, 1, 10**9) for seeds in levels.values()]
+    assert sum(len(depths) for _, depths in everything) > 4 * len(level)
+    for seeds, (_, all_depths) in zip(levels.values(), everything):
+        for budget in (1, 7, 50, 301, 10**9):
+            got = _kernels.search(seeds, 1, budget)
+            assert _listed(got) == _listed(reference(seeds, 1, budget))
+            # exact at the budget, and every distinct seed kept past it
+            assert len(got[1]) == max(min(budget, len(all_depths)), len(set(seeds)))
     assert fallbacks == []  # the C kernel took every search
     # 1025 cards, past the C kernel: the whole search runs in Python
     big = GameState((0, 3) + (0,) * 18, (0,) * 1000 + (2, 0, 0, 1, 0), PLAYER_B)
-    level.insert(len(level) // 2, _kernels.pack(big.deck_a, big.deck_b, True))
-    assert _listed(_kernels.search(level, 1, 10**9)) == _listed(reference(level, 1, 10**9))
+    bigs = [_kernels.pack(big.deck_a, big.deck_b, True),
+            _kernels.pack(big.deck_b, big.deck_a, False)]
+    assert _listed(_kernels.search(bigs, 1, 10**9)) == _listed(reference(bigs, 1, 10**9))
     assert len(fallbacks) == 1
 
 
-def test_even_split_reads_both_bytes_of_each_deck_length():
-    # lengths alike in one byte of two (513 against 257, 256 against 0) are
-    # not even; 300 against 300 is
-    decks = [((0,) * 513, (0,) * 257), ((0,) * 256, ()), ((1,), (0,) * 256),
-             ((0,) * 300, (2,) * 300), ((), ()), ((0, 1), (1,)), ((1, 0, 0), (0, 0, 2))]
-    packed = [_kernels.pack(a, b, leader) for a, b in decks for leader in (0, 1)]
-    offsets = np.cumsum([0] + [len(p) for p in packed])
-    mask = _kernels.even_split(b"".join(packed), offsets)
-    assert mask.tolist() == [len(a) == len(b) for a, b in decks for _ in (0, 1)]
+def test_c_search_refuses_seeds_of_two_widths():
+    # _kernels.search refuses them first; the C kernel still reads no seed
+    # past its width, whichever comes first
+    require_c_kernel()
+    lib, found = _kernels._c(), _kernels._Found()
+    seeds = [_kernels.pack((0, 1, 0), (0,), 0), _kernels.pack((1, 0), (0,), 1)]
+    for order in (seeds, seeds[::-1]):
+        assert lib.bmn_search(b"".join(order), 2, 1, 10, ctypes.addressof(found)) == -1
 
 
 def test_c_kernel_has_the_python_first_block():
