@@ -6,7 +6,8 @@
  * splitmix64 Fisher-Yates deal of SplitMix64.shuffle (masked rejection as
  * in SplitMix64.below), then play_match_loops with A leading.
  * bmn_trace is trace, a chunk of engine.walk on the same trick loop: each
- * trick boundary's deck sizes, special positions and runs of ordinaries.
+ * trick boundary's deck sizes, special positions, separations and
+ * entropies, the entropies summed in analyzer._spacing's order.
  * bmn_factory is factory._rounds, the factory's whole round loop: restarts,
  * escapes, checkpoint store, the draws on its splitmix64 stream, fragments
  * from the factory._PATTERNS it is passed, and the insertion and correction
@@ -18,11 +19,14 @@
  * _parse_pile on every bottom slice of the winner's deck, each parse
  * packed the same way as a predecessor.
  * Results are bit for bit the Python ones. _kernels compiles this file with
- * `cc -O2 -shared -fPIC` and calls it through ctypes; it uses no Python API.
+ * `cc -O2 -ffp-contract=off -shared -fPIC ... -lm` and calls it through
+ * ctypes; it uses no Python API.
  */
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+
+double log(double); /* libm's: <math.h> would add to the compiler's memory */
 
 #define MAX_CARDS 1024 /* cards in play; a power of two, the rings' size */
 #define FIRST_BLOCK 64 /* _BRENT_FIRST_BLOCK */
@@ -200,34 +204,48 @@ int bmn_play_loops(const uint8_t *a, uint32_t na, const uint8_t *b, uint32_t nb,
     return play(a, na, b, nb, leader, max_tricks, out);
 }
 
-/* One trace row of g's decks at out: A's and B's sizes, A's special count
- * k, then per deck, A's first, the 1-based positions of its specials and the
- * lengths of the k + 1 runs of ordinaries around them; returns the end. */
+/* One trace row of g's decks at out, which need not be aligned for the
+ * doubles: A's and B's sizes and A's special count k, then the 1-based
+ * positions of A's k specials and of B's, all uint16; then A's and B's
+ * separations (m - k) / (k + 1) and A's and B's entropies, doubles. An
+ * entropy is 0.0 - s, where s sums x * log(x), x = l / m, left to right
+ * over the deck's nonempty runs of l ordinaries, as analyzer._spacing
+ * does; an empty deck gives 0.0 for both. Returns the end of the row. */
 static uint16_t *row(const game_t *g, uint16_t *out)
 {
     uint16_t *pos = out + 3;
+    double measure[4];
     for (int p = 0; p < 2; p++) {
-        uint16_t k = 0, last = 0;
-        for (uint32_t i = 0; i < g->len[p]; i++)
-            if (g->card[p][(g->head[p] + i) & g->mask])
-                pos[k++] = (uint16_t)(i + 1);
-        for (uint16_t j = 0; j < k; last = pos[j++])
-            pos[k + j] = (uint16_t)(pos[j] - last - 1);
-        pos[2 * k] = (uint16_t)(g->len[p] - last);
-        out[p] = (uint16_t)g->len[p];
+        uint32_t m = g->len[p], k = 0, last = 0;
+        double s = 0.0;
+        for (uint32_t i = 0; i <= m; i++)
+            if (i == m || g->card[p][(g->head[p] + i) & g->mask]) {
+                if (i > last) { /* a run of i - last ordinaries ends here */
+                    double x = (double)(i - last) / m;
+                    s += x * log(x);
+                }
+                if (i < m)
+                    pos[k++] = (uint16_t)(i + 1);
+                last = i + 1;
+            }
+        out[p] = (uint16_t)m;
         if (p == 0)
-            out[2] = k;
-        pos += 2 * k + 1;
+            out[2] = (uint16_t)k;
+        pos += k;
+        measure[p] = m ? (double)(m - k) / (k + 1) : 0.0;
+        measure[2 + p] = 0.0 - s;
     }
-    return pos;
+    memcpy(pos, measure, sizeof measure);
+    return (uint16_t *)((char *)pos + sizeof measure);
 }
 
 /* engine.walk from the packed state (_kernels.pack's layout; see
  * bmn_search) for up to n tricks, stopping at the end of the match: a row
- * for the state and one after each trick, written one after another to
- * out, which has room for n + 1 of them. The state left is packed back
- * into `state`, for the next call to resume from. Returns the tricks
- * played, or -1 with nothing done for more than MAX_CARDS cards. */
+ * (see row: sizes, special count and positions, then four doubles) for the
+ * state and one after each trick, written one after another to out, which
+ * has room for n + 1 of them. The state left is packed back into `state`,
+ * for the next call to resume from. Returns the tricks played, or -1 with
+ * nothing done for more than MAX_CARDS cards. */
 int64_t bmn_trace(uint8_t *state, int64_t n, uint16_t *out)
 {
     game_t g;

@@ -21,8 +21,8 @@ limit, in one call, and returns the states found and their depths: each
 bottom slice of the winner's deck that `_parse_pile` reads as a trick is
 pushed back onto the players' decks, which gives one predecessor; no trick
 is played to confirm it. `trace` walks a match a chunk of tricks per call
-and gives each trick boundary's deck sizes, special positions and runs of
-ordinaries, what `analyzer.trace_records` computes its metrics from.
+and gives each trick boundary's whole record, as `analyzer.trace_records`
+yields it: deck sizes, special positions, separations and entropies.
 
 `play_match_loops`, `simulate_batch` and `search` run on a C kernel when
 one is available, and `factory` and `trace` run only there: `_ckernel.c`,
@@ -31,11 +31,12 @@ round loop line for line, bit-identical to the reference shuffle and the
 Python code here, in `factory` and in `engine.walk`, which stays as the
 reference and the fallback.
 On first use the source is compiled with the system C compiler (`cc -O2
--shared -fPIC`) into `$XDG_CACHE_HOME/bmn` (default `~/.cache/bmn`), the
-file named by the source's sha256 and the platform (system, machine, C
-library), and loaded with ctypes; later processes load the cached library
-without compiling, and build it again only if it does not load. A build
-removes the libraries of other source versions for the same platform.
+-ffp-contract=off -shared -fPIC ... -lm`) into `$XDG_CACHE_HOME/bmn`
+(default `~/.cache/bmn`), the file named by the source's sha256 and the
+platform (system, machine, C library), and loaded with ctypes; later
+processes load the cached library without compiling, and build it again
+only if it does not load. A build removes the libraries of other source
+versions for the same platform.
 Without a compiler, when the build fails or the cache directory is not
 private to the user, and for decks or budgets past the C kernel's limits,
 the Python code plays. `backend()` names the kernel in use.
@@ -100,8 +101,11 @@ def _compile(target) -> bool:
     with tempfile.TemporaryDirectory(dir=os.path.dirname(target)) as work:
         built = os.path.join(work, "_ckernel.so")
         try:
-            subprocess.run([cc, "-O2", "-shared", "-fPIC", "-o", built, _SOURCE],
-                           check=True, capture_output=True, timeout=300)
+            # libm for the trace's log; no fused multiply-add, which some
+            # machines would use for the entropy sum and so round it unlike
+            # Python
+            subprocess.run([cc, "-O2", "-ffp-contract=off", "-shared", "-fPIC", "-o", built,
+                            _SOURCE, "-lm"], check=True, capture_output=True, timeout=300)
         except subprocess.SubprocessError:
             return False
         os.chmod(built, 0o700)
@@ -362,19 +366,21 @@ def _py_match_loops(deck_a, deck_b, leader, max_tricks):
 
 #: Bytes of rows one `bmn_trace` call writes at most, so a trace's chunks
 #: take the same memory whatever the number of specials; a call walks at
-#: least one trick.
+#: least one trick, and a short match gets a buffer of its own rows only.
 _TRACE_BYTES = 1 << 15
 
 
-def trace(deck_a, deck_b, leader, tricks):
-    """`engine.walk` from a state on the C kernel, or None without it, for
-    more than 1024 cards or a card outside 0..255.
+def trace(deck_a, deck_b, leader, tricks, record):
+    """`engine.walk` from a state on the C kernel, each state measured, or
+    None without it, for more than 1024 cards or a card outside 0..255.
 
-    Yields (size of A, size of B, positions of A's specials, of B's, run
-    lengths of A, of B) for the state and after each of the next `tricks`
-    tricks: the positions 1-based from the top, the runs those of
-    `analyzer.interval_lengths`, all tuples. The walk stops at the end of
-    the match. It plays a chunk of tricks per C call and holds no more.
+    Yields a `record`, a tuple type with `analyzer.TrickRecord`'s fields,
+    for the state (trick 0) and after each of the next `tricks` tricks:
+    (trick, size of A, size of B, A's special count, B's, positions of A's
+    specials, of B's, separation of A, of B, entropy of A, of B), the
+    positions 1-based from the top, in tuples, and the measures bit for
+    bit `analyzer._spacing`'s. The walk stops at the end of the match. It
+    plays a chunk of tricks per C call and holds no more.
     """
     lib = _c()
     if not lib or len(deck_a) + len(deck_b) > _C_MAX_CARDS:
@@ -384,24 +390,31 @@ def trace(deck_a, deck_b, leader, tricks):
     except ValueError:  # a card outside 0..255
         return None
     specials = len(packed) - HEADER.size - packed.count(0, HEADER.size)
-    return _c_trace(lib, ctypes.create_string_buffer(packed, len(packed)), specials, tricks)
+    return _c_trace(lib, ctypes.create_string_buffer(packed, len(packed)), specials, tricks,
+                    record)
 
 
-def _c_trace(lib, state, specials, tricks):
-    """`trace`'s walk: `bmn_trace` writes each row as size of A, size of B,
-    A's special count k, then A's k positions and k + 1 runs, then B's."""
-    row = struct.Struct(f"{5 + 2 * specials}H")
-    per_call = max(1, _TRACE_BYTES // row.size - 1)
+def _c_trace(lib, state, specials, tricks, record):
+    """`trace`'s walk: `bmn_trace` writes each row as the sizes of A and B
+    and A's special count k, then the positions of A's k specials and of
+    B's, all native uint16, then A's and B's separations and entropies,
+    native doubles, unaligned."""
+    end = 3 + specials  # where the doubles start
+    row = struct.Struct(f"={end}H4d")
+    per_call = max(1, min(tricks, _TRACE_BYTES // row.size - 1))
     out = ctypes.create_string_buffer(row.size * (per_call + 1))
+    # tuple.__new__ skips the named tuple's own __new__, a Python function
+    # that took a fifth of a record's time
+    new, trick = tuple.__new__, 0
     skip = 0  # a later chunk starts at the state the one before ended at
     while True:
         n = min(per_call, tricks)
         played = lib.bmn_trace(state, n, out)
         for r in islice(row.iter_unpack(out), skip, played + 1):
             k = r[2]
-            b = 4 + 2 * k  # where B's positions start
-            yield (r[0], r[1], r[3:3 + k], r[b:b + specials - k], r[3 + k:b],
-                   r[b + specials - k:])
+            yield new(record, (trick, r[0], r[1], k, specials - k, r[3:3 + k], r[3 + k:end],
+                               r[end], r[end + 1], r[end + 2], r[end + 3]))
+            trick += 1
         tricks -= played
         if played < n or not tricks:
             return

@@ -4,18 +4,21 @@ A deck of size m holding k special cards at 1-based positions
 p_1 < ... < p_k splits into k+1 runs of ordinary cards with lengths
 l_0 = p_1 - 1, l_j = p_{j+1} - p_j - 1, l_k = m - p_k. The mean separation
 (m - k) / (k + 1) and the position entropy -sum (l/m) ln(l/m) over nonempty
-runs are the two spacing measures tracked along a match.
+runs are the two spacing measures tracked along a match. The entropy's
+terms are added one by one, left to right from 0.0, and the sum negated as
+0.0 - s, so that it is the same float on every Python (`sum()` compensates
+from 3.12 on) and never -0.0.
 
-A trace takes each trick boundary's sizes, positions and runs from the C
-kernel (`_kernels.trace`); `record_for`, its reference and fallback, reads
-them off each state of `engine.walk`. Both compute the measures here.
+A trace takes each trick boundary's whole record from the C kernel
+(`_kernels.trace`), which computes the measures in the same order;
+`record_for`, its reference and fallback, reads them off each state of
+`engine.walk` with `_spacing`.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from itertools import accumulate
+from itertools import accumulate, count
 from typing import NamedTuple
 
 from . import _kernels, engine
@@ -69,7 +72,8 @@ class TrickRecord(NamedTuple):
     """Both players' deck metrics at one trick boundary.
 
     For an empty deck (the loser at match end) separation and entropy are
-    reported as 0.0.
+    reported as 0.0, and so is the entropy of a deck of only ordinaries or
+    only specials.
     """
 
     trick: int
@@ -85,35 +89,27 @@ class TrickRecord(NamedTuple):
     entropy_b: float
 
 
-@functools.cache
-def _entropy_terms(m: int) -> tuple:
-    """(l/m) ln(l/m) for l = 0..m (0 for l = 0): a deck size's entropy terms."""
-    return tuple((l / m) * math.log(l / m) if l else 0.0 for l in range(m + 1))
-
-
 def _spacing(m: int, lengths) -> tuple:
-    """Separation and entropy of a deck of m cards from its run lengths:
-    bit for bit the reference functions in the tests (0.0 for no cards)."""
+    """Separation and entropy of a deck of m cards from its run lengths, the
+    entropy summed left to right as `bmn_trace` sums it; 0.0 for no cards."""
     if not m:
         return 0.0, 0.0
-    terms = _entropy_terms(m)
-    return ((m - len(lengths) + 1) / len(lengths),
-            -sum(map(terms.__getitem__, filter(None, lengths))))
-
-
-def _record(trick, size_a, size_b, pos_a, pos_b, runs_a, runs_b) -> TrickRecord:
-    """The record of a state from each deck's size, special positions and runs."""
-    sep_a, ent_a = _spacing(size_a, runs_a)
-    sep_b, ent_b = _spacing(size_b, runs_b)
-    return TrickRecord(trick, size_a, size_b, len(pos_a), len(pos_b), pos_a, pos_b,
-                       sep_a, sep_b, ent_a, ent_b)
+    s = 0.0
+    for l in lengths:
+        if l:
+            x = l / m
+            s += x * math.log(x)
+    return (m - len(lengths) + 1) / len(lengths), 0.0 - s
 
 
 def record_for(trick: int, state: GameState) -> TrickRecord:
     """The record of `state`, read off its decks."""
-    runs = interval_lengths(state.deck_a), interval_lengths(state.deck_b)
-    pos_a, pos_b = (tuple(accumulate(l + 1 for l in r[:-1])) for r in runs)
-    return _record(trick, len(state.deck_a), len(state.deck_b), pos_a, pos_b, *runs)
+    runs_a, runs_b = interval_lengths(state.deck_a), interval_lengths(state.deck_b)
+    pos_a, pos_b = (tuple(accumulate(l + 1 for l in r[:-1])) for r in (runs_a, runs_b))
+    sep_a, ent_a = _spacing(len(state.deck_a), runs_a)
+    sep_b, ent_b = _spacing(len(state.deck_b), runs_b)
+    return TrickRecord(trick, len(state.deck_a), len(state.deck_b), len(pos_a), len(pos_b),
+                       pos_a, pos_b, sep_a, sep_b, ent_a, ent_b)
 
 
 def trace_records(initial: GameState, outcome: MatchOutcome):
@@ -121,10 +117,10 @@ def trace_records(initial: GameState, outcome: MatchOutcome):
     that ended in `outcome` (record 0 describes the initial state).
 
     A walk replays exactly the states the outcome covers, holding none of
-    them: `_kernels.trace` on the C kernel, which gives each state's deck
-    sizes, special positions and run lengths, or else `engine.walk` and
-    `record_for`, the reference, with the same records. A loop's repeated
-    state is not recorded again; a terminated match's final state is.
+    them: `_kernels.trace` on the C kernel, which gives each state's
+    record, or else `engine.walk` and `record_for`, the reference, with the
+    same records bit for bit. A loop's repeated state is not recorded
+    again; a terminated match's final state is.
     """
     if isinstance(outcome, engine.Looped):
         tricks = outcome.transient + outcome.period - 1
@@ -133,13 +129,8 @@ def trace_records(initial: GameState, outcome: MatchOutcome):
     else:
         tricks = outcome.tricks_played
     walk = _kernels.trace(initial.deck_a, initial.deck_b, initial.leader == engine.PLAYER_B,
-                          tricks)
-    if walk is None:
-        for i, s in enumerate(engine.walk(initial, tricks)):
-            yield record_for(i, s)
-    else:
-        for i, row in enumerate(walk):
-            yield _record(i, *row)
+                          tricks, TrickRecord)
+    yield from walk or map(record_for, count(), engine.walk(initial, tricks))
 
 
 def trace_match(initial: GameState,

@@ -27,8 +27,17 @@ def mean_separation(deck: Deck) -> float:
 
 
 def position_entropy(deck: Deck) -> float:
-    """-sum (l/m) ln(l/m) over nonempty ordinary runs (0 ln 0 = 0)."""
+    """-sum (l/m) ln(l/m) over nonempty ordinary runs (0 ln 0 = 0).
+
+    The terms are added one by one, left to right from 0.0, and the sum is
+    negated as 0.0 - s: `sum()` adds floats with compensation from Python
+    3.12 on, and -s gives -0.0 for a deck with no specials.
+    """
     if not deck:
         raise ValueError("position entropy is undefined for an empty deck")
     m = len(deck)
-    return -sum((l / m) * math.log(l / m) for l in interval_lengths(deck) if l > 0)
+    s = 0.0
+    for l in interval_lengths(deck):
+        if l > 0:
+            s += (l / m) * math.log(l / m)
+    return 0.0 - s

@@ -216,6 +216,14 @@ def _trace_cases():
     cases = [(state(*pair, leader=leader), cap) for pair in (INF_40_1, INF_52_4, BLOCKS[1])
              for leader in "AB" for cap in (3, 100_000)]
     cases.append((state(*GOLDEN_MATCHES[0][1:3]), 1_000_000))
+    # decks with no specials, decks of only specials, and losers left with
+    # an empty deck: the zero-entropy and empty-deck edges
+    cases += [(state(a, b, leader), 100) for a, b in (("[CCCCCC]", "[1111CC]"),
+                                                      ("[1111]", "[CCCC]"),
+                                                      ("[CCC]", "[CC]"),
+                                                      ("[4]", "[CCC]"),
+                                                      ("[3C3]", "[22]"))
+              for leader in "AB"]
     for max_cards, count in ((4, 20), (26, 30), (120, 12), (1024, 6)):
         cases += [(random_playable_state(rng, max_cards, max_rank=9), rng.choice((1, 60, 400)))
                   for _ in range(count)]
@@ -232,10 +240,11 @@ def test_c_trace_gives_the_reference_records(monkeypatch, tricks_per_call):
     monkeypatch.setattr(lib, "bmn_trace", lambda *args: calls.append(args[1]) or inner(*args))
     outcomes = set()
     for s, cap in _trace_cases():
-        if tricks_per_call:  # a chunk's bytes: its rows, each 2 bytes a field
+        if tricks_per_call:  # a chunk's bytes: its rows, each 2 bytes a size,
+            # count or position and 8 a measure
             specials = sum(c > 0 for c in s.deck_a + s.deck_b)
             monkeypatch.setattr(_kernels, "_TRACE_BYTES",
-                                (tricks_per_call + 1) * 2 * (5 + 2 * specials))
+                                (tricks_per_call + 1) * (2 * (3 + specials) + 8 * 4))
         outcome = play_match(s, cap)
         outcomes.add(type(outcome))
         records = list(analyzer.trace_records(s, outcome))
@@ -260,11 +269,37 @@ def test_trace_past_the_c_limits_walks_in_python(monkeypatch):
     # more cards than the C kernel holds, and a card it cannot hold
     wide = GameState((0,) * 500 + (1,) + (0,) * 12, (0,) * 511 + (2,))
     for s in (wide, GameState((300, 0, 0), (0, 1, 0))):
-        assert _kernels.trace(s.deck_a, s.deck_b, 0, 5) is None
+        assert _kernels.trace(s.deck_a, s.deck_b, 0, 5, analyzer.TrickRecord) is None
         records = list(analyzer.trace_records(s, play_match(s, 50)))
         assert walks.pop() == (s, len(records) - 1)
         assert records == [analyzer.record_for(i, x)
                            for i, x in enumerate(inner(s, len(records) - 1))]
+
+
+def test_golden_trace_records_are_pinned(kernel):
+    """All 1,165 records of the 1164-trick golden match, bit for bit: the
+    same digest on either kernel and on every supported Python."""
+    initial = state(*GOLDEN_MATCHES[3][1:3])
+    records = list(analyzer.trace_records(initial, play_match(initial)))
+    assert len(records) == 1165
+    assert (hashlib.sha256("\n".join(map(repr, records)).encode()).hexdigest()
+            == "28c4fe9cd6137f9272672bf273c9453a07015d748c83ef691f8892b5ad1fee45")
+
+
+def test_zero_entropy_is_positive_zero(kernel, tmp_path):
+    # A has no specials and B's are all on top; then a deck of only specials
+    # against one of only ordinaries, which loses with an empty deck
+    for a, b in (("[CCCCCC]", "[1111CC]"), ("[11]", "[CCCC]")):
+        records = list(analyzer.trace_records(state(a, b), play_match(state(a, b))))
+        assert all(type(h) is float and math.copysign(1.0, h) == 1.0
+                   for r in records for h in (r.entropy_a, r.entropy_b))
+    first, last = records[0], records[-1]
+    assert repr((first.entropy_a, first.entropy_b)) == "(0.0, 0.0)"
+    assert (last.size_b, repr(last.sep_b), repr(last.entropy_b)) == (0, "0.0", "0.0")
+    trace = tmp_path / "t.csv"
+    assert cli.main(["play", "--setting", "12,1", "--deck-a", "[CCCCCC]", "--deck-b", "[1111CC]",
+                     "--trace", str(trace)]) == 0
+    assert trace.read_text().splitlines()[1] == "0,6,6,0,4,6,0.4,0,0.366204096223"
 
 
 # (index into GOLDEN_MATCHES, sha256 of the trace CSV, of the positions CSV)
