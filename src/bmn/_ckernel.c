@@ -11,7 +11,8 @@
  * bmn_factory is factory._rounds, the factory's whole round loop: restarts,
  * escapes, checkpoint store, the draws on its splitmix64 stream, fragments
  * from the factory._PATTERNS it is passed, and the insertion and correction
- * tests, each a play_match_loops with A leading.
+ * tests, each a play_match_loops with A leading unless the run's memo of
+ * failed tests holds its decks: such a test is counted, not played.
  * bmn_search is search, the whole breadth-first backward search over
  * states packed as _kernels.pack packs them, all of one width; it returns
  * the states found, a row of that width each, and their depths. Its step
@@ -19,8 +20,8 @@
  * _parse_pile on every bottom slice of the winner's deck, each parse
  * packed the same way as a predecessor.
  * Results are bit for bit the Python ones. _kernels compiles this file with
- * `cc -O2 -ffp-contract=off -shared -fPIC ... -lm` and calls it through
- * ctypes; it uses no Python API.
+ * the flags of _kernels._CFLAGS and calls it through ctypes; it uses no
+ * Python API.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -567,13 +568,15 @@ void bmn_free(found_t *found)
 
 #define MAX_TYPES 10     /* card types: ordinaries (0) and ranks 1..9 */
 #define MAX_TEMPLATES 81 /* of one pattern: as many as mixed10's over nine ranks */
-/* The factory's helpers stay out of bmn_factory: each runs once a round at
- * most, and inlining them all raised the compiler's peak memory from 40 to
- * 43 MB (gcc 12, -O2), more than a process running the benchmark uses. */
+/* The factory's helpers stay out of bmn_factory and of each other: each
+ * runs once a round or once a test at most, beside which a call costs
+ * nothing, and inlining them all raised the compiler's peak memory from 40
+ * to 43 MB (gcc 12, -O2), more than a process running the benchmark uses. */
 #define OUTLINE __attribute__((noinline))
 
 /* The tuning constants, in the order factory._c_rounds passes them. */
-enum { MAX_FRAGMENTS, MAX_POSITIONS, RESTART_INTERVAL, ESCAPE_THRESHOLD, CAPACITY };
+enum { MAX_FRAGMENTS, MAX_POSITIONS, RESTART_INTERVAL, ESCAPE_THRESHOLD, CAPACITY,
+       MEMO_BYTES };
 /* The rank orders, in factory._ORDERS order. */
 enum { ASCENDING, DESCENDING, LARGEST_DEFICIT, ORDINARIES_FIRST };
 
@@ -657,13 +660,121 @@ typedef struct {
     int excess;
 } checkpoint_t;
 
-/* One factory run: its composition, constants and rng, and its tests. */
+/* The memo of failed tests: the decks of each insertion or correction
+ * test of the run that did not loop. A test's outcome depends on its decks
+ * alone (A leads, and the trick cap is the run's), so a test the memo holds
+ * fails again and is not played. An entry is its decks' lengths (16 bits
+ * each, low byte first), then their cards, A's then B's; the entries lie
+ * one after another in an arena of `room` bytes, indexed by an
+ * open-addressing table of room / 4 slots, each 1 + an entry's offset (0:
+ * an empty slot), with linear probing. Keys are compared byte for byte,
+ * never by hash alone. The arena and the table double together while their
+ * bytes stay within `bound`; past it, both are emptied. */
+typedef struct {
+    uint8_t *arena;
+    uint32_t *table;
+    int64_t room, used, n, bound;
+} memo_t;
+
+#define MEMO_FIRST_ROOM 2048 /* arena bytes at first: a table of 512 slots */
+
+/* One factory run: its composition, constants and rng, its tests and memo. */
 typedef struct {
     const int64_t *target, *knob;
     int n_types;
     int64_t n_total, max_tricks, tests;
     uint64_t state;
+    memo_t memo;
 } factory_t;
+
+static uint64_t memo_hash(const uint8_t *cards, const uint32_t *len)
+{
+    return fmix64(hash(cards, len[0] + len[1]) ^ len[0]);
+}
+
+/* The slot of the decks cards[0..len[0]) and cards[len[0]..) hashed to h:
+ * the one of their entry, or the empty slot where it would go. */
+static uint32_t *memo_slot(const memo_t *m, const uint8_t *cards, const uint32_t *len,
+                           uint64_t h)
+{
+    uint64_t mask = (uint64_t)m->room / 4 - 1;
+    for (;; h++) {
+        uint32_t *slot = &m->table[h & mask];
+        if (!*slot)
+            return slot;
+        const uint8_t *e = m->arena + (*slot - 1);
+        if (e[0] == (len[0] & 255) && e[1] == len[0] >> 8 && e[2] == (len[1] & 255)
+                && e[3] == len[1] >> 8 && memcmp(e + 4, cards, len[0] + len[1]) == 0)
+            return slot;
+    }
+}
+
+/* The arena grown to `room` bytes and a table rebuilt for it; 0 without
+ * memory, the memo as it was. */
+OUTLINE static int memo_grow(memo_t *m, int64_t room)
+{
+    uint8_t *arena = realloc(m->arena, (size_t)room);
+    uint32_t *table;
+    if (!arena)
+        return 0;
+    m->arena = arena;
+    if (!(table = calloc((size_t)room / 4, sizeof *table)))
+        return 0;
+    free(m->table);
+    m->table = table;
+    m->room = room;
+    for (int64_t at = 0; at < m->used;) {
+        const uint8_t *e = arena + at;
+        uint32_t len[2] = {e[0] | (uint32_t)e[1] << 8, e[2] | (uint32_t)e[3] << 8};
+        *memo_slot(m, e + 4, len, memo_hash(e + 4, len)) = (uint32_t)at + 1;
+        at += 4 + len[0] + len[1];
+    }
+    return 1;
+}
+
+/* Puts the decks, which the memo does not hold, in it: in a grown memo if
+ * it is full and may grow, else in an emptied one, and nowhere if they
+ * take more than it may hold. */
+OUTLINE static void memo_add(memo_t *m, const uint8_t *cards, const uint32_t *len,
+                             uint64_t h)
+{
+    int64_t size = 4 + len[0] + len[1], room = m->room ? 2 * m->room : MEMO_FIRST_ROOM;
+    if (m->used + size > m->room || 8 * (m->n + 1) > m->room) {
+        while (room > 4 && 2 * room > m->bound) /* a first room past the bound */
+            room /= 2;
+        if (!(room > m->room && 2 * room <= m->bound && memo_grow(m, room)) && m->room) {
+            m->used = m->n = 0;
+            memset(m->table, 0, (size_t)m->room);
+        }
+        if (m->used + size > m->room || 8 * (m->n + 1) > m->room)
+            return;
+    }
+    uint8_t *e = m->arena + m->used;
+    e[0] = len[0] & 255;
+    e[1] = len[0] >> 8;
+    e[2] = len[1] & 255;
+    e[3] = len[1] >> 8;
+    memcpy(e + 4, cards, len[0] + len[1]);
+    *memo_slot(m, cards, len, h) = (uint32_t)m->used + 1;
+    m->used += size;
+    m->n++;
+}
+
+/* test_nontermination of the decks next[0..len[0]) and next[len[0]..), A
+ * leading: one insertion or correction test, counted, then played unless
+ * the memo holds it; one that does not loop goes into the memo. */
+OUTLINE static int loops(factory_t *f, const uint8_t *next, const uint32_t *len)
+{
+    int64_t result[2];
+    uint64_t h = memo_hash(next, len);
+    f->tests++;
+    if (f->memo.n && *memo_slot(&f->memo, next, len, h))
+        return 0;
+    if (play(next, len[0], next + len[0], len[1], 0, f->max_tricks, result) == 1)
+        return 1;
+    memo_add(&f->memo, next, len, h);
+    return 0;
+}
 
 /* run_factory's checkpoint(): decks cards[0..na) and cards[na..na + nb)
  * into cp, their composition counted once. */
@@ -690,14 +801,13 @@ OUTLINE static void make(const factory_t *f, checkpoint_t *cp, const uint8_t *ca
 
 /* _first_insertion: for each fragment in turn, the len + 1 insertion
  * points of its deck (A's if into_a, else B's), shuffled, then the first
- * max_positions of them, each a match with the fragment spliced in there
- * and A leading. Returns 1 with the decks of the first match that loops
- * in next, A's then B's, and their lengths in len; 0 if none loops. */
+ * max_positions of them, each a test (loops) of the fragment spliced in
+ * there. Returns 1 with the decks of the first test that loops in next,
+ * A's then B's, and their lengths in len; 0 if none loops. */
 OUTLINE static int insert(factory_t *f, const checkpoint_t *cp, const frag_t *frag,
                           int n_frags, uint32_t bias, uint8_t *next, uint32_t *len)
 {
     uint32_t points[MAX_CARDS + 1];
-    int64_t result[2];
     for (int k = 0; k < n_frags; k++) {
         int into_a = bias == 0 || (bias == 2 && k % 2 == 0);
         const uint8_t *deck = cp->card + (into_a ? 0 : cp->len[0]);
@@ -715,8 +825,7 @@ OUTLINE static int insert(factory_t *f, const checkpoint_t *cp, const frag_t *fr
             memcpy(grown, deck, pos);
             memcpy(grown + pos, frag[k].card, nf);
             memcpy(grown + pos + nf, deck + pos, n - pos);
-            f->tests++;
-            if (play(next, len[0], next + len[0], len[1], 0, f->max_tricks, result) == 1)
+            if (loops(f, next, len))
                 return 1;
         }
     }
@@ -725,14 +834,13 @@ OUTLINE static int insert(factory_t *f, const checkpoint_t *cp, const frag_t *fr
 
 /* _first_correction: each of the first max_positions excess spots of cp,
  * shuffled, with its card removed, then each retyped to each deficient
- * type, ascending; returns 1 with the decks of the first that loops, A
- * leading, in next and their lengths in len, or 0 if none does. */
+ * type, ascending, each a test (loops); returns 1 with the decks of the
+ * first that loops in next and their lengths in len, or 0 if none does. */
 OUTLINE static int correct(factory_t *f, const checkpoint_t *cp, uint8_t *next,
                            uint32_t *len)
 {
     uint32_t spot[MAX_CARDS], n = 0, nd = 0, total = cp->len[0] + cp->len[1];
     uint8_t deficient[MAX_TYPES];
-    int64_t result[2];
     for (uint32_t i = 0; i < total; i++) /* a spot: a card's index in A, then B */
         if (cp->card[i] < f->n_types && cp->deficit[cp->card[i]] < 0)
             spot[n++] = i;
@@ -755,8 +863,7 @@ OUTLINE static int correct(factory_t *f, const checkpoint_t *cp, uint8_t *next,
         } else {
             next[i] = deficient[(k - n) % nd];
         }
-        f->tests++;
-        if (play(next, len[0], next + len[0], len[1], 0, f->max_tricks, result) == 1)
+        if (loops(f, next, len))
             return 1;
     }
     return 0;
@@ -833,7 +940,8 @@ int bmn_factory(const uint8_t *seed, uint32_t na, uint32_t nb, const int64_t *ta
                 const int64_t *knob, double restart_probability, uint64_t state,
                 int64_t budget, int64_t max_tricks, uint8_t *best_cards, int64_t *out)
 {
-    factory_t f = {target, knob, (int)n_types, 0, max_tricks, 0, state};
+    factory_t f = {target, knob, (int)n_types, 0, max_tricks, 0, state,
+                   {.bound = knob[MEMO_BYTES]}};
     checkpoint_t best = {.card = best_cards};
     store_t s = {0};
     frag_t frag[MAX_TEMPLATES];
@@ -846,7 +954,7 @@ int bmn_factory(const uint8_t *seed, uint32_t na, uint32_t nb, const int64_t *ta
     int status = 0;
     if (n_types < 1 || n_types > MAX_TYPES || knob[MAX_FRAGMENTS] < 0
             || knob[MAX_POSITIONS] < 0 || knob[RESTART_INTERVAL] < 1 || capacity < 1
-            || capacity >= INT32_MAX)
+            || capacity >= INT32_MAX || knob[MEMO_BYTES] < 0 || knob[MEMO_BYTES] >= INT32_MAX)
         return -1;
     for (int k = 0; *table; table++, k++) { /* table: at the first group of pattern k */
         if (k == 256 || templates(table, every_rank, (int)n_types - 1, frag) < 0)
@@ -932,5 +1040,7 @@ done:
     free(s.list);
     free(s.spare);
     free(pool);
+    free(f.memo.arena);
+    free(f.memo.table);
     return status;
 }

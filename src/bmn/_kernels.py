@@ -15,12 +15,15 @@ the matches one by one.
 in one call: its draws, its fragments from the pattern table it is passed
 (`factory._PATTERNS`, which `factory._pattern_fragments` reads too), its
 checkpoint store and every insertion and correction test, each a
-`play_match_loops` with A leading. `search` runs the whole breadth-first
-backward search over `pack`ed states of one width, to its depth or node
-limit, in one call, and returns the states found and their depths: each
-bottom slice of the winner's deck that `_parse_pile` reads as a trick is
-pushed back onto the players' decks, which gives one predecessor; no trick
-is played to confirm it. `trace` walks a match a chunk of tricks per call
+`play_match_loops` with A leading. Both round loops keep a memo of the
+run's failed tests, bounded by `factory._MEMO_BYTES`, and play no test it
+holds; the count of tests (`FactoryResult.tests_run`) takes in every
+candidate all the same, so it counts candidates, not matches played.
+`search` runs the whole breadth-first backward search over `pack`ed
+states of one width, to its depth or node limit, in one call, and returns
+the states found and their depths: each bottom slice of the winner's deck
+that `_parse_pile` reads as a trick is pushed back onto the players'
+decks, which gives one predecessor; no trick is played to confirm it. `trace` walks a match a chunk of tricks per call
 and gives each trick boundary's whole record, as `analyzer.trace_records`
 yields it: deck sizes, special positions, separations and entropies.
 
@@ -30,13 +33,13 @@ the same shuffle, trick loop, Brent detector, pile parse and factory
 round loop line for line, bit-identical to the reference shuffle and the
 Python code here, in `factory` and in `engine.walk`, which stays as the
 reference and the fallback.
-On first use the source is compiled with the system C compiler (`cc -O2
--ffp-contract=off -shared -fPIC ... -lm`) into `$XDG_CACHE_HOME/bmn`
-(default `~/.cache/bmn`), the file named by the source's sha256 and the
-platform (system, machine, C library), and loaded with ctypes; later
-processes load the cached library without compiling, and build it again
-only if it does not load. A build removes the libraries of other source
-versions for the same platform.
+On first use the source is compiled with the system C compiler (`cc -o
+LIBRARY _ckernel.c` and `_CFLAGS`) into `$XDG_CACHE_HOME/bmn` (default
+`~/.cache/bmn`), the file named by the sha256 of the source and the flags
+and by the platform (system, machine, C library): `_library_path()`. It
+is loaded with ctypes; later processes load the cached library without
+compiling, and build it again only if it does not load. A build removes
+the libraries of other source versions or flags for the same platform.
 Without a compiler, when the build fails or the cache directory is not
 private to the user, and for decks or budgets past the C kernel's limits,
 the Python code plays. `backend()` names the kernel in use.
@@ -72,6 +75,13 @@ _C_MAX_TRICKS = 2 ** 60
 _C_MAX_CARDS = 1024
 
 
+#: What `cc -o LIBRARY _ckernel.c` is given after the source, the library
+#: last: libm for the trace's log; no fused multiply-add, which some
+#: machines would use for the entropy sum and so round it unlike Python.
+#: A later -O or other flag overrides one here.
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC", "-lm")
+
+
 def _cache_dir() -> str:
     base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
     return os.path.join(base, "bmn")
@@ -101,11 +111,8 @@ def _compile(target) -> bool:
     with tempfile.TemporaryDirectory(dir=os.path.dirname(target)) as work:
         built = os.path.join(work, "_ckernel.so")
         try:
-            # libm for the trace's log; no fused multiply-add, which some
-            # machines would use for the entropy sum and so round it unlike
-            # Python
-            subprocess.run([cc, "-O2", "-ffp-contract=off", "-shared", "-fPIC", "-o", built,
-                            _SOURCE, "-lm"], check=True, capture_output=True, timeout=300)
+            subprocess.run([cc, "-o", built, _SOURCE, *_CFLAGS], check=True,
+                           capture_output=True, timeout=300)
         except subprocess.SubprocessError:
             return False
         os.chmod(built, 0o700)
@@ -123,25 +130,31 @@ def _platform_tag() -> str:
     return "-".join([sys.platform, os.uname().machine, *libc.split()])
 
 
+def _library_path() -> str:
+    """Where the cache keeps the library built from the source with
+    `_CFLAGS` on this platform: a change to either names another file."""
+    with open(_SOURCE, "rb") as fh:
+        build = hashlib.sha256(fh.read())
+    build.update("\0".join(("", *_CFLAGS)).encode())
+    return os.path.join(_cache_dir(), f"_ckernel-{build.hexdigest()}-{_platform_tag()}.so")
+
+
 def _build_c():
     """Path of the compiled C kernel, compiled into the cache unless it is
     there; None without a compiler or a cache private to the user. A cached
     library is taken as it is: no compiler runs."""
-    with open(_SOURCE, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
-    folder = _cache_dir()
+    target = _library_path()
+    folder, built = os.path.split(target)
     os.makedirs(folder, mode=0o700, exist_ok=True)
     if not _private(folder):
         return None
-    tag = _platform_tag()
-    target = os.path.join(folder, f"_ckernel-{digest}-{tag}.so")
     if not os.path.exists(target):
         if not _compile(target):
             return None
-        # the libraries of other source versions for this platform are stale
-        stale = re.compile(rf"_ckernel-(?!{digest})[0-9a-f]{{64}}-{re.escape(tag)}\.so")
+        # the libraries of other sources or flags for this platform are stale
+        stale = re.compile(rf"_ckernel-[0-9a-f]{{64}}-{re.escape(_platform_tag())}\.so")
         for name in os.listdir(folder):
-            if stale.fullmatch(name):
+            if stale.fullmatch(name) and name != built:
                 with contextlib.suppress(OSError):  # gone already, or kept: no harm
                     os.remove(os.path.join(folder, name))
     return target if _private(target) else None
@@ -429,9 +442,9 @@ def factory(deck_a, deck_b, targets, patterns, rows, n_rows, knobs, restart_prob
     first), the `patterns` (each a tuple of groups of shapes, as in
     `factory._PATTERNS`), the `n_rows` strategy rows encoded in the bytes
     `rows`, which name patterns by their index, the tuning constants
-    `knobs` and `restart_probability`, the rng's state, the round budget
-    (cut to `_C_MAX_TRICKS`) and the trick cap go as `factory._c_rounds`
-    gives them. Returns (complete, best deck_a, best deck_b, best depth,
+    `knobs` (the last the memo's bound in bytes) and `restart_probability`,
+    the rng's state, the round budget (cut to `_C_MAX_TRICKS`) and the
+    trick cap go as `factory._c_rounds` gives them. Returns (complete, best deck_a, best deck_b, best depth,
     best age, rounds, tests); None also for a cap from `_C_MAX_TRICKS` on,
     a card outside 0..255, a run whose checkpoints could hold more than
     1024 cards, a pattern that over all the ranks gives more than 81

@@ -297,6 +297,8 @@ def _read_seed_decks(path, settings) -> list:
 
 
 def cmd_factory(args) -> int:
+    if args.trick_cap < 1:
+        return _fail("--trick-cap must be >= 1")
     settings = Settings.parse(args.setting)
     seeds = []
     if args.seed_decks:

@@ -13,6 +13,7 @@ restarts to leave dead ends.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Optional
@@ -28,6 +29,7 @@ _RESTART_INTERVAL = 50  # rounds between restart draws
 _RESTART_PROBABILITY = 0.2
 _ESCAPE_THRESHOLD = 5   # fruitless rounds on one checkpoint before escaping
 _CHECKPOINT_CAPACITY = 1500
+_MEMO_BYTES = 1 << 22   # bytes a run's memo of failed tests may hold
 _DEFAULT_SEED_A = (1, 0, 0)
 _DEFAULT_SEED_B = (0, 1, 0)
 
@@ -74,7 +76,7 @@ class FactoryResult:
     report: Optional[LoopReport]
     best: Checkpoint
     rounds_used: int
-    tests_run: int
+    tests_run: int      # candidates tested, those the memo of failed tests skips too
 
     @property
     def success(self) -> bool:
@@ -111,8 +113,8 @@ def test_nontermination(state: GameState,
 
     A match still running at the cap counts as False, so every True is
     backed by a recurrence found in play. The factory tests its seed with
-    it, and every insertion and correction by the same rule: on the C
-    kernel, `_kernels.factory` plays them.
+    it, and every insertion and correction by the same rule (`_loops`; on
+    the C kernel, `_kernels.factory` plays them), a failing one once a run.
     """
     return isinstance(engine.play_match(state, trick_cap), Looped)
 
@@ -240,13 +242,48 @@ def _keep(store: list, top: Checkpoint, new_cp: Checkpoint) -> Checkpoint:
     return top
 
 
+class _Failed(set):
+    """A run's memo of failed tests: the (deck_a, deck_b) of each insertion
+    or correction test that did not loop.
+
+    A test's outcome depends on its decks alone (A leads, and the trick cap
+    is the run's), so a test found here fails again and is not played. The
+    memo is emptied when its entries, each its cards and 4 bytes of lengths
+    as the C kernel stores them, would pass _MEMO_BYTES.
+    """
+
+    held = 0
+
+    def add(self, decks):
+        size = 4 + len(decks[0]) + len(decks[1])
+        if self.held + size > _MEMO_BYTES:
+            self.clear()
+            self.held = 0
+        if size <= _MEMO_BYTES:
+            super().add(decks)
+            self.held += size
+
+
+def _loops(decks: tuple, trick_cap: int, failed: _Failed) -> bool:
+    """One insertion or correction test, A leading: played unless `failed`
+    holds its decks; one that does not loop goes into `failed`."""
+    if decks in failed:
+        return False
+    if _kernels.play_match_loops(*decks, 0, trick_cap)[0] == 1:
+        return True
+    failed.add(decks)
+    return False
+
+
 def _first_insertion(cp: Checkpoint, fragments: list, bias: int, rng: SplitMix64,
-                     trick_cap: int):
+                     trick_cap: int, failed: _Failed):
     """(tests, decks): the first insertion of a fragment that keeps the loop.
 
     Fragments are tried in order, each at up to _MAX_POSITIONS insertion
     points shuffled when it is reached, A leading; `decks` is the grown
-    (deck_a, deck_b), or None if no insertion loops.
+    (deck_a, deck_b), or None if no insertion loops. `tests` counts every
+    candidate, those the memo `failed` holds too, which are not played, so
+    that no count or draw depends on the memo.
     """
     tests = 0
     for f_idx, frag in enumerate(fragments):
@@ -258,18 +295,18 @@ def _first_insertion(cp: Checkpoint, fragments: list, bias: int, rng: SplitMix64
             tests += 1
             grown = deck[:pos] + frag + deck[pos:]
             decks = (grown, other) if into_a else (other, grown)
-            if _kernels.play_match_loops(*decks, 0, trick_cap)[0] == 1:
+            if _loops(decks, trick_cap, failed):
                 return tests, decks
     return tests, None
 
 
-def _first_correction(cp: Checkpoint, rng: SplitMix64, trick_cap: int):
+def _first_correction(cp: Checkpoint, rng: SplitMix64, trick_cap: int, failed: _Failed):
     """(tests, decks): the first correction of an excess card that keeps the
     loop, or None for `decks`.
 
     Each of up to _MAX_POSITIONS excess spots, shuffled first, is tried
     with its card removed, and then each with its card retyped to each
-    deficient rank.
+    deficient rank; `tests` and the memo `failed` as in `_first_insertion`.
     """
     decks, deficits = (cp.deck_a, cp.deck_b), cp.deficits
     spots = [(which, i) for which, deck in enumerate(decks)
@@ -286,7 +323,7 @@ def _first_correction(cp: Checkpoint, rng: SplitMix64, trick_cap: int):
             deck = deck[:i] + card + deck[i + 1:]
             fixed = (deck, decks[1]) if which == 0 else (decks[0], deck)
             tests += 1
-            if _kernels.play_match_loops(*fixed, 0, trick_cap)[0] == 1:
+            if _loops(fixed, trick_cap, failed):
                 return tests, fixed
     return tests, None
 
@@ -327,18 +364,26 @@ def run_factory(config: FactoryConfig) -> FactoryResult:
                          rounds_used=rounds, tests_run=tests)
 
 
+@functools.lru_cache(maxsize=1)
+def _strategy_rows(strategies: tuple, names: tuple) -> bytes:
+    """The STRATEGIES rows `strategies` as `_kernels.factory` takes them:
+    each row's order, its pattern count and its patterns' indices in
+    `names`, the names of `_PATTERNS`. Cached by both, so that a test
+    patching either table still reaches C."""
+    return bytes(chain.from_iterable((_ORDERS.index(order), len(patterns),
+                                      *map(names.index, patterns))
+                                     for order, patterns in strategies))
+
+
 def _c_rounds(config: FactoryConfig, seed: Checkpoint, rng: SplitMix64):
     """`_rounds` on the C kernel, or None where `_kernels.factory` does not run."""
     settings = config.settings
-    names = list(_PATTERNS)
-    rows = bytes(chain.from_iterable((_ORDERS.index(order), len(patterns),
-                                      *map(names.index, patterns))
-                                     for order, patterns in STRATEGIES))
     found = _kernels.factory(
         seed.deck_a, seed.deck_b, [settings.target_count(r) for r in seed.deficits],
-        list(_PATTERNS.values()), rows, len(STRATEGIES),
+        list(_PATTERNS.values()), _strategy_rows(STRATEGIES, tuple(_PATTERNS)),
+        len(STRATEGIES),
         (_MAX_FRAGMENTS, _MAX_POSITIONS, _RESTART_INTERVAL, _ESCAPE_THRESHOLD,
-         _CHECKPOINT_CAPACITY),
+         _CHECKPOINT_CAPACITY, _MEMO_BYTES),
         _RESTART_PROBABILITY, rng.state, config.budget, config.nontermination_trick_cap)
     if found is None:
         return None
@@ -352,6 +397,7 @@ def _rounds(config: FactoryConfig, seed: Checkpoint, rng: SplitMix64):
     settings = config.settings
     cap = config.nontermination_trick_cap
     tests = 0
+    failed = _Failed()  # kept through restarts: no test's outcome changes
     age_counter = 0
     store = [seed]
     best = top = seed
@@ -378,10 +424,10 @@ def _rounds(config: FactoryConfig, seed: Checkpoint, rng: SplitMix64):
         pattern = patterns[rng.below(len(patterns))]
         bias = rng.below(3)  # 0: deck A, 1: deck B, 2: alternate
         fragments = generate_sequences(order, pattern, cp.deficits)
-        n_tests, decks = _first_insertion(cp, fragments, bias, rng, cap)
+        n_tests, decks = _first_insertion(cp, fragments, bias, rng, cap, failed)
         tests += n_tests
         if decks is None and cp.excess:
-            n_tests, decks = _first_correction(cp, rng, cap)
+            n_tests, decks = _first_correction(cp, rng, cap, failed)
             tests += n_tests
         if decks is None:
             stuck = stuck + 1 if cp.age == last_selected_age else 1

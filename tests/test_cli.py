@@ -550,9 +550,11 @@ def test_factory_past_the_c_kernel_limits(capsys, kernel, args, line):
 
 
 def test_factory_rejects_a_trick_cap_below_one():
-    out = run_cli("factory", "--setting", "12,1", "--budget", "10", "--trick-cap", "0")
-    assert (out.returncode, out.stdout) == (1, "")
-    assert out.stderr == "error: nontermination_trick_cap must be >= 1\n"
+    # the error names the flag, not the FactoryConfig field behind it
+    for cap in ("0", "-1"):
+        out = run_cli("factory", "--setting", "12,1", "--budget", "10", "--trick-cap", cap)
+        assert (out.returncode, out.stdout) == (1, "")
+        assert out.stderr == "error: --trick-cap must be >= 1\n"
 
 
 def test_factory_rejects_an_empty_seed_deck():

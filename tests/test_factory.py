@@ -352,6 +352,30 @@ def test_factory_20_2_result_is_pinned():
     assert best.score == score(best.deck_a, best.deck_b, Settings(20, 2)) == 20
 
 
+def test_factory_replays_no_test_it_saw_fail(monkeypatch):
+    # on the Python kernel, whose plays can be counted: the pinned run
+    # counts every candidate as a test but plays only those its memo of
+    # failed tests does not hold; a memo bounded to a few cards empties
+    # again and again and plays more, with the same result
+    monkeypatch.setattr(_kernels, "_ckernel", False)
+    plays, play_loops = [], _kernels.play_match_loops
+    monkeypatch.setattr(_kernels, "play_match_loops",
+                        lambda *args: plays.append(args) or play_loops(*args))
+    config = FactoryConfig(settings=Settings(20, 2), seed_state=default_seed_state(),
+                           budget=3000, rng_seed=1)
+    result = run_factory(config)
+    assert (result.rounds_used, result.tests_run) == (598, 2846)
+    assert len(plays) < result.tests_run
+    # a test that failed is never played again; one that looped may be, in
+    # a later round
+    assert all(play_loops(*args)[0] == 1 for args, n in Counter(plays).items() if n > 1)
+    with_memo = len(plays)
+    plays.clear()
+    monkeypatch.setattr(factory, "_MEMO_BYTES", 64)
+    assert run_factory(config) == result
+    assert len(plays) > with_memo
+
+
 def _python_rounds(monkeypatch):
     """The calls that run_factory makes from now on to its Python round loop."""
     calls, rounds = [], factory._rounds
@@ -422,13 +446,16 @@ def test_factory_sweep_agrees_on_both_kernels(monkeypatch, setting):
 
 # tuning constants set apart from their defaults: both kernels read them
 # at each call; one insertion point or one fragment a round, every point,
-# frequent restarts and escapes, a store of three
+# frequent restarts and escapes, a store of three, and a memo of failed
+# tests of 64 bytes, which holds a few cards and empties at nearly every
+# failed test, and which alone changes no result
 CONSTANTS = [
     {"_MAX_POSITIONS": 1},
     {"_MAX_POSITIONS": 65, "_MAX_FRAGMENTS": 1},
     {"_MAX_POSITIONS": 100_000, "_MAX_FRAGMENTS": 100},
     {"_RESTART_INTERVAL": 3, "_RESTART_PROBABILITY": 0.9, "_ESCAPE_THRESHOLD": 1},
     {"_CHECKPOINT_CAPACITY": 3, "_ESCAPE_THRESHOLD": 2},
+    {"_MEMO_BYTES": 64},
 ]
 
 
@@ -454,7 +481,8 @@ def test_factory_constants_reach_both_kernels(monkeypatch, constants):
     for name, value in constants.items():
         monkeypatch.setattr(factory, name, value)
     on_c, on_python = _on_both_kernels(monkeypatch, configs)
-    assert on_python == on_c != defaults
+    assert on_python == on_c
+    assert (on_c == defaults) == (list(constants) == ["_MEMO_BYTES"])
     assert any(r.best.depth for r in on_c)
 
 

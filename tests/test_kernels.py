@@ -460,9 +460,7 @@ def test_kernel_is_compiled_once_into_a_private_cache(cache):
     folder, compiles = cache
     assert _kernels._load_c() is not None
     assert len(compiles) == 1
-    with open(_kernels._SOURCE, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
-    assert os.listdir(folder) == [f"_ckernel-{digest}-{_kernels._platform_tag()}.so"]
+    assert [str(folder / name) for name in os.listdir(folder)] == [_kernels._library_path()]
     assert not os.stat(folder).st_mode & 0o077
     # a later load takes the cached library and runs no compiler
     assert _kernels._load_c() is not None
@@ -482,9 +480,7 @@ def test_a_build_removes_the_libraries_of_other_sources(cache):
     require_c_kernel()
     assert _kernels._load_c() is not None
     assert len(compiles) == 1
-    with open(_kernels._SOURCE, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
-    built = f"_ckernel-{digest}-{tag}.so"
+    built = os.path.basename(_kernels._library_path())
     assert sorted(os.listdir(folder)) == sorted([built, *(path.name for path in kept)])
 
 
@@ -507,23 +503,43 @@ def test_platform_tag_names_the_machine():
     assert tag.startswith(f"{sys.platform}-{os.uname().machine}")
 
 
-def test_a_cached_library_that_does_not_load_is_built_again(tmp_path):
+def test_a_cached_library_that_does_not_load_is_built_again(monkeypatch, tmp_path):
     # in a new process: one that loaded the library keeps its handle
     require_c_kernel()
-    with open(_kernels._SOURCE, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     folder = tmp_path / "bmn"
     folder.mkdir(mode=0o700)
-    library = folder / f"_ckernel-{digest}-{_kernels._platform_tag()}.so"
+    library = folder / os.path.basename(_kernels._library_path())
     library.write_bytes(b"not a shared library")
     library.chmod(0o700)
-    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path))
     code = "from bmn import _kernels; print(_kernels.backend())"
-    done = subprocess.run([sys.executable, "-c", code], env=env, text=True,
+    done = subprocess.run([sys.executable, "-c", code], text=True,
                           capture_output=True, timeout=300)
     assert done.stdout == "c\n", done.stderr
     assert os.listdir(folder) == [library.name]
     assert library.read_bytes() != b"not a shared library"
+
+
+def test_library_name_covers_the_source_and_the_flags(cache, monkeypatch):
+    # a working library cached under the name of the source alone, as the
+    # cache once named it, is not loaded but built again under the name of
+    # the source and the flags, and removed; so is one of other flags
+    require_c_kernel()
+    folder, compiles = cache
+    assert _kernels._load_c() is not None
+    built = _kernels._library_path()
+    with open(_kernels._SOURCE, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    source_only = folder / f"_ckernel-{digest}-{_kernels._platform_tag()}.so"
+    os.replace(built, source_only)
+    assert _kernels._load_c() is not None
+    assert len(compiles) == 2
+    assert [str(folder / name) for name in os.listdir(folder)] == [built]
+    monkeypatch.setattr(_kernels, "_CFLAGS", (*_kernels._CFLAGS, "-O1"))
+    assert _kernels._library_path() != built
+    assert _kernels._load_c() is not None
+    assert compiles[-1][-1] == "-O1" and len(compiles) == 3
+    assert [str(folder / name) for name in os.listdir(folder)] == [_kernels._library_path()]
 
 
 def test_failed_compile_leaves_no_file(cache, monkeypatch, tmp_path):
