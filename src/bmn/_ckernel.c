@@ -1,8 +1,9 @@
 /* The match kernel in C, line for line the pure-Python one in _kernels.py.
  *
  * bmn_play_loops is play_match_loops: _py_run's trick loop on ring-buffer
- * decks, Brent's cycle detector with the same first block and trick limit,
- * and _py_transient's lockstep pass. bmn_simulate is simulate_batch: the
+ * decks, Brent's cycle detector as the same one block loop (block 0, the
+ * first FIRST_BLOCK tricks, unwatched) with the same trick limit, and
+ * _py_transient's lockstep pass. bmn_simulate is simulate_batch: the
  * splitmix64 Fisher-Yates deal of SplitMix64.shuffle (masked rejection as
  * in SplitMix64.below), then play_match_loops with A leading.
  * bmn_trace is trace, a chunk of engine.walk on the same trick loop: each
@@ -11,14 +12,17 @@
  * bmn_factory is factory._rounds, the factory's whole round loop: restarts,
  * escapes, checkpoint store, the draws on its splitmix64 stream, fragments
  * from the factory._PATTERNS it is passed, and the insertion and correction
- * tests, each a play_match_loops with A leading unless the run's memo of
- * failed tests holds its decks: such a test is counted, not played.
+ * tests, each a packed state played by play_match_loops with A leading
+ * unless the run's memo of failed tests holds it: such a test is counted,
+ * not played.
  * bmn_search is search, the whole breadth-first backward search over
- * states packed as _kernels.pack packs them, all of one width; it returns
- * the states found, a row of that width each, and their depths. Its step
- * is _py_step, the inverse of a trick: the closing-block test, then
- * _parse_pile on every bottom slice of the winner's deck, each parse
- * packed the same way as a predecessor.
+ * packed states of one width; it returns the states found, a row of that
+ * width each, and their depths. Its step is _py_step, the inverse of a
+ * trick: the closing-block test, then _parse_pile on every bottom slice of
+ * the winner's deck, each parse packed as a predecessor.
+ * A packed state is _kernels.pack's, in one layout for the trace, the
+ * search and the factory's tests and memo; write_header and read_header
+ * alone write and read its header.
  * Results are bit for bit the Python ones. _kernels compiles this file with
  * the flags of _kernels._CFLAGS and calls it through ctypes; it uses no
  * Python API.
@@ -54,6 +58,34 @@ static void load(game_t *g, const uint8_t *a, uint32_t na, const uint8_t *b,
     g->len[0] = na;
     g->len[1] = nb;
     g->cur = leader;
+}
+
+/* A packed state is _kernels.pack's: a HEADER of the leader and the lengths
+ * of decks A and B (16 bits each, low byte first), then A's cards and then
+ * B's. These two alone write and read a header. */
+static void write_header(uint8_t *p, int leader, uint32_t na, uint32_t nb)
+{
+    p[0] = (uint8_t)leader;
+    p[1] = na & 255;
+    p[2] = (uint8_t)(na >> 8);
+    p[3] = nb & 255;
+    p[4] = (uint8_t)(nb >> 8);
+}
+
+/* The leader of the packed state p, and its decks' lengths in *na, *nb. */
+static int read_header(const uint8_t *p, uint32_t *na, uint32_t *nb)
+{
+    *na = p[1] | (uint32_t)p[2] << 8;
+    *nb = p[3] | (uint32_t)p[4] << 8;
+    return p[0];
+}
+
+/* The bytes of the packed state p: its header and its cards. */
+static int64_t width_of(const uint8_t *p)
+{
+    uint32_t na, nb;
+    read_header(p, &na, &nb);
+    return HEADER + (int64_t)na + nb;
 }
 
 static int same(const game_t *x, const game_t *y)
@@ -148,48 +180,35 @@ static int play(const uint8_t *a, uint32_t na, const uint8_t *b, uint32_t nb,
                 int leader, int64_t max_tricks, int64_t *out)
 {
     game_t g, saved;
-    int64_t tricks, played;
+    int64_t tricks = 0, played, last = FIRST_BLOCK;
     load(&g, a, na, b, nb, leader);
-    int status = run(&g, FIRST_BLOCK, NULL, &tricks);
-    if (status == 0) {
-        if (tricks <= max_tricks) {
+    while (last < max_tricks + FIRST_BLOCK - 1)
+        last *= 2;
+    int64_t limit = max_tricks + last;
+    /* block 0 is played unwatched; each later block watches its first state */
+    for (int64_t block = FIRST_BLOCK; tricks < limit; block *= 2) {
+        if (tricks)
+            saved = g;
+        int status = run(&g, block < limit - tricks ? block : limit - tricks,
+                         tricks ? &saved : NULL, &played);
+        tricks += played;
+        if (status == 0) {
+            if (tricks > max_tricks)
+                break;
             out[0] = g.cur;
             out[1] = tricks;
             return 0;
         }
-        goto over;
-    }
-    int64_t last = FIRST_BLOCK;
-    while (last < max_tricks + FIRST_BLOCK - 1)
-        last *= 2;
-    int64_t limit = max_tricks + last;
-    int64_t block = 2 * FIRST_BLOCK;
-    while (tricks < limit) {
-        saved = g;
-        status = run(&g, block < limit - tricks ? block : limit - tricks, &saved, &played);
-        tricks += played;
-        if (status == 0) {
-            if (tricks <= max_tricks) {
-                out[0] = g.cur;
-                out[1] = tricks;
-                return 0;
-            }
-            break;
-        }
         if (status == 1) {
-            if (played <= max_tricks) {
-                int64_t t = transient(a, na, b, nb, leader, played, max_tricks - played);
-                if (t >= 0) {
-                    out[0] = t;
-                    out[1] = played;
-                    return 1;
-                }
-            }
-            break;
+            int64_t t = played <= max_tricks
+                ? transient(a, na, b, nb, leader, played, max_tricks - played) : -1;
+            if (t < 0)
+                break;
+            out[0] = t;
+            out[1] = played;
+            return 1;
         }
-        block *= 2;
     }
-over:
     out[0] = -1;
     out[1] = max_tricks;
     return 2;
@@ -240,32 +259,30 @@ static uint16_t *row(const game_t *g, uint16_t *out)
     return (uint16_t *)((char *)pos + sizeof measure);
 }
 
-/* engine.walk from the packed state (_kernels.pack's layout; see
- * bmn_search) for up to n tricks, stopping at the end of the match: a row
- * (see row: sizes, special count and positions, then four doubles) for the
- * state and one after each trick, written one after another to out, which
- * has room for n + 1 of them. The state left is packed back into `state`,
- * for the next call to resume from. Returns the tricks played, or -1 with
- * nothing done for more than MAX_CARDS cards. */
+/* engine.walk from the packed state (see write_header) for up to n tricks,
+ * stopping at the end of the match: a row (see row: sizes, special count and
+ * positions, then four doubles) for the state and one after each trick,
+ * written one after another to out, which has room for n + 1 of them. The
+ * state left is packed back into `state`, for the next call to resume from.
+ * Returns the tricks played, or -1 with nothing done for more than MAX_CARDS
+ * cards. */
 int64_t bmn_trace(uint8_t *state, int64_t n, uint16_t *out)
 {
     game_t g;
     int64_t t = 0, played;
-    uint32_t na = state[1] | state[2] << 8, nb = state[3] | state[4] << 8;
+    uint32_t na, nb;
+    int leader = read_header(state, &na, &nb);
     if (na + nb > MAX_CARDS)
         return -1;
-    load(&g, state + HEADER, na, state + HEADER + na, nb, state[0]);
+    load(&g, state + HEADER, na, state + HEADER + na, nb, leader);
     for (out = row(&g, out); t < n && g.len[0] && g.len[1]; t++) {
         run(&g, 1, NULL, &played);
         out = row(&g, out);
     }
-    state[0] = (uint8_t)g.cur;
-    for (int p = 0, at = HEADER; p < 2; p++) {
-        state[1 + 2 * p] = g.len[p] & 255;
-        state[2 + 2 * p] = (uint8_t)(g.len[p] >> 8);
+    write_header(state, g.cur, g.len[0], g.len[1]);
+    for (int p = 0, at = HEADER; p < 2; p++)
         for (uint32_t i = 0; i < g.len[p]; i++)
             state[at++] = g.card[p][(g.head[p] + i) & g.mask];
-    }
     return t;
 }
 
@@ -448,9 +465,8 @@ static int add(search_t *s, int64_t depth)
 static int step(search_t *s, const uint8_t *t, int64_t depth)
 {
     uint8_t played[2][MAX_CARDS];
-    uint32_t np[2];
-    int leader_won, winner = t[0];
-    uint32_t na = t[1] | t[2] << 8, nb = t[3] | t[4] << 8;
+    uint32_t np[2], na, nb;
+    int leader_won, winner = read_header(t, &na, &nb);
     const uint8_t *w = t + HEADER + (winner ? na : 0), *l = t + HEADER + (winner ? 0 : na);
     uint32_t nw = winner ? nb : na, nl = winner ? na : nb, k = 0;
     while (k < nw && w[nw - 1 - k] == 0)
@@ -471,13 +487,9 @@ static int step(search_t *s, const uint8_t *t, int64_t depth)
         const uint8_t *won = played[!leader_won], *lost = played[leader_won];
         uint32_t n_won = np[!leader_won], n_lost = np[leader_won];
         uint8_t *p = s->states + s->n * s->width;
-        uint32_t n_a = winner ? n_lost + nl : n_won + rest, n_b = na + nb - n_a;
+        uint32_t n_a = winner ? n_lost + nl : n_won + rest;
         uint8_t *pw = p + HEADER + (winner ? n_a : 0), *pl = p + HEADER + (winner ? 0 : n_a);
-        p[0] = leader_won ? winner : !winner;
-        p[1] = n_a & 255;
-        p[2] = n_a >> 8;
-        p[3] = n_b & 255;
-        p[4] = n_b >> 8;
+        write_header(p, leader_won ? winner : !winner, n_a, na + nb - n_a);
         memcpy(pw, won, n_won);
         memcpy(pw + n_won, w, rest);
         memcpy(pl, lost, n_lost);
@@ -491,24 +503,16 @@ static int step(search_t *s, const uint8_t *t, int64_t depth)
     return 0;
 }
 
-/* The bytes of the packed state p: its header and its cards. */
-static int64_t width_of(const uint8_t *p)
-{
-    return HEADER + (p[1] | p[2] << 8) + (p[3] | p[4] << 8);
-}
-
-/* search(seeds, max_depth, max_nodes) on the n packed states read one after
- * another from seeds, each led by the winner of the trick before it. A
- * packed state is _kernels.pack's: a HEADER of the leader and the lengths of
- * decks A and B (16 bits each, low byte first), then A's cards and then B's.
- * Every distinct seed is found first, at depth 0; each later level holds the
- * predecessors of the level before, in its order and then by pile length,
- * that were not found before. The search stops after max_depth levels or as
- * soon as max_nodes states are found (the seeds are all kept). Writes the
- * states found, all of the seeds' one width (a trick keeps every card), and
- * their depths to *found, to be freed with bmn_free, and returns 0; returns
- * -1 for a seed past MAX_CARDS or of another width than the first and -2
- * without memory, with nothing to free. */
+/* search(seeds, max_depth, max_nodes) on the n packed states (see
+ * write_header) read one after another from seeds, each led by the winner of
+ * the trick before it. Every distinct seed is found first, at depth 0; each
+ * later level holds the predecessors of the level before, in its order and
+ * then by pile length, that were not found before. The search stops after
+ * max_depth levels or as soon as max_nodes states are found (the seeds are
+ * all kept). Writes the states found, all of the seeds' one width (a trick
+ * keeps every card), and their depths to *found, to be freed with bmn_free,
+ * and returns 0; returns -1 for a seed past MAX_CARDS or of another width
+ * than the first and -2 without memory, with nothing to free. */
 int bmn_search(const uint8_t *seeds, int64_t n, int64_t max_depth, int64_t max_nodes,
                found_t *found)
 {
@@ -663,13 +667,13 @@ typedef struct {
 /* The memo of failed tests: the decks of each insertion or correction
  * test of the run that did not loop. A test's outcome depends on its decks
  * alone (A leads, and the trick cap is the run's), so a test the memo holds
- * fails again and is not played. An entry is its decks' lengths (16 bits
- * each, low byte first), then their cards, A's then B's; the entries lie
- * one after another in an arena of `room` bytes, indexed by an
- * open-addressing table of room / 4 slots, each 1 + an entry's offset (0:
- * an empty slot), with linear probing. Keys are compared byte for byte,
- * never by hash alone. The arena and the table double together while their
- * bytes stay within `bound`; past it, both are emptied. */
+ * fails again and is not played. An entry is the test's packed state (see
+ * write_header), A leading; the entries lie one after another in an arena
+ * of `room` bytes, indexed by an open-addressing table of room / 4 slots,
+ * each 1 + an entry's offset (0: an empty slot), with linear probing. Keys
+ * are compared byte for byte, never by hash alone. The arena and the table
+ * double together while their bytes stay within `bound`; past it, both are
+ * emptied. */
 typedef struct {
     uint8_t *arena;
     uint32_t *table;
@@ -687,24 +691,18 @@ typedef struct {
     memo_t memo;
 } factory_t;
 
-static uint64_t memo_hash(const uint8_t *cards, const uint32_t *len)
-{
-    return fmix64(hash(cards, len[0] + len[1]) ^ len[0]);
-}
-
-/* The slot of the decks cards[0..len[0]) and cards[len[0]..) hashed to h:
- * the one of their entry, or the empty slot where it would go. */
-static uint32_t *memo_slot(const memo_t *m, const uint8_t *cards, const uint32_t *len,
-                           uint64_t h)
+/* The slot of the packed state p hashed to h: the one of its entry, or the
+ * empty slot where it would go. */
+static uint32_t *memo_slot(const memo_t *m, const uint8_t *p, uint64_t h)
 {
     uint64_t mask = (uint64_t)m->room / 4 - 1;
+    int64_t width = width_of(p);
     for (;; h++) {
         uint32_t *slot = &m->table[h & mask];
         if (!*slot)
             return slot;
         const uint8_t *e = m->arena + (*slot - 1);
-        if (e[0] == (len[0] & 255) && e[1] == len[0] >> 8 && e[2] == (len[1] & 255)
-                && e[3] == len[1] >> 8 && memcmp(e + 4, cards, len[0] + len[1]) == 0)
+        if (width_of(e) == width && memcmp(e, p, (size_t)width) == 0)
             return slot;
     }
 }
@@ -723,22 +721,19 @@ OUTLINE static int memo_grow(memo_t *m, int64_t room)
     free(m->table);
     m->table = table;
     m->room = room;
-    for (int64_t at = 0; at < m->used;) {
-        const uint8_t *e = arena + at;
-        uint32_t len[2] = {e[0] | (uint32_t)e[1] << 8, e[2] | (uint32_t)e[3] << 8};
-        *memo_slot(m, e + 4, len, memo_hash(e + 4, len)) = (uint32_t)at + 1;
-        at += 4 + len[0] + len[1];
+    for (int64_t at = 0, width; at < m->used; at += width) {
+        width = width_of(arena + at);
+        *memo_slot(m, arena + at, hash(arena + at, width)) = (uint32_t)at + 1;
     }
     return 1;
 }
 
-/* Puts the decks, which the memo does not hold, in it: in a grown memo if
- * it is full and may grow, else in an emptied one, and nowhere if they
- * take more than it may hold. */
-OUTLINE static void memo_add(memo_t *m, const uint8_t *cards, const uint32_t *len,
-                             uint64_t h)
+/* Puts the packed state p hashed to h, which the memo does not hold, in it:
+ * in a grown memo if it is full and may grow, else in an emptied one, and
+ * nowhere if it takes more than the memo may hold. */
+OUTLINE static void memo_add(memo_t *m, const uint8_t *p, uint64_t h)
 {
-    int64_t size = 4 + len[0] + len[1], room = m->room ? 2 * m->room : MEMO_FIRST_ROOM;
+    int64_t size = width_of(p), room = m->room ? 2 * m->room : MEMO_FIRST_ROOM;
     if (m->used + size > m->room || 8 * (m->n + 1) > m->room) {
         while (room > 4 && 2 * room > m->bound) /* a first room past the bound */
             room /= 2;
@@ -749,30 +744,27 @@ OUTLINE static void memo_add(memo_t *m, const uint8_t *cards, const uint32_t *le
         if (m->used + size > m->room || 8 * (m->n + 1) > m->room)
             return;
     }
-    uint8_t *e = m->arena + m->used;
-    e[0] = len[0] & 255;
-    e[1] = len[0] >> 8;
-    e[2] = len[1] & 255;
-    e[3] = len[1] >> 8;
-    memcpy(e + 4, cards, len[0] + len[1]);
-    *memo_slot(m, cards, len, h) = (uint32_t)m->used + 1;
+    memcpy(m->arena + m->used, p, (size_t)size);
+    *memo_slot(m, p, h) = (uint32_t)m->used + 1;
     m->used += size;
     m->n++;
 }
 
-/* test_nontermination of the decks next[0..len[0]) and next[len[0]..), A
- * leading: one insertion or correction test, counted, then played unless
- * the memo holds it; one that does not loop goes into the memo. */
-OUTLINE static int loops(factory_t *f, const uint8_t *next, const uint32_t *len)
+/* test_nontermination of the packed state next, A leading: one insertion or
+ * correction test, counted, then played unless the memo holds it; one that
+ * does not loop goes into the memo. */
+OUTLINE static int loops(factory_t *f, const uint8_t *next)
 {
     int64_t result[2];
-    uint64_t h = memo_hash(next, len);
+    uint64_t h = hash(next, width_of(next));
+    uint32_t na, nb;
     f->tests++;
-    if (f->memo.n && *memo_slot(&f->memo, next, len, h))
+    if (f->memo.n && *memo_slot(&f->memo, next, h))
         return 0;
-    if (play(next, len[0], next + len[0], len[1], 0, f->max_tricks, result) == 1)
+    read_header(next, &na, &nb);
+    if (play(next + HEADER, na, next + HEADER + na, nb, 0, f->max_tricks, result) == 1)
         return 1;
-    memo_add(&f->memo, next, len, h);
+    memo_add(&f->memo, next, h);
     return 0;
 }
 
@@ -802,20 +794,19 @@ OUTLINE static void make(const factory_t *f, checkpoint_t *cp, const uint8_t *ca
 /* _first_insertion: for each fragment in turn, the len + 1 insertion
  * points of its deck (A's if into_a, else B's), shuffled, then the first
  * max_positions of them, each a test (loops) of the fragment spliced in
- * there. Returns 1 with the decks of the first test that loops in next,
- * A's then B's, and their lengths in len; 0 if none loops. */
+ * there. Returns 1 with the packed state of the first test that loops in
+ * next, 0 if none loops. */
 OUTLINE static int insert(factory_t *f, const checkpoint_t *cp, const frag_t *frag,
-                          int n_frags, uint32_t bias, uint8_t *next, uint32_t *len)
+                          int n_frags, uint32_t bias, uint8_t *next)
 {
     uint32_t points[MAX_CARDS + 1];
     for (int k = 0; k < n_frags; k++) {
         int into_a = bias == 0 || (bias == 2 && k % 2 == 0);
         const uint8_t *deck = cp->card + (into_a ? 0 : cp->len[0]);
         uint32_t n = cp->len[!into_a], no = cp->len[into_a], nf = frag[k].len;
-        uint8_t *grown = next + (into_a ? 0 : no);
-        len[!into_a] = n + nf;
-        len[into_a] = no;
-        memcpy(next + (into_a ? n + nf : 0), cp->card + (into_a ? n : 0), no);
+        uint8_t *cards = next + HEADER, *grown = cards + (into_a ? 0 : no);
+        write_header(next, 0, into_a ? n + nf : no, into_a ? no : n + nf);
+        memcpy(cards + (into_a ? n + nf : 0), cp->card + (into_a ? n : 0), no);
         for (uint32_t i = 0; i <= n; i++)
             points[i] = i;
         shuffle(points, n + 1, &f->state);
@@ -825,7 +816,7 @@ OUTLINE static int insert(factory_t *f, const checkpoint_t *cp, const frag_t *fr
             memcpy(grown, deck, pos);
             memcpy(grown + pos, frag[k].card, nf);
             memcpy(grown + pos + nf, deck + pos, n - pos);
-            if (loops(f, next, len))
+            if (loops(f, next))
                 return 1;
         }
     }
@@ -834,13 +825,12 @@ OUTLINE static int insert(factory_t *f, const checkpoint_t *cp, const frag_t *fr
 
 /* _first_correction: each of the first max_positions excess spots of cp,
  * shuffled, with its card removed, then each retyped to each deficient
- * type, ascending, each a test (loops); returns 1 with the decks of the
- * first that loops in next and their lengths in len, or 0 if none does. */
-OUTLINE static int correct(factory_t *f, const checkpoint_t *cp, uint8_t *next,
-                           uint32_t *len)
+ * type, ascending, each a test (loops); returns 1 with the packed state of
+ * the first that loops in next, or 0 if none does. */
+OUTLINE static int correct(factory_t *f, const checkpoint_t *cp, uint8_t *next)
 {
     uint32_t spot[MAX_CARDS], n = 0, nd = 0, total = cp->len[0] + cp->len[1];
-    uint8_t deficient[MAX_TYPES];
+    uint8_t deficient[MAX_TYPES], *cards = next + HEADER;
     for (uint32_t i = 0; i < total; i++) /* a spot: a card's index in A, then B */
         if (cp->card[i] < f->n_types && cp->deficit[cp->card[i]] < 0)
             spot[n++] = i;
@@ -851,19 +841,16 @@ OUTLINE static int correct(factory_t *f, const checkpoint_t *cp, uint8_t *next,
         if (cp->deficit[t] > 0)
             deficient[nd++] = (uint8_t)t;
     for (uint32_t k = 0; k < n * (1 + nd); k++) { /* the n removals, then the retypes */
-        uint32_t i = spot[k < n ? k : (k - n) / nd], which = i >= cp->len[0];
-        if (k < n && cp->len[which] == 1)
+        uint32_t i = spot[k < n ? k : (k - n) / nd], which = i >= cp->len[0], cut = k < n;
+        if (cut && cp->len[which] == 1)
             continue; /* never empty a deck */
-        memcpy(next, cp->card, total);
-        len[0] = cp->len[0];
-        len[1] = cp->len[1];
-        if (k < n) {
-            memmove(next + i, next + i + 1, total - i - 1);
-            len[which]--;
-        } else {
-            next[i] = deficient[(k - n) % nd];
-        }
-        if (loops(f, next, len))
+        write_header(next, 0, cp->len[0] - (cut && !which), cp->len[1] - (cut && which));
+        memcpy(cards, cp->card, total);
+        if (cut)
+            memmove(cards + i, cards + i + 1, total - i - 1);
+        else
+            cards[i] = deficient[(k - n) % nd];
+        if (loops(f, next))
             return 1;
     }
     return 0;
@@ -947,8 +934,7 @@ int bmn_factory(const uint8_t *seed, uint32_t na, uint32_t nb, const int64_t *ta
     frag_t frag[MAX_TEMPLATES];
     static const uint8_t every_rank[MAX_TYPES - 1] = {1, 2, 3, 4, 5, 6, 7, 8, 9};
     const char *pattern[256]; /* where each pattern starts in table */
-    uint8_t next[MAX_CARDS], *pool = NULL;
-    uint32_t len[2];
+    uint8_t next[HEADER + MAX_CARDS], *pool = NULL; /* a test's packed state */
     int64_t capacity = knob[CAPACITY], bound = na + nb, stuck = 0, last_selected_age = -1;
     int64_t age_counter = 0, rounds = 0, top;
     int status = 0;
@@ -1001,9 +987,9 @@ int bmn_factory(const uint8_t *seed, uint32_t na, uint32_t nb, const int64_t *ta
         uint32_t bias = below(&f.state, 3); /* 0: deck A, 1: deck B, 2: alternate */
         int n_frags = fragments(row[0], drawn, cp->deficit, f.n_types, knob[MAX_FRAGMENTS],
                                 frag);
-        int found = insert(&f, cp, frag, n_frags, bias, next, len);
+        int found = insert(&f, cp, frag, n_frags, bias, next);
         if (!found && cp->excess)
-            found = correct(&f, cp, next, len);
+            found = correct(&f, cp, next);
         if (!found) {
             stuck = cp->age == last_selected_age ? stuck + 1 : 1;
             last_selected_age = cp->age;
@@ -1011,8 +997,10 @@ int bmn_factory(const uint8_t *seed, uint32_t na, uint32_t nb, const int64_t *ta
         }
         /* depth counts insertions only, the one move that adds cards */
         int64_t k = s.spare[--s.n_spare];
-        make(&f, &s.slot[k], next, len[0], len[1],
-             cp->depth + (len[0] + len[1] > cp->len[0] + cp->len[1]), ++age_counter);
+        uint32_t na_next, nb_next;
+        read_header(next, &na_next, &nb_next);
+        make(&f, &s.slot[k], next + HEADER, na_next, nb_next,
+             cp->depth + (na_next + nb_next > cp->len[0] + cp->len[1]), ++age_counter);
         top = keep(&s, top, k, capacity);
         stuck = 0;
         last_selected_age = -1;

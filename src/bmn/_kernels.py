@@ -4,28 +4,31 @@ The trick rule is written once in Python, in `_py_run`: single tricks
 (`engine.play_trick`), state walks (`engine.walk`) and the reference
 matches play through it, and the C kernel follows it line for line. Every
 match is played by `play_match_loops`, which runs Brent's cycle detector
-on that loop, saving one state at a time and finding the exact transient
-with a second lockstep pass; it tells a terminated match, a loop and a
-match over the trick budget apart. A batch deals match i with
-`SplitMix64.shuffle`, the reference deal, on the (seed, i) splitmix64
-stream, so its results do not depend on how the batch is split, and plays
-the matches one by one.
+on that loop as one loop over blocks of tricks, the first unwatched,
+saving one state at a time and finding the exact transient with a second
+lockstep pass; it tells a terminated match, a loop and a match over the
+trick budget apart. A batch deals match i with `SplitMix64.shuffle`, the
+reference deal, on the (seed, i) splitmix64 stream, so its results do not
+depend on how the batch is split, and plays the matches one by one.
 
 `factory` runs the loop factory's whole round loop, `factory._rounds`,
 in one call: its draws, its fragments from the pattern table it is passed
-(`factory._PATTERNS`, which `factory._pattern_fragments` reads too), its
-checkpoint store and every insertion and correction test, each a
-`play_match_loops` with A leading. Both round loops keep a memo of the
-run's failed tests, bounded by `factory._MEMO_BYTES`, and play no test it
-holds; the count of tests (`FactoryResult.tests_run`) takes in every
+(`factory._PATTERNS`, which `factory._pattern_fragments` reads too,
+encoded once per table by `factory._c_tables`), its checkpoint store and
+every insertion and correction test, each a `play_match_loops` with A
+leading. Both round loops keep a memo of the run's failed tests, bounded
+by `factory._MEMO_BYTES`, and play no test it holds; in C a test and a
+memo entry are `pack`ed states, the layout of the search and the trace
+too. The count of tests (`FactoryResult.tests_run`) takes in every
 candidate all the same, so it counts candidates, not matches played.
 `search` runs the whole breadth-first backward search over `pack`ed
 states of one width, to its depth or node limit, in one call, and returns
 the states found and their depths: each bottom slice of the winner's deck
 that `_parse_pile` reads as a trick is pushed back onto the players'
-decks, which gives one predecessor; no trick is played to confirm it. `trace` walks a match a chunk of tricks per call
-and gives each trick boundary's whole record, as `analyzer.trace_records`
-yields it: deck sizes, special positions, separations and entropies.
+decks, which gives one predecessor; no trick is played to confirm it.
+`trace` walks a match a chunk of tricks per call and gives each trick
+boundary's whole record, as `analyzer.trace_records` yields it: deck
+sizes, special positions, separations and entropies.
 
 `play_match_loops`, `simulate_batch` and `search` run on a C kernel when
 one is available, and `factory` and `trace` run only there: `_ckernel.c`,
@@ -335,8 +338,9 @@ def _py_match_loops(deck_a, deck_b, leader, max_tricks):
     """`play_match_loops` in pure Python: the reference the C kernel follows.
 
     Brent's algorithm (R. P. Brent, BIT 20, 1980), with blocks of
-    f * 2**k tricks (f = _BRENT_FIRST_BLOCK). Block 0, the first f tricks,
-    is played unwatched. Block k >= 1 saves the state after
+    f * 2**k tricks (f = _BRENT_FIRST_BLOCK), played by one loop that
+    decides termination and looping alike for every block. Block 0, the
+    first f tricks, is played unwatched. Block k >= 1 saves the state after
     s = f * (2**k - 1) tricks and compares it with each of the next f * 2**k
     states. A cycle therefore shows at trick s + period in the first block
     k >= 1 with s >= transient and f * 2**k >= period. Let transient +
@@ -348,31 +352,27 @@ def _py_match_loops(deck_a, deck_b, leader, max_tricks):
     therefore runs to trick max_tricks + last at most before deciding
     against the cap.
     """
-    decks = [deque(deck_a), deque(deck_b)]
     first = _BRENT_FIRST_BLOCK
-    status, cur, tricks, _ = _py_run(decks, leader, first)
-    if status == 0:
-        return (0, cur, tricks) if tricks <= max_tricks else (2, -1, max_tricks)
     last = first
     while last < max_tricks + first - 1:
         last *= 2
     limit = max_tricks + last
-    block = 2 * first
+    decks = [deque(deck_a), deque(deck_b)]
+    cur, tricks, block = leader, 0, first
     while tricks < limit:
-        saved = (cur, deque(decks[0]), deque(decks[1]))
+        saved = (cur, deque(decks[0]), deque(decks[1])) if tricks else None
         status, cur, played, _ = _py_run(decks, cur, min(block, limit - tricks), saved)
         tricks += played
         if status == 0:
-            if tricks <= max_tricks:
-                return 0, cur, tricks
-            break
+            if tricks > max_tricks:
+                break
+            return 0, cur, tricks
         if status == 1:
-            if played <= max_tricks:
-                transient = _py_transient(deck_a, deck_b, leader, played,
-                                          max_tricks - played)
-                if transient is not None:
-                    return 1, transient, played
-            break
+            transient = (_py_transient(deck_a, deck_b, leader, played, max_tricks - played)
+                         if played <= max_tricks else None)
+            if transient is None:
+                break
+            return 1, transient, played
         block *= 2
     return 2, -1, max_tricks
 
@@ -434,36 +434,27 @@ def _c_trace(lib, state, specials, tricks, record):
         skip = 1
 
 
-def factory(deck_a, deck_b, targets, patterns, rows, n_rows, knobs, restart_probability,
+def factory(deck_a, deck_b, targets, table, rows, n_rows, knobs, restart_probability,
             rng_state, budget, max_tricks):
     """`factory._rounds` in one call on the C kernel, or None without it.
 
     The seed decks, the composition `targets` (per type, ordinaries
-    first), the `patterns` (each a tuple of groups of shapes, as in
-    `factory._PATTERNS`), the `n_rows` strategy rows encoded in the bytes
-    `rows`, which name patterns by their index, the tuning constants
-    `knobs` (the last the memo's bound in bytes) and `restart_probability`,
-    the rng's state, the round budget (cut to `_C_MAX_TRICKS`) and the
-    trick cap go as `factory._c_rounds` gives them. Returns (complete, best deck_a, best deck_b, best depth,
-    best age, rounds, tests); None also for a cap from `_C_MAX_TRICKS` on,
-    a card outside 0..255, a run whose checkpoints could hold more than
-    1024 cards, a pattern that over all the ranks gives more than 81
-    templates, one over 10 cards or a letter but C, r and s, an empty
-    pattern or group, or constants the kernel does not take.
+    first), the pattern `table` and the `n_rows` strategy rows encoded in
+    the bytes `rows`, which name patterns by their index (both as
+    `factory._c_tables` encodes them), the tuning constants `knobs` (the
+    last the memo's bound in bytes) and `restart_probability`, the rng's
+    state, the round budget (cut to `_C_MAX_TRICKS`) and the trick cap go
+    as `factory._c_rounds` gives them. Returns (complete, best deck_a, best
+    deck_b, best depth, best age, rounds, tests); None also for a cap from
+    `_C_MAX_TRICKS` on, a run whose checkpoints could hold more than 1024
+    cards, a pattern that over all the ranks gives more than 81 templates,
+    one over 10 cards or a letter but C, r and s, or constants the kernel
+    does not take.
     """
     lib = _c()
     if not lib or max_tricks >= _C_MAX_TRICKS:
         return None
-    try:
-        seed = bytes(deck_a) + bytes(deck_b)
-    except ValueError:  # a card outside 0..255
-        return None
-    # the patterns as one string: each group ends at a NUL, each pattern at
-    # a second one, the table at a third; so an empty group or pattern would
-    # read as an end, and such a table plays in Python
-    if not all(patterns) or not all(map(all, patterns)):
-        return None
-    table = ("\0\0".join(map("\0".join, patterns)) + "\0\0\0").encode()
+    seed = bytes(deck_a) + bytes(deck_b)
     # room for any checkpoint: it holds no more than the seed and the composition
     best, out = ctypes.create_string_buffer(len(seed) + sum(targets)), (ctypes.c_int64 * 6)()
     status = lib.bmn_factory(seed, len(deck_a), len(deck_b),
@@ -633,15 +624,11 @@ def simulate_batch(n_matches, deck, seed, max_tricks, start=0):
         raise ValueError("max_tricks too large for the batch kernel")
     lib = _c()
     if lib:
-        try:
-            cards = bytes(deck)
-        except ValueError:  # a card outside 0..255
-            cards = None
+        cards = bytes(deck)
         durations = np.empty(n_matches, dtype=np.int32)
         winners = np.empty(n_matches, dtype=np.int8)
-        if cards is not None and lib.bmn_simulate(
-                cards, len(cards), seed & MASK64, start & MASK64, n_matches, max_tricks,
-                durations.ctypes.data, winners.ctypes.data) == 0:
+        if lib.bmn_simulate(cards, len(cards), seed & MASK64, start & MASK64, n_matches,
+                            max_tricks, durations.ctypes.data, winners.ctypes.data) == 0:
             return durations, winners
     return _py_simulate_batch(n_matches, deck, seed, max_tricks, start)
 

@@ -38,6 +38,11 @@ BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ende
 #: States of a `backward` listing formatted per write: its memory stays
 #: bounded whatever --max-nodes is.
 _LISTING_BLOCK = 4096
+#: The least value of each integer flag that has one, by its argparse dest:
+#: below it, the command fails with an error line naming the flag before it
+#: runs (the configs behind the flags check their own fields too).
+_LEAST = {"matches": 1, "workers": 1, "max_tricks": 1, "depth": 0, "max_nodes": 1,
+          "budget": 1, "trick_cap": 1}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -234,7 +239,6 @@ def cmd_loops(args) -> int:
 
 
 def cmd_backward(args) -> int:
-    # validates --depth and --max-nodes once, for both modes
     config = backward.BackwardSearchConfig(max_depth=args.depth,
                                            max_nodes=args.max_nodes)
     settings = Settings.parse(args.setting)
@@ -297,8 +301,6 @@ def _read_seed_decks(path, settings) -> list:
 
 
 def cmd_factory(args) -> int:
-    if args.trick_cap < 1:
-        return _fail("--trick-cap must be >= 1")
     settings = Settings.parse(args.setting)
     seeds = []
     if args.seed_decks:
@@ -424,6 +426,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
+    for dest, least in _LEAST.items():
+        if getattr(args, dest, least) < least:
+            return _fail(f"--{dest.replace('_', '-')} must be >= {least}")
     try:
         code = args.func(args)
         sys.stdout.flush()  # a reader that left shows here, not at exit

@@ -248,14 +248,15 @@ class _Failed(set):
 
     A test's outcome depends on its decks alone (A leads, and the trick cap
     is the run's), so a test found here fails again and is not played. The
-    memo is emptied when its entries, each its cards and 4 bytes of lengths
-    as the C kernel stores them, would pass _MEMO_BYTES.
+    memo is emptied when its entries, each a packed state (`_kernels.pack`:
+    a 5-byte header, then the cards) as the C kernel stores them, would pass
+    _MEMO_BYTES.
     """
 
     held = 0
 
     def add(self, decks):
-        size = 4 + len(decks[0]) + len(decks[1])
+        size = _kernels.HEADER.size + len(decks[0]) + len(decks[1])
         if self.held + size > _MEMO_BYTES:
             self.clear()
             self.held = 0
@@ -365,23 +366,34 @@ def run_factory(config: FactoryConfig) -> FactoryResult:
 
 
 @functools.lru_cache(maxsize=1)
-def _strategy_rows(strategies: tuple, names: tuple) -> bytes:
-    """The STRATEGIES rows `strategies` as `_kernels.factory` takes them:
-    each row's order, its pattern count and its patterns' indices in
-    `names`, the names of `_PATTERNS`. Cached by both, so that a test
-    patching either table still reaches C."""
-    return bytes(chain.from_iterable((_ORDERS.index(order), len(patterns),
-                                      *map(names.index, patterns))
-                                     for order, patterns in strategies))
+def _c_tables(strategies: tuple, patterns: tuple):
+    """(table, rows): the `_PATTERNS` items `patterns` and the STRATEGIES
+    rows `strategies` as `_kernels.factory` takes them. The table is the
+    patterns as one string: each group ends at a NUL, each pattern at a
+    second one, the table at a third; so an empty group or pattern would
+    read as an end, and such a table is None, to play in `_rounds`. A row
+    is its order, its pattern count and its patterns' indices. Cached by
+    the contents of both tables, so that a test patching either still
+    reaches C."""
+    names = [name for name, _ in patterns]
+    rows = bytes(chain.from_iterable((_ORDERS.index(order), len(drawn),
+                                      *map(names.index, drawn))
+                                     for order, drawn in strategies))
+    groups = [groups for _, groups in patterns]
+    if not all(groups) or not all(map(all, groups)):
+        return None, rows
+    return ("\0\0".join(map("\0".join, groups)) + "\0\0\0").encode(), rows
 
 
 def _c_rounds(config: FactoryConfig, seed: Checkpoint, rng: SplitMix64):
     """`_rounds` on the C kernel, or None where `_kernels.factory` does not run."""
     settings = config.settings
+    table, rows = _c_tables(STRATEGIES, tuple(_PATTERNS.items()))
+    if table is None:
+        return None
     found = _kernels.factory(
         seed.deck_a, seed.deck_b, [settings.target_count(r) for r in seed.deficits],
-        list(_PATTERNS.values()), _strategy_rows(STRATEGIES, tuple(_PATTERNS)),
-        len(STRATEGIES),
+        table, rows, len(STRATEGIES),
         (_MAX_FRAGMENTS, _MAX_POSITIONS, _RESTART_INTERVAL, _ESCAPE_THRESHOLD,
          _CHECKPOINT_CAPACITY, _MEMO_BYTES),
         _RESTART_PROBABILITY, rng.state, config.budget, config.nontermination_trick_cap)

@@ -451,7 +451,8 @@ def test_backward_rejects_bad_limits_in_both_modes(mode, flag, value, name):
                   flag, value, *mode)
     assert out.returncode == 1
     assert out.stdout == ""
-    assert out.stderr.startswith("error: ") and name in out.stderr
+    # the error names the flag, not the BackwardSearchConfig field behind it
+    assert out.stderr.startswith(f"error: {flag} must be >= ") and name not in out.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +556,28 @@ def test_factory_rejects_a_trick_cap_below_one():
         out = run_cli("factory", "--setting", "12,1", "--budget", "10", "--trick-cap", cap)
         assert (out.returncode, out.stdout) == (1, "")
         assert out.stderr == "error: --trick-cap must be >= 1\n"
+
+
+DECKS = ("--setting", "12,1", "--deck-a", "[1CCCC]", "--deck-b", "[CCCCC]")
+
+
+@pytest.mark.parametrize("args, message", [
+    (("factory", "--setting", "12,1", "--budget", "0"), "--budget must be >= 1"),
+    (("simulate", "--setting", "12,1", "--matches", "5", "--max-tricks", "0"),
+     "--max-tricks must be >= 1"),
+    (("play", *DECKS, "--max-tricks", "0"), "--max-tricks must be >= 1"),
+    (("loops", "verify", *DECKS, "--max-tricks", "0"), "--max-tricks must be >= 1"),
+    (("backward", *DECKS, "--depth", "-1"), "--depth must be >= 0"),
+    (("backward", *DECKS, "--max-nodes", "0"), "--max-nodes must be >= 1"),
+    (("simulate", "--setting", "12,1", "--matches", "0"), "--matches must be >= 1"),
+    (("simulate", "--setting", "12,1", "--matches", "5", "--workers", "0"),
+     "--workers must be >= 1"),
+], ids=["budget", "simulate-max-tricks", "play-max-tricks", "loops-max-tricks", "depth",
+        "max-nodes", "matches", "workers"])
+def test_a_flag_below_its_least_value_is_named(capsys, args, message):
+    # the error names the flag the user gave, not the config field behind it
+    assert cli.main(list(args)) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_factory_rejects_an_empty_seed_deck():

@@ -376,6 +376,36 @@ def test_factory_replays_no_test_it_saw_fail(monkeypatch):
     assert len(plays) > with_memo
 
 
+# B's lone 1 is one of (16,1)'s and (20,1)'s five: an excess card whose
+# removal would empty B, a correction neither kernel may test
+LONE_EXCESS_SEED = ("[1CCC1C11CCC]", "[1]")
+# (rounds used, tests run, best deck_a, best deck_b, best depth, best age)
+# for rng seeds 1-3 at budget 200
+LONE_EXCESS = {
+    (16, 1): ((200, 1002, "[1CCCCC11CCC]", "[1]", 0, 1),
+              (200, 996, "[1CCCCC11CCC]", "[1]", 0, 1),
+              (200, 936, "[1CCCCC11CCC]", "[1]", 0, 1)),
+    (20, 1): ((200, 871, "[1CCC1CC1CCCCCCCCCC]", "[1]", 1, 5),
+              (200, 1077, "[1CCCCC11CCC]", "[1]", 0, 1),
+              (200, 786, "[1CCC1CC1CCCCCCCCCC]", "[1]", 1, 3)),
+}
+
+
+@pytest.mark.parametrize("setting", LONE_EXCESS, ids="{0[0]},{0[1]}".format)
+def test_correction_never_empties_a_deck(monkeypatch, kernel, setting):
+    # every run keeps B's lone 1 and reaches the same results on both
+    # kernels, C's in C and Python's in _rounds
+    in_python = _python_rounds(monkeypatch)
+    results = [run_factory(FactoryConfig(settings=Settings(*setting),
+                                         seed_state=state(*LONE_EXCESS_SEED), budget=200,
+                                         rng_seed=rng_seed))
+               for rng_seed in (1, 2, 3)]
+    assert len(in_python) == (3 if kernel == "python" else 0)
+    assert [(r.rounds_used, r.tests_run, format_deck(r.best.deck_a),
+             format_deck(r.best.deck_b), r.best.depth, r.best.age)
+            for r in results] == list(LONE_EXCESS[setting])
+
+
 def _python_rounds(monkeypatch):
     """The calls that run_factory makes from now on to its Python round loop."""
     calls, rounds = [], factory._rounds
