@@ -14,7 +14,7 @@
  * from the factory._PATTERNS it is passed, and the insertion and correction
  * tests, each a packed state played by play_match_loops with A leading
  * unless the run's memo of failed tests holds it: such a test is counted,
- * not played.
+ * not played, and the tests played are counted too.
  * bmn_search is search, the whole breadth-first backward search over
  * packed states of one width; it returns the states found, a row of that
  * width each, and their depths. Its step is _py_step, the inverse of a
@@ -22,7 +22,9 @@
  * the winner's deck, each parse packed as a predecessor.
  * A packed state is _kernels.pack's, in one layout for the trace, the
  * search and the factory's tests and memo; write_header and read_header
- * alone write and read its header.
+ * alone write and read its header. One hash set of packed states (set_t,
+ * with find, put and empty) holds both the states the search finds and
+ * the factory's memo.
  * Results are bit for bit the Python ones. _kernels compiles this file with
  * the flags of _kernels._CFLAGS and calls it through ctypes; it uses no
  * Python API.
@@ -379,26 +381,6 @@ static int parse_pile(const uint8_t *pile, uint32_t np, uint8_t played[2][MAX_CA
     return 0; /* the pile ran out with the trick still open */
 }
 
-/* The breadth-first backward search of bmn_search: the states found, each
- * `width` bytes, one after another in states, indexed by an open-addressing
- * table of 1 + their index (0: an empty slot) with linear probing. The
- * arrays grow by doubling, so that there is always room for one more state
- * past the last; the table keeps at least two slots per state. */
-typedef struct {
-    uint8_t *states;  /* state i is states[i * width .. (i + 1) * width) */
-    int64_t *depths, *table;
-    int64_t n, width, room, slots, max_nodes;
-} search_t;
-
-/* search's result, handed to the caller, who frees it with bmn_free. */
-typedef struct {
-    uint8_t *states;
-    int64_t *depths;
-    int64_t n;
-} found_t;
-
-#define FIRST_ROOM 256 /* states the search's arrays hold at first */
-
 static uint64_t hash(const uint8_t *p, int64_t n)
 {
     uint64_t h = (uint64_t)n, word;
@@ -411,48 +393,116 @@ static uint64_t hash(const uint8_t *p, int64_t n)
     return fmix64(h ^ word);
 }
 
-static void place(search_t *s, int64_t i, uint64_t h)
+/* The one hash set of packed states, kept by the backward search (the
+ * states found) and by the factory (its memo of failed tests). The states
+ * lie one after another in an arena, in the order kept, and an
+ * open-addressing table of 1 + their offsets (0: an empty slot) finds them,
+ * with linear probing and a byte compare, never by hash alone. The arena
+ * always has room for SPARE bytes past its last state, where a caller
+ * writes the state it keeps; the table keeps over two slots a state. */
+typedef struct {
+    uint8_t *arena;
+    int64_t *table;
+    /* the arena's bytes in use and allocated, the states, the table's slots
+     * (a power of two) and the bytes the arena and table may grow to */
+    int64_t used, room, n, slots, bound;
+} set_t;
+
+#define SPARE (HEADER + MAX_CARDS) /* bytes of the widest packed state */
+#define FIRST_ROOM 4096            /* bytes of a set's first arena, and of its table */
+
+/* An empty set, its arrays at their first sizes whatever the bound: 0
+ * without memory, the arrays that were allocated left for the caller to free. */
+static int start(set_t *s, int64_t bound)
 {
-    uint64_t mask = (uint64_t)s->slots - 1;
-    while (s->table[h & mask])
-        h++;
-    s->table[h & mask] = i + 1;
+    *s = (set_t){malloc(FIRST_ROOM), calloc(FIRST_ROOM, 1), 0, FIRST_ROOM, 0,
+                 FIRST_ROOM / sizeof *s->table, bound};
+    return s->arena && s->table;
 }
 
-/* Room for twice the states, and a table rebuilt for it; 0 without memory. */
-static int grow(search_t *s)
+/* The slot of the packed state p: the one holding it, or the empty slot
+ * where it would go. A header holds both decks' lengths, so states of two
+ * widths never compare equal, and the compare stays in the arena: SPARE
+ * bytes follow its last state. */
+static int64_t *find(const set_t *s, const uint8_t *p)
 {
-    int64_t room = 2 * s->room, *depths, *table;
-    uint8_t *states;
-    if (!(states = realloc(s->states, (size_t)(room * s->width))))
+    int64_t width = width_of(p), *slot;
+    uint64_t h = hash(p, width), mask = (uint64_t)s->slots - 1;
+    while (*(slot = &s->table[h++ & mask]) && memcmp(s->arena + *slot - 1, p, (size_t)width)) {}
+    return slot;
+}
+
+/* Puts the state written at the arena's tail in *slot, the empty slot find
+ * gave it. Then the arena doubles if SPARE bytes no longer follow the
+ * state, and the table, rebuilt, if it has two slots a state or fewer: one
+ * doubling is enough, as a state takes SPARE bytes at most and the arena
+ * holds FIRST_ROOM > SPARE at least. Returns 0, the state kept, if the
+ * arrays would grow past s->bound bytes together or there is no memory:
+ * the set then takes no other state until it is emptied. */
+static int put(set_t *s, int64_t *slot)
+{
+    *slot = s->used + 1;
+    s->used += width_of(s->arena + s->used);
+    s->n++;
+    if (s->used + SPARE <= s->room && 2 * s->n < s->slots)
+        return 1;
+    int64_t room = s->used + SPARE <= s->room ? s->room : 2 * s->room;
+    int64_t slots = 2 * s->n < s->slots ? s->slots : 2 * s->slots, *table;
+    uint8_t *arena;
+    if (room + slots * (int64_t)sizeof *table > s->bound
+            || !(arena = realloc(s->arena, (size_t)room)))
         return 0;
-    s->states = states;
-    if (!(depths = realloc(s->depths, (size_t)room * sizeof *depths)))
-        return 0;
-    s->depths = depths;
-    if (!(table = calloc((size_t)(2 * room), sizeof *table)))
+    s->arena = arena;
+    s->room = room;
+    if (slots == s->slots)
+        return 1;
+    if (!(table = calloc((size_t)slots, sizeof *table)))
         return 0;
     free(s->table);
     s->table = table;
-    s->room = room;
-    s->slots = 2 * room;
-    for (int64_t i = 0; i < s->n; i++)
-        place(s, i, hash(states + i * s->width, s->width));
+    s->slots = slots;
+    for (int64_t at = 0; at < s->used; at += width_of(arena + at))
+        *find(s, arena + at) = at + 1;
     return 1;
 }
 
-/* Keep the state written past the last one found unless it was found
- * before: 1 if it is new, 0 if not, -1 without memory. */
-static int add(search_t *s, int64_t depth)
+/* Empties the set; its arrays keep their sizes. */
+static void empty(set_t *s)
 {
-    const uint8_t *p = s->states + s->n * s->width;
-    uint64_t h = hash(p, s->width), mask = (uint64_t)s->slots - 1;
-    for (int64_t j; (j = s->table[h & mask]); h++)
-        if (memcmp(s->states + (j - 1) * s->width, p, (size_t)s->width) == 0)
-            return 0;
-    s->table[h & mask] = s->n + 1;
-    s->depths[s->n++] = depth;
-    return s->n < s->room || grow(s) ? 1 : -1;
+    s->used = s->n = 0;
+    memset(s->table, 0, (size_t)s->slots * sizeof *s->table);
+}
+
+/* The breadth-first backward search of bmn_search: the states found, in
+ * its set, and their depths, in an array doubled each time their count
+ * reaches a power of two. */
+typedef struct {
+    set_t set;
+    int64_t *depths, max_nodes;
+} search_t;
+
+/* search's result, handed to the caller, who frees it with bmn_free. */
+typedef struct {
+    uint8_t *states;
+    int64_t *depths;
+    int64_t n;
+} found_t;
+
+/* Keeps the state written at the tail of the search's set, found at
+ * `depth`, unless the set holds it: 1 if that takes the search to its node
+ * budget, -1 without memory, 0 otherwise. */
+static int reach(search_t *s, int64_t depth)
+{
+    int64_t *slot = find(&s->set, s->set.arena + s->set.used), n = s->set.n, *depths;
+    if (*slot)
+        return 0;
+    if (!(n & (n - 1))) { /* none or a power of two: room for twice as many */
+        if (!(depths = realloc(s->depths, (size_t)(2 * n + 1) * sizeof *depths)))
+            return -1;
+        s->depths = depths;
+    }
+    s->depths[n] = depth;
+    return put(&s->set, slot) ? s->set.n >= s->max_nodes : -1;
 }
 
 /* The predecessors of the packed state t, added to the search at `depth`:
@@ -466,7 +516,7 @@ static int step(search_t *s, const uint8_t *t, int64_t depth)
 {
     uint8_t played[2][MAX_CARDS];
     uint32_t np[2], na, nb;
-    int leader_won, winner = read_header(t, &na, &nb);
+    int leader_won, stop, winner = read_header(t, &na, &nb);
     const uint8_t *w = t + HEADER + (winner ? na : 0), *l = t + HEADER + (winner ? 0 : na);
     uint32_t nw = winner ? nb : na, nl = winner ? na : nb, k = 0;
     while (k < nw && w[nw - 1 - k] == 0)
@@ -486,7 +536,7 @@ static int step(search_t *s, const uint8_t *t, int64_t depth)
             continue;
         const uint8_t *won = played[!leader_won], *lost = played[leader_won];
         uint32_t n_won = np[!leader_won], n_lost = np[leader_won];
-        uint8_t *p = s->states + s->n * s->width;
+        uint8_t *p = s->set.arena + s->set.used;
         uint32_t n_a = winner ? n_lost + nl : n_won + rest;
         uint8_t *pw = p + HEADER + (winner ? n_a : 0), *pl = p + HEADER + (winner ? 0 : n_a);
         write_header(p, leader_won ? winner : !winner, n_a, na + nb - n_a);
@@ -494,11 +544,8 @@ static int step(search_t *s, const uint8_t *t, int64_t depth)
         memcpy(pw + n_won, w, rest);
         memcpy(pl, lost, n_lost);
         memcpy(pl + n_lost, l, nl);
-        int added = add(s, depth);
-        if (added < 0)
-            return -1;
-        if (added && s->n >= s->max_nodes)
-            return 1;
+        if ((stop = reach(s, depth)))
+            return stop;
     }
     return 0;
 }
@@ -516,31 +563,25 @@ static int step(search_t *s, const uint8_t *t, int64_t depth)
 int bmn_search(const uint8_t *seeds, int64_t n, int64_t max_depth, int64_t max_nodes,
                found_t *found)
 {
-    uint8_t t[HEADER + MAX_CARDS];
+    uint8_t t[SPARE];
     int64_t width = n ? width_of(seeds) : HEADER;
-    search_t s = {.width = width, .room = FIRST_ROOM, .slots = 2 * FIRST_ROOM,
-                  .max_nodes = max_nodes};
-    if (width > HEADER + MAX_CARDS)
-        return -1;
-    for (int64_t i = 1; i < n; i++)
-        if (width_of(seeds + i * width) != width)
+    search_t s = {.max_nodes = max_nodes};
+    for (int64_t i = 0; i < n; i++)
+        if (width > SPARE || width_of(seeds + i * width) != width)
             return -1;
-    s.states = malloc((size_t)(FIRST_ROOM * width));
-    s.depths = malloc(FIRST_ROOM * sizeof *s.depths);
-    s.table = calloc(2 * FIRST_ROOM, sizeof *s.table);
-    if (!s.states || !s.depths || !s.table)
+    if (!start(&s.set, INT64_MAX))
         goto fail;
     for (int64_t i = 0; i < n; i++) {
-        memcpy(s.states + s.n * width, seeds + i * width, (size_t)width);
-        if (add(&s, 0) < 0)
+        memcpy(s.set.arena + s.set.used, seeds + i * width, (size_t)width);
+        if (reach(&s, 0) < 0)
             goto fail;
     }
-    for (int64_t depth = 1, start = 0, end = s.n;
-         start < end && depth <= max_depth && s.n < max_nodes;
-         depth++, start = end, end = s.n) {
-        for (int64_t i = start; i < end; i++) {
+    for (int64_t depth = 1, first = 0, end = s.set.n;
+         first < end && depth <= max_depth && s.set.n < max_nodes;
+         depth++, first = end, end = s.set.n) {
+        for (int64_t i = first; i < end; i++) {
             /* a copy: the states found may move as they grow */
-            memcpy(t, s.states + i * width, (size_t)width);
+            memcpy(t, s.set.arena + i * width, (size_t)width);
             int stop = step(&s, t, depth);
             if (stop < 0)
                 goto fail;
@@ -549,15 +590,13 @@ int bmn_search(const uint8_t *seeds, int64_t n, int64_t max_depth, int64_t max_n
         }
     }
 done:
-    free(s.table);
-    found->states = s.states;
-    found->depths = s.depths;
-    found->n = s.n;
+    free(s.set.table);
+    *found = (found_t){s.set.arena, s.depths, s.set.n};
     return 0;
 fail:
-    free(s.states);
+    free(s.set.arena);
+    free(s.set.table);
     free(s.depths);
-    free(s.table);
     return -2;
 }
 
@@ -664,107 +703,38 @@ typedef struct {
     int excess;
 } checkpoint_t;
 
-/* The memo of failed tests: the decks of each insertion or correction
- * test of the run that did not loop. A test's outcome depends on its decks
- * alone (A leads, and the trick cap is the run's), so a test the memo holds
- * fails again and is not played. An entry is the test's packed state (see
- * write_header), A leading; the entries lie one after another in an arena
- * of `room` bytes, indexed by an open-addressing table of room / 4 slots,
- * each 1 + an entry's offset (0: an empty slot), with linear probing. Keys
- * are compared byte for byte, never by hash alone. The arena and the table
- * double together while their bytes stay within `bound`; past it, both are
- * emptied. */
-typedef struct {
-    uint8_t *arena;
-    uint32_t *table;
-    int64_t room, used, n, bound;
-} memo_t;
-
-#define MEMO_FIRST_ROOM 2048 /* arena bytes at first: a table of 512 slots */
-
-/* One factory run: its composition, constants and rng, its tests and memo. */
+/* One factory run: its composition, constants and rng, its tests and the
+ * ones played, and its memo of failed tests. A test's outcome depends on its
+ * decks alone (A leads, and the trick cap is the run's), so the memo keeps
+ * the packed state (see write_header) of each insertion or correction test
+ * that did not loop, A leading, and a test it holds fails again and is not
+ * played. The memo is emptied when growing would take its arena and table
+ * past knob[MEMO_BYTES]. */
 typedef struct {
     const int64_t *target, *knob;
     int n_types;
-    int64_t n_total, max_tricks, tests;
+    int64_t n_total, max_tricks, tests, played;
     uint64_t state;
-    memo_t memo;
+    set_t memo;
 } factory_t;
 
-/* The slot of the packed state p hashed to h: the one of its entry, or the
- * empty slot where it would go. */
-static uint32_t *memo_slot(const memo_t *m, const uint8_t *p, uint64_t h)
-{
-    uint64_t mask = (uint64_t)m->room / 4 - 1;
-    int64_t width = width_of(p);
-    for (;; h++) {
-        uint32_t *slot = &m->table[h & mask];
-        if (!*slot)
-            return slot;
-        const uint8_t *e = m->arena + (*slot - 1);
-        if (width_of(e) == width && memcmp(e, p, (size_t)width) == 0)
-            return slot;
-    }
-}
-
-/* The arena grown to `room` bytes and a table rebuilt for it; 0 without
- * memory, the memo as it was. */
-OUTLINE static int memo_grow(memo_t *m, int64_t room)
-{
-    uint8_t *arena = realloc(m->arena, (size_t)room);
-    uint32_t *table;
-    if (!arena)
-        return 0;
-    m->arena = arena;
-    if (!(table = calloc((size_t)room / 4, sizeof *table)))
-        return 0;
-    free(m->table);
-    m->table = table;
-    m->room = room;
-    for (int64_t at = 0, width; at < m->used; at += width) {
-        width = width_of(arena + at);
-        *memo_slot(m, arena + at, hash(arena + at, width)) = (uint32_t)at + 1;
-    }
-    return 1;
-}
-
-/* Puts the packed state p hashed to h, which the memo does not hold, in it:
- * in a grown memo if it is full and may grow, else in an emptied one, and
- * nowhere if it takes more than the memo may hold. */
-OUTLINE static void memo_add(memo_t *m, const uint8_t *p, uint64_t h)
-{
-    int64_t size = width_of(p), room = m->room ? 2 * m->room : MEMO_FIRST_ROOM;
-    if (m->used + size > m->room || 8 * (m->n + 1) > m->room) {
-        while (room > 4 && 2 * room > m->bound) /* a first room past the bound */
-            room /= 2;
-        if (!(room > m->room && 2 * room <= m->bound && memo_grow(m, room)) && m->room) {
-            m->used = m->n = 0;
-            memset(m->table, 0, (size_t)m->room);
-        }
-        if (m->used + size > m->room || 8 * (m->n + 1) > m->room)
-            return;
-    }
-    memcpy(m->arena + m->used, p, (size_t)size);
-    *memo_slot(m, p, h) = (uint32_t)m->used + 1;
-    m->used += size;
-    m->n++;
-}
-
 /* test_nontermination of the packed state next, A leading: one insertion or
- * correction test, counted, then played unless the memo holds it; one that
- * does not loop goes into the memo. */
+ * correction test, counted, then played, and counted as played, unless the
+ * memo holds it; one that does not loop goes into the memo. */
 OUTLINE static int loops(factory_t *f, const uint8_t *next)
 {
-    int64_t result[2];
-    uint64_t h = hash(next, width_of(next));
+    int64_t result[2], *slot = find(&f->memo, next);
     uint32_t na, nb;
     f->tests++;
-    if (f->memo.n && *memo_slot(&f->memo, next, h))
+    if (*slot)
         return 0;
+    f->played++;
     read_header(next, &na, &nb);
     if (play(next + HEADER, na, next + HEADER + na, nb, 0, f->max_tricks, result) == 1)
         return 1;
-    memo_add(&f->memo, next, h);
+    memcpy(f->memo.arena + f->memo.used, next, HEADER + na + nb);
+    if (!put(&f->memo, slot))
+        empty(&f->memo);
     return 0;
 }
 
@@ -916,10 +886,11 @@ OUTLINE static int64_t keep(store_t *s, int64_t top, int64_t k, int64_t capacity
  * its pattern count, its patterns' numbers), knob[], restart_probability,
  * the round budget and the trick cap. Writes the best checkpoint's decks to
  * best_cards, A's then B's, with room for the seed and the composition, and
- * (rounds, tests, A's length, B's length, depth, age) to out. Returns 1 if
- * it is complete, 0 if the budget ran out, -1 with nothing done past
- * MAX_CARDS, 256 patterns, templates() over every rank or the constants
- * taken here, and -2 without memory. A checkpoint gains no type but those
+ * (rounds, tests, A's length, B's length, depth, age, tests played: those
+ * the memo did not hold) to out. Returns 1 if it is complete, 0 if the
+ * budget ran out, -1 with nothing done past MAX_CARDS, 256 patterns,
+ * templates() over every rank or the constants taken here, and -2 without
+ * memory. A checkpoint gains no type but those
  * the seed lacks, and those only up to the composition, so the seed and
  * its deficits bound its cards. */
 int bmn_factory(const uint8_t *seed, uint32_t na, uint32_t nb, const int64_t *target,
@@ -927,20 +898,19 @@ int bmn_factory(const uint8_t *seed, uint32_t na, uint32_t nb, const int64_t *ta
                 const int64_t *knob, double restart_probability, uint64_t state,
                 int64_t budget, int64_t max_tricks, uint8_t *best_cards, int64_t *out)
 {
-    factory_t f = {target, knob, (int)n_types, 0, max_tricks, 0, state,
-                   {.bound = knob[MEMO_BYTES]}};
+    factory_t f = {target, knob, (int)n_types, 0, max_tricks, 0, 0, state, {0}};
     checkpoint_t best = {.card = best_cards};
     store_t s = {0};
     frag_t frag[MAX_TEMPLATES];
     static const uint8_t every_rank[MAX_TYPES - 1] = {1, 2, 3, 4, 5, 6, 7, 8, 9};
     const char *pattern[256]; /* where each pattern starts in table */
-    uint8_t next[HEADER + MAX_CARDS], *pool = NULL; /* a test's packed state */
+    uint8_t next[SPARE], *pool = NULL; /* a test's packed state */
     int64_t capacity = knob[CAPACITY], bound = na + nb, stuck = 0, last_selected_age = -1;
     int64_t age_counter = 0, rounds = 0, top;
     int status = 0;
     if (n_types < 1 || n_types > MAX_TYPES || knob[MAX_FRAGMENTS] < 0
             || knob[MAX_POSITIONS] < 0 || knob[RESTART_INTERVAL] < 1 || capacity < 1
-            || capacity >= INT32_MAX || knob[MEMO_BYTES] < 0 || knob[MEMO_BYTES] >= INT32_MAX)
+            || capacity >= INT32_MAX)
         return -1;
     for (int k = 0; *table; table++, k++) { /* table: at the first group of pattern k */
         if (k == 256 || templates(table, every_rank, (int)n_types - 1, frag) < 0)
@@ -958,7 +928,7 @@ int bmn_factory(const uint8_t *seed, uint32_t na, uint32_t nb, const int64_t *ta
     s.list = malloc((size_t)(capacity + 1) * sizeof *s.list);
     s.spare = malloc((size_t)(capacity + 1) * sizeof *s.spare);
     pool = malloc((size_t)(capacity + 1) * (size_t)bound);
-    if (!s.slot || !s.list || !s.spare || !pool) {
+    if (!s.slot || !s.list || !s.spare || !pool || !start(&f.memo, knob[MEMO_BYTES])) {
         status = -2;
         goto done;
     }
@@ -1023,6 +993,7 @@ int bmn_factory(const uint8_t *seed, uint32_t na, uint32_t nb, const int64_t *ta
     out[3] = best.len[1];
     out[4] = best.depth;
     out[5] = best.age;
+    out[6] = f.played;
 done:
     free(s.slot);
     free(s.list);

@@ -20,7 +20,11 @@ leading. Both round loops keep a memo of the run's failed tests, bounded
 by `factory._MEMO_BYTES`, and play no test it holds; in C a test and a
 memo entry are `pack`ed states, the layout of the search and the trace
 too. The count of tests (`FactoryResult.tests_run`) takes in every
-candidate all the same, so it counts candidates, not matches played.
+candidate all the same, so it counts candidates, not matches played;
+`factory` also gives the count of tests played, the memo's misses.
+In C the memo and the states the search finds are one hash set of
+`pack`ed states: an arena of the states, in the order kept, and a table
+that finds them.
 `search` runs the whole breadth-first backward search over `pack`ed
 states of one width, to its depth or node limit, in one call, and returns
 the states found and their depths: each bottom slice of the winner's deck
@@ -442,21 +446,22 @@ def factory(deck_a, deck_b, targets, table, rows, n_rows, knobs, restart_probabi
     first), the pattern `table` and the `n_rows` strategy rows encoded in
     the bytes `rows`, which name patterns by their index (both as
     `factory._c_tables` encodes them), the tuning constants `knobs` (the
-    last the memo's bound in bytes) and `restart_probability`, the rng's
-    state, the round budget (cut to `_C_MAX_TRICKS`) and the trick cap go
-    as `factory._c_rounds` gives them. Returns (complete, best deck_a, best
-    deck_b, best depth, best age, rounds, tests); None also for a cap from
-    `_C_MAX_TRICKS` on, a run whose checkpoints could hold more than 1024
-    cards, a pattern that over all the ranks gives more than 81 templates,
-    one over 10 cards or a letter but C, r and s, or constants the kernel
-    does not take.
+    last the memo's bound: the bytes of its arena and table together) and
+    `restart_probability`, the rng's state, the round budget (cut to
+    `_C_MAX_TRICKS`) and the trick cap go as `factory._c_rounds` gives
+    them. Returns (complete, best deck_a, best deck_b, best depth, best age,
+    rounds, tests, played), `played` the tests that the memo of failed tests
+    did not hold; None also for a cap from `_C_MAX_TRICKS` on, a run whose
+    checkpoints could hold more than 1024 cards, a pattern that over all
+    the ranks gives more than 81 templates, one over 10 cards or a letter
+    but C, r and s, or constants the kernel does not take.
     """
     lib = _c()
     if not lib or max_tricks >= _C_MAX_TRICKS:
         return None
     seed = bytes(deck_a) + bytes(deck_b)
     # room for any checkpoint: it holds no more than the seed and the composition
-    best, out = ctypes.create_string_buffer(len(seed) + sum(targets)), (ctypes.c_int64 * 6)()
+    best, out = ctypes.create_string_buffer(len(seed) + sum(targets)), (ctypes.c_int64 * 7)()
     status = lib.bmn_factory(seed, len(deck_a), len(deck_b),
                              (ctypes.c_int64 * len(targets))(*targets), len(targets), table,
                              rows, n_rows, (ctypes.c_int64 * len(knobs))(*knobs),
@@ -466,9 +471,9 @@ def factory(deck_a, deck_b, targets, table, rows, n_rows, knobs, restart_probabi
         return None
     if status == -2:
         raise MemoryError("no memory for the loop factory")
-    rounds, tests, n_a, n_b, depth, age = out
+    rounds, tests, n_a, n_b, depth, age, played = out
     return (status == 1, tuple(best.raw[:n_a]), tuple(best.raw[n_a:n_a + n_b]), depth, age,
-            rounds, tests)
+            rounds, tests, played)
 
 
 #: A packed state is this header (the leader, then the lengths of decks A
@@ -488,6 +493,13 @@ def split(packed):
     """(leader, cards of A, cards of B) of a packed state, the cards as bytes."""
     leader, n_a, _ = HEADER.unpack_from(packed)
     return leader, packed[HEADER.size:HEADER.size + n_a], packed[HEADER.size + n_a:]
+
+
+def lengths(states):
+    """The lengths of decks A and B of the packed states that are the rows of
+    the uint8 array `states`, as the two columns of an n x 2 array: header
+    bytes 1-2 and 3-4, each 16 bits, low byte first, read in place."""
+    return states[:, 1:HEADER.size].view("<u2")
 
 
 class _Found(ctypes.Structure):

@@ -67,9 +67,9 @@ def backward_search(seed_states, config: BackwardSearchConfig) -> list:
     the same number of cards; a ValueError says otherwise.
     """
     states, _ = search(seed_states, config)
+    n_a, n_b = _kernels.lengths(states).T
     balanced = {}
-    # header bytes 1-2 and 3-4 are the lengths of A and B, low byte first
-    for row in states[(states[:, 1] == states[:, 3]) & (states[:, 2] == states[:, 4])]:
+    for row in states[n_a == n_b]:
         packed = bytes(row)
         if packed[0]:  # standardize: relabel the players so that A leads
             _, cards_a, cards_b = _kernels.split(packed)

@@ -255,12 +255,13 @@ def cmd_backward(args) -> int:
     states, _ = backward.search([state], config)
     width = states.shape[1]
     for lo in range(1, len(states), _LISTING_BLOCK):
-        block = states[lo:lo + _LISTING_BLOCK].tobytes()
+        rows = states[lo:lo + _LISTING_BLOCK]
+        block = rows.tobytes()
         text = block.translate(engine.CARD_CHARS).decode("latin-1")
         lines = []
-        for i in range(0, len(block), width):
+        for i, n_a in zip(range(0, len(block), width), _kernels.lengths(rows)[:, 0].tolist()):
             cards = i + _kernels.HEADER.size  # A's cards, then B's from `split`
-            split = cards + (block[i + 1] | block[i + 2] << 8)
+            split = cards + n_a
             lines.append(f"leader={'AB'[block[i]]} deck_a=[{text[cards:split]}] "
                          f"deck_b=[{text[split:i + width]}]\n")
         sys.stdout.write("".join(lines))

@@ -29,7 +29,9 @@ _RESTART_INTERVAL = 50  # rounds between restart draws
 _RESTART_PROBABILITY = 0.2
 _ESCAPE_THRESHOLD = 5   # fruitless rounds on one checkpoint before escaping
 _CHECKPOINT_CAPACITY = 1500
-_MEMO_BYTES = 1 << 22   # bytes a run's memo of failed tests may hold
+# bytes a run's memo of failed tests may hold: in C its arena and table
+# together, in `_Failed` its entries' packed bytes
+_MEMO_BYTES = 1 << 22
 _DEFAULT_SEED_A = (1, 0, 0)
 _DEFAULT_SEED_B = (0, 1, 0)
 
@@ -248,9 +250,11 @@ class _Failed(set):
 
     A test's outcome depends on its decks alone (A leads, and the trick cap
     is the run's), so a test found here fails again and is not played. The
-    memo is emptied when its entries, each a packed state (`_kernels.pack`:
-    a 5-byte header, then the cards) as the C kernel stores them, would pass
-    _MEMO_BYTES.
+    memo is emptied when its entries, counted as packed states
+    (`_kernels.pack`: a 5-byte header, then the cards), would pass
+    _MEMO_BYTES. The C kernel's memo counts more: its arena of packed states
+    with the spare room past them, and its table, which makes it empty
+    sooner on the same bound.
     """
 
     held = 0
@@ -399,7 +403,7 @@ def _c_rounds(config: FactoryConfig, seed: Checkpoint, rng: SplitMix64):
         _RESTART_PROBABILITY, rng.state, config.budget, config.nontermination_trick_cap)
     if found is None:
         return None
-    complete, deck_a, deck_b, depth, age, rounds, tests = found
+    complete, deck_a, deck_b, depth, age, rounds, tests, _ = found
     return complete, _checkpoint(settings, deck_a, deck_b, depth, age), rounds, tests
 
 

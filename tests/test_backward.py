@@ -320,6 +320,13 @@ def _golden_40_3_walk():
     return states + states[::-1]
 
 
+def _1024_cards():
+    """A state of 1024 cards, the most the C kernel holds, led by either
+    player: each of its predecessors fills a 1029-byte row."""
+    deck = (1, 0) * 256
+    return [GameState(deck, deck, PLAYER_A), GameState(deck, deck, PLAYER_B)]
+
+
 def _over_1024_cards():
     """A 1025-card state, past the C kernel, among small seeds."""
     big = GameState((0, 3) + (0,) * 18, (0,) * 1000 + (2, 0, 0, 1, 0), PLAYER_B)
@@ -336,10 +343,15 @@ _SEARCH_CASES = {
     # the 62 cycle states of the published (52,4) loop: 2,514 states, twelve
     # of them balanced
     "52,4 loop": (_loop_states(*INF_52_4), 4, 10**6),
-    # 16,951 states, 840 seeds: the C search's arrays, made for 256 states,
-    # double and rehash seven times, its states' bytes eight times, and
-    # the repeated seeds and the seeds met again are found in the table
+    # 16,951 states, 840 seeds: the C search's table, made for 256 states,
+    # doubles seven times and its arena of states eight times, the table
+    # rebuilt at each, and the repeated seeds and the seeds met again are
+    # found in it
     "large": (_golden_40_3_walk, 10**6, 10**6),
+    # 2,100 states of the widest rows C takes: each predecessor is written
+    # in the whole spare room past the arena's last state, and the arena
+    # doubles ten times, the table four
+    "1024 cards": (_1024_cards, 10**6, 2100),
     "over 1024 cards": (_over_1024_cards, 3, 10**6),
 }
 
@@ -381,7 +393,7 @@ def _checked_search(seeds, max_depth, max_nodes):
 
 
 @pytest.mark.parametrize("case", list(_SEARCH_CASES))
-def test_search_matches_the_reference(kernel, case):
+def test_search_matches_the_reference(kernel, case, monkeypatch):
     seeds, max_depth, max_nodes = _SEARCH_CASES[case]
     seeds = [_kernels.pack(s.deck_a, s.deck_b, s.leader == PLAYER_B) for s in seeds()]
     # one search per width: a search takes the seeds of one width
@@ -400,6 +412,14 @@ def test_search_matches_the_reference(kernel, case):
     if case == "large":
         (found,) = found
         assert len(found) == 16_951
+    if case == "1024 cards":
+        (found,) = found
+        assert len(found) == 2100 and len(found[0]) == 1024 + _kernels.HEADER.size
+        # the C kernel searches them itself
+        fallbacks = []
+        monkeypatch.setattr(_kernels, "_py_search", lambda *args: fallbacks.append(args))
+        _kernels.search(seeds, max_depth, max_nodes)
+        assert len(fallbacks) == (kernel == "python")
     if case == "over 1024 cards":
         assert sorted(groups) == [17, 1025 + _kernels.HEADER.size]
 

@@ -376,6 +376,34 @@ def test_factory_replays_no_test_it_saw_fail(monkeypatch):
     assert len(plays) > with_memo
 
 
+def test_c_memo_plays_the_tests_the_python_memo_plays(monkeypatch):
+    # bmn_factory counts the tests it plays, those its memo does not hold;
+    # _rounds plays each through _kernels.play_match_loops. On runs in which
+    # neither memo empties, the two memos hold the same tests, so the counts
+    # agree, and the memo hits keep them below the tests run
+    require_c_kernel()
+    emptied = []
+    monkeypatch.setattr(factory._Failed, "clear",
+                        lambda memo: emptied.append(len(memo)) or set.clear(memo))
+    plays, play_loops = [], _kernels.play_match_loops
+    monkeypatch.setattr(_kernels, "play_match_loops",
+                        lambda *args: plays.append(args) or play_loops(*args))
+    in_c, c_factory = [], _kernels.factory
+    monkeypatch.setattr(_kernels, "factory",
+                        lambda *args: in_c.append(c_factory(*args)) or in_c[-1])
+    settings, seed_state = Settings(20, 2), default_seed_state()
+    seed = factory._checkpoint(settings, seed_state.deck_a, seed_state.deck_b, 0, 0)
+    for rng_seed in range(1, 9):
+        config = FactoryConfig(settings=settings, seed_state=seed_state, budget=3000,
+                               rng_seed=rng_seed)
+        on_c = factory._c_rounds(config, seed, SplitMix64.for_stream(rng_seed, 0))
+        plays.clear()
+        assert factory._rounds(config, seed, SplitMix64.for_stream(rng_seed, 0)) == on_c
+        *_, tests, played = in_c[-1]
+        assert played == len(plays) < tests
+    assert len(in_c) == 8 and emptied == []
+
+
 # B's lone 1 is one of (16,1)'s and (20,1)'s five: an excess card whose
 # removal would empty B, a correction neither kernel may test
 LONE_EXCESS_SEED = ("[1CCC1C11CCC]", "[1]")
@@ -477,8 +505,9 @@ def test_factory_sweep_agrees_on_both_kernels(monkeypatch, setting):
 # tuning constants set apart from their defaults: both kernels read them
 # at each call; one insertion point or one fragment a round, every point,
 # frequent restarts and escapes, a store of three, and a memo of failed
-# tests of 64 bytes, which holds a few cards and empties at nearly every
-# failed test, and which alone changes no result
+# tests of 64 bytes, which alone changes no result: in Python it holds a
+# few cards and empties at nearly every failed test, in C it keeps its
+# first arrays, already past the bound, and empties each time they fill
 CONSTANTS = [
     {"_MAX_POSITIONS": 1},
     {"_MAX_POSITIONS": 65, "_MAX_FRAGMENTS": 1},
