@@ -1,11 +1,12 @@
-/* The match kernel in C, line for line the pure-Python one in _kernels.py.
- *
+/* The match kernel in C, line for line the pure-Python one in _kernels.py
+ * but in run()'s trick loop and bmn_simulate's deal, written for speed: the
+ * comments there say why their results are the same.
  * bmn_play_loops is play_match_loops: _py_run's trick loop on ring-buffer
  * decks, Brent's cycle detector as the same one block loop (block 0, the
  * first FIRST_BLOCK tricks, unwatched) with the same trick limit, and
  * _py_transient's lockstep pass. bmn_simulate is simulate_batch: the
- * splitmix64 Fisher-Yates deal of SplitMix64.shuffle (masked rejection as
- * in SplitMix64.below), then play_match_loops with A leading.
+ * splitmix64 Fisher-Yates deal of SplitMix64.shuffle (the draws of
+ * SplitMix64.below's masked rejection), then play_match_loops, A leading.
  * bmn_trace is trace, a chunk of engine.walk on the same trick loop: each
  * trick boundary's deck sizes, special positions, separations and
  * entropies, the entropies summed in analyzer._spacing's order.
@@ -26,9 +27,7 @@
  * with find, put and empty) holds both the states the search finds and
  * the factory's memo.
  * Results are bit for bit the Python ones. _kernels compiles this file with
- * the flags of _kernels._CFLAGS and calls it through ctypes; it uses no
- * Python API.
- */
+ * _kernels._CFLAGS and calls it through ctypes; it uses no Python API. */
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -103,58 +102,53 @@ static int same(const game_t *x, const game_t *y)
 }
 
 /* _py_run: play up to n tricks; status 0 = ended (g->cur won), 1 = reached
- * the state `watch` at a trick boundary, 2 = played n tricks. */
+ * the state `watch` at a trick boundary, 2 = played n tricks. Its decks are
+ * _py_run's, but for speed: the decks of the player to flip and the other
+ * are locals, me and you, swapped each turn and stored to g only before
+ * same() reads it and on return; the winner is the player not to flip when
+ * the trick ends (the flipper paid out or ran out), so no challenger is kept;
+ * and each card goes at once past the tails both decks had at the trick's
+ * start, the winner's length taking the pile in at its end: no pile is
+ * copied. That slot is len + np past a deck's head, below the ring's size
+ * as len[0] + len[1] + np cards are in play: never a live card, and only
+ * live cards are read. */
 static int run(game_t *g, int64_t n, const game_t *watch, int64_t *played)
 {
-    uint8_t pile[MAX_CARDS];
-    uint32_t mask = g->mask;
-    int cur = g->cur;
+    typedef struct { uint8_t *ring; uint32_t head, len; } deck_t;
+    uint32_t mask = g->mask, cur = (uint32_t)g->cur;
+    deck_t me = {g->card[cur], g->head[cur], g->len[cur]}, swap,
+           you = {g->card[!cur], g->head[!cur], g->len[!cur]};
+    int status = 2;
     int64_t tricks = 0;
     while (tricks < n) {
-        int pending = 0, challenger = 0, winner;
-        uint32_t np = 0;
-        for (;;) {
-            if (g->len[cur] == 0) {
-                /* required to flip from an empty deck: the other player wins */
-                winner = 1 - cur;
+        uint32_t pending = 0, np = 0, tail0 = cur ? you.head + you.len : me.head + me.len,
+                 tail1 = cur ? me.head + me.len : you.head + you.len;
+        while (me.len) { /* an empty deck to flip from loses the trick */
+            uint8_t card = me.ring[me.head];
+            me.head = (me.head + 1) & mask;
+            me.len--;
+            g->card[0][(tail0 + np) & mask] = card;
+            g->card[1][(tail1 + np++) & mask] = card;
+            if (card || !pending) {
+                pending = card;
+                swap = me, me = you, you = swap, cur ^= 1;
+            } else if (--pending == 0) {
                 break;
             }
-            uint8_t card = g->card[cur][g->head[cur]];
-            g->head[cur] = (g->head[cur] + 1) & mask;
-            g->len[cur]--;
-            pile[np++] = card;
-            if (card > 0) {
-                challenger = cur;
-                pending = card;
-                cur = 1 - cur;
-            } else if (pending > 0) {
-                if (--pending == 0) {
-                    winner = challenger;
-                    break;
-                }
-            } else {
-                cur = 1 - cur;
-            }
         }
-        uint32_t tail = g->head[winner] + g->len[winner];
-        for (uint32_t i = 0; i < np; i++)
-            g->card[winner][(tail + i) & mask] = pile[i];
-        g->len[winner] += np;
-        tricks++;
-        cur = winner;
-        g->cur = cur;
-        if (g->len[1 - winner] == 0) {
-            *played = tricks;
-            return 0;
-        }
-        if (watch && same(g, watch)) {
-            *played = tricks;
-            return 1;
+        you.len += np;
+        swap = me, me = you, you = swap, cur ^= 1;
+        if (++tricks < n && you.len && !watch)
+            continue;
+        g->head[cur] = me.head, g->len[cur] = me.len, g->cur = (int)cur;
+        g->head[!cur] = you.head, g->len[!cur] = you.len;
+        if (you.len == 0 || (watch && same(g, watch))) {
+            status = you.len > 0;
+            break;
         }
     }
-    g->cur = cur;
     *played = tricks;
-    return 2;
+    return status;
 }
 
 /* _py_transient: two copies of the match, `period` tricks apart, run in
@@ -338,11 +332,16 @@ int bmn_simulate(const uint8_t *deck, uint32_t n, uint64_t seed, uint64_t start,
     for (int64_t k = 0; k < count; k++) {
         uint64_t state = fmix64(seed ^ fmix64(start + (uint64_t)k + 1));
         memcpy(cards, deck, n);
-        for (uint32_t i = n; i-- > 1;) {
-            uint32_t r = below(&state, i + 1);
+        /* SplitMix64.shuffle without branches: below's mask, the least
+         * 2**k - 1 >= i, halves as i falls to it; a rejected draw swaps
+         * slot i with itself and keeps i, so the draws are below's */
+        for (uint32_t i = n > 1 ? n - 1 : 0, mask = i ? UINT32_MAX >> __builtin_clz(i) : 0; i;
+             mask = i == mask >> 1 ? mask >> 1 : mask) {
+            uint32_t r = (uint32_t)next_u64(&state) & mask, ok = r <= i, j = ok ? r : i;
             uint8_t top = cards[i];
-            cards[i] = cards[r];
-            cards[r] = top;
+            cards[i] = cards[j];
+            cards[j] = top;
+            i -= ok;
         }
         int status = play(cards, n / 2, cards + n / 2, n - n / 2, 0, max_tricks, out);
         winners[k] = (int8_t)(status == 0 ? out[0] : -status);
@@ -871,7 +870,7 @@ OUTLINE static int64_t keep(store_t *s, int64_t top, int64_t k, int64_t capacity
         }
         victim = s->spare[s->n_spare++] = s->list[v];
         memmove(s->list + v, s->list + v + 1, (size_t)(--s->n - v) * sizeof *s->list);
-        if (victim == top) /* rescan */
+        if (victim == top) /* only after a shape left empty: see factory._keep */
             for (int64_t i = 0; i < s->n; i++)
                 if (i == 0 || above(&slot[s->list[i]], &slot[top]))
                     top = s->list[i];

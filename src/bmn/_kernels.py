@@ -2,7 +2,11 @@
 
 The trick rule is written once in Python, in `_py_run`: single tricks
 (`engine.play_trick`), state walks (`engine.walk`) and the reference
-matches play through it, and the C kernel follows it line for line. Every
+matches play through it, and the C kernel plays the same tricks: its
+`run` keeps the decks in locals, has no challenger (a trick's winner is
+the player not to flip when it ends) and writes each card flipped straight
+past the tails of both decks' rings, so no pile is gathered and copied;
+the comment there says why the decks come out the same. Every
 match is played by `play_match_loops`, which runs Brent's cycle detector
 on that loop as one loop over blocks of tricks, the first unwatched,
 saving one state at a time and finding the exact transient with a second
@@ -36,10 +40,12 @@ sizes, special positions, separations and entropies.
 
 `play_match_loops`, `simulate_batch` and `search` run on a C kernel when
 one is available, and `factory` and `trace` run only there: `_ckernel.c`,
-the same shuffle, trick loop, Brent detector, pile parse and factory
-round loop line for line, bit-identical to the reference shuffle and the
-Python code here, in `factory` and in `engine.walk`, which stays as the
-reference and the fallback.
+the same Brent detector, pile parse and factory round loop line for line,
+the trick loop above, and the shuffle without branches (a rejected draw
+swaps a slot with itself, so it takes `SplitMix64.below`'s draws),
+bit-identical to the reference shuffle and the Python code here, in
+`factory` and in `engine.walk`, which stays as the reference and the
+fallback.
 On first use the source is compiled with the system C compiler (`cc -o
 LIBRARY _ckernel.c` and `_CFLAGS`) into `$XDG_CACHE_HOME/bmn` (default
 `~/.cache/bmn`), the file named by the sha256 of the source and the flags

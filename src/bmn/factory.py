@@ -233,7 +233,12 @@ def _rank(cp: Checkpoint) -> tuple:
 def _keep(store: list, top: Checkpoint, new_cp: Checkpoint) -> Checkpoint:
     """Append `new_cp` to `store`, evict the lowest (score, age) down to
     capacity, and return the new top by `_rank`, given the top before.
-    The store is rescanned only when eviction removes the top."""
+    The store is rescanned only when eviction removes the top. With the
+    shipped `_PATTERNS` that never happens: a kept checkpoint scores above
+    the one it grew from (an insertion adds deficient cards, a correction
+    takes an excess card away), which is still in the store, so the top
+    scores above the lowest. A pattern with an empty shape (`"C  C"`) can
+    keep a copy of a checkpoint at its score, and then the top can go."""
     store.append(new_cp)
     top = max(top, new_cp, key=_rank)
     while len(store) > _CHECKPOINT_CAPACITY:

@@ -295,6 +295,33 @@ def test_kept_top_is_the_store_maximum_when_eviction_removes_it(monkeypatch):
     assert evicted_tops == 2
 
 
+def test_a_run_that_evicts_its_top_agrees_on_both_kernels(monkeypatch):
+    # with the shipped patterns a kept checkpoint scores above the one it
+    # grew from, so the top is never the one evicted; a shape left empty
+    # (the group " " gives two) keeps a copy of its parent at its score and
+    # depth, and with two checkpoints kept and an escape after every stuck
+    # round, this run evicts its top once and rescans the store on both kernels
+    monkeypatch.setattr(factory, "_PATTERNS", {**factory._PATTERNS,
+                                               "triplets": ("CrC", "CCr", "rCC", "CCC", " ")})
+    monkeypatch.setattr(factory, "_CHECKPOINT_CAPACITY", 2)
+    monkeypatch.setattr(factory, "_ESCAPE_THRESHOLD", 1)
+    keep, evicted_tops = factory._keep, []
+
+    def counted(store, top, new_cp):
+        kept_top = max(top, new_cp, key=factory._rank)
+        top = keep(store, top, new_cp)
+        evicted_tops.append(kept_top not in store)
+        return top
+
+    monkeypatch.setattr(factory, "_keep", counted)
+    config = FactoryConfig(settings=Settings(20, 2), seed_state=state(*BLOCKS[0]), budget=300,
+                           rng_seed=4)
+    (on_c,), (on_python,) = _on_both_kernels(monkeypatch, [config])
+    assert on_python == on_c
+    assert sum(evicted_tops) == 1  # counted in the Python run; C keeps no count
+    assert (on_c.rounds_used, on_c.tests_run, on_c.best.depth) == (300, 1169, 4)
+
+
 def test_factory_completes_20_2_with_higher_rank_insertions():
     config = FactoryConfig(settings=Settings(20, 2),
                            seed_state=default_seed_state(),

@@ -4,6 +4,7 @@ C kernel is built and cached."""
 
 import ctypes
 import hashlib
+import itertools
 import os
 import random
 import shutil
@@ -208,6 +209,14 @@ class _CountingRng(SplitMix64):
     ((52, 4), 100_000),
     ((20, 1), 100_000),
     ((28, 3), 100_000),
+    # decks that fill their power-of-two ring exactly, where the C trick
+    # loop writes each card past both decks' tails with no slot to spare;
+    # (64,1) loops, so the lockstep transient and the watched blocks run on
+    # a full ring too; and (4,1), the smallest deck Settings allows
+    ((16, 1), 100_000),
+    ((32, 2), 100_000),
+    ((64, 1), 100_000),
+    ((4, 1), 100_000),
 ])
 @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1, -5])
 def test_c_batch_matches_python_batch(monkeypatch, setting, cap, seed):
@@ -248,6 +257,43 @@ def test_c_match_matches_python_match():
         assert got == _kernels._py_match_loops(s.deck_a, s.deck_b, leader, cap), (s, cap)
         statuses.add((got[0], leader))
     assert statuses == {(status, leader) for status in (0, 1, 2) for leader in (0, 1)}
+
+
+def test_c_match_matches_python_match_on_full_rings():
+    # states whose cards fill their power-of-two ring, the C trick loop's,
+    # exactly, so each card it flips goes past both decks' tails with no
+    # slot to spare: every split and leader of every 8-card deal of
+    # ordinaries and 1s (20 of them loop for each leader), then random
+    # states of 2 to 128 cards
+    require_c_kernel()
+    rng = random.Random(1024)
+    states = [(cards[:na], cards[na:], leader)
+              for cards in itertools.product((0, 1), repeat=8)
+              for na in range(1, 8) for leader in (0, 1)]
+    for _ in range(3000):
+        total, max_rank = rng.choice([2, 4, 8, 16, 32, 64, 128]), rng.randint(1, 4)
+        na = rng.randint(1, total - 1)
+        states.append((random_deck(rng, na, max_rank), random_deck(rng, total - na, max_rank),
+                       rng.randint(0, 1)))
+    statuses = Counter()
+    for deck_a, deck_b, leader in states:
+        cap = rng.choice([1, 2, 7, 63, 64, 65, 128, 129, 3000, 100_000])
+        got = _kernels.play_match_loops(deck_a, deck_b, leader, cap)
+        assert got == _kernels._py_match_loops(deck_a, deck_b, leader, cap), (deck_a, deck_b)
+        statuses[got[0], leader] += 1
+    assert min(statuses[status, leader] for status in (0, 1, 2) for leader in (0, 1)) >= 5
+
+
+def test_c_batch_at_max_cards_matches_python_batch(monkeypatch):
+    # 1024 cards, MAX_CARDS: the deal fills the largest ring the C kernel has
+    require_c_kernel()
+    fallbacks = _recording(monkeypatch, "_py_simulate_batch")
+    deck = full_deck(Settings(1024, 9))
+    d, w = _kernels.simulate_batch(20, deck, 3, 3000)
+    assert fallbacks == []
+    d_py, w_py = _kernels._py_simulate_batch(20, deck, 3, 3000)
+    assert np.array_equal(d, d_py) and np.array_equal(w, w_py)
+    assert set(w.tolist()) == {-2, 0, 1}  # over the cap, and won by each player
 
 
 def _predecessor_targets(case, rng):
