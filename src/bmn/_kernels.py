@@ -57,6 +57,10 @@ Without a compiler, when the build fails or the cache directory is not
 private to the user, and for decks or budgets past the C kernel's limits,
 the Python code plays. `backend()` names the kernel in use.
 
+Only `search` and `simulate_batch` build numpy arrays, and each imports
+numpy when it is called: a match, a factory run and a trace play without
+it, so `import bmn` does not load numpy.
+
 Card coding: 0 is an ordinary card, 1..9 are special ranks. Players are
 coded 0 (A) and 1 (B). Match status codes: 0 = terminated, 1 = looped,
 2 = trick budget exhausted.
@@ -73,8 +77,6 @@ import struct
 import sys
 from collections import deque
 from itertools import chain, islice
-
-import numpy as np
 
 from ._rng import MASK64, SplitMix64
 
@@ -522,11 +524,12 @@ def search(seeds, max_depth, max_nodes):
     the predecessors of the level before it, in its order and then by pile
     length, that were not found before. The search stops after `max_depth`
     levels or as soon as `max_nodes` states are found (every distinct seed
-    is kept). Returns (states, depths), numpy arrays: a trick keeps every
-    card, so state i is the row states[i] of an n x width uint8 array,
-    found at depths[i]. Seeds of two widths are a ValueError. Runs on the C
-    kernel if that loaded, and on `_py_search` without it or for seeds past
-    its 1024 cards, with the same result.
+    is kept). Returns (states, depths), numpy arrays (numpy is imported on
+    the first call): a trick keeps every card, so state i is the row
+    states[i] of an n x width uint8 array, found at depths[i]. Seeds of two
+    widths are a ValueError. Runs on the C kernel if that loaded, and on
+    `_py_search` without it or for seeds past its 1024 cards, with the same
+    result.
     """
     width, *others = set(map(len, seeds)) or {HEADER.size}
     if others:
@@ -539,6 +542,8 @@ def search(seeds, max_depth, max_nodes):
         return _py_search(seeds, max_depth, max_nodes)
     if status:
         raise MemoryError("no memory for the backward search")
+    import numpy as np
+
     try:
         n = found.n
         return (np.frombuffer(ctypes.string_at(found.states, n * width), np.uint8)
@@ -550,6 +555,8 @@ def search(seeds, max_depth, max_nodes):
 
 def _py_search(seeds, max_depth, max_nodes):
     """`search` in pure Python: the reference the C kernel follows."""
+    import numpy as np
+
     found = dict.fromkeys(seeds, 0)  # each state's depth, in the order found
     level, depth = list(found), 0
     while level and depth < max_depth and len(found) < max_nodes:
@@ -632,9 +639,10 @@ def simulate_batch(n_matches, deck, seed, max_tricks, start=0):
     Match i shuffles a copy of `deck` (the full multiset in canonical order)
     with the (seed, i) stream, gives each player half and is played by
     `play_match_loops` with A leading. Returns (durations int32, winners
-    int8): winners[i] is 0 or 1 for the winner of a terminated match, -1 for
-    a loop and -2 for a match over the trick budget; durations[i] is its
-    trick count, its period or `max_tricks`, respectively. Runs on the C
+    int8), numpy arrays (numpy is imported on the first call): winners[i]
+    is 0 or 1 for the winner of a terminated match, -1 for a loop and -2
+    for a match over the trick budget; durations[i] is its trick count,
+    its period or `max_tricks`, respectively. Runs on the C
     kernel if that loaded and takes the deck, otherwise on
     `_py_simulate_batch`, with the same result.
     """
@@ -642,6 +650,8 @@ def simulate_batch(n_matches, deck, seed, max_tricks, start=0):
         raise ValueError("max_tricks too large for the batch kernel")
     lib = _c()
     if lib:
+        import numpy as np
+
         cards = bytes(deck)
         durations = np.empty(n_matches, dtype=np.int32)
         winners = np.empty(n_matches, dtype=np.int8)
@@ -656,6 +666,8 @@ def _py_simulate_batch(n_matches, deck, seed, max_tricks, start=0):
 
     Match i is dealt as `simulator.match_state` deals it and played alone.
     """
+    import numpy as np
+
     durations = np.empty(n_matches, dtype=np.int32)
     winners = np.empty(n_matches, dtype=np.int8)
     half = len(deck) // 2

@@ -5,8 +5,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import _kernels, stats
 from ._rng import SplitMix64
 from .engine import DEFAULT_BATCH_TRICKS, PLAYER_A, GameState, Settings
@@ -76,8 +74,11 @@ def _play_all(config: SimConfig):
     if threads == 1:
         return play(0, config.matches)
     # The C kernel releases the GIL, so threads play ranges in parallel.
-    # Imported here so that `import bmn` does not pay for the pool.
+    # Imported here so that `import bmn` pays for neither the pool nor
+    # numpy, which is loaded before the threads start.
     from concurrent.futures import ThreadPoolExecutor
+
+    import numpy as np
 
     bounds = [config.matches * k // threads for k in range(threads + 1)]
     with ThreadPoolExecutor(threads) as pool:
@@ -95,6 +96,8 @@ def run_batch(config: SimConfig) -> stats.DurationSummary:
     config.max_tricks, so loops and genuinely over-budget matches are
     reported apart. Results are bitwise identical for any worker count.
     """
+    import numpy as np
+
     durations, winners = _play_all(config)
     histogram: dict[int, int] = {}
     term = winners >= 0

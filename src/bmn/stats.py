@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
 from .engine import Settings
 
 
@@ -171,6 +169,8 @@ def fit_exponential(histogram: dict, n_lo: int, n_hi: int) -> ExponentialFit:
     if len(pts) < 2:
         raise InsufficientDataError(
             f"need >= 2 bins with count >= {_FIT_MIN_COUNT} in [{n_lo}, {n_hi}]")
+    import numpy as np
+
     x = np.array([n for n, _ in pts], dtype=float)
     y = np.log([c for _, c in pts])
     slope, intercept = np.polyfit(x, y, 1)

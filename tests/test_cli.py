@@ -1,5 +1,6 @@
 """CLI tests: run the real entry point in a subprocess."""
 
+import json
 import os
 import stat
 import subprocess
@@ -24,6 +25,59 @@ def test_help_and_version():
     out = run_cli("--version")
     assert out.returncode == 0
     assert out.stdout.strip() == "0.1.0"
+
+
+# Runs `cli.main` on each argv of the JSON list argv[2], with "{out}" in an
+# argument replaced by the directory argv[3], and prints the exit codes and
+# stdouts as JSON. With argv[1] == "block", any numpy import raises.
+_MAIN_RUNS = """
+import contextlib, io, json, sys
+import bmn, bmn.cli
+assert "numpy" not in sys.modules, "import bmn loaded numpy"
+if sys.argv[1] == "block":
+    sys.modules["numpy"] = None
+runs = []
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = bmn.cli.main([arg.replace("{out}", sys.argv[3]) for arg in argv])
+    runs.append([code, out.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+def test_play_loops_and_factory_run_without_numpy(tmp_path):
+    # only the batch, the fit and the backward search build arrays: every
+    # other command imports no numpy, and prints what it prints with it
+    setting, a, b, _, tricks = PLAY_420
+    play = ["play", "--setting", setting, "--deck-a", a, "--deck-b", b]
+    classic = ["--setting", "52,4", "--deck-a", INF_52_4[0], "--deck-b", INF_52_4[1]]
+    argvs = [
+        ["--version"],
+        play,
+        [*play, "--trace", "{out}/trace.csv"],
+        [*play, "--trace", "{out}/trace_p.csv", "--positions", "{out}/positions.csv"],
+        ["loops", "verify", *classic],
+        ["loops", "scan", *classic],
+        ["loops", "scan", "--setting", "12,1", "--deck-a", "[C1C1CC1CC]", "--deck-b", "[C1C]"],
+        ["factory", "--setting", "20,2", "--budget", "3000", "--rng-seed", "1"],
+    ]
+    runs, files = {}, {}
+    for mode in ("block", "allow"):
+        (tmp_path / mode).mkdir()
+        proc = subprocess.run([sys.executable, "-c", _MAIN_RUNS, mode, json.dumps(argvs),
+                               str(tmp_path / mode)], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        runs[mode] = json.loads(proc.stdout)
+        files[mode] = {f.name: f.read_bytes() for f in (tmp_path / mode).iterdir()}
+    assert runs["block"] == runs["allow"]
+    assert [code for code, _ in runs["block"]] == [0] * len(argvs)
+    assert runs["block"][1][1] == f"Terminated winner=A tricks={tricks}\n"
+    assert runs["block"][4][1].splitlines()[:2] == ["transient = 4", "period = 62"]
+    assert files["block"] == files["allow"]
+    assert sorted(files["block"]) == ["positions.csv", "trace.csv", "trace_p.csv"]
+    assert len(files["block"]["trace.csv"].splitlines()) == tricks + 2
 
 
 def test_unknown_command_exits_1():

@@ -3,6 +3,8 @@
 import dataclasses
 import math
 import os
+import subprocess
+import sys
 import threading
 from collections import Counter
 from fractions import Fraction
@@ -136,6 +138,36 @@ def test_run_batch_plays_ranges_on_threads(monkeypatch):
     assert set(threads) == {(0, 2000), (2000, 4000), (0, 4000)}
     assert threads[0, 4000] == me
     assert threads[0, 2000] != me and threads[2000, 4000] != me
+
+
+# In a fresh interpreter on two cores, plays a batch on two threads before
+# anything has loaded numpy, then on one, and prints the summary if they agree.
+_FIRST_BATCH = """
+import os, sys
+from bmn import _kernels
+from bmn.engine import Settings
+from bmn.simulator import SimConfig, run_batch
+assert "numpy" not in sys.modules
+os.cpu_count = lambda: 2
+if sys.argv[1] == "python":
+    _kernels._ckernel = False
+config = SimConfig(Settings(*map(int, sys.argv[2:4])), int(sys.argv[4]), seed=7, workers=2)
+two = run_batch(config)
+assert "numpy" in sys.modules
+one = run_batch(SimConfig(config.settings, config.matches, seed=7, workers=1))
+assert two == one, (two, one)
+print(two.to_text(), end="")
+"""
+
+
+@pytest.mark.parametrize("setting, matches", [((40, 3), 3001), ((12, 1), 2001)])
+def test_first_batch_imports_numpy_before_its_threads(kernel, setting, matches):
+    proc = subprocess.run([sys.executable, "-c", _FIRST_BATCH, kernel, *map(str, setting),
+                           str(matches)], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    summary = run_batch(SimConfig(settings=Settings(*setting), matches=matches, seed=7))
+    assert proc.stdout == summary.to_text()
+    assert setting == (40, 3) or summary.loop_count > 0
 
 
 def test_pool_size_caps_at_matches_and_cores(monkeypatch):
