@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 from . import engine
 from .engine import (
@@ -41,8 +41,7 @@ def standardize(state: GameState) -> GameState:
     return state
 
 
-@dataclass(frozen=True)
-class LoopReport:
+class LoopReport(NamedTuple):
     """A verified cycle: its transient, period, states, and balanced entries.
 
     balanced_entries holds (trick_index, standardized state) for every loop

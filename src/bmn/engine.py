@@ -5,16 +5,18 @@ are special cards that force the opponent to answer with up to that many
 cards. Suits never matter for the dynamics and are not modeled. Decks are
 plain tuples with index 0 on top; states are immutable values, so every
 operation here is pure and safe to share between threads. A state's
-identity is its value: equal `GameState`s are the same state, and they
-serve directly as set and dict keys. Every trick is played by the match
-kernel's one trick loop, `_kernels._py_run`.
+identity is its value: a `GameState` is the tuple `(deck_a, deck_b,
+leader)`, equal to a plain tuple of the same fields and hashing as one,
+so equal states are the same state and serve directly as set and dict
+keys. Every trick is played by the match kernel's one trick loop,
+`_kernels._py_run`.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from . import _kernels
 
@@ -90,8 +92,7 @@ class Settings:
         return f"{self.n_total},{self.max_rank}"
 
 
-@dataclass(frozen=True)
-class GameState:
+class GameState(NamedTuple):
     """Trick-boundary state: both decks plus who leads the next trick."""
 
     deck_a: Deck
@@ -110,8 +111,7 @@ class GameState:
         return self.deck_a if player == PLAYER_A else self.deck_b
 
 
-@dataclass(frozen=True)
-class TrickResult:
+class TrickResult(NamedTuple):
     """Outcome of a single trick."""
 
     next_state: GameState
@@ -120,20 +120,17 @@ class TrickResult:
     terminal: bool  # loser's deck is empty after the trick
 
 
-@dataclass(frozen=True)
-class Terminated:
+class Terminated(NamedTuple):
     winner: str
     tricks: int
 
 
-@dataclass(frozen=True)
-class Looped:
+class Looped(NamedTuple):
     transient: int  # tricks before the first state of the cycle
     period: int
 
 
-@dataclass(frozen=True)
-class BudgetExceeded:
+class BudgetExceeded(NamedTuple):
     tricks_played: int
 
 

@@ -14,9 +14,9 @@ restarts to leave dead ends.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import _kernels, engine
 from ._rng import SplitMix64
@@ -40,8 +40,7 @@ class SeedNotLoopingError(ValueError):
     """The seed configuration terminates, so there is nothing to grow."""
 
 
-@dataclass(frozen=True)
-class Checkpoint:
+class Checkpoint(NamedTuple):
     """A verified non-terminating partial configuration in the frontier."""
 
     deck_a: Deck
@@ -49,8 +48,9 @@ class Checkpoint:
     depth: int          # successful insertions since the seed
     score: int
     age: int            # creation counter, monotonically increasing
-    deficits: dict = field(compare=False)  # missing(deck_a, deck_b, settings)
-    excess: bool = field(compare=False)    # some deficit is negative
+    # both derived from the decks, so they never tell equal decks apart
+    deficits: dict      # missing(deck_a, deck_b, settings)
+    excess: bool        # some deficit is negative
 
     @property
     def state(self) -> GameState:
@@ -72,8 +72,7 @@ class FactoryConfig:
             raise ValueError("nontermination_trick_cap must be >= 1")
 
 
-@dataclass(frozen=True)
-class FactoryResult:
+class FactoryResult(NamedTuple):
     complete: Optional[GameState]
     report: Optional[LoopReport]
     best: Checkpoint

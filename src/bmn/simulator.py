@@ -58,8 +58,16 @@ def match_state(config: SimConfig, index: int) -> GameState:
 
 
 def pool_size(workers: int, matches: int) -> int:
-    """Threads a batch runs on: never more than its matches or the cores."""
-    return min(workers, matches, os.cpu_count() or 1)
+    """Threads a batch runs on: never more than its matches or the CPUs.
+
+    The CPUs are those the process may run on (its affinity mask, where
+    the platform has one), not all the machine's.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(workers, matches, cpus)
 
 
 def _play_all(config: SimConfig):

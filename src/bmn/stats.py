@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 from .engine import Settings
@@ -45,8 +44,7 @@ def state_space_sizes(settings: Settings) -> StateSpaceSizes:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DurationSummary:
+class DurationSummary(NamedTuple):
     """Summary statistics over a batch of match outcomes.
 
     All numeric statistics cover terminated matches only; looped and
@@ -66,9 +64,15 @@ class DurationSummary:
     variance_to_mean: float | None
     wins_a_pct: float | None
     wins_b_pct: float | None
-    histogram: dict = field(repr=False)
+    histogram: dict
     loop_count: int = 0
     budget_exceeded_count: int = 0
+
+    def __repr__(self):
+        # every field but the histogram, which holds one entry per duration
+        return "DurationSummary(" + ", ".join(
+            f"{name}={value!r}" for name, value in zip(self._fields, self)
+            if name != "histogram") + ")"
 
     @property
     def terminated(self) -> int:
@@ -142,8 +146,7 @@ def summarize_counts(histogram: dict, wins_a: int, wins_b: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExponentialFit:
+class ExponentialFit(NamedTuple):
     """Log-linear fit of a duration histogram tail: frequency ~ exp(-lam*n)."""
 
     lam: float
@@ -208,7 +211,8 @@ def chi_square_gof(observed: Sequence[int],
     `observed` are counts per category, `expected` the matching expected
     counts (same total). Categories are pooled from both ends inward until
     every remaining bin has expected count >= `_GOF_MIN_EXPECTED`. Returns
-    (statistic, degrees of freedom, p-value).
+    (statistic, degrees of freedom, p-value). The p-value comes from scipy,
+    which only the `test` extra installs, so this needs `bmn[test]`.
     """
     from scipy.stats import chi2
 

@@ -250,6 +250,8 @@ def test_error_in_a_worker_thread_exits_1(monkeypatch, capsys, tmp_path):
     # two cores, so that both ranges play on worker threads and the kernel
     # refuses the budget there
     monkeypatch.setattr(cli.simulator.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli.simulator.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
     out = tmp_path / "s.txt"
     out.write_text("earlier results\n")
     rc = cli.main(["simulate", "--setting", "40,3", "--matches", "10", "--workers", "2",

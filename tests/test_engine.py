@@ -1,11 +1,13 @@
-"""Engine tests: deck notation, trick rules, match execution."""
+"""Engine tests: deck notation, trick rules, match execution, value types."""
 
+import dataclasses
 import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
+from bmn import backward, cycles, engine, factory, simulator, stats
 from bmn.engine import (
     PLAYER_A,
     PLAYER_B,
@@ -243,3 +245,41 @@ def test_play_match_validates_input():
         play_match(GameState((0,), (), PLAYER_A))
     with pytest.raises(ValueError):
         play_match(state("[1CC]", "[C1C]"), max_tricks=0)
+
+
+# ---------------------------------------------------------------------------
+# Value types
+# ---------------------------------------------------------------------------
+
+
+def test_values_hash_as_their_field_tuples():
+    # so sets and dicts of states iterate in the same order as plain tuples do
+    a, b = parse_deck("[1CC]"), parse_deck("[C1C]")
+    assert hash(GameState(a, b, PLAYER_B)) == hash((a, b, PLAYER_B))
+    assert GameState(a, b) == (a, b, PLAYER_A)
+    assert hash(Looped(1, 2)) == hash((1, 2))
+    assert hash(Terminated(PLAYER_A, 5)) == hash((PLAYER_A, 5))
+
+
+@pytest.mark.parametrize("value, name", [
+    (GameState((1,), (0,)), "leader"),
+    (Terminated(PLAYER_A, 5), "tricks"),
+    (Looped(1, 2), "period"),
+    (BudgetExceeded(3), "tricks_played"),
+])
+def test_value_fields_cannot_be_assigned(value, name):
+    with pytest.raises(AttributeError):
+        setattr(value, name, 0)
+
+
+def test_outcome_reprs():
+    assert repr(Terminated("A", 5)) == "Terminated(winner='A', tricks=5)"
+    assert repr(Looped(1, 2)) == "Looped(transient=1, period=2)"
+    assert repr(BudgetExceeded(7)) == "BudgetExceeded(tricks_played=7)"
+
+
+def test_only_the_validated_configs_are_dataclasses():
+    modules = (engine, cycles, factory, stats, simulator, backward)
+    found = {name for module in modules for name, value in vars(module).items()
+             if isinstance(value, type) and dataclasses.is_dataclass(value)}
+    assert found == {"Settings", "SimConfig", "FactoryConfig", "BackwardSearchConfig"}

@@ -19,6 +19,13 @@ from bmn.simulator import SimConfig, deal, match_state, run_batch
 from stats_oracle import summarize
 
 
+def _fake_cpus(monkeypatch, n):
+    """Let the process see `n` CPUs, both in all and in its affinity mask."""
+    monkeypatch.setattr(simulator.os, "cpu_count", lambda: n)
+    monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
 def test_deal_shape_and_composition():
     s = Settings(40, 3)
     rng = SplitMix64.for_stream(1, 0)
@@ -87,7 +94,7 @@ def test_run_batch_workers_do_not_change_results(kernel):
 def test_batches_without_a_terminated_match_compare_equal(monkeypatch):
     # no match ends within 3 tricks, so the float statistics are undefined;
     # they must still compare equal across runs and worker counts
-    monkeypatch.setattr(simulator.os, "cpu_count", lambda: 2)
+    _fake_cpus(monkeypatch, 2)
     one, two = (SimConfig(settings=Settings(12, 1), matches=3, seed=3,
                           max_tricks=3, workers=w) for w in (1, 2))
     summary = run_batch(one)
@@ -105,7 +112,7 @@ def test_batches_without_a_terminated_match_compare_equal(monkeypatch):
 ])
 def test_worker_ranges_concatenate_in_index_order(monkeypatch, kernel, setting, matches, cap):
     # three cores, so that three workers really run three ranges
-    monkeypatch.setattr(simulator.os, "cpu_count", lambda: 3)
+    _fake_cpus(monkeypatch, 3)
     configs = [SimConfig(settings=Settings(*setting), matches=matches, seed=5,
                          max_tricks=cap, workers=w) for w in (1, 2, 3)]
     durations, winners = simulator._play_all(configs[0])
@@ -118,7 +125,7 @@ def test_worker_ranges_concatenate_in_index_order(monkeypatch, kernel, setting, 
 
 
 def test_run_batch_plays_ranges_on_threads(monkeypatch):
-    monkeypatch.setattr(simulator.os, "cpu_count", lambda: 2)
+    _fake_cpus(monkeypatch, 2)
 
     def no_fork():
         raise AssertionError("run_batch forked a process")
@@ -149,6 +156,7 @@ from bmn.engine import Settings
 from bmn.simulator import SimConfig, run_batch
 assert "numpy" not in sys.modules
 os.cpu_count = lambda: 2
+os.sched_getaffinity = lambda pid: {0, 1}
 if sys.argv[1] == "python":
     _kernels._ckernel = False
 config = SimConfig(Settings(*map(int, sys.argv[2:4])), int(sys.argv[4]), seed=7, workers=2)
@@ -172,14 +180,33 @@ def test_first_batch_imports_numpy_before_its_threads(kernel, setting, matches):
 
 def test_pool_size_caps_at_matches_and_cores(monkeypatch):
     # computed only: no pool is started here
-    monkeypatch.setattr(simulator.os, "cpu_count", lambda: 8)
+    _fake_cpus(monkeypatch, 8)
     assert simulator.pool_size(1, 100) == 1
     assert simulator.pool_size(3, 100) == 3
     assert simulator.pool_size(10 ** 6, 100) == 8
     assert simulator.pool_size(10 ** 6, 5) == 5
     assert simulator.pool_size(2, 1) == 1
     monkeypatch.setattr(simulator.os, "cpu_count", lambda: None)
+    monkeypatch.delattr(simulator.os, "sched_getaffinity", raising=False)
     assert simulator.pool_size(4, 100) == 1
+
+
+def test_pool_size_caps_at_the_cpus_the_process_may_use(monkeypatch):
+    # as under `taskset -c 0` on a machine of eight cores
+    monkeypatch.setattr(simulator.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert simulator.pool_size(4, 1000) == 1
+    kernel, threads = _kernels.simulate_batch, set()
+
+    def noting_thread(n_matches, deck, seed, max_tricks, start=0):
+        threads.add((start, start + n_matches, threading.get_ident()))
+        return kernel(n_matches, deck, seed, max_tricks, start)
+
+    monkeypatch.setattr(_kernels, "simulate_batch", noting_thread)
+    cfg = SimConfig(settings=Settings(40, 3), matches=1000, seed=4, workers=4)
+    assert run_batch(cfg) == run_batch(dataclasses.replace(cfg, workers=1))
+    # both batches play their one range on the caller's thread
+    assert threads == {(0, 1000, threading.get_ident())}
 
 
 def test_run_batch_detect_loops_agrees_with_fast_path(kernel):
