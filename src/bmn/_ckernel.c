@@ -6,7 +6,8 @@
  * first FIRST_BLOCK tricks, unwatched) with the same trick limit, and
  * _py_transient's lockstep pass. bmn_simulate is simulate_batch: the
  * splitmix64 Fisher-Yates deal of SplitMix64.shuffle (the draws of
- * SplitMix64.below's masked rejection), then play_match_loops, A leading.
+ * SplitMix64.below's masked rejection), then play_match_loops, A leading,
+ * each outcome added to a histogram and counts that the caller holds.
  * bmn_trace is trace, a chunk of engine.walk on the same trick loop: each
  * trick boundary's deck sizes, special positions, separations and
  * entropies, the entropies summed in analyzer._spacing's order.
@@ -320,10 +321,14 @@ static void shuffle(uint32_t *items, uint32_t n, uint64_t *state)
     }
 }
 
-/* simulate_batch(count, deck, seed, max_tricks, start) into durations and
- * winners; -1 if n > MAX_CARDS. Seed and start arrive reduced mod 2**64. */
-int bmn_simulate(const uint8_t *deck, uint32_t n, uint64_t seed, uint64_t start,
-                 int64_t count, int64_t max_tricks, int32_t *durations, int8_t *winners)
+/* simulate_batch(count, deck, seed, max_tricks, start): each match added to
+ * hist (terminated, by trick count) or tally (A won, B won, looped, over
+ * budget). Stops before a match that ends after n_hist tricks or more;
+ * returns the matches added, or -1 if n > MAX_CARDS. Seed and start arrive
+ * reduced mod 2**64. */
+int64_t bmn_simulate(const uint8_t *deck, uint32_t n, uint64_t seed, uint64_t start,
+                     int64_t count, int64_t max_tricks, int64_t *hist, int64_t n_hist,
+                     int64_t *tally)
 {
     uint8_t cards[MAX_CARDS];
     int64_t out[2];
@@ -344,10 +349,13 @@ int bmn_simulate(const uint8_t *deck, uint32_t n, uint64_t seed, uint64_t start,
             i -= ok;
         }
         int status = play(cards, n / 2, cards + n / 2, n - n / 2, 0, max_tricks, out);
-        winners[k] = (int8_t)(status == 0 ? out[0] : -status);
-        durations[k] = (int32_t)out[1];
+        if (status == 0 && out[1] >= n_hist)
+            return k;
+        if (status == 0)
+            hist[out[1]]++;
+        tally[status ? 1 + status : out[0]]++;
     }
-    return 0;
+    return count;
 }
 
 /* _parse_pile: 1 if pile[0..np) is a complete natural trick ending

@@ -57,9 +57,8 @@ Without a compiler, when the build fails or the cache directory is not
 private to the user, and for decks or budgets past the C kernel's limits,
 the Python code plays. `backend()` names the kernel in use.
 
-Only `search` and `simulate_batch` build numpy arrays, and each imports
-numpy when it is called: a match, a factory run and a trace play without
-it, so `import bmn` does not load numpy.
+Only `search` builds numpy arrays and imports numpy, when it is called,
+so `import bmn` and every other kernel run without it.
 
 Card coding: 0 is an ordinary card, 1..9 are special ranks. Players are
 coded 0 (A) and 1 (B). Match status codes: 0 = terminated, 1 = looped,
@@ -202,8 +201,8 @@ def _load_c():
     lib.bmn_play_loops.argtypes = [ptr, size, ptr, size, ctypes.c_int, i64, ptr]
     lib.bmn_play_loops.restype = ctypes.c_int
     lib.bmn_simulate.argtypes = [ptr, size, ctypes.c_uint64, ctypes.c_uint64, i64, i64,
-                                 ptr, ptr]
-    lib.bmn_simulate.restype = ctypes.c_int
+                                 ptr, i64, ptr]
+    lib.bmn_simulate.restype = i64
     lib.bmn_factory.argtypes = [ptr, size, size, ptr, i64, ptr, ptr, i64, ptr,
                                 ctypes.c_double, ctypes.c_uint64, i64, i64, ptr, ptr]
     lib.bmn_factory.restype = ctypes.c_int
@@ -633,31 +632,36 @@ def _parse_pile(pile):
     return None  # pile ran out with the trick still open
 
 
+#: Trick counts a batch's first histogram holds (0 .. 1023); a longer match doubles it.
+_FIRST_HISTOGRAM = 1024
+
+
 def simulate_batch(n_matches, deck, seed, max_tricks, start=0):
-    """Deal and play matches start .. start + n_matches - 1.
+    """Deal, play and fold matches start .. start + n_matches - 1.
 
     Match i shuffles a copy of `deck` (the full multiset in canonical order)
     with the (seed, i) stream, gives each player half and is played by
-    `play_match_loops` with A leading. Returns (durations int32, winners
-    int8), numpy arrays (numpy is imported on the first call): winners[i]
-    is 0 or 1 for the winner of a terminated match, -1 for a loop and -2
-    for a match over the trick budget; durations[i] is its trick count,
-    its period or `max_tricks`, respectively. Runs on the C
-    kernel if that loaded and takes the deck, otherwise on
+    `play_match_loops` with A leading. Returns `stats.summarize_counts`'
+    arguments: the terminated matches' count by trick count (a dict), wins
+    of A, wins of B, loops and matches over the budget. Runs on the C
+    kernel if that loaded and takes the deck and the budget, otherwise on
     `_py_simulate_batch`, with the same result.
     """
-    if max_tricks >= 2 ** 31:
-        raise ValueError("max_tricks too large for the batch kernel")
     lib = _c()
-    if lib:
-        import numpy as np
-
+    if lib and -_C_MAX_TRICKS < max_tricks < _C_MAX_TRICKS:
         cards = bytes(deck)
-        durations = np.empty(n_matches, dtype=np.int32)
-        winners = np.empty(n_matches, dtype=np.int8)
-        if lib.bmn_simulate(cards, len(cards), seed & MASK64, start & MASK64, n_matches,
-                            max_tricks, durations.ctypes.data, winners.ctypes.data) == 0:
-            return durations, winners
+        hist, tally, done = (ctypes.c_int64 * _FIRST_HISTOGRAM)(), (ctypes.c_int64 * 4)(), 0
+        while True:
+            folded = lib.bmn_simulate(cards, len(cards), seed & MASK64, (start + done) & MASK64,
+                                      n_matches - done, max_tricks, hist, len(hist), tally)
+            if folded < 0:  # more cards than the C kernel holds
+                break
+            done += folded
+            if done == n_matches:
+                return {n: c for n, c in enumerate(hist) if c}, *tally
+            # match start + done outlasts the histogram
+            hist, short = (ctypes.c_int64 * (2 * len(hist)))(), hist
+            ctypes.memmove(hist, short, ctypes.sizeof(short))
     return _py_simulate_batch(n_matches, deck, seed, max_tricks, start)
 
 
@@ -666,15 +670,13 @@ def _py_simulate_batch(n_matches, deck, seed, max_tricks, start=0):
 
     Match i is dealt as `simulator.match_state` deals it and played alone.
     """
-    import numpy as np
-
-    durations = np.empty(n_matches, dtype=np.int32)
-    winners = np.empty(n_matches, dtype=np.int8)
+    histogram, tally = {}, [0, 0, 0, 0]
     half = len(deck) // 2
-    for idx in range(n_matches):
+    for idx in range(start, start + n_matches):
         cards = list(deck)
-        SplitMix64.for_stream(seed, start + idx).shuffle(cards)
+        SplitMix64.for_stream(seed, idx).shuffle(cards)
         status, a, b = _py_match_loops(cards[:half], cards[half:], 0, max_tricks)
-        winners[idx] = a if status == 0 else -status
-        durations[idx] = b
-    return durations, winners
+        tally[a if status == 0 else 1 + status] += 1
+        if status == 0:
+            histogram[b] = histogram.get(b, 0) + 1
+    return histogram, *tally

@@ -443,7 +443,7 @@ def main(argv=None) -> int:
         return _fail(str(exc))
     except OSError as exc:  # unreadable input or unwritable output path
         return _fail(str(exc))
-    except MemoryError as exc:  # a batch's result arrays, or a backward search
+    except MemoryError as exc:  # a backward search, or a batch's histogram
         return _fail(str(exc) or "out of memory")
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 
 from . import _kernels, stats
@@ -70,8 +71,15 @@ def pool_size(workers: int, matches: int) -> int:
     return min(workers, matches, cpus)
 
 
-def _play_all(config: SimConfig):
-    """(durations, winners) of every match, in index order."""
+def run_batch(config: SimConfig) -> stats.DurationSummary:
+    """Play config.matches independent matches and summarize the outcomes.
+
+    Contiguous index ranges play on up to config.workers threads, each
+    folded by the batch kernel, which detects loops; this sums the folds.
+    A loop counts when transient + period <= config.max_tricks, so loops
+    and genuinely over-budget matches are reported apart. Results are
+    bitwise identical for any worker count.
+    """
     deck = full_deck(config.settings)
     threads = pool_size(config.workers, config.matches)
 
@@ -80,38 +88,12 @@ def _play_all(config: SimConfig):
         return _kernels.simulate_batch(hi - lo, deck, config.seed, config.max_tricks, lo)
 
     if threads == 1:
-        return play(0, config.matches)
+        return stats.summarize_counts(*play(0, config.matches))
     # The C kernel releases the GIL, so threads play ranges in parallel.
-    # Imported here so that `import bmn` pays for neither the pool nor
-    # numpy, which is loaded before the threads start.
+    # Imported here so that `import bmn` does not pay for the pool.
     from concurrent.futures import ThreadPoolExecutor
-
-    import numpy as np
 
     bounds = [config.matches * k // threads for k in range(threads + 1)]
     with ThreadPoolExecutor(threads) as pool:
-        parts = list(pool.map(play, bounds, bounds[1:]))
-    return (np.concatenate([d for d, _ in parts]),
-            np.concatenate([w for _, w in parts]))
-
-
-def run_batch(config: SimConfig) -> stats.DurationSummary:
-    """Play config.matches independent matches and summarize the outcomes.
-
-    Matches run on the batch kernel, which detects loops, split into
-    contiguous index ranges over up to config.workers threads; this only
-    counts its codes. A loop counts when transient + period <=
-    config.max_tricks, so loops and genuinely over-budget matches are
-    reported apart. Results are bitwise identical for any worker count.
-    """
-    import numpy as np
-
-    durations, winners = _play_all(config)
-    histogram: dict[int, int] = {}
-    term = winners >= 0
-    if term.any():
-        counts = np.bincount(durations[term])
-        histogram = {int(n): int(c) for n, c in enumerate(counts) if c > 0}
-    # winner codes -2 (over budget), -1 (looped), 0 (A won), 1 (B won)
-    budget, loops, wins_a, wins_b = map(int, np.bincount(winners + 2, minlength=4))
-    return stats.summarize_counts(histogram, wins_a, wins_b, loops, budget)
+        histograms, *counts = zip(*pool.map(play, bounds, bounds[1:]))
+    return stats.summarize_counts(sum(map(Counter, histograms), Counter()), *map(sum, counts))

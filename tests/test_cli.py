@@ -5,6 +5,7 @@ import os
 import stat
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -248,17 +249,24 @@ def test_failed_work_keeps_an_earlier_output(monkeypatch, tmp_path, error):
 
 def test_error_in_a_worker_thread_exits_1(monkeypatch, capsys, tmp_path):
     # two cores, so that both ranges play on worker threads and the kernel
-    # refuses the budget there
+    # raises there
     monkeypatch.setattr(cli.simulator.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(cli.simulator.os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
+    main = threading.get_ident()
+
+    def failing(*args):
+        assert threading.get_ident() != main
+        raise ValueError("the kernel failed")
+
+    monkeypatch.setattr(_kernels, "simulate_batch", failing)
     out = tmp_path / "s.txt"
     out.write_text("earlier results\n")
     rc = cli.main(["simulate", "--setting", "40,3", "--matches", "10", "--workers", "2",
-                   "--max-tricks", "2147483648", "--out", str(out)])
+                   "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == "error: the kernel failed\n"
     assert "Traceback" not in err
     assert out.read_text() == "earlier results\n"
     assert list(tmp_path.iterdir()) == [out]
@@ -271,7 +279,7 @@ def _out_of_memory(message):
 
 
 @pytest.mark.parametrize("argv, kernel, message", [
-    # numpy names the size of the result arrays it cannot allocate
+    # a failed allocation may name its size, as numpy's do
     (["simulate", "--setting", "12,1", "--matches", "1000000000000"], "simulate_batch",
      ("Unable to allocate 3.64 TiB for an array",)),
     (["simulate", "--setting", "12,1", "--matches", "10"], "simulate_batch", ()),
@@ -345,6 +353,20 @@ def test_simulate_outputs_are_byte_identical(tmp_path):
     assert "setting = 12,1" in text and "seed = 7" in text
     assert "[summary]" in text
     assert h1.read_text().splitlines()[0] == "tricks,count"
+
+
+def test_simulate_takes_a_budget_past_32_bits(kernel, tmp_path):
+    # every (12,1) match ends or loops within 100,000 tricks, so a budget of
+    # 2**32 reports the same matches, loops included
+    def summary(budget):
+        out = tmp_path / f"{budget}.txt"
+        assert cli.main(["simulate", "--setting", "12,1", "--matches", "2000", "--seed", "7",
+                         "--max-tricks", budget, "--out", str(out)]) == 0
+        text = out.read_text()
+        return text[text.index("[summary]"):]
+
+    assert summary("4294967296") == summary("100000")
+    assert "loop_count = 0" not in summary("100000")
 
 
 def test_simulate_with_fit(tmp_path):

@@ -13,7 +13,6 @@ import sys
 import tracemalloc
 from collections import Counter
 
-import numpy as np
 import pytest
 
 from bmn import _kernels, cli
@@ -120,30 +119,44 @@ def test_play_match_without_loops_agrees_with_stepping():
 # ---------------------------------------------------------------------------
 
 
+def _fold(status, a, b):
+    """The batch kernel's fold of one `play_match_loops` result: (histogram,
+    wins of A, wins of B, loops, matches over the budget)."""
+    if status == 0:
+        return {b: 1}, int(a == 0), int(a == 1), 0, 0
+    return {}, 0, 0, int(status == 1), int(status == 2)
+
+
+def _summed(folds):
+    histogram = Counter()
+    for fold in folds:
+        histogram.update(fold[0])
+    return dict(histogram), *(sum(fold[k] for fold in folds) for k in range(1, 5))
+
+
 def test_simulate_batch_is_index_sliced(kernel):
-    # the same match index yields the same outcome regardless of batch bounds
+    # each match is its own scalar deal played alone, whatever the batch
+    # bounds; the small cap keeps (12,1)'s cycling deals cheap
     deck = full_deck(Settings(12, 1))
-    d1, w1 = _kernels.simulate_batch(50, deck, 7, 100_000)
-    d2, w2 = _kernels.simulate_batch(30, deck, 7, 100_000)
-    assert np.array_equal(d1[:30], d2) and np.array_equal(w1[:30], w2)
-    # slices that start at 0, inside or at the end of a longer batch; the
-    # small cap keeps (12,1)'s cycling deals cheap
     cap = 200
-    d, w = _kernels.simulate_batch(601, deck, 7, cap)
-    for n, start in ((301, 0), (301, 300), (1, 600), (306, 295)):
-        ds, ws = _kernels.simulate_batch(n, deck, 7, cap, start)
-        assert np.array_equal(d[start:start + n], ds), (n, start)
-        assert np.array_equal(w[start:start + n], ws), (n, start)
-    # each match is its own scalar deal played alone; the winners code
-    # loops as -1 and over-budget matches as -2
     for i in (0, 299, 300, 301, 600):
         cards = deck.copy()
         SplitMix64.for_stream(7, i).shuffle(cards)
-        status, a, b = _kernels.play_match_loops(cards[:6], cards[6:], 0, cap)
-        assert (d[i], w[i]) == (b, a if status == 0 else -status), i
-    assert (w == -1).any() and (w >= 0).any()
-    _, w = _kernels.simulate_batch(50, deck, 7, 3)
-    assert (w == -2).any()
+        outcome = _kernels.play_match_loops(cards[:6], cards[6:], 0, cap)
+        assert _kernels.simulate_batch(1, deck, 7, cap, i) == _fold(*outcome), i
+    # a batch folds as the sum of its slices, those that start at 0, inside
+    # or at the end of it, in any order
+    whole = _kernels.simulate_batch(601, deck, 7, cap)
+    for bounds in ((0, 301, 601), (0, 300, 601), (0, 600, 601), (0, 295, 601)):
+        parts = [_kernels.simulate_batch(hi - lo, deck, 7, cap, lo)
+                 for lo, hi in zip(bounds, bounds[1:])]
+        assert _summed(parts[::-1]) == whole, bounds
+    # each player wins some matches and some loop; within 3 tricks, some
+    # matches are over the budget
+    histogram, wins_a, wins_b, loops, over = whole
+    assert wins_a and wins_b and loops
+    assert sum(histogram.values()) == wins_a + wins_b == 601 - loops - over
+    assert _kernels.simulate_batch(50, deck, 7, 3)[4] > 0
 
 
 def _peak_bytes(fn):
@@ -155,25 +168,17 @@ def _peak_bytes(fn):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("kernel", ["python"], indirect=True)
 def test_python_batch_memory_is_bounded(kernel):
-    # numpy reports its buffers to tracemalloc. Ten times the matches may
-    # add only the larger output arrays (int32 durations, int8 winners),
-    # plus a few kB the interpreter keeps in free lists (deque blocks).
-    # Holding every deal would add at least its 40-byte row per match,
-    # over 180 kB here.
+    # Nine times the matches may add only a few kB the interpreter keeps
+    # in free lists (deque blocks) and a histogram of a few more trick
+    # counts. Holding every deal would add at least its 40-byte row per
+    # match, some 41 kB here.
     deck = full_deck(Settings(40, 3))
-    small, large = 512, 5120
+    small, large = 128, 1152
     _kernels.simulate_batch(small, deck, 1, 100_000)  # fill the free lists
     peak_small = _peak_bytes(lambda: _kernels.simulate_batch(small, deck, 5, 100_000))
     peak_large = _peak_bytes(lambda: _kernels.simulate_batch(large, deck, 5, 100_000))
-    outputs = (large - small) * (4 + 1)
-    assert peak_large - peak_small <= outputs + 8_192
-
-
-def test_simulate_batch_rejects_huge_budget():
-    with pytest.raises(ValueError):
-        _kernels.simulate_batch(1, full_deck(Settings(12, 1)), 0, 2 ** 31)
+    assert peak_large - peak_small <= 8_192
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +239,8 @@ def test_c_batch_matches_python_batch(monkeypatch, setting, cap, seed):
     monkeypatch.setattr(_kernels, "SplitMix64", Recorded)
     deck = full_deck(Settings(*setting))
     for n, start in ((400, 0), (300, 123), (60, 1_000_003)):
-        d, w = _kernels.simulate_batch(n, deck, seed, cap, start)
-        d_py, w_py = _kernels._py_simulate_batch(n, deck, seed, cap, start)
-        assert d.dtype == d_py.dtype and w.dtype == w_py.dtype
-        assert np.array_equal(d, d_py) and np.array_equal(w, w_py), (n, start)
+        fold = _kernels.simulate_batch(n, deck, seed, cap, start)
+        assert fold == _kernels._py_simulate_batch(n, deck, seed, cap, start), (n, start)
     assert len(dealt) == 760
     # some deal redrew at least twice in one `below`, so the C deal was
     # compared through the masked rejection more than once
@@ -289,11 +292,26 @@ def test_c_batch_at_max_cards_matches_python_batch(monkeypatch):
     require_c_kernel()
     fallbacks = _recording(monkeypatch, "_py_simulate_batch")
     deck = full_deck(Settings(1024, 9))
-    d, w = _kernels.simulate_batch(20, deck, 3, 3000)
+    fold = _kernels.simulate_batch(20, deck, 3, 3000)
     assert fallbacks == []
-    d_py, w_py = _kernels._py_simulate_batch(20, deck, 3, 3000)
-    assert np.array_equal(d, d_py) and np.array_equal(w, w_py)
-    assert set(w.tolist()) == {-2, 0, 1}  # over the cap, and won by each player
+    assert fold == _kernels._py_simulate_batch(20, deck, 3, 3000)
+    _, wins_a, wins_b, loops, over = fold
+    assert wins_a and wins_b and over and not loops  # over the cap, and won by each player
+
+
+def test_c_batch_grows_its_histogram(monkeypatch):
+    # a one-entry first histogram: the first match that ends stops the C
+    # fold, which resumes from it once the histogram has doubled past its
+    # trick count, and so on for each longer match
+    require_c_kernel()
+    fallbacks = _recording(monkeypatch, "_py_simulate_batch")
+    deck = full_deck(Settings(40, 3))
+    expected = _kernels.simulate_batch(500, deck, 11, 100_000, 40)
+    monkeypatch.setattr(_kernels, "_FIRST_HISTOGRAM", 1)
+    fold = _kernels.simulate_batch(500, deck, 11, 100_000, 40)
+    assert fallbacks == []
+    assert fold == expected == _kernels._py_simulate_batch(500, deck, 11, 100_000, 40)
+    assert max(fold[0]) > 64
 
 
 def _predecessor_targets(case, rng):
@@ -464,9 +482,8 @@ def test_inputs_past_the_c_limits_play_in_python(monkeypatch):
         assert got == _kernels._py_match_loops(deck_a, deck_b, 1, cap)
     batches = _recording(monkeypatch, "_py_simulate_batch")
     deck = [1] * 4 + [0] * 1022
-    d, w = _kernels.simulate_batch(3, deck, 5, 20)
+    assert _kernels.simulate_batch(3, deck, 5, 20) == ({}, 0, 0, 0, 3)
     assert len(batches) == 1
-    assert (w == -2).all() and (d == 20).all()
 
 
 def test_failed_build_falls_back_to_python(monkeypatch, tmp_path):
