@@ -57,8 +57,8 @@ Without a compiler, when the build fails or the cache directory is not
 private to the user, and for decks or budgets past the C kernel's limits,
 the Python code plays. `backend()` names the kernel in use.
 
-Only `search` builds numpy arrays and imports numpy, when it is called,
-so `import bmn` and every other kernel run without it.
+No kernel imports numpy: `search` gives its states as one bytes object
+of fixed-width rows and their depths as an `array("q")`.
 
 Card coding: 0 is an ordinary card, 1..9 are special ranks. Players are
 coded 0 (A) and 1 (B). Match status codes: 0 = terminated, 1 = looped,
@@ -74,6 +74,7 @@ import os
 import re
 import struct
 import sys
+from array import array
 from collections import deque
 from itertools import chain, islice
 
@@ -502,13 +503,6 @@ def split(packed):
     return leader, packed[HEADER.size:HEADER.size + n_a], packed[HEADER.size + n_a:]
 
 
-def lengths(states):
-    """The lengths of decks A and B of the packed states that are the rows of
-    the uint8 array `states`, as the two columns of an n x 2 array: header
-    bytes 1-2 and 3-4, each 16 bits, low byte first, read in place."""
-    return states[:, 1:HEADER.size].view("<u2")
-
-
 class _Found(ctypes.Structure):
     """bmn_search's result: arrays the C kernel allocated, freed by bmn_free."""
     _fields_ = [("states", ctypes.c_void_p), ("depths", ctypes.c_void_p),
@@ -523,12 +517,12 @@ def search(seeds, max_depth, max_nodes):
     the predecessors of the level before it, in its order and then by pile
     length, that were not found before. The search stops after `max_depth`
     levels or as soon as `max_nodes` states are found (every distinct seed
-    is kept). Returns (states, depths), numpy arrays (numpy is imported on
-    the first call): a trick keeps every card, so state i is the row
-    states[i] of an n x width uint8 array, found at depths[i]. Seeds of two
-    widths are a ValueError. Runs on the C kernel if that loaded, and on
-    `_py_search` without it or for seeds past its 1024 cards, with the same
-    result.
+    is kept). Returns (states, depths): a trick keeps every card, so the
+    states are rows of the seeds' width, back to back in one bytes object,
+    state i the bytes states[i * width:(i + 1) * width], found at
+    depths[i], an `array("q")`. Seeds of two widths are a ValueError. Runs
+    on the C kernel if that loaded, and on `_py_search` without it or for
+    seeds past its 1024 cards, with the same result.
     """
     width, *others = set(map(len, seeds)) or {HEADER.size}
     if others:
@@ -541,21 +535,16 @@ def search(seeds, max_depth, max_nodes):
         return _py_search(seeds, max_depth, max_nodes)
     if status:
         raise MemoryError("no memory for the backward search")
-    import numpy as np
-
     try:
-        n = found.n
-        return (np.frombuffer(ctypes.string_at(found.states, n * width), np.uint8)
-                .reshape(n, width),
-                np.frombuffer(ctypes.string_at(found.depths, 8 * n), np.int64))
+        depths = array("q")
+        depths.frombytes(ctypes.string_at(found.depths, 8 * found.n))
+        return ctypes.string_at(found.states, found.n * width), depths
     finally:
         lib.bmn_free(ctypes.addressof(found))
 
 
 def _py_search(seeds, max_depth, max_nodes):
     """`search` in pure Python: the reference the C kernel follows."""
-    import numpy as np
-
     found = dict.fromkeys(seeds, 0)  # each state's depth, in the order found
     level, depth = list(found), 0
     while level and depth < max_depth and len(found) < max_nodes:
@@ -568,9 +557,7 @@ def _py_search(seeds, max_depth, max_nodes):
                 level.append(packed)
                 if len(found) >= max_nodes:
                     break
-    width = len(seeds[0]) if seeds else HEADER.size
-    return (np.frombuffer(b"".join(found), np.uint8).reshape(len(found), width),
-            np.fromiter(found.values(), np.int64, len(found)))
+    return b"".join(found), array("q", found.values())
 
 
 def _py_step(packed):

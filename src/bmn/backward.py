@@ -7,8 +7,9 @@ a bottom slice of it; a slice is a complete natural trick only if it ends
 with a rank-k special followed by exactly k ordinaries, and replaying the
 slice under forward rules fixes who played each card and, given the
 winner, which player led. The whole search over packed states is one
-`_kernels.search` call, which gives the states found, as rows, and their
-depths; a `GameState` is built only for a state handed out.
+`_kernels.search` call, which gives the packed states found, as rows of
+one width back to back in one bytes object, and their depths; a
+`GameState` is built only for a state handed out, from its row's bytes.
 """
 
 from __future__ import annotations
@@ -31,15 +32,15 @@ class BackwardSearchConfig:
             raise ValueError("max_nodes must be >= 1")
 
 
-def _state(packed) -> GameState:  # packed: bytes, or a row that `search` found
-    leader, cards_a, cards_b = _kernels.split(bytes(packed))
+def _state(packed) -> GameState:
+    leader, cards_a, cards_b = _kernels.split(packed)
     return GameState(tuple(cards_a), tuple(cards_b), PLAYER_B if leader else PLAYER_A)
 
 
 def search(seed_states, config: BackwardSearchConfig):
     """The search from the states, which hold the same number of cards, as
-    `_kernels.search` returns it: the packed states found, a row each, and
-    their depths."""
+    `_kernels.search` returns it: the packed states found, as one bytes
+    object of rows of one width, and their depths."""
     seeds = [_kernels.pack(s.deck_a, s.deck_b, s.leader == PLAYER_B) for s in seed_states]
     return _kernels.search(seeds, config.max_depth, config.max_nodes)
 
@@ -54,8 +55,21 @@ def enumerate_predecessors(target: GameState) -> list[GameState]:
     with it the pile length, so the list has no duplicates; it is in order
     of pile length, shortest first.
     """
-    states, _ = search([target], BackwardSearchConfig(max_depth=1))
-    return [_state(row) for row in states[1:]]
+    states, depths = search([target], BackwardSearchConfig(max_depth=1))
+    width = len(states) // len(depths)
+    return [_state(states[i:i + width]) for i in range(width, len(states), width)]
+
+
+def _rows_holding(states, width, n_a):
+    """The rows of `states` whose header gives deck A `n_a` cards, found by
+    reading the header's two length bytes, low byte first, as strided
+    slices: a byte search over the low bytes, not a loop over the rows."""
+    low, high = states[1::width], states[2::width]
+    row = low.find(n_a & 255)
+    while row >= 0:
+        if high[row] == n_a >> 8:
+            yield states[row * width:(row + 1) * width]
+        row = low.find(n_a & 255, row + 1)
 
 
 def backward_search(seed_states, config: BackwardSearchConfig) -> list:
@@ -66,11 +80,16 @@ def backward_search(seed_states, config: BackwardSearchConfig) -> list:
     the node budget without a hit is a normal empty result. The seeds hold
     the same number of cards; a ValueError says otherwise.
     """
-    states, _ = search(seed_states, config)
-    n_a, n_b = _kernels.lengths(states).T
+    states, depths = search(seed_states, config)
+    if not depths:
+        return []
+    width = len(states) // len(depths)
+    # decks A and B hold as many cards only if the count is even, A half
+    half, odd = divmod(width - _kernels.HEADER.size, 2)
+    if odd:
+        return []
     balanced = {}
-    for row in states[n_a == n_b]:
-        packed = bytes(row)
+    for packed in _rows_holding(states, width, half):
         if packed[0]:  # standardize: relabel the players so that A leads
             _, cards_a, cards_b = _kernels.split(packed)
             packed = _kernels.pack(cards_b, cards_a, 0)

@@ -252,16 +252,16 @@ def cmd_backward(args) -> int:
         return 0
     # the predecessor tree, written from the packed states a block at a time;
     # the seed, the one state at depth 0, comes first and is not listed
-    states, _ = backward.search([state], config)
-    width = states.shape[1]
-    for lo in range(1, len(states), _LISTING_BLOCK):
-        rows = states[lo:lo + _LISTING_BLOCK]
-        block = rows.tobytes()
+    states, depths = backward.search([state], config)
+    width = len(states) // len(depths)
+    for lo in range(width, len(states), _LISTING_BLOCK * width):
+        block = states[lo:lo + _LISTING_BLOCK * width]
         text = block.translate(engine.CARD_CHARS).decode("latin-1")
         lines = []
-        for i, n_a in zip(range(0, len(block), width), _kernels.lengths(rows)[:, 0].tolist()):
+        # A's length, from the header's bytes 1 and 2, low byte first
+        for i, low, high in zip(range(0, len(block), width), block[1::width], block[2::width]):
             cards = i + _kernels.HEADER.size  # A's cards, then B's from `split`
-            split = cards + n_a
+            split = cards + low + 256 * high
             lines.append(f"leader={'AB'[block[i]]} deck_a=[{text[cards:split]}] "
                          f"deck_b=[{text[split:i + width]}]\n")
         sys.stdout.write("".join(lines))

@@ -1,8 +1,9 @@
 """The backward search listed state by state, as the tests read it.
 
-`discover` hands out every state that `backward.search` finds, row by
-row, with its depth, in the search's order, so that the tests can check
-the order, the seeds, the budget and the depth limit one state at a time.
+`discover` hands out every state that `backward.search` finds, its row
+sliced by width, with its depth, in the search's order, so that the tests
+can check the order, the seeds, the budget and the depth limit one state
+at a time.
 The CLI's listing and `backward_search` read the same rows of packed
 states directly.
 """
@@ -22,5 +23,6 @@ def discover(seed_states, config: BackwardSearchConfig):
     these limits before the first state is yielded.
     """
     states, depths = search(seed_states, config)
-    for depth, row in zip(depths.tolist(), states):
-        yield depth, _state(row)
+    width = len(states) // max(len(depths), 1)
+    for i, depth in enumerate(depths):
+        yield depth, _state(states[i * width:(i + 1) * width])

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from bmn import _kernels, cycles
-from bmn.backward import BackwardSearchConfig, backward_search, enumerate_predecessors
+from bmn.backward import BackwardSearchConfig, backward_search, enumerate_predecessors, search
 from bmn.engine import (
     PLAYER_A,
     PLAYER_B,
@@ -362,10 +362,14 @@ def _checked_search(seeds, max_depth, max_nodes):
     itself must give. Returns the states found, as bytes."""
     got = _kernels.search(seeds, max_depth, max_nodes)
     want = _kernels._py_search(seeds, max_depth, max_nodes)
-    assert got[0].shape == want[0].shape == (len(got[1]), len(seeds[0]))
-    assert got[0].tobytes() == want[0].tobytes()
+    width = len(seeds[0])
+    assert type(got[0]) is type(want[0]) is bytes
+    assert len(got[0]) == len(want[0]) == len(got[1]) * width
+    assert got[0] == want[0]
+    assert got[1].typecode == want[1].typecode == "q"
     assert got[1].tolist() == want[1].tolist()
-    found, depths = [bytes(row) for row in got[0]], got[1].tolist()
+    found = [got[0][i:i + width] for i in range(0, len(got[0]), width)]
+    depths = got[1].tolist()
     distinct = list(dict.fromkeys(seeds))
     assert len(set(found)) == len(found) == len(depths)
     assert found[:len(distinct)] == distinct[:len(found)]
@@ -450,3 +454,36 @@ def test_backward_search_reads_both_bytes_of_each_deck_length(kernel):
     found = backward_search(seeds, BackwardSearchConfig(max_depth=0))
     assert found == [GameState((0,) * 385, (1,) + (0,) * 384, PLAYER_A),
                      GameState((1,) + (0,) * 384, (0,) * 385, PLAYER_A)]
+
+
+def test_backward_search_from_an_odd_card_count_finds_nothing(kernel):
+    # no split of 13 cards is even, though the search finds rows whose
+    # header gives A 6 cards, half of 13 rounded down
+    seeds = [state("[CC1C]", "[2CCCCCC1C]", PLAYER_B)]
+    config = BackwardSearchConfig(max_depth=8)
+    found = [s for _, s in discover(seeds, config)]
+    assert len(found) == 171
+    assert sum(len(s.deck_a) == 6 for s in found) == 21
+    assert backward_search(seeds, config) == []
+
+
+def _balanced_row_by_row(states, width):
+    """`backward_search`'s list from a search's rows, each row's deck
+    lengths read with `_kernels.split`."""
+    balanced = {}
+    for i in range(0, len(states), width):
+        leader, cards_a, cards_b = _kernels.split(states[i:i + width])
+        if len(cards_a) == len(cards_b):
+            decks = (cards_b, cards_a) if leader else (cards_a, cards_b)
+            balanced.setdefault(GameState(*map(tuple, decks), PLAYER_A), None)
+    return list(balanced)
+
+
+def test_backward_search_matches_a_row_by_row_filter_on_1024_cards(kernel):
+    # half of 1024 cards is 512, 0x0200: the header's high length byte is not 0
+    seeds = _1024_cards()
+    config = BackwardSearchConfig(max_depth=10**6, max_nodes=2100)
+    states, depths = search(seeds, config)
+    want = _balanced_row_by_row(states, len(states) // len(depths))
+    assert len(want) == 32
+    assert backward_search(seeds, config) == want

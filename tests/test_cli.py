@@ -28,28 +28,39 @@ def test_help_and_version():
     assert out.stdout.strip() == "0.1.0"
 
 
-# Runs `cli.main` on each argv of the JSON list argv[2], with "{out}" in an
-# argument replaced by the directory argv[3], and prints the exit codes and
-# stdouts as JSON. With argv[1] == "block", any numpy import raises.
+# Runs `cli.main` on each argv of the JSON list argv[3], with "{out}" in an
+# argument replaced by the directory argv[4], and prints the kernel and the
+# exit codes and stdouts as JSON. With argv[1] == "block", any numpy import
+# raises; with argv[2] == "python", the Python kernel plays.
 _MAIN_RUNS = """
 import contextlib, io, json, sys
 import bmn, bmn.cli
 assert "numpy" not in sys.modules, "import bmn loaded numpy"
 if sys.argv[1] == "block":
     sys.modules["numpy"] = None
+if sys.argv[2] == "python":
+    bmn._kernels._ckernel = False
 runs = []
-for argv in json.loads(sys.argv[2]):
+for argv in json.loads(sys.argv[3]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = bmn.cli.main([arg.replace("{out}", sys.argv[3]) for arg in argv])
+        code = bmn.cli.main([arg.replace("{out}", sys.argv[4]) for arg in argv])
     runs.append([code, out.getvalue()])
-print(json.dumps(runs))
+print(json.dumps([bmn._kernels.backend(), runs]))
 """
 
 
+def _main_runs(mode, kernel, argvs, out):
+    """`_MAIN_RUNS` in a fresh interpreter: (kernel, [[exit code, stdout], ...])."""
+    proc = subprocess.run([sys.executable, "-c", _MAIN_RUNS, mode, kernel, json.dumps(argvs),
+                           str(out)], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 def test_play_loops_and_factory_run_without_numpy(tmp_path):
-    # only the batch, the fit and the backward search build arrays: every
-    # other command imports no numpy, and prints what it prints with it
+    # only the fit builds arrays: every other command imports no numpy, and
+    # prints what it prints with it
     setting, a, b, _, tricks = PLAY_420
     play = ["play", "--setting", setting, "--deck-a", a, "--deck-b", b]
     classic = ["--setting", "52,4", "--deck-a", INF_52_4[0], "--deck-b", INF_52_4[1]]
@@ -66,11 +77,7 @@ def test_play_loops_and_factory_run_without_numpy(tmp_path):
     runs, files = {}, {}
     for mode in ("block", "allow"):
         (tmp_path / mode).mkdir()
-        proc = subprocess.run([sys.executable, "-c", _MAIN_RUNS, mode, json.dumps(argvs),
-                               str(tmp_path / mode)], capture_output=True, text=True,
-                              timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        runs[mode] = json.loads(proc.stdout)
+        _, runs[mode] = _main_runs(mode, "c", argvs, tmp_path / mode)
         files[mode] = {f.name: f.read_bytes() for f in (tmp_path / mode).iterdir()}
     assert runs["block"] == runs["allow"]
     assert [code for code, _ in runs["block"]] == [0] * len(argvs)
@@ -79,6 +86,25 @@ def test_play_loops_and_factory_run_without_numpy(tmp_path):
     assert files["block"] == files["allow"]
     assert sorted(files["block"]) == ["positions.csv", "trace.csv", "trace_p.csv"]
     assert len(files["block"]["trace.csv"].splitlines()) == tricks + 2
+    # the two commands of CI's "Backward listing" step, on both kernels
+    listing = ["backward", "--setting", "12,2", "--deck-a", "[CCCCCCC21C]", "--deck-b", "[1C]",
+               "--leader", "A"]
+    balanced = ["backward", "--setting", "20,2", "--deck-a", "[CC2C2C1C]",
+                "--deck-b", "[2C1CC2C1CC1C]", "--find-balanced", "--depth", "100",
+                "--max-nodes", "100000"]
+    searches = {}
+    for kernel in ("c", "python"):
+        legs = {mode: _main_runs(mode, kernel, [listing, balanced], tmp_path)
+                for mode in ("block", "allow")}
+        assert legs["block"] == legs["allow"]
+        backend, searches[kernel] = legs["block"]
+        assert backend == (kernel if kernel == "python" else _kernels.backend())
+    assert searches["c"] == searches["python"]
+    (code_l, out_l), (code_b, out_b) = searches["python"]
+    assert (code_l, code_b) == (0, 0)
+    assert len(out_l.splitlines()) == 9 and len(out_b.splitlines()) == 12
+    assert "leader=A deck_a=[C1CCCCCC] deck_b=[2C1C]" in out_l.splitlines()
+    assert out_b.splitlines()[0] == "leader=A deck_a=[CC2C2C1CC2] deck_b=[2C1CC1CC1C]"
 
 
 def test_unknown_command_exits_1():
@@ -458,6 +484,18 @@ def test_backward_rejects_an_empty_deck(deck_a, deck_b, mode):
     assert out.returncode == 1
     assert out.stdout == ""
     assert out.stderr == "error: both decks must be nonempty\n"
+
+
+def test_backward_listing_reads_long_decks_across_blocks(capsys, monkeypatch):
+    # A holds about 300 cards, so the high byte of its length in each
+    # state's header is 1; the listing is written 4 states at a time
+    monkeypatch.setattr(cli, "_LISTING_BLOCK", 4)
+    a, b = "[" + "C" * 297 + "21C]", "[1C]"
+    rc = cli.main(["backward", "--setting", "12,2", "--deck-a", a, "--deck-b", b])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 299
+    assert lines == _reference_listing(state(a, b), 1, 1_000_000)
 
 
 @pytest.mark.parametrize("mode", [(), ("--find-balanced",)], ids=["list", "find-balanced"])

@@ -341,9 +341,10 @@ def _predecessors(search, wdeck, ldeck):
     each predecessor, the pile length read off a replay of its trick."""
     states, depths = search([_kernels.pack(wdeck, ldeck, 0)], 1, 10**6)
     assert depths.tolist() == [0] + [1] * (len(depths) - 1)
+    width = len(states) // len(depths)
     out = []
-    for row in states[1:]:
-        leader, prev_w, prev_l = _kernels.split(bytes(row))
+    for i in range(width, len(states), width):
+        leader, prev_w, prev_l = _kernels.split(states[i:i + width])
         pred = GameState(tuple(prev_w), tuple(prev_l), (PLAYER_A, PLAYER_B)[leader])
         trick = reference_trick(pred)
         assert trick.next_state == GameState(tuple(wdeck), tuple(ldeck), PLAYER_A)
@@ -388,10 +389,11 @@ def test_predecessors_past_max_cards_play_in_python(monkeypatch):
 
 
 def _listed(found):
-    """A search's result as its states' shape and bytes and its depths as a
-    list, to compare with =="""
+    """A search's result as its states' bytes and its depths as a list, to
+    compare with =="""
     states, depths = found
-    return states.shape, states.tobytes(), depths.tolist()
+    assert type(states) is bytes and depths.typecode == "q"
+    return states, depths.tolist()
 
 
 def test_c_search_matches_python_on_a_level(monkeypatch):
@@ -444,6 +446,31 @@ def test_c_search_refuses_seeds_of_two_widths():
     seeds = [_kernels.pack((0, 1, 0), (0,), 0), _kernels.pack((1, 0), (0,), 1)]
     for order in (seeds, seeds[::-1]):
         assert lib.bmn_search(b"".join(order), 2, 1, 10, ctypes.addressof(found)) == -1
+
+
+# In a fresh interpreter, searches back from a target with nine
+# predecessors on the kernel argv[1] names and prints the kernel and the
+# search's result, if no numpy module was loaded.
+_SEARCH_ALONE = """
+import sys
+from bmn import _kernels
+if sys.argv[1] == "python":
+    _kernels._ckernel = False
+states, depths = _kernels.search([_kernels.pack((0,) * 7 + (2, 1, 0), (1, 0), 0)], 3, 100)
+assert "numpy" not in sys.modules
+print(_kernels.backend(), states.hex(), *depths)
+"""
+
+
+def test_search_loads_no_numpy(kernel):
+    proc = subprocess.run([sys.executable, "-c", _SEARCH_ALONE, kernel],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    backend, states, *depths = proc.stdout.split()
+    want = _kernels.search([_kernels.pack((0,) * 7 + (2, 1, 0), (1, 0), 0)], 3, 100)
+    assert (backend, bytes.fromhex(states), [int(d) for d in depths]) == (
+        kernel, want[0], want[1].tolist())
+    assert len(depths) > 9
 
 
 def test_c_kernel_has_the_python_first_block():

@@ -109,7 +109,7 @@ def test_batches_without_a_terminated_match_compare_equal(monkeypatch):
     ((40, 3), 3, 10 ** 6),
     ((12, 1), 2001, 50),      # odd count; some matches loop
 ])
-def test_worker_ranges_concatenate_in_index_order(monkeypatch, kernel, setting, matches, cap):
+def test_worker_ranges_sum_to_one_run(monkeypatch, kernel, setting, matches, cap):
     # three cores, so that three workers really run three ranges
     _fake_cpus(monkeypatch, 3)
     configs = [SimConfig(settings=Settings(*setting), matches=matches, seed=5,
@@ -165,7 +165,7 @@ print(two.to_text(), end="")
 
 
 @pytest.mark.parametrize("setting, matches", [((40, 3), 3001), ((12, 1), 2001)])
-def test_first_batch_imports_numpy_before_its_threads(kernel, setting, matches):
+def test_first_batch_loads_no_numpy(kernel, setting, matches):
     proc = subprocess.run([sys.executable, "-c", _FIRST_BATCH, kernel, *map(str, setting),
                            str(matches)], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
