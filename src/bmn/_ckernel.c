@@ -16,7 +16,9 @@
  * from the factory._PATTERNS it is passed, and the insertion and correction
  * tests, each a packed state played by play_match_loops with A leading
  * unless the run's memo of failed tests holds it: such a test is counted,
- * not played, and the tests played are counted too.
+ * not played, and the tests played are counted too. It takes the package's
+ * own pattern table and constants as given: a tier-1 test checks that they
+ * fit the limits here.
  * bmn_search is search, the whole breadth-first backward search over
  * packed states of one width; it returns the states found, a row of that
  * width each, and their depths. Its step is _py_step, the inverse of a
@@ -261,16 +263,14 @@ static uint16_t *row(const game_t *g, uint16_t *out)
  * positions, then four doubles) for the state and one after each trick,
  * written one after another to out, which has room for n + 1 of them. The
  * state left is packed back into `state`, for the next call to resume from.
- * Returns the tricks played, or -1 with nothing done for more than MAX_CARDS
- * cards. */
+ * The state holds at most MAX_CARDS cards, as _kernels.trace checks. Returns
+ * the tricks played. */
 int64_t bmn_trace(uint8_t *state, int64_t n, uint16_t *out)
 {
     game_t g;
     int64_t t = 0, played;
     uint32_t na, nb;
     int leader = read_header(state, &na, &nb);
-    if (na + nb > MAX_CARDS)
-        return -1;
     load(&g, state + HEADER, na, state + HEADER + na, nb, leader);
     for (out = row(&g, out); t < n && g.len[0] && g.len[1]; t++) {
         run(&g, 1, NULL, &played);
@@ -636,8 +636,10 @@ typedef struct {
 } frag_t;
 
 /* _pattern_fragments over ranks[0..nr) into out, reading a pattern as the
- * comment on factory._PATTERNS says; returns the count, or -1 for a template
- * past MAX_TEMPLATES or frag_t or a letter but C, r and s. */
+ * comment on factory._PATTERNS says; returns the count. The shipped table
+ * fits, as a tier-1 test checks: its letters are C, r, s and spaces, no
+ * shape is empty or over the 10 cards of frag_t, and a pattern gives at most
+ * MAX_TEMPLATES templates over nine ranks. */
 OUTLINE static int templates(const char *pattern, const uint8_t *ranks, int nr, frag_t *out)
 {
     int n = 0;
@@ -647,16 +649,11 @@ OUTLINE static int templates(const char *pattern, const uint8_t *ranks, int nr, 
             for (int j = 0; j < (pairs ? nr : 1); j++) {
                 if (pairs && i == j)
                     continue;
-                if (n == MAX_TEMPLATES)
-                    return -1;
                 out[n].len = 0;
                 for (const char *c = group; *c; c++) { /* its shapes, split at spaces */
                     frag_t *f = &out[n];
-                    if (*c == ' ' && ++n < MAX_TEMPLATES)
-                        out[n].len = 0;
-                    else if (*c == ' ' || f->len == sizeof f->card
-                             || (*c != 'C' && *c != 'r' && *c != 's'))
-                        return -1;
+                    if (*c == ' ')
+                        out[++n].len = 0;
                     else
                         f->card[f->len++] = *c == 'C' ? 0 : ranks[*c == 'r' ? i : j];
                 }
@@ -862,7 +859,7 @@ OUTLINE static int64_t restart(const factory_t *f, store_t *s, const uint8_t *se
 
 /* _keep: append the checkpoint in slot k, taken from the spares, evict
  * the lowest (score, age) down to capacity, and return the new top given
- * the top before. */
+ * the top before; the top is never the one evicted, as factory._keep says. */
 OUTLINE static int64_t keep(store_t *s, int64_t top, int64_t k, int64_t capacity)
 {
     const checkpoint_t *slot = s->slot;
@@ -870,18 +867,14 @@ OUTLINE static int64_t keep(store_t *s, int64_t top, int64_t k, int64_t capacity
     if (above(&slot[k], &slot[top]))
         top = k;
     while (s->n > capacity) {
-        int64_t v = 0, victim;
+        int64_t v = 0;
         for (int64_t i = 1; i < s->n; i++) {
             const checkpoint_t *x = &slot[s->list[i]], *y = &slot[s->list[v]];
             if (x->score < y->score || (x->score == y->score && x->age < y->age))
                 v = i;
         }
-        victim = s->spare[s->n_spare++] = s->list[v];
+        s->spare[s->n_spare++] = s->list[v];
         memmove(s->list + v, s->list + v + 1, (size_t)(--s->n - v) * sizeof *s->list);
-        if (victim == top) /* only after a shape left empty: see factory._keep */
-            for (int64_t i = 0; i < s->n; i++)
-                if (i == 0 || above(&slot[s->list[i]], &slot[top]))
-                    top = s->list[i];
     }
     return top;
 }
@@ -895,11 +888,12 @@ OUTLINE static int64_t keep(store_t *s, int64_t top, int64_t k, int64_t capacity
  * best_cards, A's then B's, with room for the seed and the composition, and
  * (rounds, tests, A's length, B's length, depth, age, tests played: those
  * the memo did not hold) to out. Returns 1 if it is complete, 0 if the
- * budget ran out, -1 with nothing done past MAX_CARDS, 256 patterns,
- * templates() over every rank or the constants taken here, and -2 without
- * memory. A checkpoint gains no type but those
- * the seed lacks, and those only up to the composition, so the seed and
- * its deficits bound its cards. */
+ * budget ran out, -1 with nothing done if its checkpoints could hold more
+ * than MAX_CARDS cards, and -2 without memory. A checkpoint gains no type
+ * but those the seed lacks, and those only up to the composition, so the
+ * seed and its deficits bound its cards. The table (at most 256 patterns,
+ * each fitting templates()) and the knobs are the package's own, taken as
+ * given: a tier-1 test checks them. Settings keeps n_types to 2..MAX_TYPES. */
 int bmn_factory(const uint8_t *seed, uint32_t na, uint32_t nb, const int64_t *target,
                 int64_t n_types, const char *table, const uint8_t *rows, int64_t n_rows,
                 const int64_t *knob, double restart_probability, uint64_t state,
@@ -909,21 +903,13 @@ int bmn_factory(const uint8_t *seed, uint32_t na, uint32_t nb, const int64_t *ta
     checkpoint_t best = {.card = best_cards};
     store_t s = {0};
     frag_t frag[MAX_TEMPLATES];
-    static const uint8_t every_rank[MAX_TYPES - 1] = {1, 2, 3, 4, 5, 6, 7, 8, 9};
     const char *pattern[256]; /* where each pattern starts in table */
     uint8_t next[SPARE], *pool = NULL; /* a test's packed state */
     int64_t capacity = knob[CAPACITY], bound = na + nb, stuck = 0, last_selected_age = -1;
     int64_t age_counter = 0, rounds = 0, top;
     int status = 0;
-    if (n_types < 1 || n_types > MAX_TYPES || knob[MAX_FRAGMENTS] < 0
-            || knob[MAX_POSITIONS] < 0 || knob[RESTART_INTERVAL] < 1 || capacity < 1
-            || capacity >= INT32_MAX)
-        return -1;
-    for (int k = 0; *table; table++, k++) { /* table: at the first group of pattern k */
-        if (k == 256 || templates(table, every_rank, (int)n_types - 1, frag) < 0)
-            return -1;
+    for (int k = 0; *table; table++, k++) /* table: at the first group of pattern k */
         for (pattern[k] = table; *table; table += strlen(table) + 1) {}
-    }
     for (int t = 0; t < n_types; t++)
         f.n_total += target[t];
     make(&f, &best, seed, na, nb, 0, age_counter);

@@ -51,8 +51,7 @@ LIBRARY _ckernel.c` and `_CFLAGS`) into `$XDG_CACHE_HOME/bmn` (default
 `~/.cache/bmn`), the file named by the sha256 of the source and the flags
 and by the platform (system, machine, C library): `_library_path()`. It
 is loaded with ctypes; later processes load the cached library without
-compiling, and build it again only if it does not load. A build removes
-the libraries of other source versions or flags for the same platform.
+compiling, and build it again only if it does not load.
 Without a compiler, when the build fails or the cache directory is not
 private to the user, and for decks or budgets past the C kernel's limits,
 the Python code plays. `backend()` names the kernel in use.
@@ -67,11 +66,9 @@ coded 0 (A) and 1 (B). Match status codes: 0 = terminated, 1 = looped,
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import hashlib
 import os
-import re
 import struct
 import sys
 from array import array
@@ -159,19 +156,12 @@ def _build_c():
     there; None without a compiler or a cache private to the user. A cached
     library is taken as it is: no compiler runs."""
     target = _library_path()
-    folder, built = os.path.split(target)
+    folder = os.path.dirname(target)
     os.makedirs(folder, mode=0o700, exist_ok=True)
     if not _private(folder):
         return None
-    if not os.path.exists(target):
-        if not _compile(target):
-            return None
-        # the libraries of other sources or flags for this platform are stale
-        stale = re.compile(rf"_ckernel-[0-9a-f]{{64}}-{re.escape(_platform_tag())}\.so")
-        for name in os.listdir(folder):
-            if stale.fullmatch(name) and name != built:
-                with contextlib.suppress(OSError):  # gone already, or kept: no harm
-                    os.remove(os.path.join(folder, name))
+    if not os.path.exists(target) and not _compile(target):
+        return None
     return target if _private(target) else None
 
 
@@ -457,12 +447,12 @@ def factory(deck_a, deck_b, targets, table, rows, n_rows, knobs, restart_probabi
     last the memo's bound: the bytes of its arena and table together) and
     `restart_probability`, the rng's state, the round budget (cut to
     `_C_MAX_TRICKS`) and the trick cap go as `factory._c_rounds` gives
-    them. Returns (complete, best deck_a, best deck_b, best depth, best age,
-    rounds, tests, played), `played` the tests that the memo of failed tests
-    did not hold; None also for a cap from `_C_MAX_TRICKS` on, a run whose
-    checkpoints could hold more than 1024 cards, a pattern that over all
-    the ranks gives more than 81 templates, one over 10 cards or a letter
-    but C, r and s, or constants the kernel does not take.
+    them; the kernel takes the package's tables and constants as given,
+    and a tier-1 test checks that they fit it. Returns (complete, best
+    deck_a, best deck_b, best depth, best age, rounds, tests, played),
+    `played` the tests that the memo of failed tests did not hold; None
+    also for a cap from `_C_MAX_TRICKS` on or a run whose checkpoints could
+    hold more than 1024 cards.
     """
     lib = _c()
     if not lib or max_tricks >= _C_MAX_TRICKS:
@@ -639,16 +629,19 @@ def simulate_batch(n_matches, deck, seed, max_tricks, start=0):
         cards = bytes(deck)
         hist, tally, done = (ctypes.c_int64 * _FIRST_HISTOGRAM)(), (ctypes.c_int64 * 4)(), 0
         while True:
+            # bmn_simulate's count is an int64, which ctypes would fill from
+            # a larger int wrapped
+            count = min(n_matches - done, 2 ** 62)
             folded = lib.bmn_simulate(cards, len(cards), seed & MASK64, (start + done) & MASK64,
-                                      n_matches - done, max_tricks, hist, len(hist), tally)
+                                      count, max_tricks, hist, len(hist), tally)
             if folded < 0:  # more cards than the C kernel holds
                 break
             done += folded
             if done == n_matches:
                 return {n: c for n, c in enumerate(hist) if c}, *tally
-            # match start + done outlasts the histogram
-            hist, short = (ctypes.c_int64 * (2 * len(hist)))(), hist
-            ctypes.memmove(hist, short, ctypes.sizeof(short))
+            if folded < count:  # match start + done outlasts the histogram
+                hist, short = (ctypes.c_int64 * (2 * len(hist)))(), hist
+                ctypes.memmove(hist, short, ctypes.sizeof(short))
     return _py_simulate_batch(n_matches, deck, seed, max_tricks, start)
 
 

@@ -175,8 +175,9 @@ _ORDERS = (_ascending, _descending, _largest_deficit, _ordinaries_first)
 # it. Each pattern is a tuple of groups of shapes split at spaces, where C
 # is an ordinary and r and s are ranks. A group is written out for each
 # pair of distinct ranks (r, s) if it names s, for each rank r if it names
-# r, and once otherwise. Where a pattern over all the setting's ranks
-# gives more than 81 templates, or one over 10 cards, `_rounds` runs.
+# r, and once otherwise. `bmn_factory` takes the table as given; a tier-1
+# test checks that it fits there: no empty pattern, group or shape, no
+# shape over 10 cards, and at most 81 templates a pattern over nine ranks.
 _PATTERNS = {
     "single": ("r", "C"),
     "pairs": ("rr", "Cr", "rC", "CC"),
@@ -232,20 +233,17 @@ def _rank(cp: Checkpoint) -> tuple:
 def _keep(store: list, top: Checkpoint, new_cp: Checkpoint) -> Checkpoint:
     """Append `new_cp` to `store`, evict the lowest (score, age) down to
     capacity, and return the new top by `_rank`, given the top before.
-    The store is rescanned only when eviction removes the top. With the
-    shipped `_PATTERNS` that never happens: a kept checkpoint scores above
-    the one it grew from (an insertion adds deficient cards, a correction
-    takes an excess card away), which is still in the store, so the top
-    scores above the lowest. A pattern with an empty shape (`"C  C"`) can
-    keep a copy of a checkpoint at its score, and then the top can go."""
+
+    The top is never the one evicted. No shape of `_PATTERNS` is empty, so
+    a kept checkpoint scores above the one it grew from: an insertion adds
+    at least one card of a deficient type, and a correction removes an
+    excess card or retypes it to a deficient rank. That parent is still in
+    the store, so the checkpoint evicted scores no more than the parent,
+    below the top."""
     store.append(new_cp)
-    top = max(top, new_cp, key=_rank)
     while len(store) > _CHECKPOINT_CAPACITY:
-        victim = min(store, key=lambda cp: (cp.score, cp.age))
-        store.remove(victim)
-        if victim is top:
-            top = max(store, key=_rank)
-    return top
+        store.remove(min(store, key=lambda cp: (cp.score, cp.age)))
+    return max(top, new_cp, key=_rank)
 
 
 class _Failed(set):
@@ -378,8 +376,7 @@ def _c_tables(strategies: tuple, patterns: tuple):
     """(table, rows): the `_PATTERNS` items `patterns` and the STRATEGIES
     rows `strategies` as `_kernels.factory` takes them. The table is the
     patterns as one string: each group ends at a NUL, each pattern at a
-    second one, the table at a third; so an empty group or pattern would
-    read as an end, and such a table is None, to play in `_rounds`. A row
+    second one, the table at a third (no group or pattern is empty). A row
     is its order, its pattern count and its patterns' indices. Cached by
     the contents of both tables, so that a test patching either still
     reaches C."""
@@ -388,8 +385,6 @@ def _c_tables(strategies: tuple, patterns: tuple):
                                       *map(names.index, drawn))
                                      for order, drawn in strategies))
     groups = [groups for _, groups in patterns]
-    if not all(groups) or not all(map(all, groups)):
-        return None, rows
     return ("\0\0".join(map("\0".join, groups)) + "\0\0\0").encode(), rows
 
 
@@ -397,8 +392,6 @@ def _c_rounds(config: FactoryConfig, seed: Checkpoint, rng: SplitMix64):
     """`_rounds` on the C kernel, or None where `_kernels.factory` does not run."""
     settings = config.settings
     table, rows = _c_tables(STRATEGIES, tuple(_PATTERNS.items()))
-    if table is None:
-        return None
     found = _kernels.factory(
         seed.deck_a, seed.deck_b, [settings.target_count(r) for r in seed.deficits],
         table, rows, len(STRATEGIES),

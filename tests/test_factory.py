@@ -270,56 +270,33 @@ def test_factory_eviction_heavy_result_is_pinned(monkeypatch, kernel):
     assert (result.rounds_used, result.tests_run, result.best.depth) == (571, 2192, 6)
 
 
-def test_kept_top_is_the_store_maximum_when_eviction_removes_it(monkeypatch):
-    # equal scores, and the oldest checkpoint is also the deepest: eviction
-    # (lowest score, then oldest) removes the top (highest score, then
-    # deepest, then youngest), so the store must be rescanned
-    monkeypatch.setattr(factory, "_CHECKPOINT_CAPACITY", 2)
+@pytest.mark.parametrize("capacity", [1, 2, factory._CHECKPOINT_CAPACITY])
+def test_the_top_is_never_evicted(monkeypatch, capacity):
+    # a kept checkpoint scores above the one it grew from, which is still
+    # in the store, so eviction (lowest score, then oldest) never takes the
+    # top: after each _keep the kept top is in the store and its maximum
+    monkeypatch.setattr(factory, "_CHECKPOINT_CAPACITY", capacity)
+    monkeypatch.setattr(_kernels, "_ckernel", False)  # _rounds calls _keep
+    keep, calls = factory._keep, []
 
-    def rank(cp):
-        return cp.score, cp.depth, cp.age
-
-    def checkpoint(score, depth, age):
-        return factory.Checkpoint((1,), (0,), depth, score, age, {}, False)
-
-    store = [checkpoint(5, 3, 0)]
-    top = store[0]
-    evicted_tops = 0
-    for new_cp in (checkpoint(5, 1, 1), checkpoint(5, 2, 2), checkpoint(5, 0, 3),
-                   checkpoint(5, 1, 4), checkpoint(6, 0, 5), checkpoint(4, 9, 6)):
-        before = top
-        top = factory._keep(store, top, new_cp)
-        assert len(store) <= 2
-        assert top is max(store, key=rank)
-        evicted_tops += before not in store and rank(before) > rank(new_cp)
-    assert evicted_tops == 2
-
-
-def test_a_run_that_evicts_its_top_agrees_on_both_kernels(monkeypatch):
-    # with the shipped patterns a kept checkpoint scores above the one it
-    # grew from, so the top is never the one evicted; a shape left empty
-    # (the group " " gives two) keeps a copy of its parent at its score and
-    # depth, and with two checkpoints kept and an escape after every stuck
-    # round, this run evicts its top once and rescans the store on both kernels
-    monkeypatch.setattr(factory, "_PATTERNS", {**factory._PATTERNS,
-                                               "triplets": ("CrC", "CCr", "rCC", "CCC", " ")})
-    monkeypatch.setattr(factory, "_CHECKPOINT_CAPACITY", 2)
-    monkeypatch.setattr(factory, "_ESCAPE_THRESHOLD", 1)
-    keep, evicted_tops = factory._keep, []
-
-    def counted(store, top, new_cp):
+    def checked(store, top, new_cp):
         kept_top = max(top, new_cp, key=factory._rank)
+        full = len(store) == capacity
         top = keep(store, top, new_cp)
-        evicted_tops.append(kept_top not in store)
+        assert top is kept_top is max(store, key=factory._rank)
+        calls.append(full)
         return top
 
-    monkeypatch.setattr(factory, "_keep", counted)
-    config = FactoryConfig(settings=Settings(20, 2), seed_state=state(*BLOCKS[0]), budget=300,
-                           rng_seed=4)
-    (on_c,), (on_python,) = _on_both_kernels(monkeypatch, [config])
-    assert on_python == on_c
-    assert sum(evicted_tops) == 1  # counted in the Python run; C keeps no count
-    assert (on_c.rounds_used, on_c.tests_run, on_c.best.depth) == (300, 1169, 4)
+    monkeypatch.setattr(factory, "_keep", checked)
+    for setting, rng_seed, budget, seed, counts in (AGREE_CASES[0], AGREE_CASES[3]):
+        config = FactoryConfig(settings=Settings(*setting), seed_state=state(*seed),
+                               budget=budget, rng_seed=rng_seed)
+        result = run_factory(config)
+        assert ((result.rounds_used, result.tests_run) == counts) == (capacity > 2)
+    # the small stores evict at most keeps, the default one never
+    evictions = sum(calls)
+    assert len(calls) >= 30
+    assert evictions > len(calls) // 2 if capacity < 3 else evictions == 0
 
 
 def test_factory_completes_20_2_with_higher_rank_insertions():
@@ -604,38 +581,67 @@ def test_altered_pattern_table_reaches_both_kernels(monkeypatch):
     assert on_python == on_c != defaults
 
 
-# tables the C kernel refuses, so that _rounds runs: a shape of 11 cards; a
-# letter but C, r and s, an empty pattern or an empty group, even in a
-# pattern no row draws; 257 patterns, where 256 still run in C; and 9 + 72
-# + 72 mixed10 templates over (44,9)'s nine ranks, past 81, while over
-# (20,2)'s two ranks the same table runs in C
-PAST_C_TABLES = [
-    ({"burst10": ("C" * 11,)}, (20, 2), False),
-    ({"unused": ("Cx",)}, (20, 2), False),
-    ({"unused": ()}, (20, 2), False),
-    ({"unused": ("C", "")}, (20, 2), False),
-    ({f"unused{i}": ("C",) for i in range(246)}, (20, 2), True),
-    ({f"unused{i}": ("C",) for i in range(247)}, (20, 2), False),
-    ({"mixed10": ("CCCCrCCCCC", "CCrCCsCC", "CsCr")}, (44, 9), False),
-    ({"mixed10": ("CCCCrCCCCC", "CCrCCsCC", "CsCr")}, (20, 2), True),
-]
+def test_shipped_tables_fit_the_c_kernel():
+    # bmn_factory takes the pattern table, the strategy rows and the
+    # constants as given: its pattern[256], templates() writing at most 81
+    # frag_t of 10 cards, the NUL-separated table that an empty pattern or
+    # group would end early, and the knobs it divides by or allocates with
+    patterns = factory._PATTERNS
+    assert len(patterns) <= 256
+    for name, groups in patterns.items():
+        assert groups and all(groups), name
+        for group in groups:
+            assert set(group) <= set("Crs "), name
+            assert all(1 <= len(shape) <= 10 for shape in group.split(" ")), name
+        assert len(factory._pattern_fragments(name, range(1, 10))) <= 81, name
+    for order, drawn in STRATEGIES:
+        assert order in factory._ORDERS
+        assert drawn and set(drawn) <= set(patterns)
+    assert factory._MAX_FRAGMENTS >= 0 and factory._MAX_POSITIONS >= 0
+    assert factory._RESTART_INTERVAL >= 1
+    assert 1 <= factory._CHECKPOINT_CAPACITY < 2 ** 31
 
 
-@pytest.mark.parametrize("patterns, setting, in_c", PAST_C_TABLES,
-                         ids=["11-cards", "letter", "empty-pattern", "empty-group",
-                              "256-patterns", "257-patterns", "templates-44,9",
-                              "templates-20,2"])
-def test_pattern_table_past_the_c_limits_plays_in_python(monkeypatch, patterns, setting,
-                                                         in_c):
-    require_c_kernel()
-    monkeypatch.setattr(factory, "_PATTERNS", {**factory._PATTERNS, **patterns})
-    config = FactoryConfig(settings=Settings(*setting), seed_state=default_seed_state(),
-                           budget=100, rng_seed=1)
-    in_python = _python_rounds(monkeypatch)
-    result = run_factory(config)
-    assert len(in_python) == (not in_c)
-    monkeypatch.setattr(_kernels, "_ckernel", False)
-    assert run_factory(config) == result
+def _fitting_table(rng, max_rank):
+    """A random pattern table that fits the C kernel over `max_rank` ranks,
+    and strategy rows that draw from it."""
+    patterns, count = {}, rng.randint(1, 8)
+    while len(patterns) < count:
+        groups = tuple(" ".join("".join(rng.choice(letters) for _ in range(rng.randint(1, 10)))
+                                for _ in range(rng.randint(1, 4)))
+                       for letters in (rng.choice(["C", "Cr", "Crs", "rs", "r"])
+                                       for _ in range(rng.randint(1, 4))))
+        # each shape once, for each rank, or for each pair of distinct ranks
+        templates = sum((group.count(" ") + 1) * (max_rank * (max_rank - 1) if "s" in group
+                                                  else max_rank if "r" in group else 1)
+                        for group in groups)
+        if templates < 81 and rng.random() < 0.5:  # ordinary shapes up to the limit
+            groups += (" ".join("C" * rng.randint(1, 10) for _ in range(81 - templates)),)
+        if templates <= 81:
+            patterns[f"p{len(patterns)}"] = groups
+    names = list(patterns)
+    rows = tuple((rng.choice(factory._ORDERS), tuple(rng.sample(names, rng.randint(1, count))))
+                 for _ in range(rng.randint(1, 8)))
+    return patterns, rows
+
+
+@pytest.mark.parametrize("setting", [(20, 2), (28, 3)], ids="{0[0]},{0[1]}".format)
+def test_fitting_tables_agree_on_both_kernels(monkeypatch, setting):
+    # tables the C kernel does not screen: any that fit its limits over the
+    # setting's ranks play alike in C and in _rounds
+    rng = random.Random(f"tables {setting}")
+    settings, depths = Settings(*setting), []
+    for _ in range(10):
+        patterns, rows = _fitting_table(rng, settings.max_rank)
+        monkeypatch.setattr(factory, "_PATTERNS", patterns)
+        monkeypatch.setattr(factory, "STRATEGIES", rows)
+        config = FactoryConfig(settings=settings, seed_state=default_seed_state(), budget=50,
+                               rng_seed=rng.getrandbits(64))
+        with monkeypatch.context() as patched:
+            (on_c,), (on_python,) = _on_both_kernels(patched, [config])
+        assert on_python == on_c, (patterns, rows)
+        depths.append(on_c.best.depth)
+    assert sum(map(bool, depths)) >= 5
 
 
 def test_factory_config_validation():

@@ -314,6 +314,36 @@ def test_c_batch_grows_its_histogram(monkeypatch):
     assert max(fold[0]) > 64
 
 
+@pytest.mark.parametrize("n_matches", [2 ** 62 + 1, 2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1,
+                                       2 ** 64 + 10, 2 ** 70],
+                         ids=["2**62+1", "2**63-1", "2**63", "2**64-1", "2**64+10", "2**70"])
+def test_a_huge_batch_reaches_c_in_counts_it_takes(monkeypatch, n_matches):
+    # bmn_simulate's count is an int64, which ctypes fills from a Python int
+    # mod 2**64: a batch of 2**64 + 10 matches once reached C as 10 of them
+    # and doubled its histogram for ever, and one of 2**63 as a negative
+    # count, which fell back to Python
+    counts = []
+
+    class Kernel:
+        @staticmethod
+        def bmn_simulate(cards, n, seed, start, count, max_tricks, hist, n_hist, tally):
+            counts.append((start, count, n_hist))
+            return count  # every match folded, none outlasting the histogram
+
+    monkeypatch.setattr(_kernels, "_ckernel", Kernel)
+    fallbacks = _recording(monkeypatch, "_py_simulate_batch")
+    deck = full_deck(Settings(12, 1))
+    assert _kernels.simulate_batch(n_matches, deck, 3, 100, 5) == ({}, 0, 0, 0, 0)
+    assert fallbacks == []
+    assert all(1 <= count < 2 ** 63 for _, count, _ in counts)
+    assert sum(count for _, count, _ in counts) == n_matches
+    assert {n_hist for *_, n_hist in counts} == {_kernels._FIRST_HISTOGRAM}
+    done = 5
+    for start, count, _ in counts:
+        assert start == done & (2 ** 64 - 1)
+        done += count
+
+
 def _predecessor_targets(case, rng):
     """(winner's deck, loser's deck) targets for the C predecessor check:
     mostly images of one reference trick, which have a predecessor."""
@@ -557,21 +587,24 @@ def test_kernel_is_compiled_once_into_a_private_cache(cache):
     assert len(compiles) == 1
 
 
-def test_a_build_removes_the_libraries_of_other_sources(cache):
+def test_a_build_keeps_every_other_file_in_the_cache(cache):
+    # the libraries of other sources, flags or platforms stay: runs of two
+    # source versions sharing a cache each load their own, compiled once
     folder, compiles = cache
     folder.mkdir(mode=0o700)
     tag = _kernels._platform_tag()
-    stale = folder / f"_ckernel-{'0' * 64}-{tag}.so"
-    kept = [folder / f"_ckernel-{'0' * 64}-{tag}-other.so",  # another platform's
-            folder / f"_ckernel-{'0' * 64}-other-{tag}.so",
-            folder / "notes.txt"]
-    for path in [stale, *kept]:
+    others = [folder / f"_ckernel-{'0' * 64}-{tag}.so",
+              folder / f"_ckernel-{'0' * 64}-{tag}-other.so",
+              folder / f"_ckernel-{'0' * 64}-other-{tag}.so",
+              folder / "notes.txt"]
+    for path in others:
         path.write_bytes(b"fake")
     require_c_kernel()
     assert _kernels._load_c() is not None
     assert len(compiles) == 1
     built = os.path.basename(_kernels._library_path())
-    assert sorted(os.listdir(folder)) == sorted([built, *(path.name for path in kept)])
+    assert sorted(os.listdir(folder)) == sorted([built, *(path.name for path in others)])
+    assert all(path.read_bytes() == b"fake" for path in others)
 
 
 def test_kernel_is_not_built_or_loaded_from_a_shared_directory(cache):
@@ -613,7 +646,7 @@ def test_a_cached_library_that_does_not_load_is_built_again(monkeypatch, tmp_pat
 def test_library_name_covers_the_source_and_the_flags(cache, monkeypatch):
     # a working library cached under the name of the source alone, as the
     # cache once named it, is not loaded but built again under the name of
-    # the source and the flags, and removed; so is one of other flags
+    # the source and the flags; so is one of other flags
     require_c_kernel()
     folder, compiles = cache
     assert _kernels._load_c() is not None
@@ -624,12 +657,10 @@ def test_library_name_covers_the_source_and_the_flags(cache, monkeypatch):
     os.replace(built, source_only)
     assert _kernels._load_c() is not None
     assert len(compiles) == 2
-    assert [str(folder / name) for name in os.listdir(folder)] == [built]
     monkeypatch.setattr(_kernels, "_CFLAGS", (*_kernels._CFLAGS, "-O1"))
     assert _kernels._library_path() != built
     assert _kernels._load_c() is not None
     assert compiles[-1][-1] == "-O1" and len(compiles) == 3
-    assert [str(folder / name) for name in os.listdir(folder)] == [_kernels._library_path()]
 
 
 def test_failed_compile_leaves_no_file(cache, monkeypatch, tmp_path):
