@@ -29,6 +29,11 @@
  * alone write and read its header. One hash set of packed states (set_t,
  * with find, put and empty) holds both the states the search finds and
  * the factory's memo.
+ * No bmn_* function checks its arguments: _kernels hands them only decks of
+ * at most MAX_CARDS cards in all, and counts (budgets, trick caps, depths,
+ * node limits, batches) within (-2**60, 2**60), so that trick counts stay
+ * within int64. Out of memory, -2 from bmn_search and bmn_factory, is
+ * the one failure.
  * Results are bit for bit the Python ones. _kernels compiles this file with
  * _kernels._CFLAGS and calls it through ctypes; it uses no Python API. */
 #include <stdint.h>
@@ -214,12 +219,11 @@ static int play(const uint8_t *a, uint32_t na, const uint8_t *b, uint32_t nb,
 }
 
 /* play_match_loops(a, b, leader, max_tricks): returns the status and
- * writes (a, b) of the result to out; -1 if na + nb > MAX_CARDS. */
+ * writes (a, b) of the result to out. play stays static: the batch and the
+ * factory call it directly, not through the library's exported symbol. */
 int bmn_play_loops(const uint8_t *a, uint32_t na, const uint8_t *b, uint32_t nb,
                    int leader, int64_t max_tricks, int64_t *out)
 {
-    if ((uint64_t)na + nb > MAX_CARDS)
-        return -1;
     return play(a, na, b, nb, leader, max_tricks, out);
 }
 
@@ -263,8 +267,7 @@ static uint16_t *row(const game_t *g, uint16_t *out)
  * positions, then four doubles) for the state and one after each trick,
  * written one after another to out, which has room for n + 1 of them. The
  * state left is packed back into `state`, for the next call to resume from.
- * The state holds at most MAX_CARDS cards, as _kernels.trace checks. Returns
- * the tricks played. */
+ * Returns the tricks played. */
 int64_t bmn_trace(uint8_t *state, int64_t n, uint16_t *out)
 {
     game_t g;
@@ -324,16 +327,13 @@ static void shuffle(uint32_t *items, uint32_t n, uint64_t *state)
 /* simulate_batch(count, deck, seed, max_tricks, start): each match added to
  * hist (terminated, by trick count) or tally (A won, B won, looped, over
  * budget). Stops before a match that ends after n_hist tricks or more;
- * returns the matches added, or -1 if n > MAX_CARDS. Seed and start arrive
- * reduced mod 2**64. */
+ * returns the matches added. Seed and start arrive reduced mod 2**64. */
 int64_t bmn_simulate(const uint8_t *deck, uint32_t n, uint64_t seed, uint64_t start,
                      int64_t count, int64_t max_tricks, int64_t *hist, int64_t n_hist,
                      int64_t *tally)
 {
     uint8_t cards[MAX_CARDS];
     int64_t out[2];
-    if (n > MAX_CARDS)
-        return -1;
     for (int64_t k = 0; k < count; k++) {
         uint64_t state = fmix64(seed ^ fmix64(start + (uint64_t)k + 1));
         memcpy(cards, deck, n);
@@ -565,17 +565,13 @@ static int step(search_t *s, const uint8_t *t, int64_t depth)
  * max_depth levels or as soon as max_nodes states are found (the seeds are
  * all kept). Writes the states found, all of the seeds' one width (a trick
  * keeps every card), and their depths to *found, to be freed with bmn_free,
- * and returns 0; returns -1 for a seed past MAX_CARDS or of another width
- * than the first and -2 without memory, with nothing to free. */
+ * and returns 0; returns -2 without memory, with nothing to free. */
 int bmn_search(const uint8_t *seeds, int64_t n, int64_t max_depth, int64_t max_nodes,
                found_t *found)
 {
     uint8_t t[SPARE];
     int64_t width = n ? width_of(seeds) : HEADER;
     search_t s = {.max_nodes = max_nodes};
-    for (int64_t i = 0; i < n; i++)
-        if (width > SPARE || width_of(seeds + i * width) != width)
-            return -1;
     if (!start(&s.set, INT64_MAX))
         goto fail;
     for (int64_t i = 0; i < n; i++) {
@@ -888,12 +884,12 @@ OUTLINE static int64_t keep(store_t *s, int64_t top, int64_t k, int64_t capacity
  * best_cards, A's then B's, with room for the seed and the composition, and
  * (rounds, tests, A's length, B's length, depth, age, tests played: those
  * the memo did not hold) to out. Returns 1 if it is complete, 0 if the
- * budget ran out, -1 with nothing done if its checkpoints could hold more
- * than MAX_CARDS cards, and -2 without memory. A checkpoint gains no type
- * but those the seed lacks, and those only up to the composition, so the
- * seed and its deficits bound its cards. The table (at most 256 patterns,
- * each fitting templates()) and the knobs are the package's own, taken as
- * given: a tier-1 test checks them. Settings keeps n_types to 2..MAX_TYPES. */
+ * budget ran out and -2 without memory. A checkpoint gains no type but
+ * those the seed lacks, and those only up to the composition, so the seed
+ * and its deficits bound its cards, at most MAX_CARDS as _kernels.factory
+ * checks. The table (at most 256 patterns, each fitting templates()) and
+ * the knobs are the package's own, taken as given: a tier-1 test checks
+ * them. Settings keeps n_types to 2..MAX_TYPES. */
 int bmn_factory(const uint8_t *seed, uint32_t na, uint32_t nb, const int64_t *target,
                 int64_t n_types, const char *table, const uint8_t *rows, int64_t n_rows,
                 const int64_t *knob, double restart_probability, uint64_t state,
@@ -915,8 +911,6 @@ int bmn_factory(const uint8_t *seed, uint32_t na, uint32_t nb, const int64_t *ta
     make(&f, &best, seed, na, nb, 0, age_counter);
     for (int t = 0; t < n_types; t++)
         bound += best.deficit[t] > 0 ? best.deficit[t] : 0;
-    if (bound > MAX_CARDS)
-        return -1;
     s.slot = malloc((size_t)(capacity + 1) * sizeof *s.slot);
     s.list = malloc((size_t)(capacity + 1) * sizeof *s.list);
     s.spare = malloc((size_t)(capacity + 1) * sizeof *s.spare);

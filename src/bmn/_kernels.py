@@ -39,22 +39,29 @@ boundary's whole record, as `analyzer.trace_records` yields it: deck
 sizes, special positions, separations and entropies.
 
 `play_match_loops`, `simulate_batch` and `search` run on a C kernel when
-one is available, and `factory` and `trace` run only there: `_ckernel.c`,
-the same Brent detector, pile parse and factory round loop line for line,
-the trick loop above, and the shuffle without branches (a rejected draw
-swaps a slot with itself, so it takes `SplitMix64.below`'s draws),
-bit-identical to the reference shuffle and the Python code here, in
-`factory` and in `engine.walk`, which stays as the reference and the
-fallback.
+one is available and holds their decks, and `factory` and `trace` run
+only there: `_ckernel.c`, the same Brent detector, pile parse and factory
+round loop line for line, the trick loop above, and the shuffle without
+branches (a rejected draw swaps a slot with itself, so it takes
+`SplitMix64.below`'s draws), bit-identical to the reference shuffle and
+the Python code here, in `factory` and in `engine.walk`, which stays as
+the reference and the fallback.
 On first use the source is compiled with the system C compiler (`cc -o
 LIBRARY _ckernel.c` and `_CFLAGS`) into `$XDG_CACHE_HOME/bmn` (default
 `~/.cache/bmn`), the file named by the sha256 of the source and the flags
 and by the platform (system, machine, C library): `_library_path()`. It
 is loaded with ctypes; later processes load the cached library without
 compiling, and build it again only if it does not load.
+The C kernel takes what the entry points here hand it and checks
+nothing: `_c_decks` alone decides whether it holds the decks (at most
+1024 cards, each in 0..255), and `_cut` cuts every count it is handed (a
+budget, trick cap, depth, node limit, round budget or batch) into
+(-2**60, 2**60), which could change a result only past 2**60 tricks,
+rounds or states; an over-budget match still gives the caller's own
+budget.
 Without a compiler, when the build fails or the cache directory is not
-private to the user, and for decks or budgets past the C kernel's limits,
-the Python code plays. `backend()` names the kernel in use.
+private to the user, and for decks the C kernel cannot hold, the Python
+code plays. `backend()` names the kernel in use.
 
 No kernel imports numpy: `search` gives its states as one bytes object
 of fixed-width rows and their depths as an `array("q")`.
@@ -79,12 +86,6 @@ from ._rng import MASK64, SplitMix64
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_ckernel.c")
 
-#: Budgets the C kernel takes: its trick counts, up to about three times
-#: the budget (see `_py_match_loops`), stay within int64. Its search takes
-#: depth and node limits cut to this.
-_C_MAX_TRICKS = 2 ** 60
-#: Cards the C kernel holds: its MAX_CARDS.
-_C_MAX_CARDS = 1024
 
 
 #: What `cc -o LIBRARY _ckernel.c` is given after the source, the library
@@ -223,6 +224,35 @@ def backend() -> str:
     return "c" if _c() else "python"
 
 
+#: Cards the C kernel holds: its MAX_CARDS.
+_C_MAX_CARDS = 1024
+#: Every count handed to the C kernel lies strictly within this of 0: its
+#: trick counts, up to about three times a budget (see `_py_match_loops`),
+#: stay within int64.
+_C_MAX_TRICKS = 2 ** 60
+
+
+def _c_decks(size, *decks):
+    """(the C kernel, each of `decks` as bytes) if the kernel is loaded and
+    holds them: `size` cards in play at most, no more than its 1024, each
+    in 0..255; otherwise None in place of each. The one check of the decks
+    the C kernel is handed."""
+    lib = _c()
+    try:
+        if lib and size <= _C_MAX_CARDS:
+            return lib, *map(bytes, decks)
+    except ValueError:  # a card outside 0..255
+        pass
+    return (None,) * (1 + len(decks))
+
+
+def _cut(count):
+    """`count` cut into (-2**60, 2**60), the counts the C kernel takes: a
+    budget, trick cap, depth, node limit or batch past them could change a
+    result only past 2**60 tricks, rounds or states."""
+    return max(1 - _C_MAX_TRICKS, min(count, _C_MAX_TRICKS - 1))
+
+
 def _py_run(decks, cur, n, watch=None):
     """Play up to `n` tricks in place; the package's one trick loop.
 
@@ -318,22 +348,15 @@ def play_match_loops(deck_a, deck_b, leader, max_tricks):
     `max_tricks`; (1, transient, period) if the trick-boundary states
     cycle with transient + period <= `max_tricks`; otherwise
     (2, -1, max_tricks). This is the package's only match function. It
-    runs on the C kernel if that loaded and takes the decks (cards in
-    0..255, at most 1024 of them) and the budget; otherwise on
-    `_py_match_loops`, with the same result.
+    runs on the C kernel, the budget `_cut`, if that loaded and holds the
+    decks (`_c_decks`); otherwise on `_py_match_loops`, with the same result.
     """
-    lib = _c()
-    if lib and -_C_MAX_TRICKS < max_tricks < _C_MAX_TRICKS:
-        try:
-            a, b = bytes(deck_a), bytes(deck_b)
-        except ValueError:  # a card outside 0..255
-            pass
-        else:
-            result = _Result()
-            status = lib.bmn_play_loops(a, len(a), b, len(b), leader, max_tricks, result)
-            if status >= 0:  # -1: more cards than the C kernel holds
-                return status, result[0], result[1]
-    return _py_match_loops(deck_a, deck_b, leader, max_tricks)
+    lib, a, b = _c_decks(len(deck_a) + len(deck_b), deck_a, deck_b)
+    if not lib:
+        return _py_match_loops(deck_a, deck_b, leader, max_tricks)
+    result = _Result()
+    status = lib.bmn_play_loops(a, len(a), b, len(b), leader, _cut(max_tricks), result)
+    return (status, result[0], result[1]) if status < 2 else (2, -1, max_tricks)
 
 
 def _py_match_loops(deck_a, deck_b, leader, max_tricks):
@@ -387,7 +410,7 @@ _TRACE_BYTES = 1 << 15
 
 def trace(deck_a, deck_b, leader, tricks, record):
     """`engine.walk` from a state on the C kernel, each state measured, or
-    None without it, for more than 1024 cards or a card outside 0..255.
+    None unless that loaded and holds the decks (`_c_decks`).
 
     Yields a `record`, a tuple type with `analyzer.TrickRecord`'s fields,
     for the state (trick 0) and after each of the next `tricks` tricks:
@@ -397,13 +420,10 @@ def trace(deck_a, deck_b, leader, tricks, record):
     bit `analyzer._spacing`'s. The walk stops at the end of the match. It
     plays a chunk of tricks per C call and holds no more.
     """
-    lib = _c()
-    if not lib or len(deck_a) + len(deck_b) > _C_MAX_CARDS:
+    lib, a, b = _c_decks(len(deck_a) + len(deck_b), deck_a, deck_b)
+    if not lib:
         return None
-    try:
-        packed = pack(deck_a, deck_b, leader)
-    except ValueError:  # a card outside 0..255
-        return None
+    packed = pack(a, b, leader)
     specials = len(packed) - HEADER.size - packed.count(0, HEADER.size)
     return _c_trace(lib, ctypes.create_string_buffer(packed, len(packed)), specials, tricks,
                     record)
@@ -445,29 +465,29 @@ def factory(deck_a, deck_b, targets, table, rows, n_rows, knobs, restart_probabi
     the bytes `rows`, which name patterns by their index (both as
     `factory._c_tables` encodes them), the tuning constants `knobs` (the
     last the memo's bound: the bytes of its arena and table together) and
-    `restart_probability`, the rng's state, the round budget (cut to
-    `_C_MAX_TRICKS`) and the trick cap go as `factory._c_rounds` gives
-    them; the kernel takes the package's tables and constants as given,
-    and a tier-1 test checks that they fit it. Returns (complete, best
-    deck_a, best deck_b, best depth, best age, rounds, tests, played),
-    `played` the tests that the memo of failed tests did not hold; None
-    also for a cap from `_C_MAX_TRICKS` on or a run whose checkpoints could
-    hold more than 1024 cards.
+    `restart_probability`, the rng's state, the round budget and the trick
+    cap (both `_cut`) go as `factory._c_rounds` gives them; the kernel
+    takes the package's tables and constants as given, and a tier-1 test
+    checks that they fit it. Returns (complete, best deck_a, best deck_b,
+    best depth, best age, rounds, tests, played), `played` the tests that
+    the memo of failed tests did not hold; None also if the kernel cannot
+    hold the run's checkpoints (`_c_decks`): a checkpoint gains no type but
+    those the seed lacks, and those only up to the composition, so the seed
+    and its positive deficits bound its cards.
     """
-    lib = _c()
-    if not lib or max_tricks >= _C_MAX_TRICKS:
+    seed = (*deck_a, *deck_b)
+    lacking = sum(max(0, n - seed.count(t)) for t, n in enumerate(targets))
+    lib, seed = _c_decks(len(seed) + lacking, seed)
+    if not lib:
         return None
-    seed = bytes(deck_a) + bytes(deck_b)
     # room for any checkpoint: it holds no more than the seed and the composition
     best, out = ctypes.create_string_buffer(len(seed) + sum(targets)), (ctypes.c_int64 * 7)()
     status = lib.bmn_factory(seed, len(deck_a), len(deck_b),
                              (ctypes.c_int64 * len(targets))(*targets), len(targets), table,
                              rows, n_rows, (ctypes.c_int64 * len(knobs))(*knobs),
-                             restart_probability, rng_state, min(budget, _C_MAX_TRICKS),
-                             max_tricks, best, out)
-    if status == -1:
-        return None
-    if status == -2:
+                             restart_probability, rng_state, _cut(budget), _cut(max_tricks),
+                             best, out)
+    if status < 0:
         raise MemoryError("no memory for the loop factory")
     rounds, tests, n_a, n_b, depth, age, played = out
     return (status == 1, tuple(best.raw[:n_a]), tuple(best.raw[n_a:n_a + n_b]), depth, age,
@@ -511,19 +531,18 @@ def search(seeds, max_depth, max_nodes):
     states are rows of the seeds' width, back to back in one bytes object,
     state i the bytes states[i * width:(i + 1) * width], found at
     depths[i], an `array("q")`. Seeds of two widths are a ValueError. Runs
-    on the C kernel if that loaded, and on `_py_search` without it or for
-    seeds past its 1024 cards, with the same result.
+    on the C kernel, both limits `_cut`, if that loaded and holds the seeds
+    (`_c_decks`), and on `_py_search` otherwise, with the same result.
     """
     width, *others = set(map(len, seeds)) or {HEADER.size}
     if others:
         raise ValueError("the seeds of one search must hold the same number of cards")
-    lib, found = _c(), _Found()
-    status = lib.bmn_search(b"".join(seeds), len(seeds), min(max_depth, _C_MAX_TRICKS),
-                            min(max_nodes, _C_MAX_TRICKS),
-                            ctypes.addressof(found)) if lib else -1
-    if status == -1:  # no C kernel, or seeds with more cards than it holds
+    lib, joined = _c_decks(width - HEADER.size, b"".join(seeds))
+    if not lib:
         return _py_search(seeds, max_depth, max_nodes)
-    if status:
+    found = _Found()
+    if lib.bmn_search(joined, len(seeds), _cut(max_depth), _cut(max_nodes),
+                      ctypes.addressof(found)):
         raise MemoryError("no memory for the backward search")
     try:
         depths = array("q")
@@ -621,28 +640,23 @@ def simulate_batch(n_matches, deck, seed, max_tricks, start=0):
     `play_match_loops` with A leading. Returns `stats.summarize_counts`'
     arguments: the terminated matches' count by trick count (a dict), wins
     of A, wins of B, loops and matches over the budget. Runs on the C
-    kernel if that loaded and takes the deck and the budget, otherwise on
-    `_py_simulate_batch`, with the same result.
+    kernel, the budget and each call's matches `_cut`, if that loaded and
+    holds the deck (`_c_decks`); otherwise on `_py_simulate_batch`, with
+    the same result.
     """
-    lib = _c()
-    if lib and -_C_MAX_TRICKS < max_tricks < _C_MAX_TRICKS:
-        cards = bytes(deck)
-        hist, tally, done = (ctypes.c_int64 * _FIRST_HISTOGRAM)(), (ctypes.c_int64 * 4)(), 0
-        while True:
-            # bmn_simulate's count is an int64, which ctypes would fill from
-            # a larger int wrapped
-            count = min(n_matches - done, 2 ** 62)
-            folded = lib.bmn_simulate(cards, len(cards), seed & MASK64, (start + done) & MASK64,
-                                      count, max_tricks, hist, len(hist), tally)
-            if folded < 0:  # more cards than the C kernel holds
-                break
-            done += folded
-            if done == n_matches:
-                return {n: c for n, c in enumerate(hist) if c}, *tally
-            if folded < count:  # match start + done outlasts the histogram
-                hist, short = (ctypes.c_int64 * (2 * len(hist)))(), hist
-                ctypes.memmove(hist, short, ctypes.sizeof(short))
-    return _py_simulate_batch(n_matches, deck, seed, max_tricks, start)
+    lib, cards = _c_decks(len(deck), deck)
+    if not lib:
+        return _py_simulate_batch(n_matches, deck, seed, max_tricks, start)
+    hist, tally, done = (ctypes.c_int64 * _FIRST_HISTOGRAM)(), (ctypes.c_int64 * 4)(), 0
+    while done < n_matches:
+        count = _cut(n_matches - done)
+        folded = lib.bmn_simulate(cards, len(cards), seed & MASK64, (start + done) & MASK64,
+                                  count, _cut(max_tricks), hist, len(hist), tally)
+        done += folded
+        if folded < count:  # match start + done outlasts the histogram
+            hist, short = (ctypes.c_int64 * (2 * len(hist)))(), hist
+            ctypes.memmove(hist, short, ctypes.sizeof(short))
+    return {n: m for n, m in enumerate(hist) if m}, *tally
 
 
 def _py_simulate_batch(n_matches, deck, seed, max_tricks, start=0):

@@ -281,8 +281,11 @@ def _findings_line(settings, state, report) -> str:
 
 def _read_seed_decks(path, settings) -> list:
     """Seed states from a seed-decks file; errors name the file and line."""
-    with open(path) as fh:
-        lines = fh.readlines()
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:  # a ValueError that names no file
+        raise ValueError(f"{path}: {exc}") from exc
     seeds = []
     for number, line in enumerate(lines, start=1):
         fields = line.split()

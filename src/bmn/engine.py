@@ -158,7 +158,7 @@ def parse_deck(text: str, settings: Settings | None = None) -> Deck:
             continue
         if ch == "C":
             cards.append(0)
-        elif ch.isdigit() and ch != "0":
+        elif "1" <= ch <= "9":
             rank = int(ch)
             if settings is not None and rank > settings.max_rank:
                 raise DeckParseError(

@@ -354,7 +354,8 @@ def run_factory(config: FactoryConfig) -> FactoryResult:
     (with its verified LoopReport) or when the round budget runs out, in
     which case the highest-scoring checkpoint found is reported. Fully
     deterministic given the config. The rounds run on the C kernel where
-    it takes them, otherwise in `_rounds`, with the same result.
+    it holds the run's checkpoints, otherwise in `_rounds`, with the same
+    result.
     """
     cap = config.nontermination_trick_cap
     seed = _checkpoint(config.settings, config.seed_state.deck_a, config.seed_state.deck_b,
@@ -389,7 +390,8 @@ def _c_tables(strategies: tuple, patterns: tuple):
 
 
 def _c_rounds(config: FactoryConfig, seed: Checkpoint, rng: SplitMix64):
-    """`_rounds` on the C kernel, or None where `_kernels.factory` does not run."""
+    """`_rounds` on the C kernel, or None where `_kernels.factory` does not
+    run: without a loaded C kernel, or for checkpoints it cannot hold."""
     settings = config.settings
     table, rows = _c_tables(STRATEGIES, tuple(_PATTERNS.items()))
     found = _kernels.factory(
@@ -406,7 +408,8 @@ def _c_rounds(config: FactoryConfig, seed: Checkpoint, rng: SplitMix64):
 
 def _rounds(config: FactoryConfig, seed: Checkpoint, rng: SplitMix64):
     """(complete, best, rounds, tests): run_factory's round loop from the
-    checkpoint `seed`, in Python: the reference `_kernels.factory` follows."""
+    checkpoint `seed`, in Python: the reference `_kernels.factory` follows,
+    run only without a loaded C kernel or for checkpoints it cannot hold."""
     settings = config.settings
     cap = config.nontermination_trick_cap
     tests = 0

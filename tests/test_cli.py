@@ -9,7 +9,7 @@ import threading
 
 import pytest
 
-from bmn import _kernels, backward, cli
+from bmn import _kernels, backward, cli, factory
 from bmn.engine import format_deck
 from conftest import BALANCED_12_1, GOLDEN_MATCHES, INF_52_4, state
 
@@ -640,7 +640,8 @@ def test_factory_missing_seed_decks_file_exits_1(tmp_path):
     assert "absent.txt" in out.stderr
 
 
-@pytest.mark.parametrize("bad_line", ["[1CC]", "[1CC] [C1C] [C]", "[1CC] [C1X]", "[] [1C]"])
+@pytest.mark.parametrize("bad_line", ["[1CC]", "[1CC] [C1C] [C]", "[1CC] [C1X]", "[] [1C]",
+                                      "[1CC] [C\u00b2C]"])
 def test_factory_malformed_seed_line_names_file_and_line(tmp_path, bad_line):
     seeds = tmp_path / "seeds.txt"
     seeds.write_text(f"# seeds\n[1CC] [C1C]\n\n{bad_line}\n")
@@ -651,19 +652,34 @@ def test_factory_malformed_seed_line_names_file_and_line(tmp_path, bad_line):
     assert "unpack" not in out.stderr and "Traceback" not in out.stderr
 
 
-# past the C kernel's limits: 2000 cards and a trick cap from _C_MAX_TRICKS
-# on play in Python; a budget past int64 is cut to _C_MAX_TRICKS rounds
-@pytest.mark.parametrize("args, line", [
+def test_factory_seed_decks_file_not_in_utf8_names_file(tmp_path):
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_bytes(b"[1CC] [C1C]\n\xff\n")
+    out = run_cli("factory", "--setting", "12,1", "--budget", "10",
+                  "--seed-decks", str(seeds), env={**os.environ, "PYTHONUTF8": "1"})
+    assert (out.returncode, out.stdout) == (1, "")
+    assert out.stderr.startswith(f"error: {seeds}: 'utf-8' codec can't decode byte 0xff")
+    assert "Traceback" not in out.stderr
+
+
+# past the C kernel's limits: 2000 cards play in Python; a trick cap or a
+# budget past int64 plays on the C kernel, cut below 2**60, with the Python
+# kernel's line
+@pytest.mark.parametrize("args, line, in_c", [
     (("--setting", "2000,1", "--budget", "3"),
-     "partial score=10/2000 depth=2 deck_a=[C1CC1CC] deck_b=[C1C] rounds=3"),
+     "partial score=10/2000 depth=2 deck_a=[C1CC1CC] deck_b=[C1C] rounds=3", False),
     (("--setting", "20,2", "--budget", "10", "--trick-cap", "99999999999999999999"),
-     "partial score=13/20 depth=4 deck_a=[CCC1CC1CC] deck_b=[C11C] rounds=10"),
+     "partial score=13/20 depth=4 deck_a=[CCC1CC1CC] deck_b=[C11C] rounds=10", True),
     (("--setting", "12,1", "--budget", "100000000000000000000", "--rng-seed", "1"),
-     "complete setting=12,1 deck_a=[1CC1CC] deck_b=[C1CC1C] transient=1 period=2 rounds=3"),
+     "complete setting=12,1 deck_a=[1CC1CC] deck_b=[C1CC1C] transient=1 period=2 rounds=3",
+     True),
 ], ids=["2000-cards", "trick-cap", "budget"])
-def test_factory_past_the_c_kernel_limits(capsys, kernel, args, line):
+def test_factory_past_the_c_kernel_limits(capsys, monkeypatch, kernel, args, line, in_c):
+    calls, rounds = [], factory._rounds
+    monkeypatch.setattr(factory, "_rounds", lambda *call: calls.append(call) or rounds(*call))
     assert cli.main(["factory", *args]) == 0
     assert capsys.readouterr().out == line + "\n"
+    assert len(calls) == (kernel == "python" or not in_c)
 
 
 def test_factory_rejects_a_trick_cap_below_one():

@@ -68,6 +68,10 @@ def test_parse_deck_rejects_bad_character():
         parse_deck("[C1XC]")
     with pytest.raises(DeckParseError, match="'0'"):
         parse_deck("C0C")
+    # digits other than ASCII 1..9: Arabic-Indic and fullwidth 3, superscript 2
+    for ch in ("\u0663", "\uff13", "\u00b2"):
+        with pytest.raises(DeckParseError, match=repr(ch)):
+            parse_deck(f"[C1{ch}C]")
 
 
 def test_parse_deck_enforces_max_rank():

@@ -2,7 +2,6 @@
 slicing and memory, the C kernel against the pure-Python one, and how the
 C kernel is built and cached."""
 
-import ctypes
 import hashlib
 import itertools
 import os
@@ -468,16 +467,6 @@ def test_c_search_matches_python_on_a_level(monkeypatch):
     assert len(fallbacks) == 1
 
 
-def test_c_search_refuses_seeds_of_two_widths():
-    # _kernels.search refuses them first; the C kernel still reads no seed
-    # past its width, whichever comes first
-    require_c_kernel()
-    lib, found = _kernels._c(), _kernels._Found()
-    seeds = [_kernels.pack((0, 1, 0), (0,), 0), _kernels.pack((1, 0), (0,), 1)]
-    for order in (seeds, seeds[::-1]):
-        assert lib.bmn_search(b"".join(order), 2, 1, 10, ctypes.addressof(found)) == -1
-
-
 # In a fresh interpreter, searches back from a target with nine
 # predecessors on the kernel argv[1] names and prints the kernel and the
 # search's result, if no numpy module was loaded.
@@ -524,23 +513,44 @@ def _recording(monkeypatch, name):
 
 
 def test_inputs_past_the_c_limits_play_in_python(monkeypatch):
+    # budgets and limits past the counts the C kernel takes play on it, cut
+    # below 2**60, with the reference's results, an over-budget match naming
+    # the caller's own budget; a card it cannot hold and more cards than it
+    # holds play in Python
     require_c_kernel()
     calls = _recording(monkeypatch, "_py_match_loops")
-    small = ((1, 0, 0), (0, 1, 0))
-    assert _kernels.play_match_loops(*small, 0, 100) == _kernels._py_match_loops(*small, 0, 100)
-    calls.clear()
-    # a budget whose trick counts could overflow int64, a card the C kernel
-    # cannot hold, and more cards than it holds
+    small, looping = ((1, 0, 0), (0, 1, 0)), ((0, 1, 0, 0, 1, 0), (1, 0, 0, 1, 0, 0))
+    outcomes = set()
+    for decks in (small, looping):
+        for cap in (2 ** 60, -2 ** 60, 2 ** 64, 10 ** 30, -10 ** 30):
+            got = _kernels.play_match_loops(*decks, 1, cap)
+            assert calls == []
+            assert got == _kernels._py_match_loops(*decks, 1, cap), (decks, cap)
+            calls.clear()
+            outcomes.add(got[0])
+    assert outcomes == {0, 1, 2}
     wide = ((0,) * 600 + (1,), (0,) * 600 + (2,))
-    for deck_a, deck_b, cap in [(*small, 2 ** 60), (*small, -2 ** 60),
-                                ((300, 0), (0, 1), 100), (*wide, 50)]:
+    for deck_a, deck_b, cap in [((300, 0), (0, 1), 100), (*wide, 50)]:
         got = _kernels.play_match_loops(deck_a, deck_b, 1, cap)
         assert calls.pop() == (deck_a, deck_b, 1, cap)
         assert got == _kernels._py_match_loops(deck_a, deck_b, 1, cap)
     batches = _recording(monkeypatch, "_py_simulate_batch")
+    deck = full_deck(Settings(12, 1))
+    for cap in (2 ** 64, -2 ** 64):
+        want = _kernels._py_simulate_batch(50, deck, 5, cap)
+        batches.clear()
+        assert _kernels.simulate_batch(50, deck, 5, cap) == want
+        assert batches == []
     deck = [1] * 4 + [0] * 1022
     assert _kernels.simulate_batch(3, deck, 5, 20) == ({}, 0, 0, 0, 3)
     assert len(batches) == 1
+    searches = _recording(monkeypatch, "_py_search")
+    seeds = [_kernels.pack((0,) * 7 + (2, 1, 0), (1, 0), 0)]
+    for limit in (2 ** 64, -2 ** 63 - 1):  # ctypes would wrap the second to 2**63 - 1
+        want = _listed(_kernels._py_search(seeds, limit, 10 ** 30))
+        searches.clear()
+        assert _listed(_kernels.search(seeds, limit, 10 ** 30)) == want
+        assert searches == []
 
 
 def test_failed_build_falls_back_to_python(monkeypatch, tmp_path):
