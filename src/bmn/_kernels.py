@@ -13,7 +13,8 @@ saving one state at a time and finding the exact transient with a second
 lockstep pass; it tells a terminated match, a loop and a match over the
 trick budget apart. A batch deals match i with `SplitMix64.shuffle`, the
 reference deal, on the (seed, i) splitmix64 stream, so its results do not
-depend on how the batch is split, and plays the matches one by one.
+depend on how the batch is split, and plays the matches one by one; on the
+C kernel the calling thread and its helpers share it out in fixed chunks.
 
 `factory` runs the loop factory's whole round loop, `factory._rounds`,
 in one call: its draws, its fragments from the pattern table it is passed
@@ -78,9 +79,10 @@ import hashlib
 import os
 import struct
 import sys
+import threading
 from array import array
 from collections import deque
-from itertools import chain, islice
+from itertools import chain, compress, islice
 
 from ._rng import MASK64, SplitMix64
 
@@ -630,33 +632,99 @@ def _parse_pile(pile):
 
 #: Trick counts a batch's first histogram holds (0 .. 1023); a longer match doubles it.
 _FIRST_HISTOGRAM = 1024
+#: Matches a thread of a batch claims at a time; a batch of more than
+#: `_CHUNK * _MAX_CHUNKS` matches is cut into at most `_MAX_CHUNKS` larger chunks.
+_CHUNK = 512
+_MAX_CHUNKS = 4096
 
 
-def simulate_batch(n_matches, deck, seed, max_tricks, start=0):
+def simulate_batch(n_matches, deck, seed, max_tricks, start=0, threads=1):
     """Deal, play and fold matches start .. start + n_matches - 1.
 
     Match i shuffles a copy of `deck` (the full multiset in canonical order)
     with the (seed, i) stream, gives each player half and is played by
     `play_match_loops` with A leading. Returns `stats.summarize_counts`'
     arguments: the terminated matches' count by trick count (a dict), wins
-    of A, wins of B, loops and matches over the budget. Runs on the C
-    kernel, the budget and each call's matches `_cut`, if that loaded and
-    holds the deck (`_c_decks`); otherwise on `_py_simulate_batch`, with
-    the same result.
+    of A, wins of B, loops and matches over the budget.
+
+    Runs on the C kernel, the budget and each call's matches `_cut`, if that
+    loaded and holds the deck (`_c_decks`). The C kernel releases the
+    interpreter lock, so the calling thread and up to `threads - 1` helper
+    threads play together: each claims chunks of `_CHUNK` matches, in index
+    order, from one shared counter and folds every chunk it claims into a
+    histogram and tally of its own. The folds are integer sums, so the result
+    does not depend on which thread played which chunk. An error or an
+    interrupt on any thread stops every thread at its next claim; once the
+    helpers have ended, the first is raised here. Otherwise the batch plays
+    on `_py_simulate_batch`, with the same result, on the calling thread
+    alone: the Python kernel holds the interpreter lock.
     """
     lib, cards = _c_decks(len(deck), deck)
     if not lib:
         return _py_simulate_batch(n_matches, deck, seed, max_tricks, start)
-    hist, tally, done = (ctypes.c_int64 * _FIRST_HISTOGRAM)(), (ctypes.c_int64 * 4)(), 0
-    while done < n_matches:
-        count = _cut(n_matches - done)
-        folded = lib.bmn_simulate(cards, len(cards), seed & MASK64, (start + done) & MASK64,
-                                  count, _cut(max_tricks), hist, len(hist), tally)
-        done += folded
-        if folded < count:  # match start + done outlasts the histogram
-            hist, short = (ctypes.c_int64 * (2 * len(hist)))(), hist
-            ctypes.memmove(hist, short, ctypes.sizeof(short))
-    return {n: m for n, m in enumerate(hist) if m}, *tally
+    stop = start + n_matches
+    chunk = max(_CHUNK, -(-n_matches // _MAX_CHUNKS))
+    lock, claimed, folds, errors = threading.Lock(), [start], [], []
+
+    def claim():
+        """The next chunk (lo, hi), or None once all are claimed or a thread failed."""
+        with lock:
+            lo = claimed[0]
+            if lo >= stop or errors:
+                return None
+            claimed[0] = min(lo + chunk, stop)
+            return lo, claimed[0]
+
+    def play(first):
+        try:
+            folds.append(_fold_chunks(lib, cards, seed, max_tricks, first, claim))
+        except BaseException as exc:  # a helper's too: it is raised on the caller
+            with lock:
+                errors.append(exc)
+
+    first = claim()  # the caller plays the first chunk, each helper one of the next
+    helpers = [threading.Thread(target=play, args=(claim(),))
+               for _ in range(min(threads, -(-n_matches // chunk)) - 1)]
+    try:
+        for helper in helpers:
+            helper.start()
+        play(first)
+    finally:
+        with lock:
+            claimed[0] = stop  # if the caller was stopped outside `play`
+        for helper in helpers:
+            if helper.ident is not None:
+                helper.join()
+    if errors:
+        raise errors[0]
+    histogram = {}
+    for hist, _ in folds:
+        # one slice to a list: reading the 1024 ctypes entries one by one
+        # took 240 us, four times as long (2-core Xeon)
+        counts = hist[:]
+        for n in compress(range(len(counts)), counts):
+            histogram[n] = histogram.get(n, 0) + counts[n]
+    return histogram, *map(sum, zip(*(tally[:] for _, tally in folds)))
+
+
+def _fold_chunks(lib, cards, seed, max_tricks, chunk, claim):
+    """Fold `chunk` and each chunk `claim()` gives until it gives None into
+    one histogram and tally, which it returns; one `bmn_simulate` call per
+    chunk, and one more each time a match outlasts the histogram, which
+    then doubles."""
+    hist, tally = (ctypes.c_int64 * _FIRST_HISTOGRAM)(), (ctypes.c_int64 * 4)()
+    while chunk is not None:
+        lo, hi = chunk
+        while lo < hi:
+            count = _cut(hi - lo)
+            folded = lib.bmn_simulate(cards, len(cards), seed & MASK64, lo & MASK64, count,
+                                      _cut(max_tricks), hist, len(hist), tally)
+            lo += folded
+            if folded < count:  # match lo outlasts the histogram
+                hist, short = (ctypes.c_int64 * (2 * len(hist)))(), hist
+                ctypes.memmove(hist, short, ctypes.sizeof(short))
+        chunk = claim()
+    return hist, tally
 
 
 def _py_simulate_batch(n_matches, deck, seed, max_tricks, start=0):

@@ -54,6 +54,38 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
+class _FlagError(Exception):
+    """A flag value its reader rejects; `main` prints it as one `error:` line.
+
+    Not a ValueError: argparse would catch that and print its usage lines
+    and a message of its own."""
+
+
+def _reader(flag, read, expects):
+    """The argparse `type` of `flag`: `read`, a value it rejects with a
+    ValueError raising `_FlagError`."""
+    def typed(text):
+        try:
+            return read(text)
+        except ValueError:
+            raise _FlagError(f"{flag} expects {expects}, got {text!r}") from None
+    return typed
+
+
+def _integer(flag):
+    """The argparse `type` of an integer flag: `engine.parse_int`."""
+    return _reader(flag, engine.parse_int, "an integer")
+
+
+def _fit_range(text):
+    """`--fit`'s LO,HI as two integers."""
+    lo, hi = text.split(",")
+    return engine.parse_int(lo), engine.parse_int(hi)
+
+
+_SETTING = _reader("--setting", Settings.parse, "N,R (e.g. 40,3)")
+
+
 def _fail(message: str, code: int = USAGE_ERROR) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
@@ -132,7 +164,7 @@ def _outcome_line(outcome) -> str:
 def cmd_play(args) -> int:
     if args.positions and not args.trace:
         return _fail("--positions is written alongside --trace; give both")
-    settings = Settings.parse(args.setting)
+    settings = args.setting
     state = _parse_state(args, settings)
     if not state.playable:
         return _fail("both decks must be nonempty")
@@ -187,21 +219,15 @@ def write_histogram_csv(histogram: dict, fh) -> None:
 
 
 def cmd_simulate(args) -> int:
-    settings = Settings.parse(args.setting)
+    settings = args.setting
     config = simulator.SimConfig(settings=settings, matches=args.matches,
                                  seed=args.seed, max_tricks=args.max_tricks,
                                  workers=args.workers)
-    if args.fit:
-        try:
-            lo_str, hi_str = args.fit.split(",")
-            lo, hi = int(lo_str), int(hi_str)
-        except ValueError:
-            return _fail(f"--fit expects LO,HI, got {args.fit!r}")
-        if lo >= hi:
-            return _fail(f"--fit needs LO < HI, got {args.fit!r}")
+    if args.fit and args.fit[0] >= args.fit[1]:
+        return _fail("--fit needs LO < HI, got '{},{}'".format(*args.fit))
     with _outputs(args.out, args.hist) as (out, hist):
         summary = simulator.run_batch(config)
-        fit = stats.fit_exponential(summary.histogram, lo, hi) if args.fit else None
+        fit = stats.fit_exponential(summary.histogram, *args.fit) if args.fit else None
         (out or sys.stdout).write(_stats_text(config, summary, fit))
         if hist:
             write_histogram_csv(summary.histogram, hist)
@@ -214,7 +240,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_loops(args) -> int:
-    settings = Settings.parse(args.setting)
+    settings = args.setting
     state = _parse_state(args, settings)
     try:
         report = cycles.verify_loop(state, args.max_tricks)
@@ -241,7 +267,7 @@ def cmd_loops(args) -> int:
 def cmd_backward(args) -> int:
     config = backward.BackwardSearchConfig(max_depth=args.depth,
                                            max_nodes=args.max_nodes)
-    settings = Settings.parse(args.setting)
+    settings = args.setting
     state = _parse_state(args, settings)
     if not state.playable:
         return _fail("both decks must be nonempty")
@@ -305,7 +331,7 @@ def _read_seed_decks(path, settings) -> list:
 
 
 def cmd_factory(args) -> int:
-    settings = Settings.parse(args.setting)
+    settings = args.setting
     seeds = []
     if args.seed_decks:
         seeds = _read_seed_decks(args.seed_decks, settings)
@@ -371,9 +397,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("play", help="play one match from explicit decks")
-    p.add_argument("--setting", required=True, help="N,R e.g. 40,3")
+    p.add_argument("--setting", type=_SETTING, required=True, help="N,R e.g. 40,3")
     _add_deck_args(p)
-    p.add_argument("--max-tricks", type=int, default=engine.DEFAULT_MATCH_TRICKS)
+    p.add_argument("--max-tricks", type=_integer("--max-tricks"),
+                   default=engine.DEFAULT_MATCH_TRICKS)
     p.add_argument("--allow-partial", action="store_true",
                    help="accept decks that do not form a full (N,R) composition")
     p.add_argument("--trace", help="write a per-trick CSV trace here")
@@ -382,43 +409,46 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_play)
 
     p = sub.add_parser("simulate", help="Monte Carlo batch over uniform deals")
-    p.add_argument("--setting", required=True)
-    p.add_argument("--matches", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--setting", type=_SETTING, required=True)
+    p.add_argument("--matches", type=_integer("--matches"), required=True)
+    p.add_argument("--seed", type=_integer("--seed"), default=0)
+    p.add_argument("--workers", type=_integer("--workers"), default=1,
                    help="play the batch on up to N threads; changes no result")
-    p.add_argument("--max-tricks", type=int, default=engine.DEFAULT_BATCH_TRICKS)
+    p.add_argument("--max-tricks", type=_integer("--max-tricks"),
+                   default=engine.DEFAULT_BATCH_TRICKS)
     p.add_argument("--out", help="write the stats file here (default stdout)")
     p.add_argument("--hist", help="write the histogram CSV here")
-    p.add_argument("--fit", metavar="LO,HI",
+    p.add_argument("--fit", metavar="LO,HI", type=_reader("--fit", _fit_range, "LO,HI"),
                    help="fit an exponential tail over this trick range")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("loops", help="verify a cycle / scan its balanced entries")
     p.add_argument("mode", choices=["verify", "scan"])
-    p.add_argument("--setting", required=True)
+    p.add_argument("--setting", type=_SETTING, required=True)
     _add_deck_args(p)
-    p.add_argument("--max-tricks", type=int, default=engine.DEFAULT_BATCH_TRICKS)
+    p.add_argument("--max-tricks", type=_integer("--max-tricks"),
+                   default=engine.DEFAULT_BATCH_TRICKS)
     p.set_defaults(func=cmd_loops)
 
     p = sub.add_parser("backward", help="enumerate predecessor states")
-    p.add_argument("--setting", required=True)
+    p.add_argument("--setting", type=_SETTING, required=True)
     _add_deck_args(p)
-    p.add_argument("--depth", type=int, default=1)
-    p.add_argument("--max-nodes", type=int, default=1_000_000)
+    p.add_argument("--depth", type=_integer("--depth"), default=1)
+    p.add_argument("--max-nodes", type=_integer("--max-nodes"), default=1_000_000)
     p.add_argument("--find-balanced", action="store_true",
                    help="report standardized balanced states instead of the tree")
     p.set_defaults(func=cmd_backward)
 
     p = sub.add_parser("factory", help="grow a seed loop to full composition")
-    p.add_argument("--setting", required=True)
+    p.add_argument("--setting", type=_SETTING, required=True)
     p.add_argument("--seed-deck-a", help="seed deck for player A")
     p.add_argument("--seed-deck-b", help="seed deck for player B")
     p.add_argument("--seed-decks", help="file of 'DECKA DECKB' seed lines")
-    p.add_argument("--budget", type=int, default=100_000,
+    p.add_argument("--budget", type=_integer("--budget"), default=100_000,
                    help="exploration rounds")
-    p.add_argument("--rng-seed", type=int, default=0)
-    p.add_argument("--trick-cap", type=int, default=engine.DEFAULT_BATCH_TRICKS)
+    p.add_argument("--rng-seed", type=_integer("--rng-seed"), default=0)
+    p.add_argument("--trick-cap", type=_integer("--trick-cap"),
+                   default=engine.DEFAULT_BATCH_TRICKS)
     p.add_argument("--out", help="append complete findings to this file")
     p.set_defaults(func=cmd_factory)
     return parser
@@ -430,6 +460,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
+    except _FlagError as exc:
+        return _fail(str(exc))
     for dest, least in _LEAST.items():
         if getattr(args, dest, least) < least:
             return _fail(f"--{dest.replace('_', '-')} must be >= {least}")

@@ -44,6 +44,16 @@ class UnplayableStateError(ValueError):
     """A trick was requested from a state where a deck is already empty."""
 
 
+def parse_int(text: str) -> int:
+    """An integer written as an optional `-` and then ASCII digits only: no
+    sign `+`, space, `_` or other script's digit, all of which `int()`
+    takes. Raises ValueError otherwise."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
 @dataclass(frozen=True)
 class Settings:
     """An (N, R) game: N cards in four suits, special ranks 1..R.
@@ -65,10 +75,10 @@ class Settings:
 
     @classmethod
     def parse(cls, text: str) -> "Settings":
-        """Parse the "N,R" flag syntax, e.g. "40,3"."""
+        """Parse the "N,R" flag syntax, e.g. "40,3", each part a `parse_int`."""
         try:
             n_str, r_str = text.split(",")
-            return cls(int(n_str), int(r_str))
+            return cls(parse_int(n_str), parse_int(r_str))
         except ValueError as exc:
             raise ValueError(f"expected setting as N,R (e.g. 40,3), got {text!r}") from exc
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from collections import Counter
 from dataclasses import dataclass
 
 from . import _kernels, stats
@@ -16,11 +15,12 @@ class SimConfig:
     """Batch parameters. Match i always draws from the (seed, i) stream.
 
     Match i is dealt by the C kernel or by the reference `SplitMix64.shuffle`
-    (bit-identical) and played on up to `workers` threads, each taking a
-    contiguous range of match indices; neither the kernel nor the worker
-    count changes a result. Every match is played with loop detection: it
-    terminates, loops with transient + period <= `max_tricks`, or exceeds
-    the budget.
+    (bit-identical). On the C kernel the batch plays on the calling thread
+    and up to `workers - 1` more, each claiming fixed chunks of match
+    indices in turn; the Python kernel plays it on the calling thread alone.
+    Neither the kernel nor the worker count changes a result. Every match is
+    played with loop detection: it terminates, loops with transient + period
+    <= `max_tricks`, or exceeds the budget.
     """
 
     settings: Settings
@@ -74,26 +74,13 @@ def pool_size(workers: int, matches: int) -> int:
 def run_batch(config: SimConfig) -> stats.DurationSummary:
     """Play config.matches independent matches and summarize the outcomes.
 
-    Contiguous index ranges play on up to config.workers threads, each
-    folded by the batch kernel, which detects loops; this sums the folds.
-    A loop counts when transient + period <= config.max_tricks, so loops
-    and genuinely over-budget matches are reported apart. Results are
-    bitwise identical for any worker count.
+    The batch kernel plays and folds them, detecting loops, on the calling
+    thread and up to config.workers - 1 more (`pool_size`), which claim
+    fixed chunks of match indices in turn (`_kernels.simulate_batch`). A
+    loop counts when transient + period <= config.max_tricks, so loops and
+    genuinely over-budget matches are reported apart. Results are bitwise
+    identical for any worker count.
     """
-    deck = full_deck(config.settings)
-    threads = pool_size(config.workers, config.matches)
-
-    def play(lo, hi):
-        # looked up when called, so the kernel may be wrapped (say, by a tracer)
-        return _kernels.simulate_batch(hi - lo, deck, config.seed, config.max_tricks, lo)
-
-    if threads == 1:
-        return stats.summarize_counts(*play(0, config.matches))
-    # The C kernel releases the GIL, so threads play ranges in parallel.
-    # Imported here so that `import bmn` does not pay for the pool.
-    from concurrent.futures import ThreadPoolExecutor
-
-    bounds = [config.matches * k // threads for k in range(threads + 1)]
-    with ThreadPoolExecutor(threads) as pool:
-        histograms, *counts = zip(*pool.map(play, bounds, bounds[1:]))
-    return stats.summarize_counts(sum(map(Counter, histograms), Counter()), *map(sum, counts))
+    return stats.summarize_counts(*_kernels.simulate_batch(
+        config.matches, full_deck(config.settings), config.seed, config.max_tricks,
+        threads=pool_size(config.workers, config.matches)))

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 import shutil
+import threading
 
 import pytest
 
@@ -31,6 +32,21 @@ def kernel(request, monkeypatch):
     else:
         monkeypatch.setattr(_kernels, "_ckernel", False)
     return request.param
+
+
+class NotingKernel:
+    """A loaded C kernel whose `bmn_simulate` notes each call's thread (its
+    `Thread`: a thread's ident may be reused once it has ended), first match,
+    histogram length and matches folded, in `calls`."""
+
+    def __init__(self, lib):
+        self.lib, self.calls = lib, []
+
+    def bmn_simulate(self, cards, n, seed, start, count, max_tricks, hist, n_hist, tally):
+        folded = self.lib.bmn_simulate(cards, n, seed, start, count, max_tricks, hist, n_hist,
+                                       tally)
+        self.calls.append((threading.current_thread(), start, n_hist, folded))
+        return folded
 
 
 # Ultra-long published matches: (setting, deck_a, deck_b, winner, tricks).

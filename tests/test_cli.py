@@ -9,7 +9,7 @@ import threading
 
 import pytest
 
-from bmn import _kernels, backward, cli, factory
+from bmn import _kernels, backward, cli, engine, factory
 from bmn.engine import format_deck
 from conftest import BALANCED_12_1, GOLDEN_MATCHES, INF_52_4, state
 
@@ -273,27 +273,67 @@ def test_failed_work_keeps_an_earlier_output(monkeypatch, tmp_path, error):
     assert list(tmp_path.iterdir()) == [out]
 
 
-def test_error_in_a_worker_thread_exits_1(monkeypatch, capsys, tmp_path):
-    # two cores, so that both ranges play on worker threads and the kernel
-    # raises there
+def _two_cpus(monkeypatch):
     monkeypatch.setattr(cli.simulator.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(cli.simulator.os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
-    main = threading.get_ident()
 
-    def failing(*args):
-        assert threading.get_ident() != main
-        raise ValueError("the kernel failed")
 
-    monkeypatch.setattr(_kernels, "simulate_batch", failing)
+def test_error_in_a_worker_thread_exits_1(monkeypatch, capsys, tmp_path):
+    # two cores, so that the caller and a helper thread play the batch; the
+    # kernel raises on the helper, while the caller waits in its first chunk
+    _two_cpus(monkeypatch)
+    main, failed = threading.current_thread(), threading.Event()
+
+    class Kernel:
+        @staticmethod
+        def bmn_simulate(cards, n, seed, start, count, *rest):
+            if threading.current_thread() is not main:
+                failed.set()
+                raise ValueError("the kernel failed")
+            assert failed.wait(60)
+            return count  # every match folded, none terminated
+
+    monkeypatch.setattr(_kernels, "_ckernel", Kernel)
     out = tmp_path / "s.txt"
     out.write_text("earlier results\n")
-    rc = cli.main(["simulate", "--setting", "40,3", "--matches", "10", "--workers", "2",
+    rc = cli.main(["simulate", "--setting", "40,3", "--matches", "2000", "--workers", "2",
                    "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
     assert err == "error: the kernel failed\n"
     assert "Traceback" not in err
+    assert out.read_text() == "earlier results\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_interrupt_stops_every_thread_at_its_next_chunk(monkeypatch, tmp_path):
+    # as Ctrl-C does, the caller's third chunk raises KeyboardInterrupt; the
+    # helper, still in its first chunk, claims no other: the batch stops
+    # with few of its 1954 chunks played, and no helper outlives it
+    _two_cpus(monkeypatch)
+    main, interrupted, calls = threading.current_thread(), threading.Event(), []
+
+    class Kernel:
+        @staticmethod
+        def bmn_simulate(cards, n, seed, start, count, *rest):
+            calls.append(threading.current_thread())
+            if threading.current_thread() is not main:
+                assert interrupted.wait(60)
+            elif calls.count(main) == 3:
+                interrupted.set()
+                raise KeyboardInterrupt
+            return count  # every match folded, none terminated
+
+    monkeypatch.setattr(_kernels, "_ckernel", Kernel)
+    out = tmp_path / "s.txt"
+    out.write_text("earlier results\n")
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["simulate", "--setting", "40,3", "--matches", "1000000", "--workers", "2",
+                  "--out", str(out)])
+    helpers = set(calls) - {main}
+    assert len(helpers) == 1 and not any(helper.is_alive() for helper in helpers)
+    assert calls.count(main) == 3 and len(calls) == 4
     assert out.read_text() == "earlier results\n"
     assert list(tmp_path.iterdir()) == [out]
 
@@ -710,6 +750,48 @@ def test_a_flag_below_its_least_value_is_named(capsys, args, message):
     # the error names the flag the user gave, not the config field behind it
     assert cli.main(list(args)) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+_SIM = ("simulate", "--setting", "12,1", "--matches", "5")
+
+
+# each number the CLI reads, with X where the bad value goes
+@pytest.mark.parametrize("argv, flag, expects", [
+    (("simulate", "--setting", "12,1", "--matches", "X"), "--matches", "an integer"),
+    ((*_SIM, "--seed", "X"), "--seed", "an integer"),
+    ((*_SIM, "--workers", "X"), "--workers", "an integer"),
+    ((*_SIM, "--max-tricks", "X"), "--max-tricks", "an integer"),
+    (("play", *DECKS, "--max-tricks", "X"), "--max-tricks", "an integer"),
+    (("loops", "verify", *DECKS, "--max-tricks", "X"), "--max-tricks", "an integer"),
+    (("backward", *DECKS, "--depth", "X"), "--depth", "an integer"),
+    (("backward", *DECKS, "--max-nodes", "X"), "--max-nodes", "an integer"),
+    (("factory", "--setting", "12,1", "--budget", "X"), "--budget", "an integer"),
+    (("factory", "--setting", "12,1", "--rng-seed", "X"), "--rng-seed", "an integer"),
+    (("factory", "--setting", "12,1", "--trick-cap", "X"), "--trick-cap", "an integer"),
+    (("simulate", "--setting", "X,1", "--matches", "5"), "--setting", "N,R (e.g. 40,3)"),
+    (("play", *DECKS[2:], "--setting", "12,X"), "--setting", "N,R (e.g. 40,3)"),
+    ((*_SIM, "--fit", "X,100"), "--fit", "LO,HI"),
+    ((*_SIM, "--fit", "10,X"), "--fit", "LO,HI"),
+], ids=["matches", "seed", "workers", "simulate-max-tricks", "play-max-tricks",
+        "loops-max-tricks", "depth", "max-nodes", "budget", "rng-seed", "trick-cap",
+        "setting-n", "setting-r", "fit-lo", "fit-hi"])
+@pytest.mark.parametrize("bad", ["1_0", "\u0663", "\uff13"],
+                         ids=["underscore", "arabic", "fullwidth"])
+def test_a_number_is_an_optional_minus_and_ascii_digits(capsys, argv, flag, expects, bad):
+    # int() reads each of these as 10 or 3; the CLI reads none, and names the flag
+    args = [arg.replace("X", bad) for arg in argv]
+    value = next(arg for arg in args if bad in arg)
+    assert cli.main(args) == 1
+    assert capsys.readouterr() == ("", f"error: {flag} expects {expects}, got {value!r}\n")
+
+
+def test_parse_int_reads_a_minus_and_ascii_digits_only():
+    assert [engine.parse_int(text) for text in ("0", "-0", "007", "-12", "9" * 40)] == [
+        0, 0, 7, -12, int("9" * 40)]
+    for text in ("", "-", "+5", " 5", "5 ", "5\n", "--5", "1_0", "\u0663", "\uff13",
+                 "\u00b2", "0x10", "1e3"):
+        with pytest.raises(ValueError):
+            engine.parse_int(text)
 
 
 def test_factory_rejects_an_empty_seed_deck():

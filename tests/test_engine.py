@@ -49,6 +49,10 @@ def test_settings_parse():
     assert Settings.parse("40,3") == Settings(40, 3)
     with pytest.raises(ValueError):
         Settings.parse("40;3")
+    # each part is an integer as engine.parse_int reads it: no other digits
+    for text in ("4_0,3", "40,\u0663", "\uff14\uff10,3", "+40,3", "40, 3"):
+        with pytest.raises(ValueError):
+            Settings.parse(text)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import random
 import shutil
 import subprocess
 import sys
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -27,6 +28,7 @@ from bmn.engine import (
 )
 from bmn.simulator import full_deck
 from conftest import (
+    NotingKernel,
     random_deck,
     random_playable_state,
     require_c_kernel,
@@ -311,6 +313,59 @@ def test_c_batch_grows_its_histogram(monkeypatch):
     assert fallbacks == []
     assert fold == expected == _kernels._py_simulate_batch(500, deck, 11, 100_000, 40)
     assert max(fold[0]) > 64
+
+
+def test_c_batch_grows_its_histogram_on_a_helper_thread(monkeypatch):
+    # each thread doubles the histogram it owns: a helper's first chunk, not
+    # the caller's, holds the first match that outlasts one entry
+    require_c_kernel()
+    deck = full_deck(Settings(40, 3))
+    expected = _kernels._py_simulate_batch(500, deck, 11, 100_000, 40)
+    noting = NotingKernel(_kernels._c())
+    monkeypatch.setattr(_kernels, "_ckernel", noting)
+    monkeypatch.setattr(_kernels, "_FIRST_HISTOGRAM", 1)
+    monkeypatch.setattr(_kernels, "_CHUNK", 50)
+    assert _kernels.simulate_batch(500, deck, 11, 100_000, 40, threads=2) == expected
+    helpers = {n_hist for thread, *_, n_hist, _ in noting.calls
+               if thread is not threading.current_thread()}
+    assert max(helpers) > 64
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_batch_folds_alike_on_any_thread_count(monkeypatch, kernel, threads):
+    # batches of 1, chunk - 1, chunk, chunk + 1 and 2 chunk + 1 matches (a
+    # chunk of 4 here), some of which loop or run over the budget, fold as
+    # the reference batch does at any thread count
+    monkeypatch.setattr(_kernels, "_CHUNK", 4)
+    deck = full_deck(Settings(12, 1))
+    for n in (1, 3, 4, 5, 9, 601):
+        fold = _kernels.simulate_batch(n, deck, 7, 12, 3, threads)
+        assert fold == _kernels._py_simulate_batch(n, deck, 7, 12, 3), n
+    assert fold[3] and fold[4]
+
+
+def test_batch_threads_claim_each_chunk_once_under_stress(monkeypatch):
+    # eight threads on fewer cores claim one-match chunks, switching as
+    # often as the interpreter lets them: a claim the lock did not guard
+    # would play some match twice or not at all
+    require_c_kernel()
+    deck = full_deck(Settings(12, 1))
+    expected = _kernels._py_simulate_batch(2000, deck, 9, 12, 0)
+    noting = NotingKernel(_kernels._c())
+    monkeypatch.setattr(_kernels, "_ckernel", noting)
+    monkeypatch.setattr(_kernels, "_CHUNK", 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert _kernels.simulate_batch(2000, deck, 9, 12, 0, threads=8) == expected
+    finally:
+        sys.setswitchinterval(interval)
+    played = sorted(i for _, start, _, folded in noting.calls
+                    for i in range(start, start + folded))
+    assert played == list(range(2000))
+    assert len({thread for thread, *_ in noting.calls}) > 1
+    assert not any(thread.is_alive() for thread, *_ in noting.calls
+                   if thread is not threading.current_thread())
 
 
 @pytest.mark.parametrize("n_matches", [2 ** 62 + 1, 2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1,

@@ -11,10 +11,11 @@ from fractions import Fraction
 
 import pytest
 
-from bmn import _kernels, engine, simulator
+from bmn import _kernels, engine, simulator, stats
 from bmn._rng import SplitMix64
 from bmn.engine import PLAYER_A, Settings, Terminated, play_match
 from bmn.simulator import SimConfig, deal, match_state, run_batch
+from conftest import NotingKernel, require_c_kernel
 from stats_oracle import summarize
 
 
@@ -121,26 +122,56 @@ def test_worker_ranges_sum_to_one_run(monkeypatch, kernel, setting, matches, cap
 
 
 def test_run_batch_plays_ranges_on_threads(monkeypatch):
-    _fake_cpus(monkeypatch, 2)
+    # the calling thread and workers - 1 helpers claim fixed chunks (4
+    # matches here) from one counter: each match is played once, the caller
+    # plays, each thread's chunks rise in index order, and no process forks
+    require_c_kernel()
+    _fake_cpus(monkeypatch, 3)
 
     def no_fork():
         raise AssertionError("run_batch forked a process")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    kernel, threads = _kernels.simulate_batch, {}
+    monkeypatch.setattr(_kernels, "_CHUNK", 4)
+    noting = NotingKernel(_kernels._c())
+    monkeypatch.setattr(_kernels, "_ckernel", noting)
+    me = threading.current_thread()
+    for matches in (1, 3, 4, 5, 9):
+        expected = stats.summarize_counts(*_kernels._py_simulate_batch(
+            matches, simulator.full_deck(Settings(40, 3)), 2, engine.DEFAULT_BATCH_TRICKS))
+        for workers in (1, 2, 3):
+            noting.calls.clear()
+            cfg = SimConfig(settings=Settings(40, 3), matches=matches, seed=2, workers=workers)
+            assert run_batch(cfg) == expected, (matches, workers)
+            played = sorted(i for _, start, _, folded in noting.calls
+                            for i in range(start, start + folded))
+            assert played == list(range(matches)), (matches, workers)
+            players = {thread for thread, *_ in noting.calls}
+            assert me in players
+            assert len(players) == min(workers, -(-matches // 4)), (matches, workers)
+            for player in players:
+                starts = [start for thread, start, *_ in noting.calls if thread == player]
+                assert starts == sorted(starts), (matches, workers)
+
+
+def test_python_batch_plays_on_the_caller_alone(monkeypatch, kernel):
+    # the Python kernel holds the interpreter lock: at any worker count its
+    # batch is one call on the calling thread
+    _fake_cpus(monkeypatch, 3)
+    reference, calls = _kernels._py_simulate_batch, []
 
     def noting_thread(n_matches, deck, seed, max_tricks, start=0):
-        threads[start, start + n_matches] = threading.get_ident()
-        return kernel(n_matches, deck, seed, max_tricks, start)
+        calls.append((start, n_matches, threading.get_ident()))
+        return reference(n_matches, deck, seed, max_tricks, start)
 
-    monkeypatch.setattr(_kernels, "simulate_batch", noting_thread)
-    cfg = SimConfig(settings=Settings(40, 3), matches=4000, seed=2, workers=2)
-    assert run_batch(cfg) == run_batch(dataclasses.replace(cfg, workers=1))
-    # workers=1 plays on the caller's thread, each range of workers=2 on another
-    me = threading.get_ident()
-    assert set(threads) == {(0, 2000), (2000, 4000), (0, 4000)}
-    assert threads[0, 4000] == me
-    assert threads[0, 2000] != me and threads[2000, 4000] != me
+    monkeypatch.setattr(_kernels, "_py_simulate_batch", noting_thread)
+    cfg = SimConfig(settings=Settings(12, 1), matches=2001, seed=5, max_tricks=50, workers=3)
+    summary = run_batch(cfg)
+    assert summary == run_batch(dataclasses.replace(cfg, workers=1))
+    if kernel == "python":
+        assert calls == [(0, 2001, threading.get_ident())] * 2
+    else:
+        assert calls == []
 
 
 # In a fresh interpreter on two cores, plays a batch on two threads, then on
@@ -192,17 +223,17 @@ def test_pool_size_caps_at_the_cpus_the_process_may_use(monkeypatch):
     monkeypatch.setattr(simulator.os, "cpu_count", lambda: 8)
     monkeypatch.setattr(simulator.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert simulator.pool_size(4, 1000) == 1
-    kernel, threads = _kernels.simulate_batch, set()
+    kernel, calls = _kernels.simulate_batch, set()
 
-    def noting_thread(n_matches, deck, seed, max_tricks, start=0):
-        threads.add((start, start + n_matches, threading.get_ident()))
-        return kernel(n_matches, deck, seed, max_tricks, start)
+    def noting_thread(n_matches, deck, seed, max_tricks, start=0, threads=1):
+        calls.add((start, start + n_matches, threads, threading.get_ident()))
+        return kernel(n_matches, deck, seed, max_tricks, start, threads)
 
     monkeypatch.setattr(_kernels, "simulate_batch", noting_thread)
     cfg = SimConfig(settings=Settings(40, 3), matches=1000, seed=4, workers=4)
     assert run_batch(cfg) == run_batch(dataclasses.replace(cfg, workers=1))
-    # both batches play their one range on the caller's thread
-    assert threads == {(0, 1000, threading.get_ident())}
+    # both batches play their one range on the caller's thread alone
+    assert calls == {(0, 1000, 1, threading.get_ident())}
 
 
 def test_run_batch_detect_loops_agrees_with_fast_path(kernel):
